@@ -36,7 +36,7 @@ from .homotopy import (
     isometry_path_block,
     retract,
 )
-from .invariants import curvature_report
+from .invariants import curvature_report, flagged_message
 from .sampling import (
     random_core,
     random_gauge_move,
@@ -294,6 +294,7 @@ def _exp_chern(params, rng, tols):
     failures = []
     _check(failures, residual < 1e-3,
            f"total curvature {report.total!r} has residual {residual:.3e}")
+    _check(failures, not report.flagged, flagged_message(report.flagged))
     rows = [(int(report.plaquette_ids[p]), float(report.theta_lo[p]),
              float(report.phi_lo[p]), float(report.curvature[p]))
             for p in range(len(report.plaquette_ids))]
@@ -323,6 +324,8 @@ def _exp_pump_boundary(params, rng, tols):
                f"{mesh_txt}: curvature residual {residual:.3e}")
         _check(failures, nearest == 1,
                f"{mesh_txt}: boundary generator value {nearest}, expected +1")
+        _check(failures, not report.flagged,
+               f"{mesh_txt}: {flagged_message(report.flagged)}")
 
     max_norm = 0.0
     for k in range(params["samples"]):
@@ -447,6 +450,25 @@ _DEFAULT_PARAMS = {
 }
 
 
+def _int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+# (parameter, predicate, requirement) for values an experiment cannot run
+# with: grids need two points, the aklt sweep a positive step, and the
+# rank-lowering retraction an essential rank of at least 2.
+_PARAM_CHECKS = {
+    "gamma-check": (("t_steps", lambda v: _int_at_least(v, 2), "an integer >= 2"),),
+    "contract-sweep": (("s_steps", lambda v: _int_at_least(v, 2), "an integer >= 2"),),
+    "aklt-sweep": (("g_step", lambda v: isinstance(v, (int, float))
+                    and not isinstance(v, bool) and 0.0 < v < math.inf,
+                    "a positive number"),),
+    "retract-sweep": (("chis", lambda v: isinstance(v, list) and len(v) > 0
+                       and all(_int_at_least(c, 2) for c in v),
+                       "a non-empty list of integers >= 2"),),
+}
+
+
 def run_experiment(name: str, params: dict, seed, out_dir: Path,
                    tols: Tolerances) -> int:
     """Execute one experiment, write its artifacts, and return the exit code."""
@@ -455,6 +477,9 @@ def run_experiment(name: str, params: dict, seed, out_dir: Path,
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     merged.update(params)
+    for key, valid, requirement in _PARAM_CHECKS.get(name, ()):
+        if not valid(merged[key]):
+            raise ValueError(f"{name}: {key} must be {requirement}, got {merged[key]!r}")
     if name in SEEDED and seed is None:
         raise ValueError(f"experiment {name} is randomized and requires a seed")
     rng = np.random.default_rng(np.random.PCG64(seed)) if seed is not None else None

@@ -53,6 +53,12 @@ class NonIntegerTotalError(TimpsError):
     2*pi (mesh too coarse or a rank jump crosses the cycle)."""
 
 
+class FlaggedPlaquetteError(TimpsError):
+    """A plaquette's curvature lies within the branch-cut margin of +-pi, so
+    the plaquette is not admissible and its value mod 2*pi is untrustworthy
+    (mesh too coarse)."""
+
+
 class OutOfChartError(TimpsError):
     """A parameter point lies outside the requested chart."""
 

@@ -19,7 +19,7 @@ plaquette curvature sums to an exact multiple of 2*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -328,6 +328,15 @@ class Mesh2:
     order is theta-first: (i, j) -> (i+1, j) -> (i+1, j+1) -> (i, j+1),
     the outward orientation under which the spin-coherent family carries
     total curvature +1.
+
+    The edge table is derived from the plaquettes.  Slot ``a`` of plaquette
+    ``p`` is the side from corner ``a`` to corner ``a + 1 (mod 4)``.
+    ``edges`` lists each undirected edge once, as ``(tail, head)`` in the
+    direction and order of its first traversal (plaquettes in order, slots
+    in order).  ``plaquette_edges[p, a]`` is the edge of that slot and
+    ``plaquette_signs[p, a]`` is +1 when the slot runs along the stored
+    direction, -1 against it, and 0 on a degenerate pole slot (tail ==
+    head; its edge id is 0 and carries no link).
     """
 
     n_theta: int
@@ -336,6 +345,33 @@ class Mesh2:
     plaquettes: np.ndarray
     cell_theta_lo: np.ndarray
     cell_phi_lo: np.ndarray
+    edges: np.ndarray = field(init=False, repr=False)
+    plaquette_edges: np.ndarray = field(init=False, repr=False)
+    plaquette_signs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tails = self.plaquettes.reshape(-1)
+        heads = np.roll(self.plaquettes, -1, axis=1).reshape(-1)
+        live = np.flatnonzero(tails != heads)
+        keys = (np.minimum(tails, heads) * (int(tails.max(initial=0)) + 1)
+                + np.maximum(tails, heads))[live]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        edge_of_key = np.empty_like(order)
+        edge_of_key[order] = np.arange(len(order))
+        first_slots = live[first[order]]
+        ids = np.zeros(tails.shape, dtype=np.intp)
+        ids[live] = edge_of_key[inverse]
+        signs = np.zeros(tails.shape, dtype=np.int8)
+        signs[live] = np.where(tails[live] == tails[first_slots][ids[live]], 1, -1)
+        table = {
+            "edges": np.stack([tails[first_slots], heads[first_slots]], axis=1),
+            "plaquette_edges": ids.reshape(self.plaquettes.shape),
+            "plaquette_signs": signs.reshape(self.plaquettes.shape),
+        }
+        for name, arr in table.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def reversed(self) -> "Mesh2":
         return Mesh2(
@@ -350,6 +386,10 @@ class Mesh2:
     @property
     def n_plaquettes(self) -> int:
         return self.plaquettes.shape[0]
+
+    @property
+    def n_edges(self) -> int:
+        return self.edges.shape[0]
 
 
 def _unit_vector(theta: float, phi: float) -> tuple:

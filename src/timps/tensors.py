@@ -31,13 +31,14 @@ __all__ = [
     "left_gram",
     "right_gram",
     "range_projection",
-    "numerical_rank",
     "is_injective",
     "canonical_decompose",
+    "canonical_cores",
     "essential_rank",
     "right_normalize",
     "apply_gauge",
     "mixed_transfer_leading",
+    "mixed_transfer_spectra",
     "fidelity_per_site",
     "gauge_equivalent",
     "pad_tensor",
@@ -77,10 +78,6 @@ class MpsTensor:
     def D(self) -> int:
         return self.mats.shape[1]
 
-    @classmethod
-    def from_matrices(cls, matrices) -> "MpsTensor":
-        return cls(np.array([np.asarray(m, dtype=complex) for m in matrices]))
-
     def scaled(self, factor: complex) -> "MpsTensor":
         return MpsTensor(self.mats * factor)
 
@@ -111,33 +108,34 @@ def right_gram(A: MpsTensor) -> np.ndarray:
 
 
 def _sorted_eigh(H: np.ndarray):
-    """Hermitian eigendecomposition, eigenvalues descending, each eigenvector
-    phase-fixed so its largest-modulus entry is real positive."""
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
-    for k in range(V.shape[1]):
-        idx = int(np.argmax(np.abs(V[:, k])))
-        pivot = V[idx, k]
-        if abs(pivot) > 0:
-            V[:, k] = V[:, k] * (pivot.conjugate() / abs(pivot))
-    return w, V
+    """Hermitian eigendecomposition of a matrix or an ``(N, D, D)`` stack,
+    eigenvalues descending, each eigenvector phase-fixed so its
+    largest-modulus entry is real positive."""
+    w, V = np.linalg.eigh((H + np.swapaxes(H.conj(), -1, -2)) / 2.0)
+    # eigh returns ascending eigenvalues; unit eigenvectors have a nonzero pivot
+    w, V = w[..., ::-1], V[..., ::-1]
+    pivot = np.take_along_axis(V, np.abs(V).argmax(axis=-2)[..., None, :], axis=-2)
+    return w, V * (pivot.conj() / np.abs(pivot))
+
+
+def _ranks_from_spectra(w: np.ndarray, eps_rank: float) -> np.ndarray:
+    """Eigenvalues above the relative cutoff, per descending spectrum in the
+    last axis of ``w``; -1 where one sits inside the cutoff window."""
+    cutoff = eps_rank * w[..., :1]
+    ranks = (w > cutoff).sum(axis=-1) * (w[..., 0] > 0.0)
+    in_window = ((w > 0.5 * cutoff) & (w < 2.0 * cutoff)).any(axis=-1)
+    return ranks - (ranks + 1) * in_window
 
 
 def _rank_from_spectrum(w: np.ndarray, eps_rank: float) -> int:
     """Count eigenvalues above the relative cutoff, refusing ambiguous cuts."""
-    lam_max = float(w[0])
-    if lam_max <= 0.0:
-        return 0
-    cutoff = eps_rank * lam_max
-    in_window = (w > 0.5 * cutoff) & (w < 2.0 * cutoff)
-    if np.any(in_window):
+    rank = int(_ranks_from_spectra(w, eps_rank))
+    if rank < 0:
         raise AmbiguousRankError(
-            f"eigenvalue inside the cutoff window (0.5, 2)*{cutoff:.3e}; "
+            f"eigenvalue inside the cutoff window (0.5, 2)*{eps_rank * w[0]:.3e}; "
             "the rank decision would be threshold-dependent"
         )
-    return int(np.sum(w > cutoff))
+    return rank
 
 
 def range_projection(A: MpsTensor, eps_rank: float = DEFAULT_TOLS.eps_rank) -> np.ndarray:
@@ -151,10 +149,14 @@ def range_projection(A: MpsTensor, eps_rank: float = DEFAULT_TOLS.eps_rank) -> n
     return Vr @ Vr.conj().T
 
 
-def numerical_rank(H: np.ndarray, eps_rank: float) -> int:
-    """Numerical rank of a Hermitian PSD matrix under the relative cutoff."""
-    w, _ = _sorted_eigh(H)
-    return _rank_from_spectrum(w, eps_rank)
+def _injective(K: np.ndarray, eps_rank: float) -> np.ndarray:
+    """Injectivity of ``(..., d, chi, chi)`` cores, on the singular values of
+    their ``d x chi^2`` vectorizations."""
+    d, chi = K.shape[-3], K.shape[-1]
+    if d < chi * chi:
+        return np.zeros(K.shape[:-3], dtype=bool)
+    s = np.linalg.svd(K.reshape(K.shape[:-3] + (d, chi * chi)), compute_uv=False)
+    return (s[..., 0] != 0.0) & ((s > eps_rank * s[..., :1]).sum(axis=-1) == chi * chi)
 
 
 def is_injective(mats, eps_rank: float = DEFAULT_TOLS.eps_rank) -> bool:
@@ -167,13 +169,7 @@ def is_injective(mats, eps_rank: float = DEFAULT_TOLS.eps_rank) -> bool:
     d, chi, chi2 = arr.shape
     if chi != chi2:
         raise ValueError("core matrices must be square")
-    if d < chi * chi:
-        return False
-    vecs = arr.reshape(d, chi * chi)
-    s = np.linalg.svd(vecs, compute_uv=False)
-    if s[0] == 0.0:
-        return False
-    return int(np.sum(s > eps_rank * s[0])) == chi * chi
+    return bool(_injective(arr, eps_rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +216,22 @@ def assemble(X: np.ndarray, K: np.ndarray, M: np.ndarray | None = None) -> MpsTe
     return MpsTensor(np.einsum("ab,ibc,dc->iad", X, blocks, X.conj()))
 
 
+def _reassembly_errors(B: np.ndarray, chi: int) -> np.ndarray:
+    """Largest Frobenius norm, over the physical index, of the columns past
+    ``chi`` of ``(..., d, D, D)`` blocks ``X* A X``: what the block form drops."""
+    dropped = B[..., chi:]
+    if dropped.size == 0:
+        return np.zeros(B.shape[:-3])
+    return np.sqrt((dropped.real ** 2 + dropped.imag ** 2).sum(axis=(-2, -1))).max(axis=-1)
+
+
+def _normalization_residuals(K: np.ndarray) -> np.ndarray:
+    """Frobenius distance of ``sum_i K^i K^{i*}`` from the identity, per core
+    of a ``(..., d, chi, chi)`` stack."""
+    gram = np.einsum("...iab,...icb->...ac", K, K.conj())
+    return np.linalg.norm(gram - np.eye(K.shape[-1]), axis=(-2, -1))
+
+
 def canonical_decompose(
     A: MpsTensor,
     eps_rank: float = DEFAULT_TOLS.eps_rank,
@@ -232,30 +244,55 @@ def canonical_decompose(
     entry.  Raises ``NotInEError`` if the block form does not reproduce the
     input, or if the recovered core is not injective or not right-normalized.
     """
-    w, V = _sorted_eigh(left_gram(A))
+    w, X = _sorted_eigh(left_gram(A))
     chi = _rank_from_spectrum(w, eps_rank)
     if chi == 0:
         raise NotInEError("tensor has numerically zero left Gram matrix")
-    X = V
     B = np.einsum("ba,ibc,cd->iad", X.conj(), A.mats, X)
     K = B[:, :chi, :chi].copy()
     M = B[:, chi:, :chi].copy()
-    resid_blocks = np.linalg.norm(B[:, :, chi:].reshape(A.d, -1), axis=1)
-    recon_err = float(np.max(resid_blocks)) if resid_blocks.size else 0.0
+    recon_err = float(_reassembly_errors(B, chi))
     if recon_err > tols.tol_recon:
         raise NotInEError(
             f"no block canonical form: reassembly error {recon_err:.3e} "
             f"exceeds {tols.tol_recon:.1e}"
         )
-    gram = np.einsum("iab,icb->ac", K, K.conj())
-    norm_err = float(np.linalg.norm(gram - np.eye(chi)))
+    norm_err = float(_normalization_residuals(K))
     if norm_err > tols.tol_norm:
         raise NotInEError(
             f"core is not right-normalized: residual {norm_err:.3e}"
         )
-    if not is_injective(K, eps_rank):
+    if not _injective(K, eps_rank):
         raise NotInEError("core matrices do not span the full matrix algebra")
     return CanonicalDecomposition(X=X, K=K, M=M, chi=chi)
+
+
+def canonical_cores(
+    mats: np.ndarray,
+    chi: int,
+    eps_rank: float = DEFAULT_TOLS.eps_rank,
+    tols: Tolerances = DEFAULT_TOLS,
+):
+    """The cores ``K`` of :func:`canonical_decompose` for an ``(N, d, D, D)``
+    stack of tensors of essential rank ``chi``, as an ``(N, d, chi, chi)``
+    array.
+
+    Returns ``(K, ok)``: ``ok[n]`` is False where ``canonical_decompose``
+    would refuse tensor ``n`` (ambiguous or zero rank, reassembly,
+    normalization or injectivity failure) or would find an essential rank
+    other than ``chi``; there ``K[n]`` is meaningless.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    w, X = _sorted_eigh(np.einsum("niba,nibc->nac", mats.conj(), mats))
+    B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
+    K = np.ascontiguousarray(B[..., :chi, :chi])
+    ok = (
+        (_ranks_from_spectra(w, eps_rank) == chi)
+        & ~(_reassembly_errors(B, chi) > tols.tol_recon)
+        & ~(_normalization_residuals(K) > tols.tol_norm)
+        & _injective(K, eps_rank)
+    )
+    return K, ok
 
 
 def essential_rank(
@@ -376,6 +413,20 @@ def apply_gauge(
     return MpsTensor(moved)
 
 
+def mixed_transfer_spectra(K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the mixed core maps ``B -> sum_i K_a^i B K_b^{i*}`` of
+    stacked core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``.
+
+    The map of each pair is the ``ab x ab`` matrix ``sum_i K_a^i (x) conj(K_b^i)``
+    (Kronecker product, row index ``p * b + r``); returns ``(N, ab)``
+    eigenvalues in LAPACK order.
+    """
+    n, _, a, _ = K_a.shape
+    b = K_b.shape[-1]
+    mats = np.einsum("nipq,nirs->nprqs", K_a, K_b.conj()).reshape(n, a * b, a * b)
+    return np.linalg.eigvals(mats)
+
+
 def mixed_transfer_leading(K_a: np.ndarray, K_b: np.ndarray) -> complex:
     """Leading eigenvalue of the mixed core map ``B -> sum_i K_a^i B K_b^{i*}``.
 
@@ -386,12 +437,7 @@ def mixed_transfer_leading(K_a: np.ndarray, K_b: np.ndarray) -> complex:
     K_b = np.asarray(K_b, dtype=complex)
     if K_a.shape[0] != K_b.shape[0]:
         raise ValueError("cores must share the physical dimension")
-    chi_a = K_a.shape[1]
-    chi_b = K_b.shape[1]
-    mat = np.zeros((chi_a * chi_b, chi_a * chi_b), dtype=complex)
-    for i in range(K_a.shape[0]):
-        mat += np.kron(K_a[i], K_b[i].conj())
-    vals = np.linalg.eigvals(mat)
+    vals = mixed_transfer_spectra(K_a[None], K_b[None])[0]
     return vals[int(np.argmax(np.abs(vals)))]
 
 

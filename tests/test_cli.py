@@ -134,6 +134,20 @@ def test_run_config_rejects_bad_documents(tmp_path, config):
     assert run_cli(["run", cfg]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["gamma-check", "--t-steps", "1"],
+    ["contract-sweep", "--seed", "1", "--s-steps", "1"],
+    ["aklt-sweep", "--g-step", "0"],
+    ["retract-sweep", "--seed", "1", "--chi", "1"],
+])
+def test_unrunnable_parameters_exit_two(tmp_path, capsys, args):
+    assert run_cli(args + ["--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_run_config_missing_file(tmp_path):
     assert run_cli(["run", tmp_path / "nope.json"]) == 2
 

@@ -59,7 +59,8 @@ def test_link_variable_error_cases():
 def test_link_field_reverse_is_conjugate():
     mesh = make_sphere_mesh(4, 4)
     field = link_field(psi2_sphere_family(), mesh)
-    (u, v), value = next(iter(field.links.items()))
+    (u, v), value = field.edges[0], field.values[0]
+    assert field.link(u, v) == value
     assert field.link(v, u) == np.conj(value)
     assert field.link(u, u) == 1.0
 

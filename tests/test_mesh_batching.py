@@ -1,0 +1,372 @@
+"""The stacked mesh path against a per-vertex, per-edge reference.
+
+The reference below is the plain loop: one canonical decomposition per
+vertex, one Kronecker-sum mixed transfer per edge, one dictionary walk per
+plaquette.  The library's chunked path must reproduce its curvature within
+1e-12, its Chern value and flags exactly, and its first error.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from timps import invariants
+from timps.cli import main
+from timps.errors import (
+    DegenerateLeadingEigenvalueError,
+    TimpsError,
+    FlaggedPlaquetteError,
+    NotInEError,
+    OutOfChartError,
+    RankMismatchError,
+    VanishingOverlapError,
+)
+from timps.families import (
+    SphereFamily,
+    aklt_path,
+    boundary_generator_family,
+    custom_vertex_family,
+    make_sphere_mesh,
+    psi2_sphere_family,
+    psi2_tensor,
+    pump_slice_family,
+)
+from timps.invariants import (
+    BRANCH_CUT_MARGIN,
+    OVERLAP_FLOOR,
+    chern_number,
+    curvature_report,
+    link_field,
+    link_variable,
+)
+from timps.sampling import random_core, random_tensor_in_e
+from timps.tensors import (
+    MpsTensor,
+    canonical_cores,
+    canonical_decompose,
+    mixed_transfer_leading,
+    pad_tensor,
+    tensor_to_json,
+)
+
+
+def oracle_mixed_leading(K_a, K_b):
+    """Leading eigenvalue of sum_i K_a^i (x) conj(K_b^i), built term by term."""
+    chi_a, chi_b = K_a.shape[1], K_b.shape[1]
+    mat = np.zeros((chi_a * chi_b, chi_a * chi_b), dtype=complex)
+    for i in range(K_a.shape[0]):
+        mat += np.kron(K_a[i], K_b[i].conj())
+    vals = np.linalg.eigvals(mat)
+    return vals[int(np.argmax(np.abs(vals)))]
+
+
+def oracle_curvature(family, mesh):
+    """Per-plaquette curvature, flags and total by the plain loops."""
+    cores, chi = [], None
+    for vertex in mesh.vertices:
+        dec = canonical_decompose(family.eval_vertex(vertex))
+        if chi is None:
+            chi = dec.chi
+        elif dec.chi != chi:
+            raise RankMismatchError(
+                f"family does not have constant essential rank on the mesh: "
+                f"{chi} vs {dec.chi} at vertex {vertex.index}"
+            )
+        cores.append(dec.K)
+    links = {}
+    for quad in mesh.plaquettes:
+        for a in range(4):
+            u, v = int(quad[a]), int(quad[(a + 1) % 4])
+            if u == v or (u, v) in links or (v, u) in links:
+                continue
+            value = oracle_mixed_leading(cores[u], cores[v])
+            mod = abs(value)
+            if mod < OVERLAP_FLOOR:
+                raise VanishingOverlapError(
+                    f"leading overlap modulus {mod:.3e} below {OVERLAP_FLOOR:.1e}; "
+                    "states nearly orthogonal (mesh too coarse)"
+                )
+            links[(u, v)] = value / mod
+
+    def link(u, v):
+        if u == v:
+            return 1.0
+        return links[(u, v)] if (u, v) in links else np.conj(links[(v, u)])
+
+    curvature = np.array([
+        np.angle(np.prod([link(int(q[a]), int(q[(a + 1) % 4])) for a in range(4)]))
+        for q in mesh.plaquettes
+    ])
+    flagged = tuple(int(p) for p in
+                    np.flatnonzero(np.abs(curvature) > np.pi - BRANCH_CUT_MARGIN))
+    return curvature, flagged, curvature.sum() / (2.0 * np.pi)
+
+
+def spun_family():
+    """psi2 with a vertex-dependent phase: the same curvature, other links."""
+    base = psi2_sphere_family()
+
+    def at(v):
+        return base.eval_vertex(v).scaled(np.exp(0.37j * v.index))
+
+    return SphereFamily("spun", at)
+
+
+def bloch(theta, phi):
+    return psi2_tensor(math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2))
+
+
+FAMILIES = {
+    "psi2": psi2_sphere_family,
+    "boundary": boundary_generator_family,
+    "pump-0.2": lambda: pump_slice_family(0.2),
+    "pump-0.55": lambda: pump_slice_family(0.55),
+    "pump-0.7": lambda: pump_slice_family(0.7),
+    "pump-0.8": lambda: pump_slice_family(0.8),
+    "spun": spun_family,
+}
+
+
+@pytest.fixture(params=[invariants.CHUNK, 7], ids=["chunk-default", "chunk-7"])
+def chunk(request, monkeypatch):
+    monkeypatch.setattr(invariants, "CHUNK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["outward", "reversed"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_stacked_curvature_matches_oracle(name, reverse, chunk):
+    mesh = make_sphere_mesh(10, 12)
+    if reverse:
+        mesh = mesh.reversed()
+    family = FAMILIES[name]()
+    curvature, flagged, total = oracle_curvature(family, mesh)
+    report = curvature_report(family, mesh)
+    assert np.abs(report.curvature - curvature).max() <= 1e-12
+    assert report.flagged == flagged
+    assert round(report.total) == round(total)
+
+
+def test_mixed_transfer_kernel_matches_oracle(rng):
+    for d, chi_a, chi_b in [(2, 1, 1), (4, 2, 2), (4, 2, 1), (9, 3, 2), (9, 3, 3)]:
+        K_a = random_core(rng, d, chi_a).mats
+        K_b = random_core(rng, d, chi_b).mats
+        assert abs(mixed_transfer_leading(K_a, K_b)
+                   - oracle_mixed_leading(K_a, K_b)) <= 1e-12
+
+
+def test_stacked_cores_match_scalar_decomposition():
+    tensors = [pump_slice_family(0.7).eval_vertex(v)
+               for v in make_sphere_mesh(6, 6).vertices]
+    K, ok = canonical_cores(np.array([t.mats for t in tensors]), 2)
+    assert ok.all()
+    for k, t in enumerate(tensors):
+        assert np.abs(K[k] - canonical_decompose(t).K).max() <= 1e-14
+
+
+def test_stacked_cores_refuse_what_the_scalar_pass_refuses(rng):
+    good = random_tensor_in_e(rng, 4, 3, 2)
+    leaky = np.zeros((4, 3, 3), dtype=complex)
+    leaky[:, :2, :2] = aklt_path(0.5).mats
+    # a column past the core, below the rank cutoff but above tol_recon
+    leaky[1, 0, 2] = 1e-6
+    diagonal = np.zeros((4, 3, 3), dtype=complex)
+    diagonal[:, [0, 1], [0, 1]] = np.full((4, 2), 0.5)  # normalized, not injective
+    ambiguous = np.zeros((4, 3, 3), dtype=complex)
+    ambiguous[:, :2, :2] = aklt_path(0.5).mats
+    ambiguous[0, 2, 2] = np.sqrt(1e-9)  # Gram eigenvalue at the cutoff
+    stack = [good.mats, good.scaled(1.5).mats, leaky, diagonal, ambiguous,
+             pad_tensor(psi2_tensor(0.6, 0.8), 4, 3).mats, np.zeros((4, 3, 3))]
+    _, ok = canonical_cores(np.array(stack), 2)
+
+    def decomposes_at_rank_2(mats):
+        try:
+            return canonical_decompose(MpsTensor(mats)).chi == 2
+        except TimpsError:
+            return False
+
+    assert ok.tolist() == [decomposes_at_rank_2(m) for m in stack]
+    assert ok.tolist() == [True] + [False] * 6
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (16, 16)])
+def test_edge_table_pairs_every_edge_with_opposite_signs(shape):
+    mesh = make_sphere_mesh(*shape)
+    ids, signs = mesh.plaquette_edges, mesh.plaquette_signs
+    corners = mesh.plaquettes
+    heads = np.roll(corners, -1, axis=1)
+    assert np.array_equal(signs == 0, corners == heads)
+    live = signs != 0
+    for edge in range(mesh.n_edges):
+        slots = np.argwhere(live & (ids == edge))
+        assert len(slots) == 2
+        assert sorted(signs[p, a] for p, a in slots) == [-1, 1]
+    # the table reproduces each slot's directed side
+    tail = np.where(signs > 0, mesh.edges[ids, 0], mesh.edges[ids, 1])
+    head = np.where(signs > 0, mesh.edges[ids, 1], mesh.edges[ids, 0])
+    assert np.array_equal(tail[live], corners[live])
+    assert np.array_equal(head[live], heads[live])
+    # stored direction and order are those of the first traversal
+    undirected = np.sort(mesh.edges, axis=1)
+    assert len(np.unique(undirected, axis=0)) == mesh.n_edges
+    first = [np.flatnonzero((ids == e).ravel() & live.ravel())[0]
+             for e in range(mesh.n_edges)]
+    assert first == sorted(first)
+    assert np.array_equal(mesh.edges[:, 0], corners.ravel()[first])
+
+
+def directed_sides(mesh):
+    ids, signs = mesh.plaquette_edges, mesh.plaquette_signs
+    tail = np.where(signs > 0, mesh.edges[ids, 0], mesh.edges[ids, 1])
+    head = np.where(signs > 0, mesh.edges[ids, 1], mesh.edges[ids, 0])
+    return np.where(signs != 0, tail, -1), np.where(signs != 0, head, -1)
+
+
+def signed_incidence(mesh, reference):
+    """Plaquette x edge incidence of ``mesh``, with edges and their
+    orientation taken from the edge table of ``reference``."""
+    index = {}
+    for e, (u, v) in enumerate(reference.edges):
+        index[(u, v)], index[(v, u)] = (e, 1), (e, -1)
+    tail, head = directed_sides(mesh)
+    out = np.zeros((mesh.n_plaquettes, reference.n_edges), dtype=int)
+    for (p, a), u in np.ndenumerate(tail):
+        if u >= 0:
+            e, sign = index[(u, head[p, a])]
+            out[p, e] += sign
+    return out
+
+
+def test_reversed_mesh_flips_every_side():
+    mesh = make_sphere_mesh(6, 8)
+    rev = mesh.reversed()
+    tail, head = directed_sides(mesh)
+    rtail, rhead = directed_sides(rev)
+    # slot a of a reversed plaquette runs along slot (2 - a) mod 4, backwards
+    back = [(2 - a) % 4 for a in range(4)]
+    assert np.array_equal(rtail, head[:, back])
+    assert np.array_equal(rhead, tail[:, back])
+    incidence = signed_incidence(mesh, mesh)
+    assert np.array_equal(signed_incidence(rev, mesh), -incidence)
+    assert np.array_equal(np.abs(incidence).sum(axis=0), np.full(mesh.n_edges, 2))
+    assert not incidence.sum(axis=0).any()
+
+
+def test_link_field_values_are_the_oracle_links(chunk):
+    mesh = make_sphere_mesh(6, 6)
+    family = spun_family()
+    field = link_field(family, mesh)
+    assert np.array_equal(field.edges, mesh.edges)
+    cores = [canonical_decompose(family.eval_vertex(v)).K for v in mesh.vertices]
+    for (u, v), value in zip(field.edges, field.values):
+        ref = oracle_mixed_leading(cores[u], cores[v])
+        assert abs(value - ref / abs(ref)) <= 1e-12
+        assert field.link(v, u) == np.conj(field.link(u, v))
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def parity_cases():
+    mesh = make_sphere_mesh(4, 4)
+    n = len(mesh.vertices)
+    base = aklt_path(0.5)
+    rank_jump = [base] * n
+    rank_jump[3] = aklt_path(0.0)
+    not_in_e = [base] * n
+    not_in_e[5] = base.scaled(2.0)
+    not_in_e[9] = aklt_path(0.0)
+    orthogonal = [psi2_tensor(1.0, 0.0)] * n
+    orthogonal[6] = psi2_tensor(0.0, 1.0)
+    return {
+        "rank-jump-at-3": (custom_vertex_family(rank_jump), RankMismatchError,
+                           "2 vs 1 at vertex 3"),
+        "non-E-vertex": (custom_vertex_family(not_in_e), NotInEError, "right-normalized"),
+        "vanishing-overlap": (custom_vertex_family(orthogonal), VanishingOverlapError,
+                              "0.000e+00"),
+    }
+
+
+@pytest.mark.parametrize("case", ["rank-jump-at-3", "non-E-vertex", "vanishing-overlap"])
+def test_error_parity_with_oracle(case, chunk):
+    family, kind, fragment = parity_cases()[case]
+    mesh = make_sphere_mesh(4, 4)
+    expected = raised(oracle_curvature, family, mesh)
+    assert expected[0] is kind and fragment in expected[1]
+    assert raised(curvature_report, family, mesh) == expected
+
+
+def test_decomposition_error_precedes_later_evaluation_error(chunk):
+    mesh = make_sphere_mesh(4, 4)
+    bad = aklt_path(0.5).scaled(2.0)
+
+    def at(v):
+        if v.index == 8:
+            raise OutOfChartError("vertex 8 is outside every chart")
+        return bad if v.index == 2 else aklt_path(0.5)
+
+    family = SphereFamily("broken", at)
+    assert raised(curvature_report, family, mesh) == raised(oracle_curvature, family, mesh)
+    assert raised(curvature_report, family, mesh)[0] is NotInEError
+
+    def out_of_chart(v):
+        if v.index == 8:
+            raise OutOfChartError("vertex 8 is outside every chart")
+        return aklt_path(0.5)
+
+    assert raised(curvature_report, SphereFamily("chart", out_of_chart), mesh) == (
+        OutOfChartError, "vertex 8 is outside every chart")
+
+
+def near_tie_cores():
+    """Two injective right-normalized cores whose mixed map has eigenvalues
+    (1 + i)/2 and (1 - i)/2: equal moduli, so the link phase is undefined."""
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                       [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex) / 2
+    return MpsTensor(paulis), MpsTensor(paulis * np.array([1, 1, -1j, -1j])[:, None, None])
+
+
+def test_near_tie_links_are_refused(chunk):
+    A, B = near_tie_cores()
+    with pytest.raises(DegenerateLeadingEigenvalueError):
+        link_variable(A, B)
+    mesh = make_sphere_mesh(4, 4)
+    tensors = [A] * len(mesh.vertices)
+    tensors[6] = B
+    with pytest.raises(DegenerateLeadingEigenvalueError):
+        link_field(custom_vertex_family(tensors), mesh)
+
+
+def flagged_family(mesh):
+    """North-pole states except one plaquette whose corners circle the Bloch
+    equator just above it: that plaquette's curvature is close to -pi."""
+    tensors = [bloch(0.0, 0.0)] * len(mesh.vertices)
+    for k, vid in enumerate(mesh.plaquettes[4]):
+        tensors[vid] = bloch(math.pi / 2 - 0.02, k * math.pi / 2)
+    return tensors
+
+
+def test_flagged_plaquettes_are_refused(tmp_path):
+    mesh = make_sphere_mesh(4, 4)
+    tensors = flagged_family(mesh)
+    family = custom_vertex_family(tensors)
+    assert curvature_report(family, mesh).flagged == (4,)
+    assert oracle_curvature(family, mesh)[1] == (4,)
+    with pytest.raises(FlaggedPlaquetteError, match=r"\[4\]"):
+        chern_number(family, mesh)
+
+    spec = {"family": "custom",
+            "params": {"tensors": [tensor_to_json(t) for t in tensors]}}
+    spec_path = tmp_path / "family.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["chern", "--family", f"@{spec_path}", "--mesh", "4x4",
+                 "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "chern.json").read_text())
+    assert doc["summary"]["chern"] == 0
+    assert doc["summary"]["flagged_plaquettes"] == [4]
+    assert doc["failures"] == [invariants.flagged_message((4,))]
