@@ -42,20 +42,17 @@ from .homotopy import (
     contraction_path,
     has_split_core_spectrum,
     isometry_path_block,
-    isometry_path_entry,
     retract,
     spectral_filter,
 )
 from .families import (
     Mesh2,
-    ParamFamily,
     PumpPoint,
     aklt_path,
     berry_rotation,
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,
-    pump_family,
     pump_lift,
     pump_north,
     pump_south,

@@ -165,19 +165,18 @@ def _exp_contract_sweep(params, rng, tols):
     endpoints = []
     for case in range(count):
         d, D, chi = _CONTRACT_SHAPES[case % len(_CONTRACT_SHAPES)]
-        A = random_tensor_in_e(rng, d, D, chi, tols=tols)
+        A = canonical_decompose(random_tensor_in_e(rng, d, D, chi, tols=tols),
+                                tols.eps_rank, tols)
         for k in range(s_steps):
             s = k / (s_steps - 1)
-            P = contraction_path(A, s, validate=False, tols=tols)
+            P = contraction_path(A, s, tols=tols)
             try:
                 dec = canonical_decompose(P, tols.eps_rank, tols)
-                gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
-                resid = float(np.linalg.norm(gram - np.eye(dec.chi)))
-                rows.append((case, s, dec.chi, resid))
+                rows.append((case, s, dec.chi, dec.norm_residual))
             except TimpsError as exc:
                 failures.append(f"case {case} s={s}: not in the tensor space ({exc})")
                 rows.append((case, s, -1, math.nan))
-        end = contraction_path(A, 1.0, validate=False, tols=tols)
+        end = contraction_path(A, 1.0, tols=tols)
         dev = float(np.abs(end.mats - contraction_endpoint(A.d, A.D).mats).max())
         _check(failures, dev <= 1e-12, f"case {case}: endpoint deviation {dev:.3e}")
         endpoints.append(end)
@@ -201,20 +200,21 @@ def _exp_retract_sweep(params, rng, tols):
         chi = chis[case % len(chis)]
         D = chi + (case // len(chis)) % 2
         A = random_split_spectrum_tensor(rng, chi, D, tols)
-        move = random_gauge_move(rng, A, tols=tols)
-        B = apply_gauge(A, move, tols.eps_rank, tols)
+        dec_a = canonical_decompose(A, tols.eps_rank, tols)
+        move = random_gauge_move(rng, dec_a, tols=tols)
+        dec_b = canonical_decompose(apply_gauge(A, move, tols.eps_rank, tols),
+                                    tols.eps_rank, tols)
         for t in t_grid:
-            st = retract(A, t, tols.eps_rank, tols=tols)
+            st = retract(dec_a, t, tols.eps_rank, tols=tols)
             H = st.tensor
             dist = float(np.abs(H.mats - A.mats).max())
             try:
                 dec = canonical_decompose(H, tols.eps_rank, tols)
-                gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
-                resid = float(np.linalg.norm(gram - np.eye(dec.chi)))
-                rank = dec.chi
+                rank, resid = dec.chi, dec.norm_residual
             except TimpsError as exc:
                 failures.append(f"case {case} t={t}: output not decomposable ({exc})")
-                rank, resid = -1, math.nan
+                # gauge_equivalent below decomposes H again and raises
+                dec, rank, resid = H, -1, math.nan
             rows.append((case, chi, t, rank, st.delta, dist, resid))
             if t == 0.0:
                 _check(failures, dist <= 1e-12,
@@ -223,9 +223,9 @@ def _exp_retract_sweep(params, rng, tols):
                 _check(failures, 0 < rank < chi,
                        f"case {case}: rank {rank} not below {chi} at t=1")
             if t > 0.0:
-                hb = retract(B, t, tols.eps_rank, tols=tols).tensor
+                hb = retract(dec_b, t, tols.eps_rank, tols=tols).tensor
                 _check(failures,
-                       gauge_equivalent(H, hb, tols.eps_rank, tols.tol_fid, tols),
+                       gauge_equivalent(dec, hb, tols.eps_rank, tols.tol_fid, tols),
                        f"case {case} t={t}: gauge equivariance failed")
     summary = {"count": count, "chis": list(chis)}
     return (["case", "chi", "t", "essential_rank", "delta",
@@ -333,9 +333,7 @@ def _exp_pump_boundary(params, rng, tols):
         x /= np.linalg.norm(x)
         pt = PumpPoint(w=x[:3], w4=float(x[3]))
         A = pump_north(pt) if pt.w4 > -0.5 else pump_south(pt)
-        dec = canonical_decompose(A, tols.eps_rank, tols)
-        gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
-        resid = float(np.abs(gram - np.eye(dec.chi)).max())
+        resid = canonical_decompose(A, tols.eps_rank, tols).norm_residual
         rows.append(("core_norm_residual", k, resid))
         max_norm = max(max_norm, resid)
     _check(failures, max_norm <= 1e-10,
@@ -409,10 +407,10 @@ def _exp_oracle_check(params, rng, tols):
         d, chi = (4, 2) if trial % 2 == 0 else (3, 1)
         D = chi + 1
         A = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        move = random_gauge_move(rng, A, tols=tols)
-        B = apply_gauge(A, move, tols.eps_rank, tols)
         dec_a = canonical_decompose(A, tols.eps_rank, tols)
-        dec_b = canonical_decompose(B, tols.eps_rank, tols)
+        move = random_gauge_move(rng, dec_a, tols=tols)
+        dec_b = canonical_decompose(apply_gauge(A, move, tols.eps_rank, tols),
+                                    tols.eps_rank, tols)
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")
         dev = 0.0
@@ -535,9 +533,12 @@ def _run_from_config(path: str) -> int:
         if name not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
         seed = doc.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ValueError("seed must be an integer")
-        tols = DEFAULT_TOLS.override(**(doc.get("tolerances") or {}))
+        overrides = doc.get("tolerances", {})
+        if not isinstance(overrides, dict):
+            raise ValueError("tolerances must be an object")
+        tols = DEFAULT_TOLS.override(**overrides)
         params = doc.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("params must be an object")

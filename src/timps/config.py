@@ -8,6 +8,7 @@ quantity. Operations take an optional :class:`Tolerances` and fall back to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -23,8 +24,6 @@ class Tolerances:
     tol_unitary : float
         Allowed deviation of unitaries from ``X* X = 1`` and of phases from
         unit modulus.
-    tol_herm : float
-        Allowed anti-Hermitian residue on matrices that must be Hermitian.
     tol_norm : float
         Allowed deviation in normalization conditions (core normalization,
         trace-one fixed points, filler-support conditions).
@@ -43,17 +42,25 @@ class Tolerances:
 
     eps_rank: float = 1e-9
     tol_unitary: float = 1e-10
-    tol_herm: float = 1e-10
     tol_norm: float = 1e-8
     tol_recon: float = 1e-8
     tol_fid: float = 1e-7
     tol_gap: float = 1e-6
     tol_distinct: float = 1e-8
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"tolerance {f.name} must be a finite positive "
+                                 f"number, got {value!r}")
+
     def override(self, **kwargs: float) -> "Tolerances":
         """Return a copy with the given entries replaced.
 
-        Unknown keys raise ``ValueError`` so that CLI overrides stay strict.
+        Unknown keys and values other than finite positive numbers raise
+        ``ValueError`` so that CLI overrides stay strict.
         """
         known = {f.name for f in fields(self)}
         unknown = set(kwargs) - known

@@ -35,9 +35,6 @@ __all__ = [
     "pump_south",
     "pump_lift",
     "aklt_path",
-    "Chart",
-    "ParamFamily",
-    "pump_family",
     "MeshVertex",
     "Mesh2",
     "make_sphere_mesh",
@@ -261,50 +258,6 @@ def aklt_path(g: float) -> MpsTensor:
 
 
 # ---------------------------------------------------------------------------
-# Chart-based families over a parameter space.
-
-
-@dataclass(frozen=True)
-class Chart:
-    name: str
-    contains: Callable[[object], bool]
-    eval: Callable[[object], MpsTensor]
-
-
-@dataclass(frozen=True)
-class ParamFamily:
-    """A family given by charts with membership predicates and overlap
-    metadata; on overlaps the chart tensors must be gauge equivalent."""
-
-    charts: tuple
-    overlaps: tuple = ()
-
-    def chart(self, name: str) -> Chart:
-        for c in self.charts:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def eval(self, point) -> MpsTensor:
-        for c in self.charts:
-            if c.contains(point):
-                return c.eval(point)
-        raise OutOfChartError("point is outside every chart")
-
-    def eval_chart(self, name: str, point) -> MpsTensor:
-        c = self.chart(name)
-        if not c.contains(point):
-            raise OutOfChartError(f"point is outside chart {name!r}")
-        return c.eval(point)
-
-
-def pump_family() -> ParamFamily:
-    north = Chart("north", lambda pt: pt.w4 > -0.5, pump_north)
-    south = Chart("south", lambda pt: pt.w4 < 0.5, pump_south)
-    return ParamFamily(charts=(north, south), overlaps=(("north", "south"),))
-
-
-# ---------------------------------------------------------------------------
 # Sphere meshes.
 
 
@@ -508,13 +461,9 @@ def pump_slice_family(w4: float) -> SphereFamily:
     return SphereFamily(f"pump-slice(w4={w4})", at)
 
 
-def custom_vertex_family(tensors: Sequence[MpsTensor],
-                         charts: Sequence[str] | None = None) -> SphereFamily:
+def custom_vertex_family(tensors: Sequence[MpsTensor]) -> SphereFamily:
     """Per-vertex tensors supplied externally, indexed by mesh vertex."""
     tensors = list(tensors)
-    charts = list(charts) if charts is not None else ["main"] * len(tensors)
-    if len(charts) != len(tensors):
-        raise ValueError("chart labels must match the tensor list")
 
     def at(v: MeshVertex) -> MpsTensor:
         if v.index >= len(tensors):
@@ -550,9 +499,9 @@ def family_from_spec(spec: dict) -> SphereFamily:
             raise ValueError(f"unknown aklt params: {sorted(extra)}")
         return constant_sphere_family(aklt_path(float(params.get("g", 0.5))), "aklt")
     if name == "custom":
-        extra = set(params) - {"tensors", "charts"}
+        extra = set(params) - {"tensors"}
         if extra:
             raise ValueError(f"unknown custom params: {sorted(extra)}")
         tensors = [tensor_from_json(t) for t in params.get("tensors", [])]
-        return custom_vertex_family(tensors, params.get("charts"))
+        return custom_vertex_family(tensors)
     raise ValueError(f"unknown family {name!r}")

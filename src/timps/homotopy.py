@@ -25,15 +25,14 @@ from .errors import NotInOError
 from .tensors import (
     CanonicalDecomposition,
     MpsTensor,
+    _decomposition,
     assemble,
-    canonical_decompose,
     pad_tensor,
     right_gram,
 )
 
 __all__ = [
     "PhiRule",
-    "isometry_path_entry",
     "isometry_path_block",
     "apply_physical_isometry",
     "apply_bond_isometry",
@@ -107,33 +106,6 @@ class PhiRule:
         return self._chain_cache[b]
 
 
-def isometry_path_entry(phi: PhiRule, t: float, a: int, b: int) -> float:
-    """Entry (a, b) of the isometry path at time t (1-indexed).
-
-    With s = sin(pi t / 2), c = cos(pi t / 2) and b = phi^k(l):
-    ``(-s)^k c`` at a = l, ``(-s)^(k-j) c^2`` at a = phi^j(l) for 0 < j <= k,
-    ``s`` at a = phi^(k+1)(l), zero elsewhere; columns fixed by phi stay
-    Kronecker deltas.  0^0 = 1 at the endpoints.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("indices are 1-based")
-    if phi(b) == b:
-        return 1.0 if a == b else 0.0
-    s = math.sin(math.pi * t / 2.0)
-    c = math.cos(math.pi * t / 2.0)
-    k, l = phi.chain_decompose(b)
-    if a == l:
-        return (-s) ** k * c
-    node = l
-    for j in range(1, k + 1):
-        node = phi(node)
-        if a == node:
-            return (-s) ** (k - j) * c * c
-    if a == phi(node):
-        return s
-    return 0.0
-
-
 def isometry_path_block(phi: PhiRule, t: float, n_rows: int, n_cols: int) -> np.ndarray:
     """Dense leading block of the isometry path.
 
@@ -163,26 +135,24 @@ def isometry_path_block(phi: PhiRule, t: float, n_rows: int, n_cols: int) -> np.
     return out
 
 
-def apply_physical_isometry(A: MpsTensor, phi: PhiRule, t: float,
-                            validate: bool = True,
+def apply_physical_isometry(A, phi: PhiRule, t: float,
                             tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Mix the physical components along the isometry path: the i-th output
     matrix is ``sum_j Gamma_ij(t) A^j``, zero-padded to physical dimension
-    ``phi(d)``.  Core normalization and essential rank are preserved."""
-    if validate:
-        canonical_decompose(A, tols.eps_rank, tols)
+    ``phi(d)``.  Core normalization and essential rank are preserved.
+    ``A`` is checked by decomposing it unless it is a decomposition."""
+    A = _decomposition(A, tols.eps_rank, tols).tensor
     gam = isometry_path_block(phi, t, phi(A.d), A.d)
     mats = np.einsum("ij,jab->iab", gam, A.mats)
     return MpsTensor(mats)
 
 
-def apply_bond_isometry(A: MpsTensor, phi: PhiRule, t: float,
-                        validate: bool = True,
+def apply_bond_isometry(A, phi: PhiRule, t: float,
                         tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Conjugate every matrix by the leading ``phi(D) x D`` block of the
-    isometry path, enlarging the bond dimension to ``phi(D)``."""
-    if validate:
-        canonical_decompose(A, tols.eps_rank, tols)
+    isometry path, enlarging the bond dimension to ``phi(D)``.  ``A`` is
+    checked by decomposing it unless it is a decomposition."""
+    A = _decomposition(A, tols.eps_rank, tols).tensor
     delta = isometry_path_block(phi, t, phi(A.D), A.D)
     mats = np.einsum("ab,ibc,dc->iad", delta, A.mats, delta)
     return MpsTensor(mats)
@@ -290,8 +260,7 @@ def _stage_clock(tau: float) -> float:
     return 0.5 * m * r + m * (tau - r)
 
 
-def contraction_path(A: MpsTensor, s: float,
-                     validate: bool = True,
+def contraction_path(A, s: float,
                      tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Evaluate the contraction of the tensor space at time ``s`` in [0, 1].
 
@@ -299,12 +268,12 @@ def contraction_path(A: MpsTensor, s: float,
     [1/2, 3/4], [3/4, 1], each reparametrized by :func:`_stage_clock`.
     ``s = 0`` is the input (zero-padded to the common output shape);
     ``s = 1`` is the fixed endpoint tensor, independent of the input.
-    Every intermediate tensor stays inside the space.
+    Every intermediate tensor stays inside the space.  ``A`` is checked by
+    decomposing it unless it is a decomposition.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("path parameter must lie in [0, 1]")
-    if validate:
-        canonical_decompose(A, tols.eps_rank, tols)
+    A = _decomposition(A, tols.eps_rank, tols).tensor
     d_out, D_out = contraction_output_dims(A.d, A.D)
     if s <= 0.25:
         mats = _stage_widen(A, _stage_clock(4.0 * s))
@@ -326,24 +295,32 @@ def spectral_filter(x: float, t: float, delta: float) -> float:
     return math.sqrt(1.0 - t * delta / x)
 
 
-def has_split_core_spectrum(
-    A: MpsTensor,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
-    tol_distinct: float = DEFAULT_TOLS.tol_distinct,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> bool:
-    """True iff the core Gram matrix has at least two distinct nonzero
-    eigenvalues (relative separation above ``tol_distinct``); requires
-    essential rank >= 2."""
-    dec = canonical_decompose(A, eps_rank, tols)
-    if dec.chi < 2:
-        return False
-    gram = np.einsum("iba,ibc->ac", dec.K.conj(), dec.K)
-    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+def _core_gram_eigh(K: np.ndarray):
+    """Ascending eigendecomposition of the core Gram matrix ``sum_i K^{i*} K^i``."""
+    gram = np.einsum("iba,ibc->ac", K.conj(), K)
+    return np.linalg.eigh((gram + gram.conj().T) / 2.0)
+
+
+def _is_split(w: np.ndarray, eps_rank: float, tol_distinct: float) -> bool:
+    """Whether an ascending core Gram spectrum is nonsingular and not a
+    multiple of the identity (a single eigenvalue never is split)."""
     lam_max, lam_min = float(w[-1]), float(w[0])
     if lam_min <= eps_rank * lam_max:
         return False
     return (lam_max - lam_min) > tol_distinct * lam_max
+
+
+def has_split_core_spectrum(
+    A,
+    eps_rank: float = DEFAULT_TOLS.eps_rank,
+    tol_distinct: float = DEFAULT_TOLS.tol_distinct,
+    tols: Tolerances = DEFAULT_TOLS,
+) -> bool:
+    """True iff the core Gram matrix of a tensor (or decomposition) has at
+    least two distinct nonzero eigenvalues (relative separation above
+    ``tol_distinct``); requires essential rank >= 2."""
+    dec = _decomposition(A, eps_rank, tols)
+    return _is_split(_core_gram_eigh(dec.K)[0], eps_rank, tol_distinct)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,13 +333,11 @@ class RetractionState:
     tensor: MpsTensor
 
 
-def _retract_core(dec: CanonicalDecomposition, t: float,
-                  tols: Tolerances) -> tuple[float, MpsTensor]:
+def _retract_core(dec: CanonicalDecomposition, t: float, w: np.ndarray,
+                  V: np.ndarray, tols: Tolerances) -> MpsTensor:
+    """The retracted tensor, from the core Gram eigendecomposition ``w, V``."""
     K, M, X = dec.K, dec.M, dec.X
-    gram = np.einsum("iba,ibc->ac", K.conj(), K)
-    w, V = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    delta = float(w[0])
-    fvals = np.array([spectral_filter(x, t, delta * (1.0 + 1e-12)) for x in w])
+    fvals = np.array([spectral_filter(x, t, w[0] * (1.0 + 1e-12)) for x in w])
     filt = (V * fvals) @ V.conj().T
     Kf = np.einsum("iab,bc->iac", K, filt)
     S = np.einsum("iab,icb->ac", Kf, Kf.conj())
@@ -371,17 +346,18 @@ def _retract_core(dec: CanonicalDecomposition, t: float,
     inv_sqrt = (sV * (1.0 / np.sqrt(sw))) @ sV.conj().T
     K_new = np.einsum("ab,ibc->iac", inv_sqrt, Kf)
     M_new = np.einsum("iab,bc->iac", M, filt)
-    return delta, assemble(X, K_new, M_new)
+    return assemble(X, K_new, M_new)
 
 
 def retract(
-    A: MpsTensor,
+    A,
     t: float,
     eps_rank: float = DEFAULT_TOLS.eps_rank,
     ambient_chi: int | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> RetractionState:
-    """Deform a tensor toward lower essential rank.
+    """Deform a tensor (or the tensor of a decomposition) toward lower
+    essential rank.
 
     The deformed tensor is ``S(A,t)^{-1/2} A f(L(core))`` in block form: the
     core is multiplied by the spectral filter anchored at its smallest Gram
@@ -393,21 +369,20 @@ def retract(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("retraction time must lie in [0, 1]")
-    dec = canonical_decompose(A, eps_rank, tols)
+    dec = _decomposition(A, eps_rank, tols)
     if ambient_chi is None:
         ambient_chi = dec.chi if dec.chi >= 2 else 2
     if dec.chi > ambient_chi:
         raise ValueError(f"tensor rank {dec.chi} exceeds ambient level {ambient_chi}")
     if dec.chi < ambient_chi:
-        return RetractionState(t=t, delta=0.0, tensor=A)
-    if not has_split_core_spectrum(A, eps_rank, tols.tol_distinct, tols):
+        return RetractionState(t=t, delta=0.0, tensor=dec.tensor)
+    w, V = _core_gram_eigh(dec.K)
+    if not _is_split(w, eps_rank, tols.tol_distinct):
         raise NotInOError(
             "core Gram spectrum is a multiple of the identity at full rank; "
             "the retraction is undefined here"
         )
+    delta = float(w[0])
     if t == 0.0:
-        gram = np.einsum("iba,ibc->ac", dec.K.conj(), dec.K)
-        delta = float(np.linalg.eigvalsh(gram)[0])
-        return RetractionState(t=0.0, delta=delta, tensor=A)
-    delta, tensor = _retract_core(dec, t, tols)
-    return RetractionState(t=t, delta=delta, tensor=tensor)
+        return RetractionState(t=0.0, delta=delta, tensor=dec.tensor)
+    return RetractionState(t=t, delta=delta, tensor=_retract_core(dec, t, w, V, tols))

@@ -28,6 +28,7 @@ from .errors import (
 from .families import Mesh2, make_sphere_mesh, boundary_generator_family
 from .tensors import (
     MpsTensor,
+    _sorted_spectrum,
     canonical_cores,
     canonical_decompose,
     mixed_transfer_spectra,
@@ -58,12 +59,10 @@ CHUNK = 2048
 def _leading_overlaps(K_u: np.ndarray, K_v: np.ndarray):
     """Leading mixed-transfer eigenvalue of each stacked edge ``u -> v`` and
     the modulus of the next one (0 when the map is 1 x 1)."""
-    vals = mixed_transfer_spectra(K_u, K_v)
-    mod = np.abs(vals)
-    lead = np.take_along_axis(vals, mod.argmax(axis=-1)[:, None], axis=-1)[:, 0]
+    vals = _sorted_spectrum(mixed_transfer_spectra(K_u, K_v))
     if vals.shape[-1] == 1:
-        return lead, np.zeros(len(vals))
-    return lead, np.sort(mod, axis=-1)[:, -2]
+        return vals[:, 0], np.zeros(len(vals))
+    return vals[:, 0], np.abs(vals[:, 1])
 
 
 def _unit_phase(value: complex, second: float, tols: Tolerances) -> complex:

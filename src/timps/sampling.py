@@ -14,6 +14,7 @@ from .homotopy import has_split_core_spectrum
 from .tensors import (
     GaugeMove,
     MpsTensor,
+    _decomposition,
     assemble,
     canonical_decompose,
     right_normalize,
@@ -71,12 +72,13 @@ def random_tensor_in_e(rng: np.random.Generator, d: int, D: int, chi: int,
     return assemble(X, K, M)
 
 
-def random_gauge_move(rng: np.random.Generator, A: MpsTensor,
+def random_gauge_move(rng: np.random.Generator, A,
                       filler_scale: float = 0.5,
                       tols: Tolerances = DEFAULT_TOLS) -> GaugeMove:
-    """A valid gauge move for ``A``: random phase, Haar bond unitary, and a
-    filler supported off the core in the tensor's own block basis."""
-    dec = canonical_decompose(A, tols.eps_rank, tols)
+    """A valid gauge move for the tensor ``A`` (or the tensor of a
+    decomposition ``A``): random phase, Haar bond unitary, and a filler
+    supported off the core in the tensor's own block basis."""
+    dec = _decomposition(A, tols.eps_rank, tols)
     d, D, chi = dec.d, dec.D, dec.chi
     N = filler_scale * (rng.normal(size=(d, D - chi, chi))
                         + 1j * rng.normal(size=(d, D - chi, chi)))

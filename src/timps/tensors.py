@@ -1,4 +1,5 @@
-"""MPS tensor data model, canonical block form, and gauge moves.
+"""MPS tensor data model, canonical block form, gauge moves and the
+transfer-map kernel.
 
 A tensor is a stack of ``d`` complex ``D x D`` matrices ``A^1..A^d``.  The
 tensors of interest decompose, after a unitary change of bond basis, into a
@@ -6,6 +7,19 @@ right-normalized injective core of size ``chi`` (the essential rank) and an
 arbitrary filler block mapping core to non-core directions:
 
     A^i = X [[K^i, 0], [M^i, 0]] X*.
+
+Functions that need this block form accept a tensor or its
+:class:`CanonicalDecomposition`; a decomposition passed in is trusted as
+given and not recomputed.
+
+Transfer maps act on matrices vectorized row-major, ``vec(B)[p * b + r] =
+B[p, r]`` for an ``a x b`` matrix ``B``, so that ``vec(L B R) = (L (x) R^T)
+vec(B)``.  The map ``B -> sum_ij W_ij K_a^i B K_b^{j*}`` is then the
+``ab x ab`` matrix ``sum_ij W_ij K_a^i (x) conj(K_b^j)`` built by
+:func:`transfer_kernel`.  Its adjoint in the Hilbert-Schmidt inner product,
+``B -> sum_ij conj(W_ij) K_a^{i*} B K_b^j``, is its conjugate transpose; so
+the observable map ``E_C(B) = sum_ij C_ij K^{i*} B K^j`` of
+:mod:`timps.transfer` is ``transfer_kernel(K, K, conj(C))^*``.
 
 Everything here is a pure function over immutable values; no shared state.
 """
@@ -37,6 +51,7 @@ __all__ = [
     "essential_rank",
     "right_normalize",
     "apply_gauge",
+    "transfer_kernel",
     "mixed_transfer_leading",
     "mixed_transfer_spectra",
     "fidelity_per_site",
@@ -127,15 +142,25 @@ def _ranks_from_spectra(w: np.ndarray, eps_rank: float) -> np.ndarray:
     return ranks - (ranks + 1) * in_window
 
 
-def _rank_from_spectrum(w: np.ndarray, eps_rank: float) -> int:
-    """Count eigenvalues above the relative cutoff, refusing ambiguous cuts."""
-    rank = int(_ranks_from_spectra(w, eps_rank))
-    if rank < 0:
+def _block_forms(mats: np.ndarray, eps_rank: float):
+    """Block form of an ``(N, d, D, D)`` stack: the left Gram spectra
+    (descending), the bond bases ``X`` (Gram eigenvectors), the essential
+    ranks (-1 where threshold-dependent) and the blocks ``X* A^i X``."""
+    w, X = _sorted_eigh(np.einsum("niba,nibc->nac", mats.conj(), mats))
+    B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
+    return w, X, _ranks_from_spectra(w, eps_rank), B
+
+
+def _block_form(A: MpsTensor, eps_rank: float):
+    """The N=1 call of :func:`_block_forms`: ``(X, chi, B)`` of one tensor,
+    refusing a threshold-dependent rank."""
+    w, X, ranks, B = _block_forms(A.mats[None], eps_rank)
+    if ranks[0] < 0:
         raise AmbiguousRankError(
-            f"eigenvalue inside the cutoff window (0.5, 2)*{eps_rank * w[0]:.3e}; "
+            f"eigenvalue inside the cutoff window (0.5, 2)*{eps_rank * w[0, 0]:.3e}; "
             "the rank decision would be threshold-dependent"
         )
-    return rank
+    return X[0], int(ranks[0]), B[0]
 
 
 def range_projection(A: MpsTensor, eps_rank: float = DEFAULT_TOLS.eps_rank) -> np.ndarray:
@@ -143,10 +168,9 @@ def range_projection(A: MpsTensor, eps_rank: float = DEFAULT_TOLS.eps_rank) -> n
     the left Gram matrix (eigenvalues above ``eps_rank * lambda_max``)."""
     if eps_rank <= 0:
         raise ValueError("eps_rank must be positive")
-    w, V = _sorted_eigh(left_gram(A))
-    rank = _rank_from_spectrum(w, eps_rank)
-    Vr = V[:, :rank]
-    return Vr @ Vr.conj().T
+    X, rank, _ = _block_form(A, eps_rank)
+    Xr = X[:, :rank]
+    return Xr @ Xr.conj().T
 
 
 def _injective(K: np.ndarray, eps_rank: float) -> np.ndarray:
@@ -178,13 +202,17 @@ class CanonicalDecomposition:
 
     ``X`` is unitary (bond basis, range of the left Gram first), ``K`` is the
     right-normalized injective core of size ``chi``, ``M`` the filler block of
-    shape ``(d, D - chi, chi)``.
+    shape ``(d, D - chi, chi)``.  ``tensor`` is the decomposed tensor and
+    ``norm_residual`` the Frobenius distance of ``sum_i K^i K^{i*}`` from
+    the identity.
     """
 
     X: np.ndarray
     K: np.ndarray
     M: np.ndarray
     chi: int
+    tensor: MpsTensor
+    norm_residual: float
 
     @property
     def d(self) -> int:
@@ -244,11 +272,9 @@ def canonical_decompose(
     entry.  Raises ``NotInEError`` if the block form does not reproduce the
     input, or if the recovered core is not injective or not right-normalized.
     """
-    w, X = _sorted_eigh(left_gram(A))
-    chi = _rank_from_spectrum(w, eps_rank)
+    X, chi, B = _block_form(A, eps_rank)
     if chi == 0:
         raise NotInEError("tensor has numerically zero left Gram matrix")
-    B = np.einsum("ba,ibc,cd->iad", X.conj(), A.mats, X)
     K = B[:, :chi, :chi].copy()
     M = B[:, chi:, :chi].copy()
     recon_err = float(_reassembly_errors(B, chi))
@@ -264,7 +290,16 @@ def canonical_decompose(
         )
     if not _injective(K, eps_rank):
         raise NotInEError("core matrices do not span the full matrix algebra")
-    return CanonicalDecomposition(X=X, K=K, M=M, chi=chi)
+    return CanonicalDecomposition(X=X, K=K, M=M, chi=chi, tensor=A,
+                                  norm_residual=norm_err)
+
+
+def _decomposition(A, eps_rank: float, tols: Tolerances) -> CanonicalDecomposition:
+    """``A`` itself when it is a :class:`CanonicalDecomposition` (trusted,
+    not recomputed), else the canonical decomposition of the tensor ``A``."""
+    if isinstance(A, CanonicalDecomposition):
+        return A
+    return canonical_decompose(A, eps_rank, tols)
 
 
 def canonical_cores(
@@ -282,12 +317,10 @@ def canonical_cores(
     normalization or injectivity failure) or would find an essential rank
     other than ``chi``; there ``K[n]`` is meaningless.
     """
-    mats = np.asarray(mats, dtype=complex)
-    w, X = _sorted_eigh(np.einsum("niba,nibc->nac", mats.conj(), mats))
-    B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
+    _, _, ranks, B = _block_forms(np.asarray(mats, dtype=complex), eps_rank)
     K = np.ascontiguousarray(B[..., :chi, :chi])
     ok = (
-        (_ranks_from_spectra(w, eps_rank) == chi)
+        (ranks == chi)
         & ~(_reassembly_errors(B, chi) > tols.tol_recon)
         & ~(_normalization_residuals(K) > tols.tol_norm)
         & _injective(K, eps_rank)
@@ -305,13 +338,29 @@ def essential_rank(
     return canonical_decompose(A, eps_rank, tols).chi
 
 
-def _leading_eig(mat: np.ndarray):
-    """Eigenvalue of largest modulus plus the full modulus-sorted spectrum."""
-    vals, vecs = np.linalg.eig(mat)
-    order = np.lexsort((-vals.real, -np.abs(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    return vals, vecs
+def transfer_kernel(K_a, K_b, W=None) -> np.ndarray:
+    """Matrices of the maps ``B -> sum_ij W_ij K_a^i B K_b^{j*}`` of stacked
+    cores, shapes ``(..., d, a, a)`` and ``(..., d, b, b)``: the ``ab x ab``
+    matrices ``sum_ij W_ij K_a^i (x) conj(K_b^j)`` in the row-major
+    vectorization.  Omitting the ``d x d`` weights ``W`` means the identity.
+    """
+    K_a = np.asarray(K_a, dtype=complex)
+    K_b = np.asarray(K_b, dtype=complex).conj()
+    if W is not None:
+        K_b = np.einsum("...ij,...jrs->...irs", W, K_b)
+    a, b = K_a.shape[-1], K_b.shape[-1]
+    out = np.einsum("...ipq,...irs->...prqs", K_a, K_b)
+    return out.reshape(out.shape[:-4] + (a * b, a * b))
+
+
+def _sorted_spectrum(vals: np.ndarray, vecs: np.ndarray | None = None):
+    """Eigenvalues along the last axis sorted by descending modulus, ties
+    by descending real part; with ``vecs``, their columns follow."""
+    order = np.lexsort((-vals.real, -np.abs(vals)), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    if vecs is None:
+        return vals
+    return vals, np.take_along_axis(vecs, order[..., None, :], axis=-1)
 
 
 def right_normalize(
@@ -326,18 +375,13 @@ def right_normalize(
     and conjugated by the Hermitian square root of the fixed point.  The
     physical state is preserved up to overall normalization.
     """
-    w, V = _sorted_eigh(left_gram(A))
-    chi = _rank_from_spectrum(w, eps_rank)
+    V, chi, B = _block_form(A, eps_rank)
     if chi == 0:
         raise NotInEError("cannot normalize a numerically zero tensor")
-    B = np.einsum("ba,ibc,cd->iad", V.conj(), A.mats, V)
     K0 = B[:, :chi, :chi]
     M0 = B[:, chi:, :chi]
 
-    tmap = np.zeros((chi * chi, chi * chi), dtype=complex)
-    for i in range(A.d):
-        tmap += np.kron(K0[i], K0[i].conj())
-    vals, vecs = _leading_eig(tmap)
+    vals, vecs = _sorted_spectrum(*np.linalg.eig(transfer_kernel(K0, K0)))
     lam = vals[0]
     if len(vals) > 1 and abs(vals[1]) > (1.0 - tols.tol_gap) * abs(lam):
         raise DegenerateLeadingEigenvalueError(
@@ -415,16 +459,9 @@ def apply_gauge(
 
 def mixed_transfer_spectra(K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
     """Eigenvalues of the mixed core maps ``B -> sum_i K_a^i B K_b^{i*}`` of
-    stacked core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``.
-
-    The map of each pair is the ``ab x ab`` matrix ``sum_i K_a^i (x) conj(K_b^i)``
-    (Kronecker product, row index ``p * b + r``); returns ``(N, ab)``
-    eigenvalues in LAPACK order.
-    """
-    n, _, a, _ = K_a.shape
-    b = K_b.shape[-1]
-    mats = np.einsum("nipq,nirs->nprqs", K_a, K_b.conj()).reshape(n, a * b, a * b)
-    return np.linalg.eigvals(mats)
+    stacked core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``, as
+    ``(N, ab)`` arrays in LAPACK order."""
+    return np.linalg.eigvals(transfer_kernel(K_a, K_b))
 
 
 def mixed_transfer_leading(K_a: np.ndarray, K_b: np.ndarray) -> complex:
@@ -437,8 +474,7 @@ def mixed_transfer_leading(K_a: np.ndarray, K_b: np.ndarray) -> complex:
     K_b = np.asarray(K_b, dtype=complex)
     if K_a.shape[0] != K_b.shape[0]:
         raise ValueError("cores must share the physical dimension")
-    vals = mixed_transfer_spectra(K_a[None], K_b[None])[0]
-    return vals[int(np.argmax(np.abs(vals)))]
+    return _sorted_spectrum(mixed_transfer_spectra(K_a[None], K_b[None]))[0, 0]
 
 
 def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray) -> float:
@@ -447,19 +483,20 @@ def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray) -> float:
 
 
 def gauge_equivalent(
-    A: MpsTensor,
-    B: MpsTensor,
+    A,
+    B,
     eps_rank: float = DEFAULT_TOLS.eps_rank,
     tol_fid: float = DEFAULT_TOLS.tol_fid,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> bool:
-    """Decide whether two tensors induce the same physical state.
+    """Decide whether two tensors (or their decompositions) induce the same
+    physical state.
 
     True iff the essential ranks agree and the fidelity per site of the
     cores is at least ``1 - tol_fid``.
     """
-    dec_a = canonical_decompose(A, eps_rank, tols)
-    dec_b = canonical_decompose(B, eps_rank, tols)
+    dec_a = _decomposition(A, eps_rank, tols)
+    dec_b = _decomposition(B, eps_rank, tols)
     if dec_a.chi != dec_b.chi:
         return False
     d = max(dec_a.d, dec_b.d)

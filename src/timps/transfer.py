@@ -20,7 +20,7 @@ from .errors import (
     NotPositiveError,
     WindowTooLargeError,
 )
-from .tensors import MpsTensor
+from .tensors import MpsTensor, _sorted_spectrum, transfer_kernel
 
 __all__ = [
     "TransferFixedPoint",
@@ -79,40 +79,22 @@ def _core_mats(K) -> np.ndarray:
 
 def transfer_matrix(K, C) -> np.ndarray:
     """Dense ``chi^2 x chi^2`` matrix of ``B -> sum_{ij} C_{ij} K^{i*} B K^j``
-    in the row-major vectorization of the matrix units."""
+    in the row-major vectorization: the adjoint of the kernel with weights
+    ``conj(C)`` (see :mod:`timps.tensors`)."""
     mats = _core_mats(K)
     C = np.asarray(C, dtype=complex)
-    d, chi = mats.shape[0], mats.shape[1]
+    d = mats.shape[0]
     if C.shape != (d, d):
         raise ValueError(f"observable must be {d} x {d}, got {C.shape}")
-    out = np.zeros((chi * chi, chi * chi), dtype=complex)
-    for i in range(d):
-        Ki_dag = mats[i].conj().T
-        for j in range(d):
-            if C[i, j] != 0:
-                out += C[i, j] * np.kron(Ki_dag, mats[j].T)
-    return out
-
-
-def _apply_transfer(mats: np.ndarray, C: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(B)
-    d = mats.shape[0]
-    for i in range(d):
-        for j in range(d):
-            if C[i, j] != 0:
-                out += C[i, j] * (mats[i].conj().T @ B @ mats[j])
-    return out
+    return transfer_kernel(mats, mats, C.conj()).conj().T
 
 
 def transfer_spectrum(K) -> np.ndarray:
     """Eigenvalues of the identity transfer map, sorted by descending modulus
     (ties broken by descending real part for determinism)."""
     mats = _core_mats(K)
-    d = mats.shape[0]
-    mat = transfer_matrix(mats, np.eye(d))
-    vals = np.linalg.eigvals(mat)
-    order = np.lexsort((-vals.real, -np.abs(vals)))
-    return vals[order]
+    mat = transfer_matrix(mats, np.eye(mats.shape[0]))
+    return _sorted_spectrum(np.linalg.eigvals(mat))
 
 
 def fixed_point(K, tols: Tolerances = DEFAULT_TOLS) -> TransferFixedPoint:
@@ -124,11 +106,7 @@ def fixed_point(K, tols: Tolerances = DEFAULT_TOLS) -> TransferFixedPoint:
     """
     mats = _core_mats(K)
     d, chi = mats.shape[0], mats.shape[1]
-    mat = transfer_matrix(mats, np.eye(d))
-    vals, vecs = np.linalg.eig(mat)
-    order = np.lexsort((-vals.real, -np.abs(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = _sorted_spectrum(*np.linalg.eig(transfer_matrix(mats, np.eye(d))))
     if chi > 1 and abs(vals[1]) > (1.0 - tols.tol_gap) * abs(vals[0]):
         raise DegenerateLeadingEigenvalueError(
             f"transfer gap too small: |lambda_2| = {abs(vals[1]):.12f}"
@@ -157,12 +135,12 @@ def expectation(K, T, obs: WindowObservable) -> complex:
     takes the trace.
     """
     mats = _core_mats(K)
-    d = mats.shape[0]
+    d, chi = mats.shape[0], mats.shape[1]
     B = T.T if isinstance(T, TransferFixedPoint) else np.asarray(T, dtype=complex)
     for C in obs.factors:
         if C.shape != (d, d):
             raise ValueError(f"window factor must be {d} x {d}")
-        B = _apply_transfer(mats, C, B)
+        B = (transfer_matrix(mats, C) @ B.reshape(-1)).reshape(chi, chi)
     return complex(np.trace(B))
 
 

@@ -169,3 +169,48 @@ def test_domain_failure_exits_one(tmp_path):
     doc = read_json(tmp_path / "chern.json")
     assert doc["pass"] is False
     assert "RankMismatchError" in doc["failures"][0]
+
+
+def _custom_spec_with_charts():
+    """A custom family that runs on a 4x4 mesh but for its chart labels."""
+    from timps.families import aklt_path, make_sphere_mesh
+    from timps.tensors import tensor_to_json
+
+    n = len(make_sphere_mesh(4, 4).vertices)
+    return {"family": "custom",
+            "params": {"tensors": [tensor_to_json(aklt_path(0.5))] * n,
+                       "charts": ["main"] * n}}
+
+
+@pytest.mark.parametrize("args, config", [
+    (["contract-sweep", "--seed", "1", "--tol", "eps_rank=nan"], None),
+    (["aklt-sweep", "--tol", "eps_rank=nan"], None),
+    (["aklt-sweep", "--tol", "tol_gap=inf"], None),
+    (["aklt-sweep", "--tol", "tol_gap=0"], None),
+    (["aklt-sweep", "--tol", "tol_norm=-1e-8"], None),
+    (["aklt-sweep", "--tol", "tol_norm=x"], None),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": "x"}}),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": True}}),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": None}}),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": 0}}),
+    (None, {"experiment": "aklt-sweep", "tolerances": [["eps_rank", 1e-9]]}),
+    (None, {"experiment": "aklt-sweep", "tolerances": 1e-9}),
+    (None, {"experiment": "aklt-sweep", "tolerances": None}),
+    (None, {"experiment": "oracle-check", "seed": True}),
+    (None, {"experiment": "aklt-sweep", "seed": False}),
+    (None, {"experiment": "chern",
+            "params": {"family": _custom_spec_with_charts(), "mesh": "4x4"}}),
+])
+def test_bad_inputs_are_config_errors(tmp_path, capsys, args, config):
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(config, out=str(out))))
+        args = ["run", cfg]
+    else:
+        args = args + ["--out", out]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())

@@ -15,7 +15,6 @@ from timps.families import (
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,
-    pump_family,
     pump_lift,
     pump_north,
     pump_south,
@@ -166,13 +165,14 @@ def test_pump_overlap_gauge_equivalence(rng):
 
 
 def test_pump_family_charts():
-    fam = pump_family()
-    pt = PumpPoint(w=np.zeros(3), w4=1.0)
-    A = fam.eval(pt)
-    assert A.D == 2
-    assert fam.overlaps == (("north", "south"),)
+    north_pole = PumpPoint(w=np.zeros(3), w4=1.0)
+    assert pump_north(north_pole).D == 2
     with pytest.raises(OutOfChartError):
-        fam.eval_chart("south", pt)
+        pump_south(north_pole)
+    south_pole = PumpPoint(w=np.zeros(3), w4=-1.0)
+    assert pump_south(south_pole).D == 1
+    with pytest.raises(OutOfChartError):
+        pump_north(south_pole)
 
 
 def test_pump_lift_center_and_boundary(rng):

@@ -15,7 +15,6 @@ from timps.homotopy import (
     contraction_path,
     has_split_core_spectrum,
     isometry_path_block,
-    isometry_path_entry,
     retract,
     spectral_filter,
 )
@@ -37,6 +36,34 @@ from timps.tensors import (
 
 SHIFT = PhiRule.from_name("shift")
 TRIPLE = PhiRule.from_name("3n+1")
+
+
+def isometry_path_entry(phi: PhiRule, t: float, a: int, b: int) -> float:
+    """Entry (a, b) of the isometry path at time t (1-indexed): the
+    entry-by-entry oracle for ``isometry_path_block``.
+
+    With s = sin(pi t / 2), c = cos(pi t / 2) and b = phi^k(l):
+    ``(-s)^k c`` at a = l, ``(-s)^(k-j) c^2`` at a = phi^j(l) for 0 < j <= k,
+    ``s`` at a = phi^(k+1)(l), zero elsewhere; columns fixed by phi stay
+    Kronecker deltas.  0^0 = 1 at the endpoints.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("indices are 1-based")
+    if phi(b) == b:
+        return 1.0 if a == b else 0.0
+    s = math.sin(math.pi * t / 2.0)
+    c = math.cos(math.pi * t / 2.0)
+    k, l = phi.chain_decompose(b)
+    if a == l:
+        return (-s) ** k * c
+    node = l
+    for j in range(1, k + 1):
+        node = phi(node)
+        if a == node:
+            return (-s) ** (k - j) * c * c
+    if a == phi(node):
+        return s
+    return 0.0
 
 
 def pauli_core():
@@ -62,6 +89,15 @@ def test_entry_endpoints(phi):
             assert isometry_path_entry(phi, 0.0, a, b) == (1.0 if a == b else 0.0)
             want = 1.0 if a == phi(b) else 0.0
             assert abs(isometry_path_entry(phi, 1.0, a, b) - want) < 1e-16
+
+
+@pytest.mark.parametrize("phi", [SHIFT, TRIPLE])
+def test_block_matches_entry_oracle(phi):
+    for t in (0.0, 0.1, 0.37, 0.5, 0.83, 1.0):
+        blk = isometry_path_block(phi, t, phi(9), 9)
+        for a in range(1, phi(9) + 1):
+            for b in range(1, 10):
+                assert blk[a - 1, b - 1] == isometry_path_entry(phi, t, a, b)
 
 
 def test_entry_matches_displayed_shift_columns():
@@ -178,10 +214,11 @@ def test_contraction_path_continuity_proxy(make_rng):
              random_core(make_rng(100), 2, 1)]
     h = 1e-3
     for A in cases:
+        dec = canonical_decompose(A)
         worst = 0.0
         for s in np.arange(0.0, 1.0 - h, 2.5e-3):
-            step = np.abs(contraction_path(A, s + h, validate=False).mats
-                          - contraction_path(A, float(s), validate=False).mats).max()
+            step = np.abs(contraction_path(dec, s + h).mats
+                          - contraction_path(dec, float(s)).mats).max()
             worst = max(worst, step)
         assert worst < 1e-2
 
@@ -311,3 +348,55 @@ def test_retract_reports_delta(make_rng):
     lam_min = float(np.linalg.eigvalsh(gram)[0])
     st = retract(A, 0.5)
     assert st.delta == pytest.approx(lam_min, abs=1e-12)
+
+
+def test_decomposition_input_matches_tensor_input(make_rng):
+    rng = make_rng(31)
+    A = random_split_spectrum_tensor(rng, 3, 4)
+    B = apply_gauge(A, random_gauge_move(rng, A))
+    dec_a, dec_b = canonical_decompose(A), canonical_decompose(B)
+    assert dec_a.tensor is A
+    for t in (0.0, 0.4, 1.0):
+        from_tensor, from_dec = retract(A, t), retract(dec_a, t)
+        assert from_tensor.delta == from_dec.delta
+        assert np.array_equal(from_tensor.tensor.mats, from_dec.tensor.mats)
+    for s in (0.1, 0.4, 0.6, 0.9):
+        assert np.array_equal(contraction_path(A, s).mats, contraction_path(dec_a, s).mats)
+    for apply in (apply_physical_isometry, apply_bond_isometry):
+        assert np.array_equal(apply(A, TRIPLE, 0.3).mats, apply(dec_a, TRIPLE, 0.3).mats)
+    assert has_split_core_spectrum(dec_a) == has_split_core_spectrum(A) is True
+    assert gauge_equivalent(dec_a, dec_b) == gauge_equivalent(A, B) is True
+    move_t = random_gauge_move(make_rng(5), A)
+    move_d = random_gauge_move(make_rng(5), dec_a)
+    assert move_t.lam == move_d.lam
+    assert np.array_equal(move_t.Z, move_d.Z)
+    assert np.array_equal(move_t.filler.mats, move_d.filler.mats)
+
+
+def test_decomposition_input_is_not_recomputed(make_rng, monkeypatch):
+    import timps.sampling
+    import timps.tensors
+
+    rng = make_rng(32)
+    A = random_split_spectrum_tensor(rng, 2, 3)
+    dec_a = canonical_decompose(A)
+    dec_b = canonical_decompose(apply_gauge(A, random_gauge_move(rng, dec_a)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return canonical_decompose(*args, **kwargs)
+
+    for module in (timps.tensors, timps.sampling):
+        monkeypatch.setattr(module, "canonical_decompose", counted)
+    retract(dec_a, 0.5)
+    gauge_equivalent(dec_a, dec_b)
+    contraction_path(dec_a, 0.3)
+    has_split_core_spectrum(dec_a)
+    random_gauge_move(rng, dec_a)
+    apply_physical_isometry(dec_a, SHIFT, 0.3)
+    apply_bond_isometry(dec_a, SHIFT, 0.3)
+    assert calls == []
+    retract(A, 0.5)
+    gauge_equivalent(A, dec_b)
+    assert calls == [A, A]

@@ -6,7 +6,13 @@ import pytest
 from timps.errors import WindowTooLargeError
 from timps.families import aklt_path, psi2_tensor
 from timps.sampling import random_core, random_gauge_move, random_observable, random_tensor_in_e
-from timps.tensors import apply_gauge, canonical_decompose
+from timps.tensors import (
+    MpsTensor,
+    apply_gauge,
+    canonical_decompose,
+    right_normalize,
+    transfer_kernel,
+)
 from timps.transfer import (
     WindowObservable,
     correlation_length,
@@ -24,6 +30,96 @@ def kron_all(factors):
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
+
+
+def kron_transfer_matrix(mats, C):
+    """Kron-loop matrix of ``B -> sum_ij C_ij K^{i*} B K^j``: the oracle for
+    the einsum kernel behind ``transfer_matrix``."""
+    d, chi = mats.shape[0], mats.shape[1]
+    out = np.zeros((chi * chi, chi * chi), dtype=complex)
+    for i in range(d):
+        Ki_dag = mats[i].conj().T
+        for j in range(d):
+            if C[i, j] != 0:
+                out += C[i, j] * np.kron(Ki_dag, mats[j].T)
+    return out
+
+
+def loop_apply_transfer(mats, C, B):
+    """Matrix-product loop form of one transfer step: the oracle for the
+    step ``expectation`` takes."""
+    out = np.zeros_like(B)
+    d = mats.shape[0]
+    for i in range(d):
+        for j in range(d):
+            if C[i, j] != 0:
+                out += C[i, j] * (mats[i].conj().T @ B @ mats[j])
+    return out
+
+
+def random_matrix(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+KERNEL_SHAPES = [(1, 1), (2, 1), (4, 2), (5, 2), (7, 2), (9, 3)]
+
+
+@pytest.mark.parametrize("d, chi", KERNEL_SHAPES)
+@pytest.mark.parametrize("weights", ["identity", "random"])
+def test_transfer_matrix_matches_kron_oracle(make_rng, d, chi, weights):
+    rng = make_rng(10 * d + chi)
+    for _ in range(3):
+        K = random_core(rng, d, chi).mats
+        C = np.eye(d) if weights == "identity" else random_matrix(rng, d)
+        mat = transfer_matrix(K, C)
+        assert np.abs(mat - kron_transfer_matrix(K, C)).max() <= 1e-13
+        B = random_matrix(rng, chi)
+        step = (mat @ B.reshape(-1)).reshape(chi, chi)
+        assert np.abs(step - loop_apply_transfer(K, C, B)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d, chi", KERNEL_SHAPES)
+def test_expectation_matches_loop_oracle(make_rng, d, chi):
+    rng = make_rng(100 + 10 * d + chi)
+    K = random_core(rng, d, chi)
+    fp = fixed_point(K)
+    obs = random_observable(rng, d, 3)
+    B = fp.T
+    for C in obs.factors:
+        B = loop_apply_transfer(K.mats, C, B)
+    assert abs(expectation(K, fp, obs) - np.trace(B)) <= 1e-13
+
+
+@pytest.mark.parametrize("d, a, b", [(1, 1, 1), (4, 2, 1), (4, 1, 2), (9, 3, 2)])
+def test_transfer_kernel_matches_kron_oracle(make_rng, d, a, b):
+    rng = make_rng(200 + d + a + b)
+    K_a = random_core(rng, max(d, a * a), a).mats[:d]
+    K_b = random_core(rng, max(d, b * b), b).mats[:d]
+    W = random_matrix(rng, d)
+    plain = sum(np.kron(K_a[i], K_b[i].conj()) for i in range(d))
+    weighted = sum(W[i, j] * np.kron(K_a[i], K_b[j].conj())
+                   for i in range(d) for j in range(d))
+    assert np.abs(transfer_kernel(K_a, K_b) - plain).max() <= 1e-13
+    assert np.abs(transfer_kernel(K_a, K_b, W) - weighted).max() <= 1e-13
+    stacked = transfer_kernel(np.stack([K_a, 2 * K_a]), np.stack([K_b, K_b]))
+    assert np.abs(stacked[0] - plain).max() <= 1e-13
+    assert np.abs(stacked[1] - 2 * plain).max() <= 1e-13
+
+
+def test_transfer_kernel_adjoint_is_transfer_matrix(make_rng):
+    rng = make_rng(300)
+    K = random_core(rng, 9, 3).mats
+    C = random_matrix(rng, 9)
+    assert np.abs(transfer_kernel(K, K, C.conj()).conj().T
+                  - kron_transfer_matrix(K, C)).max() <= 1e-13
+
+
+def test_right_normalize_fixes_kernel_leading_eigenvalue(make_rng):
+    rng = make_rng(301)
+    raw = MpsTensor(rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3)))
+    K = right_normalize(raw).mats
+    vals = np.linalg.eigvals(transfer_kernel(K, K))
+    assert abs(np.abs(vals).max() - 1.0) <= 1e-12
 
 
 def test_transfer_matrix_scalar_normalization():
