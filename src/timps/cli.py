@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,18 +65,6 @@ CONVENTION = ("plaquettes=outward;link=left-core;pair-index=row-major;"
               "pole-azimuth=0")
 RNG_NAME = "PCG64"
 
-EXPERIMENTS = (
-    "gamma-check",
-    "contract-sweep",
-    "retract-sweep",
-    "aklt-sweep",
-    "chern",
-    "pump-boundary",
-    "oracle-check",
-)
-SEEDED = {"contract-sweep", "retract-sweep", "pump-boundary", "oracle-check"}
-
-
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -121,9 +110,11 @@ def _check(failures: list, ok: bool, message: str) -> None:
 # experiment bodies: each returns (columns, rows, summary, failures)
 
 
+_PHI_RULES = {"both": ["shift", "3n+1"], "shift": ["shift"], "3n+1": ["3n+1"]}
+
+
 def _exp_gamma_check(params, rng, tols):
-    phi_names = {"both": ["shift", "3n+1"], "shift": ["shift"],
-                 "3n+1": ["3n+1"]}[params["phi"]]
+    phi_names = _PHI_RULES[params["phi"]]
     block = params["block"]
     t_steps = params["t_steps"]
     rows, failures = [], []
@@ -426,70 +417,151 @@ def _exp_oracle_check(params, rng, tols):
     return ["kind", "trial", "d", "chi", "n", "dev"], rows, summary, failures
 
 
-_BODIES = {
-    "gamma-check": _exp_gamma_check,
-    "contract-sweep": _exp_contract_sweep,
-    "retract-sweep": _exp_retract_sweep,
-    "aklt-sweep": _exp_aklt_sweep,
-    "chern": _exp_chern,
-    "pump-boundary": _exp_pump_boundary,
-    "oracle-check": _exp_oracle_check,
-}
-
-_DEFAULT_PARAMS = {
-    "gamma-check": {"phi": "both", "block": 64, "t_steps": 21},
-    "contract-sweep": {"count": 20, "s_steps": 11},
-    "retract-sweep": {"count": 100, "chis": [2, 3]},
-    "aklt-sweep": {"g_start": 0.05, "g_stop": 0.95, "g_step": 0.05},
-    "chern": {"family": "psi2", "mesh": "32x32"},
-    "pump-boundary": {"meshes": ["16x16", "32x32"], "samples": 200,
-                      "overlap_samples": 50, "annulus_samples": 50},
-    "oracle-check": {"trials": 100, "gauge_trials": 100, "window_max": 5},
-}
+# ---------------------------------------------------------------------------
+# parameter schema: one entry per experiment, one declaration per parameter
 
 
-def _int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+class Param(NamedTuple):
+    """One experiment parameter: config key, default, parser of its
+    command-line text, and the check every value must pass. ``check(value,
+    params)`` may read the parameters declared before it, which have passed
+    theirs. The flag is ``--`` plus ``flag``, by default the key with dashes."""
+
+    key: str
+    default: object
+    parse: Callable[[str], object]
+    check: Callable[[object, dict], bool]
+    requirement: str
+    flag: str = ""
+
+    @property
+    def option(self) -> str:
+        return "--" + (self.flag or self.key.replace("_", "-"))
 
 
-# (parameter, predicate, requirement) for values an experiment cannot run
-# with: grids need two points, the aklt sweep a positive step, and the
-# rank-lowering retraction an essential rank of at least 2.
-_PARAM_CHECKS = {
-    "gamma-check": (("t_steps", lambda v: _int_at_least(v, 2), "an integer >= 2"),),
-    "contract-sweep": (("s_steps", lambda v: _int_at_least(v, 2), "an integer >= 2"),),
-    "aklt-sweep": (("g_step", lambda v: isinstance(v, (int, float))
-                    and not isinstance(v, bool) and 0.0 < v < math.inf,
-                    "a positive number"),),
-    "retract-sweep": (("chis", lambda v: isinstance(v, list) and len(v) > 0
-                       and all(_int_at_least(c, 2) for c in v),
-                       "a non-empty list of integers >= 2"),),
+class Experiment(NamedTuple):
+    body: Callable
+    help: str
+    seeded: bool
+    params: tuple[Param, ...]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(key: str, default: int, low: int) -> Param:
+    return Param(key, default, int, lambda v, _: _is_int(v) and v >= low,
+                 f"an integer >= {low}")
+
+
+def _is_mesh(value) -> bool:
+    try:
+        return isinstance(value, str) and min(_parse_mesh(value)) >= 4
+    except ValueError:
+        return False
+
+
+def _is_list_of(value, item_ok) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(map(item_ok, value))
+
+
+def _is_g_step(value, params) -> bool:
+    """A positive step that keeps the last point of _exp_aklt_sweep at most 1."""
+    if not (_is_number(value) and 0.0 < value < math.inf):
+        return False
+    span = (params["g_stop"] - params["g_start"]) / value
+    return (math.isfinite(span)
+            and round(params["g_start"] + round(span) * value, 12) <= 1.0)
+
+
+_MESH = "NxM with integers N, M >= 4"
+
+# Bounds: grids need two points, the rank-lowering retraction an essential
+# rank of 2, make_sphere_mesh 4x4, and a sweep or block at least one item.
+EXPERIMENTS = {
+    "gamma-check": Experiment(_exp_gamma_check, "isometry path deviation sweep", False, (
+        Param("phi", "both", str, lambda v, _: isinstance(v, str) and v in _PHI_RULES,
+              f"one of {', '.join(_PHI_RULES)}"),
+        _integer("block", 64, 1),
+        _integer("t_steps", 21, 2),
+    )),
+    "contract-sweep": Experiment(_exp_contract_sweep, "contraction path membership sweep", True, (
+        _integer("count", 20, 1),
+        _integer("s_steps", 11, 2),
+    )),
+    "retract-sweep": Experiment(_exp_retract_sweep, "rank-lowering retraction sweep", True, (
+        _integer("count", 100, 1),
+        Param("chis", [2, 3], lambda text: [int(c) for c in text.split(",")],
+              lambda v, _: _is_list_of(v, lambda c: _is_int(c) and c >= 2),
+              "a non-empty list of integers >= 2 (essential ranks to sample)", flag="chi"),
+    )),
+    "aklt-sweep": Experiment(_exp_aklt_sweep, "interpolation family invariants", False, (
+        Param("g_start", 0.05, float, lambda v, _: _is_number(v) and 0.0 <= v <= 1.0,
+              "a number in [0, 1]"),
+        Param("g_stop", 0.95, float,
+              lambda v, p: _is_number(v) and p["g_start"] <= v <= 1.0,
+              "a number in [g_start, 1]"),
+        Param("g_step", 0.05, float, _is_g_step,
+              "a finite number > 0 whose last sweep point is at most 1"),
+    )),
+    "chern": Experiment(_exp_chern, "plaquette Chern number of a family", False, (
+        Param("family", "psi2", str, lambda v, _: isinstance(v, (str, dict)),
+              "a family name (psi2|pump|aklt) or a JSON spec, given as @FILE "
+              "on the command line"),
+        Param("mesh", "32x32", str, lambda v, _: _is_mesh(v), _MESH),
+    )),
+    "pump-boundary": Experiment(_exp_pump_boundary,
+                                "pump chart checks and boundary generator", True, (
+        Param("meshes", ["16x16", "32x32"], lambda text: text.split(","),
+              lambda v, _: _is_list_of(v, _is_mesh), f"a non-empty list of {_MESH}",
+              flag="mesh"),
+        _integer("samples", 200, 0),
+        _integer("overlap_samples", 50, 0),
+        _integer("annulus_samples", 50, 0),
+    )),
+    "oracle-check": Experiment(_exp_oracle_check,
+                               "expectation oracle and gauge invariance", True, (
+        _integer("trials", 100, 0),
+        _integer("gauge_trials", 100, 0),
+        _integer("window_max", 5, 1),
+    )),
 }
 
 
 def run_experiment(name: str, params: dict, seed, out_dir: Path,
                    tols: Tolerances) -> int:
-    """Execute one experiment, write its artifacts, and return the exit code."""
-    merged = dict(_DEFAULT_PARAMS[name])
+    """Execute one experiment, write its artifacts, and return the exit code.
+
+    A parameter or seed that fails its check raises ``ValueError`` naming
+    it, before the output directory is made."""
+    experiment = EXPERIMENTS[name]
+    merged = {p.key: p.default for p in experiment.params}
     unknown = set(params) - set(merged)
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     merged.update(params)
-    for key, valid, requirement in _PARAM_CHECKS.get(name, ()):
-        if not valid(merged[key]):
-            raise ValueError(f"{name}: {key} must be {requirement}, got {merged[key]!r}")
-    if name in SEEDED and seed is None:
+    for p in experiment.params:
+        if not p.check(merged[p.key], merged):
+            raise ValueError(f"{name}: {p.key} must be {p.requirement}, "
+                             f"got {merged[p.key]!r}")
+    if seed is None and experiment.seeded:
         raise ValueError(f"experiment {name} is randomized and requires a seed")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.PCG64(seed)) if seed is not None else None
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        columns, rows, summary, failures = _BODIES[name](merged, rng, tols)
+        columns, rows, summary, failures = experiment.body(merged, rng, tols)
     except TimpsError as exc:
         columns, rows, summary = [], [], {}
         failures = [f"{type(exc).__name__}: {exc}"]
-    stem = name
-    _write_csv(out_dir / f"{stem}.csv", name, seed, columns, rows)
+    _write_csv(out_dir / f"{name}.csv", name, seed, columns, rows)
     doc = {
         "meta": _meta(name, seed),
         "params": merged,
@@ -497,7 +569,7 @@ def run_experiment(name: str, params: dict, seed, out_dir: Path,
         "pass": not failures,
         "failures": failures,
     }
-    _write_json(out_dir / f"{stem}.json", doc)
+    _write_json(out_dir / f"{name}.json", doc)
     if failures:
         print(json.dumps({"experiment": name, "pass": False,
                           "failures": failures}, sort_keys=True))
@@ -512,56 +584,35 @@ def _parse_tol_overrides(pairs) -> Tolerances:
         if "=" not in pair:
             raise ValueError(f"tolerance override must be KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
-        overrides[key.strip()] = float(value)
+        key = key.strip()
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise ValueError(f"tolerance {key} must be a number, got {value!r}") from None
     return DEFAULT_TOLS.override(**overrides)
 
 
 def _run_from_config(path: str) -> int:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        allowed = {"experiment", "seed", "out", "params", "tolerances"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        name = doc.get("experiment")
-        if name not in EXPERIMENTS:
-            raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {name!r}")
-        seed = doc.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ValueError("seed must be an integer")
-        overrides = doc.get("tolerances", {})
-        if not isinstance(overrides, dict):
-            raise ValueError("tolerances must be an object")
-        tols = DEFAULT_TOLS.override(**overrides)
-        params = doc.get("params") or {}
-        if not isinstance(params, dict):
-            raise ValueError("params must be an object")
-        out_dir = Path(doc.get("out") or ".")
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run_experiment(name, params, seed, out_dir, tols)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _add_common(p: argparse.ArgumentParser, seeded: bool) -> None:
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--tol", action="append", metavar="KEY=VAL",
-                   help="tolerance override (repeatable)")
-    if seeded:
-        p.add_argument("--seed", type=int, required=True,
-                       help="PRNG seed (PCG64); recorded in output headers")
-    else:
-        p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = set(doc) - {"experiment", "seed", "out", "params", "tolerances"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    name = doc.get("experiment")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {name!r}")
+    out = doc.get("out", ".")
+    if not isinstance(out, str):
+        raise ValueError(f"out must be a string, got {out!r}")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
+    overrides = doc.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ValueError("tolerances must be an object")
+    return run_experiment(name, params, doc.get("seed"), Path(out),
+                          DEFAULT_TOLS.override(**overrides))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,93 +621,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="experiment runner for the translation-invariant MPS library",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gamma-check", help="isometry path deviation sweep")
-    p.add_argument("--phi", choices=["both", "shift", "3n+1"], default="both")
-    p.add_argument("--block", type=int, default=64)
-    p.add_argument("--t-steps", type=int, default=21, dest="t_steps")
-    _add_common(p, seeded=False)
-
-    p = sub.add_parser("contract-sweep", help="contraction path membership sweep")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--s-steps", type=int, default=11, dest="s_steps")
-    _add_common(p, seeded=True)
-
-    p = sub.add_parser("retract-sweep", help="rank-lowering retraction sweep")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--chi", default="2,3",
-                   help="comma-separated essential ranks to sample")
-    _add_common(p, seeded=True)
-
-    p = sub.add_parser("aklt-sweep", help="interpolation family invariants")
-    p.add_argument("--g-start", type=float, default=0.05, dest="g_start")
-    p.add_argument("--g-stop", type=float, default=0.95, dest="g_stop")
-    p.add_argument("--g-step", type=float, default=0.05, dest="g_step")
-    _add_common(p, seeded=False)
-
-    p = sub.add_parser("chern", help="plaquette Chern number of a family")
-    p.add_argument("--family", default="psi2",
-                   help="family name (psi2|pump|aklt) or @FILE with a JSON spec")
-    p.add_argument("--mesh", default="32x32")
-    _add_common(p, seeded=False)
-
-    p = sub.add_parser("pump-boundary", help="pump chart checks and boundary generator")
-    p.add_argument("--mesh", default="16x16,32x32",
-                   help="comma-separated mesh sizes")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--overlap-samples", type=int, default=50, dest="overlap_samples")
-    p.add_argument("--annulus-samples", type=int, default=50, dest="annulus_samples")
-    _add_common(p, seeded=True)
-
-    p = sub.add_parser("oracle-check", help="expectation oracle and gauge invariance")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--gauge-trials", type=int, default=100, dest="gauge_trials")
-    p.add_argument("--window-max", type=int, default=5, dest="window_max")
-    _add_common(p, seeded=True)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help)
+        for param in experiment.params:
+            default = param.default
+            shown = ",".join(map(str, default)) if isinstance(default, list) else default
+            p.add_argument(param.option, dest=param.key, type=param.parse, default=default,
+                           metavar=(param.flag or param.key).upper(),
+                           help=f"{param.requirement} (default: {shown})")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--tol", action="append", metavar="KEY=VAL",
+                       help="tolerance override (repeatable)")
+        p.add_argument("--seed", type=int, default=None, required=experiment.seeded,
+                       help="PRNG seed (PCG64), an integer >= 0; recorded in output "
+                            "headers" if experiment.seeded else argparse.SUPPRESS)
 
     p = sub.add_parser("run", help="run an experiment from a JSON config file")
     p.add_argument("config", help="path to the config file")
-
     return parser
 
 
-def _params_from_args(name: str, args) -> dict:
-    if name == "gamma-check":
-        return {"phi": args.phi, "block": args.block, "t_steps": args.t_steps}
-    if name == "contract-sweep":
-        return {"count": args.count, "s_steps": args.s_steps}
-    if name == "retract-sweep":
-        return {"count": args.count,
-                "chis": [int(c) for c in args.chi.split(",")]}
-    if name == "aklt-sweep":
-        return {"g_start": args.g_start, "g_stop": args.g_stop,
-                "g_step": args.g_step}
-    if name == "chern":
-        family = args.family
-        if family.startswith("@"):
-            family = json.loads(Path(family[1:]).read_text(encoding="utf-8"))
-        return {"family": family, "mesh": args.mesh}
-    if name == "pump-boundary":
-        return {"meshes": args.mesh.split(","), "samples": args.samples,
-                "overlap_samples": args.overlap_samples,
-                "annulus_samples": args.annulus_samples}
-    if name == "oracle-check":
-        return {"trials": args.trials, "gauge_trials": args.gauge_trials,
-                "window_max": args.window_max}
-    raise AssertionError(name)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _run_from_config(args.config)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "run":
+            return _run_from_config(args.config)
         tols = _parse_tol_overrides(args.tol)
-        params = _params_from_args(args.command, args)
-        return run_experiment(args.command, params, args.seed,
-                              Path(args.out), tols)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        params = {p.key: getattr(args, p.key) for p in EXPERIMENTS[args.command].params}
+        family = params.get("family")
+        if isinstance(family, str) and family.startswith("@"):
+            params["family"] = json.loads(Path(family[1:]).read_text(encoding="utf-8"))
+        return run_experiment(args.command, params, args.seed, Path(args.out), tols)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -135,6 +135,16 @@ def isometry_path_block(phi: PhiRule, t: float, n_rows: int, n_cols: int) -> np.
     return out
 
 
+def _mix_physical(gam: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``sum_j gam_ij mats^j`` for every output index ``i``."""
+    return np.einsum("ij,jab->iab", gam, mats)
+
+
+def _conjugate_bonds(delta: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``delta mats^i delta^T`` for every physical index ``i`` (``delta`` is real)."""
+    return np.einsum("ab,ibc,dc->iad", delta, mats, delta)
+
+
 def apply_physical_isometry(A, phi: PhiRule, t: float,
                             tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Mix the physical components along the isometry path: the i-th output
@@ -142,9 +152,7 @@ def apply_physical_isometry(A, phi: PhiRule, t: float,
     ``phi(d)``.  Core normalization and essential rank are preserved.
     ``A`` is checked by decomposing it unless it is a decomposition."""
     A = _decomposition(A, tols.eps_rank, tols).tensor
-    gam = isometry_path_block(phi, t, phi(A.d), A.d)
-    mats = np.einsum("ij,jab->iab", gam, A.mats)
-    return MpsTensor(mats)
+    return MpsTensor(_mix_physical(isometry_path_block(phi, t, phi(A.d), A.d), A.mats))
 
 
 def apply_bond_isometry(A, phi: PhiRule, t: float,
@@ -153,9 +161,7 @@ def apply_bond_isometry(A, phi: PhiRule, t: float,
     isometry path, enlarging the bond dimension to ``phi(D)``.  ``A`` is
     checked by decomposing it unless it is a decomposition."""
     A = _decomposition(A, tols.eps_rank, tols).tensor
-    delta = isometry_path_block(phi, t, phi(A.D), A.D)
-    mats = np.einsum("ab,ibc,dc->iad", delta, A.mats, delta)
-    return MpsTensor(mats)
+    return MpsTensor(_conjugate_bonds(isometry_path_block(phi, t, phi(A.D), A.D), A.mats))
 
 
 def cantor_pair(j: int, gamma: int) -> int:
@@ -188,12 +194,9 @@ def _shifted(mat: np.ndarray) -> np.ndarray:
 def _stage_widen(A: MpsTensor, t: float) -> np.ndarray:
     """First stage: move along the physical (3n+1) and bond (n+1) isometry
     paths simultaneously; identity at t = 0, triple-spaced embedding at 1."""
-    phi_phys = PhiRule.from_name("3n+1")
-    phi_bond = PhiRule.from_name("shift")
-    delta = isometry_path_block(phi_bond, t, A.D + 1, A.D)
-    moved = np.einsum("ab,ibc,dc->iad", delta, A.mats, delta)
-    gam = isometry_path_block(phi_phys, t, 3 * A.d + 1, A.d)
-    return np.einsum("ij,jab->iab", gam, moved)
+    delta = isometry_path_block(PhiRule.from_name("shift"), t, A.D + 1, A.D)
+    gam = isometry_path_block(PhiRule.from_name("3n+1"), t, 3 * A.d + 1, A.d)
+    return _mix_physical(gam, _conjugate_bonds(delta, A.mats))
 
 
 def _stage_row_growth(A: MpsTensor, t: float) -> np.ndarray:

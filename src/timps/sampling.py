@@ -82,11 +82,9 @@ def random_gauge_move(rng: np.random.Generator, A,
     d, D, chi = dec.d, dec.D, dec.chi
     N = filler_scale * (rng.normal(size=(d, D - chi, chi))
                         + 1j * rng.normal(size=(d, D - chi, chi)))
-    blocks = np.zeros((d, D, D), dtype=complex)
-    blocks[:, chi:, :chi] = N
-    filler = MpsTensor(np.einsum("ab,ibc,dc->iad", dec.X, blocks, dec.X.conj()))
     return GaugeMove(lam=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
-                     Z=haar_unitary(rng, D), filler=filler)
+                     Z=haar_unitary(rng, D),
+                     filler=assemble(dec.X, np.zeros((d, chi, chi)), N))
 
 
 def random_split_spectrum_tensor(rng: np.random.Generator, chi: int, D: int,

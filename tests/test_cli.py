@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from timps import __version__
-from timps.cli import main
+from timps.cli import EXPERIMENTS, main
 
 
 def run_cli(args):
@@ -182,35 +184,167 @@ def _custom_spec_with_charts():
                        "charts": ["main"] * n}}
 
 
-@pytest.mark.parametrize("args, config", [
-    (["contract-sweep", "--seed", "1", "--tol", "eps_rank=nan"], None),
-    (["aklt-sweep", "--tol", "eps_rank=nan"], None),
-    (["aklt-sweep", "--tol", "tol_gap=inf"], None),
-    (["aklt-sweep", "--tol", "tol_gap=0"], None),
-    (["aklt-sweep", "--tol", "tol_norm=-1e-8"], None),
-    (["aklt-sweep", "--tol", "tol_norm=x"], None),
-    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": "x"}}),
-    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": True}}),
-    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": None}}),
-    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": 0}}),
-    (None, {"experiment": "aklt-sweep", "tolerances": [["eps_rank", 1e-9]]}),
-    (None, {"experiment": "aklt-sweep", "tolerances": 1e-9}),
-    (None, {"experiment": "aklt-sweep", "tolerances": None}),
-    (None, {"experiment": "oracle-check", "seed": True}),
-    (None, {"experiment": "aklt-sweep", "seed": False}),
+# (command-line arguments, or a config document; the parameter that the
+# `config error:` line must name)
+BAD_INPUTS = [
+    (["contract-sweep", "--seed", "1", "--tol", "eps_rank=nan"], None, "eps_rank"),
+    (["aklt-sweep", "--tol", "eps_rank=nan"], None, "eps_rank"),
+    (["aklt-sweep", "--tol", "tol_gap=inf"], None, "tol_gap"),
+    (["aklt-sweep", "--tol", "tol_gap=0"], None, "tol_gap"),
+    (["aklt-sweep", "--tol", "tol_norm=-1e-8"], None, "tol_norm"),
+    (["aklt-sweep", "--tol", "tol_norm=x"], None, "tol_norm"),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": "x"}}, "eps_rank"),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": True}}, "eps_rank"),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": None}}, "eps_rank"),
+    (None, {"experiment": "aklt-sweep", "tolerances": {"eps_rank": 0}}, "eps_rank"),
+    (None, {"experiment": "aklt-sweep", "tolerances": [["eps_rank", 1e-9]]}, "tolerances"),
+    (None, {"experiment": "aklt-sweep", "tolerances": 1e-9}, "tolerances"),
+    (None, {"experiment": "aklt-sweep", "tolerances": None}, "tolerances"),
+    (None, {"experiment": "oracle-check", "seed": True}, "seed"),
+    (None, {"experiment": "aklt-sweep", "seed": False}, "seed"),
     (None, {"experiment": "chern",
-            "params": {"family": _custom_spec_with_charts(), "mesh": "4x4"}}),
-])
-def test_bad_inputs_are_config_errors(tmp_path, capsys, args, config):
+            "params": {"family": _custom_spec_with_charts(), "mesh": "4x4"}}, "charts"),
+    # exited 1 with a traceback
+    (["aklt-sweep", "--g-stop", "inf"], None, "g_stop"),
+    (["aklt-sweep", "--g-step", "5e-324"], None, "g_step"),
+    (None, {"experiment": "aklt-sweep", "out": 5}, "out"),
+    (None, {"experiment": "gamma-check", "params": {"block": "x"}}, "block"),
+    (None, {"experiment": "gamma-check", "params": {"block": 2.5}}, "block"),
+    (None, {"experiment": "gamma-check", "params": {"phi": "bogus"}}, "phi"),
+    (None, {"experiment": "contract-sweep", "seed": 1, "params": {"count": "3"}}, "count"),
+    (None, {"experiment": "retract-sweep", "seed": 1, "params": {"count": None}}, "count"),
+    (None, {"experiment": "retract-sweep", "seed": 1, "params": {"count": 2.0}}, "count"),
+    (None, {"experiment": "aklt-sweep", "params": {"g_start": "0.1"}}, "g_start"),
+    (None, {"experiment": "chern", "params": {"mesh": 16}}, "mesh"),
+    (None, {"experiment": "pump-boundary", "seed": 1, "params": {"samples": 1.5}}, "samples"),
+    (None, {"experiment": "oracle-check", "seed": 1, "params": {"trials": "2"}}, "trials"),
+    # exited 0 after a vacuous or wrong run
+    (["retract-sweep", "--seed", "1", "--count", "0"], None, "count"),
+    (["retract-sweep", "--seed", "1", "--count", "-5"], None, "count"),
+    (["oracle-check", "--seed", "1", "--trials", "-1", "--gauge-trials", "-1"], None,
+     "trials"),
+    (["aklt-sweep", "--g-start", "0.9", "--g-stop", "0.1"], None, "g_stop"),
+    (None, {"experiment": "pump-boundary", "seed": 1, "params": {"meshes": []}}, "meshes"),
+    (None, {"experiment": "aklt-sweep", "params": {"g_start": True}}, "g_start"),
+    (None, {"experiment": "aklt-sweep", "params": []}, "params"),
+    # exited 2 with a message that named no parameter
+    (["gamma-check", "--block", "0"], None, "block"),
+    (["contract-sweep", "--seed", "1", "--count", "0"], None, "count"),
+    (["oracle-check", "--seed", "1", "--window-max", "0"], None, "window_max"),
+    (["oracle-check", "--seed", "-1"], None, "seed"),
+    (["aklt-sweep", "--g-step", "1.5"], None, "g_step"),
+]
+
+
+# The ids follow pytest's positional scheme for the (args, config) pair, so
+# that a row keeps its id when rows are appended.
+@pytest.mark.parametrize("args, config, name", BAD_INPUTS, ids=[
+    f"args{i}-None" if args is not None else f"None-config{i}"
+    for i, (args, _, _) in enumerate(BAD_INPUTS)])
+def test_bad_inputs_are_config_errors(tmp_path, capsys, args, config, name):
     out = tmp_path / "out"
     if config is not None:
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(dict(config, out=str(out))))
+        cfg.write_text(json.dumps({"out": str(out), **config}))
         args = ["run", cfg]
     else:
         args = args + ["--out", out]
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert name in err
     assert "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
+
+
+# Property test of the exit-code contract, driven by the parameter table:
+# every pool item a parameter's requirement rejects exits 2 before any
+# artifact is written.
+CLI_TOKENS = ("", "x", "-1", "nan", "inf")
+CONFIG_VALUES = ("x", True, None, -1, 1.5, [], {})
+
+
+def exit_code(args, capsys):
+    """Exit code and stderr of one in-process run; an argparse usage error
+    counts as its ``SystemExit`` code."""
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def files_under(path):
+    return sorted(f for f in path.rglob("*") if f.is_file())
+
+
+def assert_rejected(args, capsys, workdir):
+    before = files_under(workdir)
+    code, err = exit_code(args, capsys)
+    assert code == 2, (args, err)
+    assert err.startswith("config error:") or "error: argument" in err, (args, err)
+    assert "Traceback" not in err
+    assert files_under(workdir) == before, args
+
+
+def run_config(doc, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    return ["run", cfg]
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (name, p.key) for name, exp in EXPERIMENTS.items() for p in exp.params])
+def test_every_parameter_rejects_bad_values(tmp_path, capsys, monkeypatch, experiment, key):
+    monkeypatch.chdir(tmp_path)
+    exp = EXPERIMENTS[experiment]
+    param = next(p for p in exp.params if p.key == key)
+    seed = 1 if exp.seeded else None
+    for token in CLI_TOKENS:
+        args = [experiment, param.option, token, "--out", tmp_path / "out"]
+        assert_rejected(args + (["--seed", seed] if exp.seeded else []), capsys, tmp_path)
+    for value in CONFIG_VALUES:
+        doc = {"experiment": experiment, "seed": seed, "out": str(tmp_path / "out"),
+               "params": {key: value}}
+        assert_rejected(run_config(doc, tmp_path), capsys, tmp_path)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+@pytest.mark.parametrize("key", ["seed", "out", "params", "tolerances"])
+def test_every_config_key_rejects_bad_values(tmp_path, capsys, monkeypatch, experiment, key):
+    monkeypatch.chdir(tmp_path)
+    valid = {"seed": [] if EXPERIMENTS[experiment].seeded else [None],
+             "out": ["x"], "params": [{}], "tolerances": [{}]}[key]
+    for value in CONFIG_VALUES:
+        if value in valid:
+            continue
+        doc = {"experiment": experiment, "seed": 1, "out": str(tmp_path / "out"), key: value}
+        assert_rejected(run_config(doc, tmp_path), capsys, tmp_path)
+
+
+def readme_commands():
+    """``{experiment: [(flag, value), ...]}`` from the README's command-line
+    block; a value ``a|b|c`` lists choices, the first being the default."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = {}
+    for line in block.splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("timps "):
+            name = line.split()[1]
+            commands[name] = []
+        commands[name] += re.findall(r"(--[a-z-]+)\s+([^\s\]]+)", line)
+    return commands
+
+
+def test_readme_command_line_matches_the_parameter_table():
+    commands = readme_commands()
+    assert set(commands) == set(EXPERIMENTS) | {"run"}
+    for name, exp in EXPERIMENTS.items():
+        flags = dict(commands[name])
+        assert ("--seed" in flags) == exp.seeded, name
+        flags.pop("--seed", None)
+        assert set(flags) == {p.option for p in exp.params}, name
+        for p in exp.params:
+            assert p.parse(flags[p.option].split("|")[0]) == p.default, (name, p.key)
