@@ -53,6 +53,7 @@ from .tensors import (
     pad_tensor,
 )
 from .transfer import (
+    WINDOW_CAP,
     correlation_length,
     expectation,
     fixed_point,
@@ -369,24 +370,31 @@ def _exp_pump_boundary(params, rng, tols):
 _ORACLE_SHAPES = ((2, 1), (3, 1), (4, 1), (4, 2))
 
 
+def _window_sites(d: int, window_max: int) -> int:
+    """The largest n <= window_max with d**n <= WINDOW_CAP."""
+    n = 0
+    while n < window_max and d ** (n + 1) <= WINDOW_CAP:
+        n += 1
+    return n
+
+
 def _exp_oracle_check(params, rng, tols):
     rows, failures = [], []
     max_oracle_dev = 0.0
+    n_max = {d: _window_sites(d, params["window_max"]) for d, _ in _ORACLE_SHAPES}
     for trial in range(params["trials"]):
         d, chi = _ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)]
         K = random_core(rng, d, chi, tols)
         T = fixed_point(K, tols)
-        n_max = params["window_max"]
-        while d**n_max > 4096:
-            n_max -= 1
-        n = int(rng.integers(1, n_max + 1))
+        n = int(rng.integers(1, n_max[d] + 1))
         obs = random_observable(rng, d, n)
         lhs = expectation(K, T, obs)
         rho = window_density_matrix(K, T, n)
         C = obs.factors[0]
         for f in obs.factors[1:]:
             C = np.kron(C, f)
-        rhs = complex(np.trace(rho @ C))
+        # trace(rho @ C) without the O(dim^3) product
+        rhs = complex(np.sum(rho * C.T))
         dev = abs(lhs - rhs)
         rows.append(("oracle", trial, d, chi, n, dev))
         max_oracle_dev = max(max_oracle_dev, dev)
@@ -404,10 +412,11 @@ def _exp_oracle_check(params, rng, tols):
                                     tols.eps_rank, tols)
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")
+        T_a, T_b = fixed_point(dec_a.K, tols), fixed_point(dec_b.K, tols)
         dev = 0.0
         for n in (1, 2):
-            rho_a = window_density_matrix(dec_a.K, fixed_point(dec_a.K, tols), n)
-            rho_b = window_density_matrix(dec_b.K, fixed_point(dec_b.K, tols), n)
+            rho_a = window_density_matrix(dec_a.K, T_a, n)
+            rho_b = window_density_matrix(dec_b.K, T_b, n)
             dev = max(dev, float(np.abs(rho_a - rho_b).max()))
         rows.append(("gauge", trial, d, chi, 2, dev))
         max_gauge_dev = max(max_gauge_dev, dev)

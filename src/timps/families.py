@@ -473,6 +473,14 @@ def custom_vertex_family(tensors: Sequence[MpsTensor]) -> SphereFamily:
     return SphereFamily("custom", at)
 
 
+def _spec_number(params: dict, key: str, default: float) -> float:
+    value = params.get(key, default)
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        raise ValueError(f"family param {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def family_from_spec(spec: dict) -> SphereFamily:
     """Build a mesh-evaluable family from its JSON description:
     ``{"family": "psi2"|"pump"|"aklt"|"custom", "params": {...}}``."""
@@ -492,16 +500,18 @@ def family_from_spec(spec: dict) -> SphereFamily:
         extra = set(params) - {"w4"}
         if extra:
             raise ValueError(f"unknown pump params: {sorted(extra)}")
-        return pump_slice_family(float(params.get("w4", 0.0)))
+        return pump_slice_family(_spec_number(params, "w4", 0.0))
     if name == "aklt":
         extra = set(params) - {"g"}
         if extra:
             raise ValueError(f"unknown aklt params: {sorted(extra)}")
-        return constant_sphere_family(aklt_path(float(params.get("g", 0.5))), "aklt")
+        return constant_sphere_family(aklt_path(_spec_number(params, "g", 0.5)), "aklt")
     if name == "custom":
         extra = set(params) - {"tensors"}
         if extra:
             raise ValueError(f"unknown custom params: {sorted(extra)}")
-        tensors = [tensor_from_json(t) for t in params.get("tensors", [])]
-        return custom_vertex_family(tensors)
+        tensors = params.get("tensors", [])
+        if not isinstance(tensors, list):
+            raise ValueError(f"family param tensors must be a list, got {tensors!r}")
+        return custom_vertex_family([tensor_from_json(t) for t in tensors])
     raise ValueError(f"unknown family {name!r}")

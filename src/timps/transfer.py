@@ -148,7 +148,8 @@ def window_density_matrix(K, T, n: int, cap: int = WINDOW_CAP) -> np.ndarray:
     """Dense reduced density matrix of the state on an n-site window.
 
     Mixture over boundary matrix units built from the eigenbasis of the fixed
-    point; trace one; the brute-force oracle for :func:`expectation`.
+    point; trace one; the brute-force oracle for :func:`expectation`.  The
+    mixture is one rank-chi^2 product ``P P^dagger``, O(d^{2n} chi^2).
     """
     mats = _core_mats(K)
     d, chi = mats.shape[0], mats.shape[1]
@@ -163,15 +164,12 @@ def window_density_matrix(K, T, n: int, cap: int = WINDOW_CAP) -> np.ndarray:
         G = np.einsum("sab,jbc->sjac", G, mats).reshape(-1, chi, chi)
 
     mu, V = np.linalg.eigh((Tm + Tm.conj().T) / 2.0)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for a in range(chi):
-        if mu[a] <= 0:
-            continue
-        for b in range(chi):
-            # boundary insertion |v_b><v_a| gives amplitudes <v_a| G |v_b>
-            psi = V[:, a].conj() @ G @ V[:, b]
-            rho += mu[a] * np.outer(psi, psi.conj())
-    return rho
+    keep = mu > 0
+    # boundary insertion |v_b><v_a| gives amplitudes psi[s, a, b] =
+    # <v_a| G^s |v_b>; column (a, b) of P is sqrt(mu_a) psi[:, a, b]
+    psi = V[:, keep].conj().T @ G @ V
+    P = (np.sqrt(mu[keep])[:, None] * psi).reshape(dim, np.count_nonzero(keep) * chi)
+    return P @ P.conj().T
 
 
 def correlation_length(K, tols: Tolerances = DEFAULT_TOLS) -> float:

@@ -1,11 +1,13 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from timps import __version__
+from timps import __version__, cli
 from timps.cli import EXPERIMENTS, main
+from timps.transfer import fixed_point
 
 
 def run_cli(args):
@@ -102,6 +104,35 @@ def test_determinism_byte_identical(tmp_path):
                         "--gauge-trials", 4, "--out", out]) == 0
     assert (a / "oracle-check.csv").read_bytes() == (b / "oracle-check.csv").read_bytes()
     assert (a / "oracle-check.json").read_bytes() == (b / "oracle-check.json").read_bytes()
+
+
+def test_window_max_beyond_the_cap_is_clamped_fast(tmp_path):
+    # WINDOW_CAP = 4096 allows at most 12 sites (d = 2), so every window_max
+    # from 12 up draws the same windows; seed 12 draws a 7-site d = 2 window
+    args = ["oracle-check", "--seed", 12, "--trials", 4, "--gauge-trials", 0]
+    start = time.perf_counter()
+    assert run_cli(args + ["--window-max", 10**9, "--out", tmp_path / "huge"]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert run_cli(args + ["--window-max", 12, "--out", tmp_path / "cap"]) == 0
+    huge = (tmp_path / "huge" / "oracle-check.csv").read_text()
+    assert huge == (tmp_path / "cap" / "oracle-check.csv").read_text()
+    assert "oracle,0,2,1,7," in huge
+    docs = [read_json(tmp_path / out / "oracle-check.json") for out in ("huge", "cap")]
+    assert [doc["params"].pop("window_max") for doc in docs] == [10**9, 12]
+    assert docs[0] == docs[1]
+
+
+def test_gauge_trials_take_one_fixed_point_per_tensor(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fixed_point", counted)
+    assert run_cli(["oracle-check", "--seed", 0, "--out", tmp_path]) == 0
+    # 100 trials at one each, 100 gauge trials at two each
+    assert len(calls) == 300
 
 
 def test_tolerance_override_applies(tmp_path):
@@ -233,6 +264,14 @@ BAD_INPUTS = [
     (["oracle-check", "--seed", "1", "--window-max", "0"], None, "window_max"),
     (["oracle-check", "--seed", "-1"], None, "seed"),
     (["aklt-sweep", "--g-step", "1.5"], None, "g_step"),
+    # family spec contents of the wrong type: exited 1 with a traceback
+    (None, {"experiment": "chern",
+            "params": {"family": {"family": "pump", "params": {"w4": []}}}}, "w4"),
+    (None, {"experiment": "chern",
+            "params": {"family": {"family": "aklt", "params": {"g": None}}}}, "param g"),
+    (None, {"experiment": "chern",
+            "params": {"family": {"family": "custom", "params": {"tensors": 5}}}},
+     "tensors"),
 ]
 
 

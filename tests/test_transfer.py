@@ -57,6 +57,26 @@ def loop_apply_transfer(mats, C, B):
     return out
 
 
+def outer_window_density_matrix(mats, Tm, n):
+    """Sum of ``mu_a |psi_ab><psi_ab|`` one outer product at a time, with
+    ``psi_ab = <v_a| K^{j1} ... K^{jn} |v_b>`` over the eigenpairs of the
+    Hermitized ``Tm`` and ``mu_a <= 0`` skipped: the oracle for the
+    single-product ``window_density_matrix``."""
+    d, chi = mats.shape[0], mats.shape[1]
+    G = mats.copy()
+    for _ in range(n - 1):
+        G = np.einsum("sab,jbc->sjac", G, mats).reshape(-1, chi, chi)
+    mu, V = np.linalg.eigh((Tm + Tm.conj().T) / 2.0)
+    rho = np.zeros((d**n, d**n), dtype=complex)
+    for a in range(chi):
+        if mu[a] <= 0:
+            continue
+        for b in range(chi):
+            psi = V[:, a].conj() @ G @ V[:, b]
+            rho += mu[a] * np.outer(psi, psi.conj())
+    return rho
+
+
 def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
@@ -225,6 +245,58 @@ def test_window_density_matrix_is_state(rng):
         lhs = expectation(K, T, obs)
         rhs = np.trace(rho @ kron_all(obs.factors))
         assert abs(lhs - rhs) < 1e-11
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("chi", [1, 2, 3])
+def test_window_density_matrix_matches_outer_loop_oracle(make_rng, d, chi):
+    # any core and positive boundary matrix: the oracle needs no fixed point
+    rng = make_rng(100 * d + chi)
+    mats = np.stack([random_matrix(rng, chi) for _ in range(d)]) / math.sqrt(d * chi)
+    X = random_matrix(rng, chi)
+    Tm = X @ X.conj().T
+    Tm /= np.trace(Tm)
+    for n in (1, 2, 3, 4):
+        rho = window_density_matrix(mats, Tm, n)
+        assert np.abs(rho - outer_window_density_matrix(mats, Tm, n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("rotate, spectrum", [(False, (0.7, 0.0, 0.3)),
+                                               (True, (0.8, 0.5, -0.3))],
+                         ids=["zero-eigenvalue", "negative-eigenvalue"])
+def test_window_density_matrix_skips_nonpositive_boundary_weights(make_rng, rotate,
+                                                                  spectrum):
+    # a diagonal boundary matrix keeps its zero eigenvalue exact
+    rng = make_rng(7)
+    mats = np.stack([random_matrix(rng, 3) for _ in range(4)]) / math.sqrt(12)
+    U = np.linalg.qr(random_matrix(rng, 3))[0] if rotate else np.eye(3)
+    Tm = (U * np.array(spectrum)) @ U.conj().T
+    for n in (1, 2, 3, 4):
+        rho = window_density_matrix(mats, Tm, n)
+        assert np.abs(rho - outer_window_density_matrix(mats, Tm, n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d, chi", [(2, 1), (3, 1), (4, 1), (4, 2)])
+def test_window_density_matrix_is_hermitian_with_unit_trace(make_rng, d, chi):
+    rng = make_rng(200 * d + chi)
+    K = random_core(rng, d, chi)
+    T = fixed_point(K)
+    for n in (1, 2, 3, 4):
+        rho = window_density_matrix(K, T, n)
+        assert np.abs(rho - rho.conj().T).max() <= 1e-15
+        assert abs(np.trace(rho) - 1.0) <= 1e-13
+
+
+def test_elementwise_window_trace_matches_dense_product(make_rng):
+    # the oracle-check experiment takes trace(rho @ C) as sum(rho * C.T)
+    rng = make_rng(11)
+    for d, chi, n in [(2, 1, 4), (3, 1, 3), (4, 1, 2), (4, 2, 4)]:
+        K = random_core(rng, d, chi)
+        T = fixed_point(K)
+        rho = window_density_matrix(K, T, n)
+        C = kron_all(random_observable(rng, d, n).factors)
+        dense = np.trace(rho @ C)
+        assert abs(np.sum(rho * C.T) - dense) <= 1e-13 * abs(dense)
 
 
 def test_window_density_matrix_cap():
