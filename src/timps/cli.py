@@ -37,7 +37,7 @@ from .homotopy import (
     isometry_path_block,
     retract,
 )
-from .invariants import curvature_report, flagged_message
+from .invariants import RESIDUAL_CAP, curvature_report, flagged_message
 from .sampling import (
     random_core,
     random_gauge_move,
@@ -157,13 +157,12 @@ def _exp_contract_sweep(params, rng, tols):
     endpoints = []
     for case in range(count):
         d, D, chi = _CONTRACT_SHAPES[case % len(_CONTRACT_SHAPES)]
-        A = canonical_decompose(random_tensor_in_e(rng, d, D, chi, tols=tols),
-                                tols.eps_rank, tols)
+        A = canonical_decompose(random_tensor_in_e(rng, d, D, chi, tols=tols), tols)
         for k in range(s_steps):
             s = k / (s_steps - 1)
             P = contraction_path(A, s, tols=tols)
             try:
-                dec = canonical_decompose(P, tols.eps_rank, tols)
+                dec = canonical_decompose(P, tols)
                 rows.append((case, s, dec.chi, dec.norm_residual))
             except TimpsError as exc:
                 failures.append(f"case {case} s={s}: not in the tensor space ({exc})")
@@ -192,16 +191,15 @@ def _exp_retract_sweep(params, rng, tols):
         chi = chis[case % len(chis)]
         D = chi + (case // len(chis)) % 2
         A = random_split_spectrum_tensor(rng, chi, D, tols)
-        dec_a = canonical_decompose(A, tols.eps_rank, tols)
+        dec_a = canonical_decompose(A, tols)
         move = random_gauge_move(rng, dec_a, tols=tols)
-        dec_b = canonical_decompose(apply_gauge(A, move, tols.eps_rank, tols),
-                                    tols.eps_rank, tols)
+        dec_b = canonical_decompose(apply_gauge(A, move, tols), tols)
         for t in t_grid:
-            st = retract(dec_a, t, tols.eps_rank, tols=tols)
+            st = retract(dec_a, t, tols=tols)
             H = st.tensor
             dist = float(np.abs(H.mats - A.mats).max())
             try:
-                dec = canonical_decompose(H, tols.eps_rank, tols)
+                dec = canonical_decompose(H, tols)
                 rank, resid = dec.chi, dec.norm_residual
             except TimpsError as exc:
                 failures.append(f"case {case} t={t}: output not decomposable ({exc})")
@@ -215,9 +213,8 @@ def _exp_retract_sweep(params, rng, tols):
                 _check(failures, 0 < rank < chi,
                        f"case {case}: rank {rank} not below {chi} at t=1")
             if t > 0.0:
-                hb = retract(dec_b, t, tols.eps_rank, tols=tols).tensor
-                _check(failures,
-                       gauge_equivalent(dec, hb, tols.eps_rank, tols.tol_fid, tols),
+                hb = retract(dec_b, t, tols=tols).tensor
+                _check(failures, gauge_equivalent(dec, hb, tols),
                        f"case {case} t={t}: gauge equivariance failed")
     summary = {"count": count, "chis": list(chis)}
     return (["case", "chi", "t", "essential_rank", "delta",
@@ -280,11 +277,11 @@ def _exp_chern(params, rng, tols):
     family = family_from_spec(spec)
     n_theta, n_phi = _parse_mesh(params["mesh"])
     mesh = make_sphere_mesh(n_theta, n_phi)
-    report = curvature_report(family, mesh, tols.eps_rank, tols)
+    report = curvature_report(family, mesh, tols)
     nearest = int(round(report.total))
     residual = abs(report.total - nearest)
     failures = []
-    _check(failures, residual < 1e-3,
+    _check(failures, residual < RESIDUAL_CAP,
            f"total curvature {report.total!r} has residual {residual:.3e}")
     _check(failures, not report.flagged, flagged_message(report.flagged))
     rows = [(int(report.plaquette_ids[p]), float(report.theta_lo[p]),
@@ -306,13 +303,12 @@ def _exp_pump_boundary(params, rng, tols):
     for mesh_txt in params["meshes"]:
         n_theta, n_phi = _parse_mesh(mesh_txt)
         mesh = make_sphere_mesh(n_theta, n_phi)
-        report = curvature_report(boundary_generator_family(), mesh,
-                                  tols.eps_rank, tols)
+        report = curvature_report(boundary_generator_family(), mesh, tols)
         nearest = int(round(report.total))
         residual = abs(report.total - nearest)
         cherns[mesh_txt] = nearest
         rows.append(("boundary_chern", mesh_txt, float(nearest)))
-        _check(failures, residual < 1e-3,
+        _check(failures, residual < RESIDUAL_CAP,
                f"{mesh_txt}: curvature residual {residual:.3e}")
         _check(failures, nearest == 1,
                f"{mesh_txt}: boundary generator value {nearest}, expected +1")
@@ -325,7 +321,7 @@ def _exp_pump_boundary(params, rng, tols):
         x /= np.linalg.norm(x)
         pt = PumpPoint(w=x[:3], w4=float(x[3]))
         A = pump_north(pt) if pt.w4 > -0.5 else pump_south(pt)
-        resid = canonical_decompose(A, tols.eps_rank, tols).norm_residual
+        resid = canonical_decompose(A, tols).norm_residual
         rows.append(("core_norm_residual", k, resid))
         max_norm = max(max_norm, resid)
     _check(failures, max_norm <= 1e-10,
@@ -337,8 +333,8 @@ def _exp_pump_boundary(params, rng, tols):
         w4 = rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6)
         w = x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4)
         pt = PumpPoint(w=w, w4=w4)
-        dec_n = canonical_decompose(pump_north(pt), tols.eps_rank, tols)
-        dec_s = canonical_decompose(pump_south(pt), tols.eps_rank, tols)
+        dec_n = canonical_decompose(pump_north(pt), tols)
+        dec_s = canonical_decompose(pump_south(pt), tols)
         if dec_n.chi != dec_s.chi:
             failures.append(f"overlap sample {k}: rank mismatch")
             continue
@@ -406,10 +402,9 @@ def _exp_oracle_check(params, rng, tols):
         d, chi = (4, 2) if trial % 2 == 0 else (3, 1)
         D = chi + 1
         A = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        dec_a = canonical_decompose(A, tols.eps_rank, tols)
+        dec_a = canonical_decompose(A, tols)
         move = random_gauge_move(rng, dec_a, tols=tols)
-        dec_b = canonical_decompose(apply_gauge(A, move, tols.eps_rank, tols),
-                                    tols.eps_rank, tols)
+        dec_b = canonical_decompose(apply_gauge(A, move, tols), tols)
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")
         T_a, T_b = fixed_point(dec_a.K, tols), fixed_point(dec_b.K, tols)

@@ -266,7 +266,6 @@ class MeshVertex:
     index: int
     theta: float
     phi: float
-    xyz: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,14 +344,6 @@ class Mesh2:
         return self.edges.shape[0]
 
 
-def _unit_vector(theta: float, phi: float) -> tuple:
-    return (
-        math.sin(theta) * math.cos(phi),
-        math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    )
-
-
 def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
     """Build the closed theta-phi quad mesh with ``n_theta * n_phi``
     plaquettes (polar rows included as cap fans)."""
@@ -362,8 +353,7 @@ def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
 
     def add_vertex(theta: float, phi: float) -> int:
         idx = len(vertices)
-        vertices.append(MeshVertex(index=idx, theta=theta, phi=phi,
-                                   xyz=_unit_vector(theta, phi)))
+        vertices.append(MeshVertex(index=idx, theta=theta, phi=phi))
         return idx
 
     north = add_vertex(0.0, 0.0)
@@ -489,9 +479,9 @@ def family_from_spec(spec: dict) -> SphereFamily:
     if not isinstance(spec, dict) or set(spec) - {"family", "params"}:
         raise ValueError("family spec must have keys 'family' and optional 'params'")
     name = spec.get("family")
-    params = spec.get("params", {}) or {}
+    params = spec.get("params", {})
     if not isinstance(params, dict):
-        raise ValueError("params must be an object")
+        raise ValueError(f"params must be an object, got {params!r}")
     if name == "psi2":
         if params:
             raise ValueError("psi2 takes no params")

@@ -151,7 +151,7 @@ def apply_physical_isometry(A, phi: PhiRule, t: float,
     matrix is ``sum_j Gamma_ij(t) A^j``, zero-padded to physical dimension
     ``phi(d)``.  Core normalization and essential rank are preserved.
     ``A`` is checked by decomposing it unless it is a decomposition."""
-    A = _decomposition(A, tols.eps_rank, tols).tensor
+    A = _decomposition(A, tols).tensor
     return MpsTensor(_mix_physical(isometry_path_block(phi, t, phi(A.d), A.d), A.mats))
 
 
@@ -160,7 +160,7 @@ def apply_bond_isometry(A, phi: PhiRule, t: float,
     """Conjugate every matrix by the leading ``phi(D) x D`` block of the
     isometry path, enlarging the bond dimension to ``phi(D)``.  ``A`` is
     checked by decomposing it unless it is a decomposition."""
-    A = _decomposition(A, tols.eps_rank, tols).tensor
+    A = _decomposition(A, tols).tensor
     return MpsTensor(_conjugate_bonds(isometry_path_block(phi, t, phi(A.D), A.D), A.mats))
 
 
@@ -276,7 +276,7 @@ def contraction_path(A, s: float,
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("path parameter must lie in [0, 1]")
-    A = _decomposition(A, tols.eps_rank, tols).tensor
+    A = _decomposition(A, tols).tensor
     d_out, D_out = contraction_output_dims(A.d, A.D)
     if s <= 0.25:
         mats = _stage_widen(A, _stage_clock(4.0 * s))
@@ -304,26 +304,20 @@ def _core_gram_eigh(K: np.ndarray):
     return np.linalg.eigh((gram + gram.conj().T) / 2.0)
 
 
-def _is_split(w: np.ndarray, eps_rank: float, tol_distinct: float) -> bool:
+def _is_split(w: np.ndarray, tols: Tolerances) -> bool:
     """Whether an ascending core Gram spectrum is nonsingular and not a
     multiple of the identity (a single eigenvalue never is split)."""
     lam_max, lam_min = float(w[-1]), float(w[0])
-    if lam_min <= eps_rank * lam_max:
+    if lam_min <= tols.eps_rank * lam_max:
         return False
-    return (lam_max - lam_min) > tol_distinct * lam_max
+    return (lam_max - lam_min) > tols.tol_distinct * lam_max
 
 
-def has_split_core_spectrum(
-    A,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
-    tol_distinct: float = DEFAULT_TOLS.tol_distinct,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> bool:
+def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff the core Gram matrix of a tensor (or decomposition) has at
     least two distinct nonzero eigenvalues (relative separation above
-    ``tol_distinct``); requires essential rank >= 2."""
-    dec = _decomposition(A, eps_rank, tols)
-    return _is_split(_core_gram_eigh(dec.K)[0], eps_rank, tol_distinct)
+    ``tols.tol_distinct``); requires essential rank >= 2."""
+    return _is_split(_core_gram_eigh(_decomposition(A, tols).K)[0], tols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +349,6 @@ def _retract_core(dec: CanonicalDecomposition, t: float, w: np.ndarray,
 def retract(
     A,
     t: float,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
     ambient_chi: int | None = None,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> RetractionState:
@@ -372,7 +365,7 @@ def retract(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("retraction time must lie in [0, 1]")
-    dec = _decomposition(A, eps_rank, tols)
+    dec = _decomposition(A, tols)
     if ambient_chi is None:
         ambient_chi = dec.chi if dec.chi >= 2 else 2
     if dec.chi > ambient_chi:
@@ -380,7 +373,7 @@ def retract(
     if dec.chi < ambient_chi:
         return RetractionState(t=t, delta=0.0, tensor=dec.tensor)
     w, V = _core_gram_eigh(dec.K)
-    if not _is_split(w, eps_rank, tols.tol_distinct):
+    if not _is_split(w, tols):
         raise NotInOError(
             "core Gram spectrum is a multiple of the identity at full rank; "
             "the retraction is undefined here"

@@ -51,8 +51,8 @@ def random_core(rng: np.random.Generator, d: int, chi: int,
         raw = MpsTensor(rng.normal(size=(d, chi, chi))
                         + 1j * rng.normal(size=(d, chi, chi)))
         try:
-            K = right_normalize(raw, tols.eps_rank, tols)
-            if canonical_decompose(K, tols.eps_rank, tols).chi == chi:
+            K = right_normalize(raw, tols)
+            if canonical_decompose(K, tols).chi == chi:
                 return K
         except TimpsError:
             continue
@@ -64,8 +64,7 @@ def random_tensor_in_e(rng: np.random.Generator, d: int, D: int, chi: int,
                        tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Assembled tensor with a random core, Haar bond basis, and Gaussian
     filler block."""
-    K = canonical_decompose(random_core(rng, d, chi, tols),
-                            tols.eps_rank, tols).K
+    K = canonical_decompose(random_core(rng, d, chi, tols), tols).K
     X = haar_unitary(rng, D)
     M = filler_scale * (rng.normal(size=(d, D - chi, chi))
                         + 1j * rng.normal(size=(d, D - chi, chi)))
@@ -78,7 +77,7 @@ def random_gauge_move(rng: np.random.Generator, A,
     """A valid gauge move for the tensor ``A`` (or the tensor of a
     decomposition ``A``): random phase, Haar bond unitary, and a filler
     supported off the core in the tensor's own block basis."""
-    dec = _decomposition(A, tols.eps_rank, tols)
+    dec = _decomposition(A, tols)
     d, D, chi = dec.d, dec.D, dec.chi
     N = filler_scale * (rng.normal(size=(d, D - chi, chi))
                         + 1j * rng.normal(size=(d, D - chi, chi)))
@@ -94,7 +93,7 @@ def random_split_spectrum_tensor(rng: np.random.Generator, chi: int, D: int,
     d = chi * chi
     for _ in range(64):
         A = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        if has_split_core_spectrum(A, tols.eps_rank, tols.tol_distinct, tols):
+        if has_split_core_spectrum(A, tols):
             return A
     raise RuntimeError("failed to draw a split-spectrum tensor")
 

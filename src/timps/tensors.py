@@ -133,57 +133,55 @@ def _sorted_eigh(H: np.ndarray):
     return w, V * (pivot.conj() / np.abs(pivot))
 
 
-def _ranks_from_spectra(w: np.ndarray, eps_rank: float) -> np.ndarray:
+def _ranks_from_spectra(w: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Eigenvalues above the relative cutoff, per descending spectrum in the
     last axis of ``w``; -1 where one sits inside the cutoff window."""
-    cutoff = eps_rank * w[..., :1]
+    cutoff = tols.eps_rank * w[..., :1]
     ranks = (w > cutoff).sum(axis=-1) * (w[..., 0] > 0.0)
     in_window = ((w > 0.5 * cutoff) & (w < 2.0 * cutoff)).any(axis=-1)
     return ranks - (ranks + 1) * in_window
 
 
-def _block_forms(mats: np.ndarray, eps_rank: float):
+def _block_forms(mats: np.ndarray, tols: Tolerances):
     """Block form of an ``(N, d, D, D)`` stack: the left Gram spectra
     (descending), the bond bases ``X`` (Gram eigenvectors), the essential
     ranks (-1 where threshold-dependent) and the blocks ``X* A^i X``."""
     w, X = _sorted_eigh(np.einsum("niba,nibc->nac", mats.conj(), mats))
     B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
-    return w, X, _ranks_from_spectra(w, eps_rank), B
+    return w, X, _ranks_from_spectra(w, tols), B
 
 
-def _block_form(A: MpsTensor, eps_rank: float):
+def _block_form(A: MpsTensor, tols: Tolerances):
     """The N=1 call of :func:`_block_forms`: ``(X, chi, B)`` of one tensor,
     refusing a threshold-dependent rank."""
-    w, X, ranks, B = _block_forms(A.mats[None], eps_rank)
+    w, X, ranks, B = _block_forms(A.mats[None], tols)
     if ranks[0] < 0:
         raise AmbiguousRankError(
-            f"eigenvalue inside the cutoff window (0.5, 2)*{eps_rank * w[0, 0]:.3e}; "
+            f"eigenvalue inside the cutoff window (0.5, 2)*{tols.eps_rank * w[0, 0]:.3e}; "
             "the rank decision would be threshold-dependent"
         )
     return X[0], int(ranks[0]), B[0]
 
 
-def range_projection(A: MpsTensor, eps_rank: float = DEFAULT_TOLS.eps_rank) -> np.ndarray:
+def range_projection(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Orthogonal projection onto the span of the dominant eigenvectors of
-    the left Gram matrix (eigenvalues above ``eps_rank * lambda_max``)."""
-    if eps_rank <= 0:
-        raise ValueError("eps_rank must be positive")
-    X, rank, _ = _block_form(A, eps_rank)
+    the left Gram matrix (eigenvalues above ``tols.eps_rank * lambda_max``)."""
+    X, rank, _ = _block_form(A, tols)
     Xr = X[:, :rank]
     return Xr @ Xr.conj().T
 
 
-def _injective(K: np.ndarray, eps_rank: float) -> np.ndarray:
+def _injective(K: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Injectivity of ``(..., d, chi, chi)`` cores, on the singular values of
     their ``d x chi^2`` vectorizations."""
     d, chi = K.shape[-3], K.shape[-1]
     if d < chi * chi:
         return np.zeros(K.shape[:-3], dtype=bool)
     s = np.linalg.svd(K.reshape(K.shape[:-3] + (d, chi * chi)), compute_uv=False)
-    return (s[..., 0] != 0.0) & ((s > eps_rank * s[..., :1]).sum(axis=-1) == chi * chi)
+    return (s[..., 0] != 0.0) & ((s > tols.eps_rank * s[..., :1]).sum(axis=-1) == chi * chi)
 
 
-def is_injective(mats, eps_rank: float = DEFAULT_TOLS.eps_rank) -> bool:
+def is_injective(mats, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff the matrices span the full matrix algebra of their size.
 
     Decided on the singular values of the ``d x chi^2`` vectorization: the
@@ -193,7 +191,7 @@ def is_injective(mats, eps_rank: float = DEFAULT_TOLS.eps_rank) -> bool:
     d, chi, chi2 = arr.shape
     if chi != chi2:
         raise ValueError("core matrices must be square")
-    return bool(_injective(arr, eps_rank))
+    return bool(_injective(arr, tols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,9 +219,6 @@ class CanonicalDecomposition:
     @property
     def D(self) -> int:
         return self.X.shape[0]
-
-    def core_tensor(self) -> MpsTensor:
-        return MpsTensor(self.K)
 
     def reassemble(self) -> MpsTensor:
         return assemble(self.X, self.K, self.M)
@@ -262,7 +257,6 @@ def _normalization_residuals(K: np.ndarray) -> np.ndarray:
 
 def canonical_decompose(
     A: MpsTensor,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CanonicalDecomposition:
     """Recover ``(X, K, M, chi)`` from a tensor, or refuse.
@@ -272,7 +266,7 @@ def canonical_decompose(
     entry.  Raises ``NotInEError`` if the block form does not reproduce the
     input, or if the recovered core is not injective or not right-normalized.
     """
-    X, chi, B = _block_form(A, eps_rank)
+    X, chi, B = _block_form(A, tols)
     if chi == 0:
         raise NotInEError("tensor has numerically zero left Gram matrix")
     K = B[:, :chi, :chi].copy()
@@ -288,24 +282,23 @@ def canonical_decompose(
         raise NotInEError(
             f"core is not right-normalized: residual {norm_err:.3e}"
         )
-    if not _injective(K, eps_rank):
+    if not _injective(K, tols):
         raise NotInEError("core matrices do not span the full matrix algebra")
     return CanonicalDecomposition(X=X, K=K, M=M, chi=chi, tensor=A,
                                   norm_residual=norm_err)
 
 
-def _decomposition(A, eps_rank: float, tols: Tolerances) -> CanonicalDecomposition:
+def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
     """``A`` itself when it is a :class:`CanonicalDecomposition` (trusted,
     not recomputed), else the canonical decomposition of the tensor ``A``."""
     if isinstance(A, CanonicalDecomposition):
         return A
-    return canonical_decompose(A, eps_rank, tols)
+    return canonical_decompose(A, tols)
 
 
 def canonical_cores(
     mats: np.ndarray,
     chi: int,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
     tols: Tolerances = DEFAULT_TOLS,
 ):
     """The cores ``K`` of :func:`canonical_decompose` for an ``(N, d, D, D)``
@@ -317,25 +310,21 @@ def canonical_cores(
     normalization or injectivity failure) or would find an essential rank
     other than ``chi``; there ``K[n]`` is meaningless.
     """
-    _, _, ranks, B = _block_forms(np.asarray(mats, dtype=complex), eps_rank)
+    _, _, ranks, B = _block_forms(np.asarray(mats, dtype=complex), tols)
     K = np.ascontiguousarray(B[..., :chi, :chi])
     ok = (
         (ranks == chi)
         & ~(_reassembly_errors(B, chi) > tols.tol_recon)
         & ~(_normalization_residuals(K) > tols.tol_norm)
-        & _injective(K, eps_rank)
+        & _injective(K, tols)
     )
     return K, ok
 
 
-def essential_rank(
-    A: MpsTensor,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> int:
+def essential_rank(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> int:
     """Numerical rank of the left Gram matrix, validated through the
     canonical decomposition."""
-    return canonical_decompose(A, eps_rank, tols).chi
+    return canonical_decompose(A, tols).chi
 
 
 def transfer_kernel(K_a, K_b, W=None) -> np.ndarray:
@@ -363,11 +352,7 @@ def _sorted_spectrum(vals: np.ndarray, vecs: np.ndarray | None = None):
     return vals, np.take_along_axis(vecs, order[..., None, :], axis=-1)
 
 
-def right_normalize(
-    A: MpsTensor,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> MpsTensor:
+def right_normalize(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Produce a representative with a right-normalized core.
 
     The core support is read off the left Gram range; the core block is then
@@ -375,7 +360,7 @@ def right_normalize(
     and conjugated by the Hermitian square root of the fixed point.  The
     physical state is preserved up to overall normalization.
     """
-    V, chi, B = _block_form(A, eps_rank)
+    V, chi, B = _block_form(A, tols)
     if chi == 0:
         raise NotInEError("cannot normalize a numerically zero tensor")
     K0 = B[:, :chi, :chi]
@@ -434,7 +419,6 @@ class GaugeMove:
 def apply_gauge(
     A: MpsTensor,
     move: GaugeMove,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> MpsTensor:
     """Apply a gauge move, validating it against the tensor's core support."""
@@ -447,7 +431,7 @@ def apply_gauge(
         raise IncompatibleGaugeMoveError("Z is not unitary")
     if move.filler.mats.shape != A.mats.shape:
         raise IncompatibleGaugeMoveError("filler has wrong shape")
-    Q = range_projection(A, eps_rank)
+    Q = range_projection(A, tols)
     tilde = move.filler.mats
     if np.linalg.norm(np.einsum("ab,ibc->iac", Q, tilde)) > tols.tol_norm:
         raise IncompatibleGaugeMoveError("filler maps into the core range")
@@ -482,21 +466,15 @@ def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray) -> float:
     return float(abs(mixed_transfer_leading(K_a, K_b)))
 
 
-def gauge_equivalent(
-    A,
-    B,
-    eps_rank: float = DEFAULT_TOLS.eps_rank,
-    tol_fid: float = DEFAULT_TOLS.tol_fid,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> bool:
+def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """Decide whether two tensors (or their decompositions) induce the same
     physical state.
 
     True iff the essential ranks agree and the fidelity per site of the
-    cores is at least ``1 - tol_fid``.
+    cores is at least ``1 - tols.tol_fid``.
     """
-    dec_a = _decomposition(A, eps_rank, tols)
-    dec_b = _decomposition(B, eps_rank, tols)
+    dec_a = _decomposition(A, tols)
+    dec_b = _decomposition(B, tols)
     if dec_a.chi != dec_b.chi:
         return False
     d = max(dec_a.d, dec_b.d)
@@ -504,7 +482,7 @@ def gauge_equivalent(
     K_a[: dec_a.d] = dec_a.K
     K_b = np.zeros((d,) + dec_b.K.shape[1:], dtype=complex)
     K_b[: dec_b.d] = dec_b.K
-    return fidelity_per_site(K_a, K_b) >= 1.0 - tol_fid
+    return fidelity_per_site(K_a, K_b) >= 1.0 - tols.tol_fid
 
 
 # ---------------------------------------------------------------------------

