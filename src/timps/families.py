@@ -101,16 +101,11 @@ class PumpPoint:
 
     @property
     def theta(self) -> float:
-        rho = math.hypot(self.w[0], self.w[1])
-        if rho == 0.0 and self.w[2] == 0.0:
-            return 0.0
-        return math.atan2(rho, self.w[2])
+        return _angles(self.w)[0]
 
     @property
     def phi(self) -> float:
-        if self.w[0] == 0.0 and self.w[1] == 0.0:
-            return 0.0
-        return math.atan2(self.w[1], self.w[0]) % (2.0 * math.pi)
+        return _angles(self.w)[1]
 
     @classmethod
     def from_angles(cls, theta: float, phi: float, w4: float) -> "PumpPoint":
@@ -157,7 +152,7 @@ def pump_north(pt: PumpPoint) -> MpsTensor:
     """
     if not pt.w4 > -0.5:
         raise OutOfChartError("north chart requires w4 > -1/2")
-    X = berry_rotation(pt.theta, pt.phi)
+    X = berry_rotation(*_angles(pt.w))
     M = X @ _lambda_north(pt) @ X.T
     mats = np.zeros((4, 2, 2), dtype=complex)
     for i in range(2):
@@ -170,7 +165,7 @@ def pump_south(pt: PumpPoint) -> MpsTensor:
     """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``."""
     if not pt.w4 < 0.5:
         raise OutOfChartError("south chart requires w4 < 1/2")
-    X = berry_rotation(pt.theta, pt.phi)
+    X = berry_rotation(*_angles(pt.w))
     M = X @ _lambda_south(pt) @ X.T
     mats = np.zeros((4, 1, 1), dtype=complex)
     for i in range(2):
@@ -179,7 +174,9 @@ def pump_south(pt: PumpPoint) -> MpsTensor:
     return MpsTensor(mats)
 
 
-def _ball_angles(v: np.ndarray) -> tuple[float, float]:
+def _angles(v: np.ndarray) -> tuple[float, float]:
+    """Polar angle and azimuth of a 3-vector; the azimuth is 0 on the polar
+    axis, and both are 0 at the origin."""
     rho = math.hypot(v[0], v[1])
     if rho == 0.0 and v[2] == 0.0:
         return 0.0, 0.0
@@ -225,7 +222,7 @@ def pump_lift(v: Sequence[float], branch: str = "auto") -> MpsTensor:
         raise ValueError("branch must be auto, north, or south")
     if nv <= 0.5:
         raise OutOfChartError("south lift branch requires |v| > 1/2")
-    theta, phi = _ball_angles(v)
+    theta, phi = _angles(v)
     X = berry_rotation(theta, phi)
     core = pump_south(pt).mats[:, 0, 0]
     filler = _lift_filler(theta, phi, pt)

@@ -27,6 +27,7 @@ from .tensors import (
     MpsTensor,
     _decomposition,
     assemble,
+    left_gram,
     pad_tensor,
     right_gram,
 )
@@ -300,7 +301,7 @@ def spectral_filter(x: float, t: float, delta: float) -> float:
 
 def _core_gram_eigh(K: np.ndarray):
     """Ascending eigendecomposition of the core Gram matrix ``sum_i K^{i*} K^i``."""
-    gram = np.einsum("iba,ibc->ac", K.conj(), K)
+    gram = left_gram(K)
     return np.linalg.eigh((gram + gram.conj().T) / 2.0)
 
 
@@ -337,7 +338,7 @@ def _retract_core(dec: CanonicalDecomposition, t: float, w: np.ndarray,
     fvals = np.array([spectral_filter(x, t, w[0] * (1.0 + 1e-12)) for x in w])
     filt = (V * fvals) @ V.conj().T
     Kf = np.einsum("iab,bc->iac", K, filt)
-    S = np.einsum("iab,icb->ac", Kf, Kf.conj())
+    S = right_gram(Kf)
     sw, sV = np.linalg.eigh((S + S.conj().T) / 2.0)
     sw = np.clip(sw, tols.tol_norm, None)
     inv_sqrt = (sV * (1.0 / np.sqrt(sw))) @ sV.conj().T

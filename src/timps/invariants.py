@@ -28,6 +28,7 @@ from .errors import (
 from .families import Mesh2, make_sphere_mesh, boundary_generator_family
 from .tensors import (
     MpsTensor,
+    _degenerate,
     _sorted_spectrum,
     canonical_cores,
     canonical_decompose,
@@ -44,6 +45,7 @@ __all__ = [
     "link_field",
     "curvature_report",
     "chern_number",
+    "chern_verdict",
     "flagged_message",
     "pump_boundary_chern",
 ]
@@ -68,9 +70,8 @@ def _edge_links(K_u: np.ndarray, K_v: np.ndarray, tols: Tolerances) -> np.ndarra
     vals = _sorted_spectrum(mixed_transfer_spectra(K_u, K_v))
     lead = vals[:, 0]
     mod = np.abs(lead)
-    second = np.abs(vals[:, 1]) if vals.shape[-1] > 1 else np.zeros(len(vals))
     vanishing = mod < OVERLAP_FLOOR
-    refused = vanishing | (second > (1.0 - tols.tol_gap) * mod)
+    refused = vanishing | _degenerate(vals, tols)
     if refused.any():
         e = int(np.argmax(refused))
         if vanishing[e]:
@@ -79,7 +80,7 @@ def _edge_links(K_u: np.ndarray, K_v: np.ndarray, tols: Tolerances) -> np.ndarra
                 "states nearly orthogonal (mesh too coarse)"
             )
         raise DegenerateLeadingEigenvalueError(
-            f"mixed transfer eigenvalues {mod[e]:.6e} and {second[e]:.6e} are within "
+            f"mixed transfer eigenvalues {mod[e]:.6e} and {abs(vals[e, 1]):.6e} are within "
             f"the gap tolerance {tols.tol_gap:.1e}; the link phase is ill-defined"
         )
     return lead / mod
@@ -259,21 +260,28 @@ def flagged_message(flagged) -> str:
             f"(mesh too coarse): {list(flagged)}")
 
 
+def chern_verdict(report: CurvatureField):
+    """``(nearest, residual, errors)``: the integer nearest the report's total,
+    its distance from it, and the refusals that apply, residual first."""
+    nearest = int(round(report.total))
+    residual = abs(report.total - nearest)
+    errors = []
+    if residual >= RESIDUAL_CAP:
+        errors.append(NonIntegerTotalError(
+            f"total curvature {report.total!r} has residual {residual:.3e}"))
+    if report.flagged:
+        errors.append(FlaggedPlaquetteError(flagged_message(report.flagged)))
+    return nearest, residual, errors
+
+
 def chern_number(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> int:
     """Total plaquette curvature divided by 2*pi, rounded to the nearest
     integer; the rounding residual must stay below ``RESIDUAL_CAP`` and no
     plaquette may sit within ``BRANCH_CUT_MARGIN`` of +-pi."""
-    report = curvature_report(family, mesh, tols)
-    if report.flagged:
-        raise FlaggedPlaquetteError(flagged_message(report.flagged))
-    nearest = round(report.total)
-    residual = abs(report.total - nearest)
-    if residual >= RESIDUAL_CAP:
-        raise NonIntegerTotalError(
-            f"total curvature {report.total!r} is {residual:.3e} from an "
-            "integer (mesh too coarse or a rank jump crossed the cycle)"
-        )
-    return int(nearest)
+    nearest, _, errors = chern_verdict(curvature_report(family, mesh, tols))
+    if errors:
+        raise errors[0]
+    return nearest
 
 
 def pump_boundary_chern(n_theta: int, n_phi: int, tols: Tolerances = DEFAULT_TOLS) -> int:

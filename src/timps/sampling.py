@@ -9,9 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import TimpsError
+from .errors import NotInEError, NotInOError, TimpsError
 from .homotopy import has_split_core_spectrum
 from .tensors import (
+    CanonicalDecomposition,
     GaugeMove,
     MpsTensor,
     _decomposition,
@@ -39,11 +40,12 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_core(rng: np.random.Generator, d: int, chi: int,
-                tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
-    """Right-normalized injective core of the requested dimensions.
+                tols: Tolerances = DEFAULT_TOLS) -> CanonicalDecomposition:
+    """Decomposition of a right-normalized injective core of the requested
+    dimensions; its ``tensor`` is the core.
 
     Ginibre draws are normalized and rejected until the canonical form
-    confirms full rank; rejection is vanishingly rare.
+    confirms full rank; ``NotInEError`` after 64 rejected draws.
     """
     if d < chi * chi:
         raise ValueError("injectivity needs d >= chi^2")
@@ -51,24 +53,24 @@ def random_core(rng: np.random.Generator, d: int, chi: int,
         raw = MpsTensor(rng.normal(size=(d, chi, chi))
                         + 1j * rng.normal(size=(d, chi, chi)))
         try:
-            K = right_normalize(raw, tols)
-            if canonical_decompose(K, tols).chi == chi:
-                return K
+            dec = canonical_decompose(right_normalize(raw, tols), tols)
+            if dec.chi == chi:
+                return dec
         except TimpsError:
             continue
-    raise RuntimeError("failed to draw an injective normalized core")
+    raise NotInEError(f"64 draws failed to give an injective normalized core (d={d}, chi={chi})")
 
 
 def random_tensor_in_e(rng: np.random.Generator, d: int, D: int, chi: int,
                        filler_scale: float = 0.5,
-                       tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
-    """Assembled tensor with a random core, Haar bond basis, and Gaussian
-    filler block."""
-    K = canonical_decompose(random_core(rng, d, chi, tols), tols).K
+                       tols: Tolerances = DEFAULT_TOLS) -> CanonicalDecomposition:
+    """Decomposition of a tensor assembled from a random core, a Haar bond
+    basis and a Gaussian filler block."""
+    K = random_core(rng, d, chi, tols).K
     X = haar_unitary(rng, D)
     M = filler_scale * (rng.normal(size=(d, D - chi, chi))
                         + 1j * rng.normal(size=(d, D - chi, chi)))
-    return assemble(X, K, M)
+    return canonical_decompose(assemble(X, K, M), tols)
 
 
 def random_gauge_move(rng: np.random.Generator, A,
@@ -87,15 +89,16 @@ def random_gauge_move(rng: np.random.Generator, A,
 
 
 def random_split_spectrum_tensor(rng: np.random.Generator, chi: int, D: int,
-                                 tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
-    """A tensor of essential rank ``chi`` whose core Gram matrix has a split
-    spectrum (the retraction's active domain)."""
+                                 tols: Tolerances = DEFAULT_TOLS) -> CanonicalDecomposition:
+    """Decomposition of a tensor of essential rank ``chi`` whose core Gram
+    matrix has a split spectrum (the retraction's domain).  Raises
+    ``NotInOError`` after 64 draws outside it."""
     d = chi * chi
     for _ in range(64):
-        A = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        if has_split_core_spectrum(A, tols):
-            return A
-    raise RuntimeError("failed to draw a split-spectrum tensor")
+        dec = random_tensor_in_e(rng, d, D, chi, tols=tols)
+        if has_split_core_spectrum(dec, tols):
+            return dec
+    raise NotInOError(f"64 draws failed to give a split core spectrum (chi={chi}, D={D})")
 
 
 def random_observable(rng: np.random.Generator, d: int, n: int) -> WindowObservable:

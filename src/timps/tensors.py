@@ -110,16 +110,17 @@ def pad_tensor(A: MpsTensor, d: int, D: int) -> MpsTensor:
     return MpsTensor(out)
 
 
-def left_gram(A: MpsTensor) -> np.ndarray:
-    """Sum of ``A^{i*} A^i``; Hermitian PSD, its rank is the essential rank."""
-    m = A.mats
-    return np.einsum("iba,ibc->ac", m.conj(), m)
+def left_gram(A) -> np.ndarray:
+    """Sum of ``A^{i*} A^i`` of a tensor, or of each tensor of a ``(..., d, D, D)``
+    stack; Hermitian PSD, its rank is the essential rank."""
+    m = getattr(A, "mats", A)
+    return np.einsum("...iba,...ibc->...ac", m.conj(), m)
 
 
-def right_gram(A: MpsTensor) -> np.ndarray:
-    """Sum of ``A^i A^{i*}``."""
-    m = A.mats
-    return np.einsum("iab,icb->ac", m, m.conj())
+def right_gram(A) -> np.ndarray:
+    """Sum of ``A^i A^{i*}`` of a tensor, or of each tensor of a stack."""
+    m = getattr(A, "mats", A)
+    return np.einsum("...iab,...icb->...ac", m, m.conj())
 
 
 def _sorted_eigh(H: np.ndarray):
@@ -146,7 +147,7 @@ def _block_forms(mats: np.ndarray, tols: Tolerances):
     """Block form of an ``(N, d, D, D)`` stack: the left Gram spectra
     (descending), the bond bases ``X`` (Gram eigenvectors), the essential
     ranks (-1 where threshold-dependent) and the blocks ``X* A^i X``."""
-    w, X = _sorted_eigh(np.einsum("niba,nibc->nac", mats.conj(), mats))
+    w, X = _sorted_eigh(left_gram(mats))
     B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
     return w, X, _ranks_from_spectra(w, tols), B
 
@@ -220,6 +221,10 @@ class CanonicalDecomposition:
     def D(self) -> int:
         return self.X.shape[0]
 
+    @property
+    def mats(self) -> np.ndarray:
+        return self.tensor.mats
+
     def reassemble(self) -> MpsTensor:
         return assemble(self.X, self.K, self.M)
 
@@ -251,8 +256,15 @@ def _reassembly_errors(B: np.ndarray, chi: int) -> np.ndarray:
 def _normalization_residuals(K: np.ndarray) -> np.ndarray:
     """Frobenius distance of ``sum_i K^i K^{i*}`` from the identity, per core
     of a ``(..., d, chi, chi)`` stack."""
-    gram = np.einsum("...iab,...icb->...ac", K, K.conj())
-    return np.linalg.norm(gram - np.eye(K.shape[-1]), axis=(-2, -1))
+    return np.linalg.norm(right_gram(K) - np.eye(K.shape[-1]), axis=(-2, -1))
+
+
+def _memberships(B: np.ndarray, chi: int, tols: Tolerances):
+    """Cores, reassembly errors and normalization residuals of ``(..., d, D, D)``
+    blocks at rank ``chi``, and the refusal masks: reassembly, normalization, injectivity."""
+    K = np.ascontiguousarray(B[..., :chi, :chi])
+    recon, norm = _reassembly_errors(B, chi), _normalization_residuals(K)
+    return K, recon, norm, (recon > tols.tol_recon, norm > tols.tol_norm, ~_injective(K, tols))
 
 
 def canonical_decompose(
@@ -269,23 +281,18 @@ def canonical_decompose(
     X, chi, B = _block_form(A, tols)
     if chi == 0:
         raise NotInEError("tensor has numerically zero left Gram matrix")
-    K = B[:, :chi, :chi].copy()
-    M = B[:, chi:, :chi].copy()
-    recon_err = float(_reassembly_errors(B, chi))
-    if recon_err > tols.tol_recon:
+    K, recon_err, norm_err, (bad_recon, bad_norm, not_injective) = _memberships(B, chi, tols)
+    if bad_recon:
         raise NotInEError(
-            f"no block canonical form: reassembly error {recon_err:.3e} "
+            f"no block canonical form: reassembly error {float(recon_err):.3e} "
             f"exceeds {tols.tol_recon:.1e}"
         )
-    norm_err = float(_normalization_residuals(K))
-    if norm_err > tols.tol_norm:
-        raise NotInEError(
-            f"core is not right-normalized: residual {norm_err:.3e}"
-        )
-    if not _injective(K, tols):
+    if bad_norm:
+        raise NotInEError(f"core is not right-normalized: residual {float(norm_err):.3e}")
+    if not_injective:
         raise NotInEError("core matrices do not span the full matrix algebra")
-    return CanonicalDecomposition(X=X, K=K, M=M, chi=chi, tensor=A,
-                                  norm_residual=norm_err)
+    return CanonicalDecomposition(X=X, K=K, M=B[:, chi:, :chi].copy(), chi=chi, tensor=A,
+                                  norm_residual=float(norm_err))
 
 
 def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
@@ -311,14 +318,8 @@ def canonical_cores(
     other than ``chi``; there ``K[n]`` is meaningless.
     """
     _, _, ranks, B = _block_forms(np.asarray(mats, dtype=complex), tols)
-    K = np.ascontiguousarray(B[..., :chi, :chi])
-    ok = (
-        (ranks == chi)
-        & ~(_reassembly_errors(B, chi) > tols.tol_recon)
-        & ~(_normalization_residuals(K) > tols.tol_norm)
-        & _injective(K, tols)
-    )
-    return K, ok
+    K, _, _, (bad_recon, bad_norm, not_injective) = _memberships(B, chi, tols)
+    return K, (ranks == chi) & ~(bad_recon | bad_norm | not_injective)
 
 
 def essential_rank(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> int:
@@ -352,6 +353,32 @@ def _sorted_spectrum(vals: np.ndarray, vecs: np.ndarray | None = None):
     return vals, np.take_along_axis(vecs, order[..., None, :], axis=-1)
 
 
+def _degenerate(vals: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Whether the second modulus of descending-modulus spectra (last axis) is
+    within the gap tolerance of the first; a single eigenvalue never is."""
+    if vals.shape[-1] < 2:
+        return np.zeros(vals.shape[:-1], dtype=bool)
+    return np.abs(vals[..., 1]) > (1.0 - tols.tol_gap) * np.abs(vals[..., 0])
+
+
+def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):
+    """Descending-modulus spectrum ``vals`` of a ``chi^2 x chi^2`` transfer
+    matrix and ``eigh`` ``(w, V)`` of its leading eigenvector as a trace-one
+    Hermitian ``chi x chi`` matrix; a gapless spectrum or traceless lead is refused."""
+    vals, vecs = _sorted_spectrum(*np.linalg.eig(mat))
+    if _degenerate(vals, tols):
+        raise DegenerateLeadingEigenvalueError(
+            f"transfer gap too small: |lambda_2| = {abs(vals[1]):.12f}"
+        )
+    rho = vecs[:, 0].reshape(chi, chi)
+    tr = np.trace(rho)
+    if abs(tr) < 1e-14:
+        raise DegenerateLeadingEigenvalueError("leading eigenvector is traceless")
+    rho = rho / tr
+    w, V = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    return vals, w, V
+
+
 def right_normalize(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
     """Produce a representative with a right-normalized core.
 
@@ -365,25 +392,10 @@ def right_normalize(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
         raise NotInEError("cannot normalize a numerically zero tensor")
     K0 = B[:, :chi, :chi]
     M0 = B[:, chi:, :chi]
-
-    vals, vecs = _sorted_spectrum(*np.linalg.eig(transfer_kernel(K0, K0)))
-    lam = vals[0]
-    if len(vals) > 1 and abs(vals[1]) > (1.0 - tols.tol_gap) * abs(lam):
-        raise DegenerateLeadingEigenvalueError(
-            "leading eigenvalue of the core map is not simple; "
-            "the core is not injective-irreducible"
-        )
-    lam = float(lam.real)
+    vals, rw, rV = _leading_fixed_point(transfer_kernel(K0, K0), chi, tols)
+    lam = float(vals[0].real)
     if lam <= 0:
         raise NotInEError("core map has non-positive leading eigenvalue")
-
-    rho = vecs[:, 0].reshape(chi, chi)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-14:
-        raise DegenerateLeadingEigenvalueError("traceless leading eigenvector")
-    rho = rho / tr
-    rho = (rho + rho.conj().T) / 2.0
-    rw, rV = np.linalg.eigh(rho)
     if rw[0] < tols.tol_norm * rw[-1]:
         raise DegenerateLeadingEigenvalueError(
             "fixed point of the core map is singular (reducible core)"

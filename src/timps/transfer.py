@@ -20,7 +20,13 @@ from .errors import (
     NotPositiveError,
     WindowTooLargeError,
 )
-from .tensors import MpsTensor, _sorted_spectrum, transfer_kernel
+from .tensors import (
+    MpsTensor,
+    _degenerate,
+    _leading_fixed_point,
+    _sorted_spectrum,
+    transfer_kernel,
+)
 
 __all__ = [
     "TransferFixedPoint",
@@ -72,9 +78,7 @@ class WindowObservable:
 
 
 def _core_mats(K) -> np.ndarray:
-    if isinstance(K, MpsTensor):
-        return K.mats
-    return np.asarray(K, dtype=complex)
+    return np.asarray(getattr(K, "mats", K), dtype=complex)
 
 
 def transfer_matrix(K, C) -> np.ndarray:
@@ -106,26 +110,13 @@ def fixed_point(K, tols: Tolerances = DEFAULT_TOLS) -> TransferFixedPoint:
     """
     mats = _core_mats(K)
     d, chi = mats.shape[0], mats.shape[1]
-    vals, vecs = _sorted_spectrum(*np.linalg.eig(transfer_matrix(mats, np.eye(d))))
-    if chi > 1 and abs(vals[1]) > (1.0 - tols.tol_gap) * abs(vals[0]):
-        raise DegenerateLeadingEigenvalueError(
-            f"transfer gap too small: |lambda_2| = {abs(vals[1]):.12f}"
-        )
-    T = vecs[:, 0].reshape(chi, chi)
-    tr = np.trace(T)
-    if abs(tr) < 1e-14:
-        raise NotPositiveError("leading eigenvector is traceless")
-    T = T / tr
-    T = (T + T.conj().T) / 2.0
-    w, V = np.linalg.eigh(T)
+    vals, w, V = _leading_fixed_point(transfer_matrix(mats, np.eye(d)), chi, tols)
     if w[0] < -tols.tol_norm:
         raise NotPositiveError(
             f"Hermitized fixed point has eigenvalue {w[0]:.3e} < -tol_norm"
         )
-    w = np.clip(w, 0.0, None)
-    T = (V * w) @ V.conj().T
-    T = T / np.trace(T).real
-    return TransferFixedPoint(T=T, spectrum=vals)
+    T = (V * np.clip(w, 0.0, None)) @ V.conj().T
+    return TransferFixedPoint(T=T / np.trace(T).real, spectrum=vals)
 
 
 def expectation(K, T, obs: WindowObservable) -> complex:
@@ -173,25 +164,22 @@ def window_density_matrix(K, T, n: int, cap: int = WINDOW_CAP) -> np.ndarray:
 
 
 def correlation_length(K, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Correlation length from the second transfer eigenvalue.
+    """Correlation length ``-1 / log(|lambda_2| / |lambda_1|)`` from the
+    transfer spectrum.
 
     Returns 0 for a bond-dimension-1 core (pure product state, no second
-    eigenvalue) and infinity when the second modulus reaches the leading one
-    within the gap tolerance.
+    eigenvalue) or a vanishing second eigenvalue.  Raises
+    ``DegenerateLeadingEigenvalueError`` when the second modulus is within
+    the gap tolerance of the leading one: the length is then not resolved.
     """
     mats = _core_mats(K)
     if mats.shape[1] == 1:
         return 0.0
     spec = transfer_spectrum(mats)
-    lam1, lam2 = abs(spec[0]), abs(spec[1])
-    if lam2 > (1.0 - tols.tol_gap) * lam1:
+    if _degenerate(spec, tols):
         raise DegenerateLeadingEigenvalueError("no spectral gap below the leading eigenvalue")
-    ratio = lam2 / lam1
-    if ratio == 0.0:
-        return 0.0
-    if ratio >= 1.0 - tols.tol_gap:
-        return math.inf
-    return -1.0 / math.log(ratio)
+    ratio = abs(spec[1]) / abs(spec[0])
+    return 0.0 if ratio == 0.0 else -1.0 / math.log(ratio)
 
 
 def trace_invariant(A: MpsTensor) -> float:

@@ -204,6 +204,24 @@ def test_domain_failure_exits_one(tmp_path):
     assert "RankMismatchError" in doc["failures"][0]
 
 
+@pytest.mark.parametrize("args", [
+    ["retract-sweep", "--seed", 1, "--count", 6, "--tol", "eps_rank=0.5"],
+    ["retract-sweep", "--seed", 1, "--count", 6, "--tol", "tol_distinct=0.99"],
+    ["retract-sweep", "--seed", 1, "--count", 12, "--tol", "tol_gap=0.9"],
+    ["contract-sweep", "--seed", 1, "--count", 4, "--tol", "eps_rank=0.5"],
+    ["oracle-check", "--seed", 1, "--trials", 2, "--gauge-trials", 2, "--tol", "eps_rank=0.5"],
+], ids=["retract-eps_rank", "retract-tol_distinct", "retract-tol_gap",
+        "contract-eps_rank", "oracle-eps_rank"])
+def test_exhausted_draws_exit_one_with_a_report(tmp_path, capsys, args):
+    # every draw is refused at these tolerances; the sampler gives up
+    code = run_cli(args + ["--out", tmp_path])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    assert read_json(tmp_path / f"{args[0]}.json")["pass"] is False
+    assert "Traceback" not in err
+
+
 def _custom_spec_with_charts():
     """A custom family that runs on a 4x4 mesh but for its chart labels."""
     from timps.families import aklt_path, make_sphere_mesh

@@ -378,7 +378,7 @@ def test_decomposition_input_is_not_recomputed(make_rng, monkeypatch):
     import timps.tensors
 
     rng = make_rng(32)
-    A = random_split_spectrum_tensor(rng, 2, 3)
+    A = random_split_spectrum_tensor(rng, 2, 3).tensor
     dec_a = canonical_decompose(A)
     dec_b = canonical_decompose(apply_gauge(A, random_gauge_move(rng, dec_a)))
     calls = []

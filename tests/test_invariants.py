@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from timps.errors import RankMismatchError, VanishingOverlapError
+from timps.errors import (
+    FlaggedPlaquetteError,
+    NonIntegerTotalError,
+    RankMismatchError,
+    VanishingOverlapError,
+)
 from timps.families import (
     SphereFamily,
     aklt_path,
@@ -14,7 +19,9 @@ from timps.families import (
     psi2_tensor,
 )
 from timps.invariants import (
+    CurvatureField,
     chern_number,
+    chern_verdict,
     curvature_report,
     link_field,
     link_variable,
@@ -148,3 +155,19 @@ def test_chern_number_rank2_slice_family():
     from timps.families import pump_slice_family
     mesh = make_sphere_mesh(12, 12)
     assert chern_number(pump_slice_family(0.8), mesh) == 0
+
+
+@pytest.mark.parametrize("total, flagged, kinds", [
+    (1.0, (), []),
+    (0.4, (), [NonIntegerTotalError]),
+    (-1.0, (3,), [FlaggedPlaquetteError]),
+    (0.4, (3,), [NonIntegerTotalError, FlaggedPlaquetteError]),
+])
+def test_chern_verdict_lists_the_residual_refusal_first(total, flagged, kinds):
+    n = 4
+    report = CurvatureField(plaquette_ids=np.arange(n), theta_lo=np.zeros(n),
+                            phi_lo=np.zeros(n), curvature=np.zeros(n),
+                            total=total, flagged=flagged)
+    nearest, residual, errors = chern_verdict(report)
+    assert nearest == round(total) and residual == abs(total - round(total))
+    assert [type(e) for e in errors] == kinds

@@ -167,7 +167,7 @@ def test_stacked_cores_match_scalar_decomposition():
 
 
 def test_stacked_cores_refuse_what_the_scalar_pass_refuses(rng):
-    good = random_tensor_in_e(rng, 4, 3, 2)
+    good = random_tensor_in_e(rng, 4, 3, 2).tensor
     leaky = np.zeros((4, 3, 3), dtype=complex)
     leaky[:, :2, :2] = aklt_path(0.5).mats
     # a column past the core, below the rank cutoff but above tol_recon

@@ -1,6 +1,7 @@
 """The tolerance policy, checked on the source: a function receives its
-thresholds only through a ``tols: Tolerances`` parameter, and a function
-that has ``tols`` hands it on to every library function that takes one."""
+thresholds only through a ``tols: Tolerances`` parameter, a function
+that has ``tols`` hands it on to every library function that takes one,
+and each threshold verdict is compared in one function."""
 
 import ast
 from dataclasses import fields
@@ -84,3 +85,43 @@ def test_tols_is_passed_on(module):
             if not (by_keyword or by_position):
                 missing.append(f"{fn.name}:{call.lineno} calls {name} without tols")
     assert not missing
+
+
+def comparing_functions(tree, matches):
+    """Innermost functions (``<module>`` outside any) holding an ``ast.Compare``
+    with a node that ``matches`` accepts; printed values are not compared."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Lambda):
+            owner = "lambda"
+        if isinstance(node, ast.Compare) and any(map(matches, ast.walk(node))):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def named(name):
+    return lambda node: (isinstance(node, ast.Name) and node.id == name
+                         or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def literal(value):
+    return lambda node: isinstance(node, ast.Constant) and node.value == value
+
+
+@pytest.mark.parametrize("matches, modules, owners", [
+    (named("tol_gap"), sorted(TREES), {"tensors.py:_degenerate"}),
+    (named("tol_recon"), sorted(TREES), {"tensors.py:_memberships"}),
+    (named("RESIDUAL_CAP"), sorted(TREES), {"invariants.py:chern_verdict"}),
+    # the traceless guard; cli's 1e-14 bounds are acceptance bounds
+    (literal(1e-14), ["tensors.py", "transfer.py"], {"tensors.py:_leading_fixed_point"}),
+], ids=["tol_gap", "tol_recon", "RESIDUAL_CAP", "traceless-1e-14"])
+def test_each_threshold_is_compared_in_one_function(matches, modules, owners):
+    assert {f"{module}:{fn}" for module in modules
+            for fn in comparing_functions(TREES[module], matches)} == owners

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from timps.errors import WindowTooLargeError
+from timps.errors import DegenerateLeadingEigenvalueError, WindowTooLargeError
 from timps.families import aklt_path, psi2_tensor
 from timps.sampling import random_core, random_gauge_move, random_observable, random_tensor_in_e
 from timps.tensors import (
@@ -337,6 +337,13 @@ def test_correlation_length_values():
 def test_correlation_length_diverges_toward_product_point():
     xs = [correlation_length(aklt_path(g)) for g in (0.4, 0.2, 0.1, 0.05)]
     assert all(b > a for a, b in zip(xs, xs[1:]))
+
+
+def test_correlation_length_refuses_a_gapless_spectrum():
+    # |lambda_2| = 1 - (4/3) g^2 is within tol_gap = 1e-6 of 1 below g ~ 8.7e-4
+    assert abs(correlation_length(aklt_path(1e-3)) - 749999.5) < 1.0
+    with pytest.raises(DegenerateLeadingEigenvalueError, match="no spectral gap"):
+        correlation_length(aklt_path(1e-4))
 
 
 def test_trace_invariant_closed_form():
