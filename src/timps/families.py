@@ -152,7 +152,7 @@ def pump_north(pt: PumpPoint) -> MpsTensor:
     """
     if not pt.w4 > -0.5:
         raise OutOfChartError("north chart requires w4 > -1/2")
-    X = berry_rotation(*_angles(pt.w))
+    X = berry_rotation(pt.theta, pt.phi)
     M = X @ _lambda_north(pt) @ X.T
     mats = np.zeros((4, 2, 2), dtype=complex)
     for i in range(2):
@@ -165,7 +165,7 @@ def pump_south(pt: PumpPoint) -> MpsTensor:
     """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``."""
     if not pt.w4 < 0.5:
         raise OutOfChartError("south chart requires w4 < 1/2")
-    X = berry_rotation(*_angles(pt.w))
+    X = berry_rotation(pt.theta, pt.phi)
     M = X @ _lambda_south(pt) @ X.T
     mats = np.zeros((4, 1, 1), dtype=complex)
     for i in range(2):

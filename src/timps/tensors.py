@@ -166,10 +166,10 @@ def _block_form(A: MpsTensor, tols: Tolerances):
 
 def range_projection(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Orthogonal projection onto the span of the dominant eigenvectors of
-    the left Gram matrix (eigenvalues above ``tols.eps_rank * lambda_max``)."""
-    X, rank, _ = _block_form(A, tols)
-    Xr = X[:, :rank]
-    return Xr @ Xr.conj().T
+    the left Gram matrix (eigenvalues above ``tols.eps_rank * lambda_max``);
+    a decomposition's own basis and rank are used as given."""
+    X, rank = (A.X, A.chi) if isinstance(A, CanonicalDecomposition) else _block_form(A, tols)[:2]
+    return X[:, :rank] @ X[:, :rank].conj().T
 
 
 def _injective(K: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -271,13 +271,15 @@ def canonical_decompose(
     A: MpsTensor,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CanonicalDecomposition:
-    """Recover ``(X, K, M, chi)`` from a tensor, or refuse.
+    """Recover ``(X, K, M, chi)`` from a tensor, or refuse; a decomposition is returned as given.
 
     The bond basis is the eigenbasis of the left Gram matrix, range first,
     eigenvalues descending, eigenvector phases fixed by the largest-modulus
     entry.  Raises ``NotInEError`` if the block form does not reproduce the
     input, or if the recovered core is not injective or not right-normalized.
     """
+    if isinstance(A, CanonicalDecomposition):
+        return A
     X, chi, B = _block_form(A, tols)
     if chi == 0:
         raise NotInEError("tensor has numerically zero left Gram matrix")
@@ -296,11 +298,9 @@ def canonical_decompose(
 
 
 def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
-    """``A`` itself when it is a :class:`CanonicalDecomposition` (trusted,
-    not recomputed), else the canonical decomposition of the tensor ``A``."""
-    if isinstance(A, CanonicalDecomposition):
-        return A
-    return canonical_decompose(A, tols)
+    """``A`` as given when it is a decomposition, without a call to
+    :func:`canonical_decompose`; else the decomposition of the tensor ``A``."""
+    return A if isinstance(A, CanonicalDecomposition) else canonical_decompose(A, tols)
 
 
 def canonical_cores(

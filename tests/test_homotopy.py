@@ -352,7 +352,7 @@ def test_retract_reports_delta(make_rng):
 
 def test_decomposition_input_matches_tensor_input(make_rng):
     rng = make_rng(31)
-    A = random_split_spectrum_tensor(rng, 3, 4)
+    A = random_split_spectrum_tensor(rng, 3, 4).tensor
     B = apply_gauge(A, random_gauge_move(rng, A))
     dec_a, dec_b = canonical_decompose(A), canonical_decompose(B)
     assert dec_a.tensor is A

@@ -146,11 +146,18 @@ def test_canonical_decompose_block_form_input(rng):
 
 def test_canonical_decompose_round_trip_random_basis(rng):
     for chi, D, d in ((1, 2, 3), (2, 3, 4), (3, 4, 9)):
-        A = random_tensor_in_e(rng, d, D, chi)
+        A = random_tensor_in_e(rng, d, D, chi).tensor
         dec = canonical_decompose(A)
         assert dec.chi == chi
         assert np.abs(dec.reassemble().mats - A.mats).max() < DEFAULT_TOLS.tol_recon
         assert np.allclose(dec.X.conj().T @ dec.X, np.eye(D), atol=1e-12)
+
+
+def test_decomposition_is_returned_as_given(rng):
+    dec = random_tensor_in_e(rng, 4, 3, 2)
+    assert canonical_decompose(dec) is dec
+    assert essential_rank(dec) == 2
+    assert np.array_equal(range_projection(dec), range_projection(dec.tensor))
 
 
 def test_canonical_decompose_rejects_outside_block_form(rng):
