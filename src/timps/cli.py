@@ -33,6 +33,7 @@ from .families import (
 from .homotopy import (
     PhiRule,
     contraction_endpoint,
+    contraction_output_dims,
     contraction_path,
     isometry_path_block,
     retract,
@@ -46,8 +47,11 @@ from .sampling import (
     random_tensor_in_e,
 )
 from .tensors import (
+    CanonicalDecomposition,
+    MpsTensor,
     apply_gauge,
     canonical_decompose,
+    canonical_decompositions,
     fidelity_per_site,
     gauge_equivalent,
     pad_tensor,
@@ -148,73 +152,156 @@ def _exp_gamma_check(params, rng, tols):
     return ["phi", "t", "isometry_dev"], rows, summary, failures
 
 
+# Output bytes per window of a sweep: a window's cases are held at once and
+# its stacked passes hold a few arrays of its output size.  On a 2-CPU VM,
+# retract-sweep --count 400 and contract-sweep --count 200 peak at 40.9 and
+# 40.3 MB with 512 KB and at 44.5 and 43.3 MB with 2 MB, and take as long.
+SWEEP_CHUNK_BYTES = 1 << 19
+
+
+def _sweep(count: int, draw, key, nbytes, run):
+    """Rows and failures of a randomized sweep, in case order.
+
+    Cases are drawn in RNG order by ``draw(case)``, in windows that end with
+    the case whose ``nbytes(drawn)`` brings the total to ``SWEEP_CHUNK_BYTES``.
+    The window's cases of equal ``key(drawn)`` go through one ``run(items)``
+    call on ``(case, drawn)`` pairs, which returns each case's rows and
+    failures.  A failed draw is raised after the cases drawn before it have
+    run, as in a one-case-at-a-time loop; ``run`` may raise only errors whose
+    type and message do not depend on the case.
+    """
+    rows, failures, case = [], [], 0
+    while case < count:
+        window, budget, error = [], SWEEP_CHUNK_BYTES, None
+        try:
+            while case < count and budget > 0:
+                window.append((case, draw(case)))
+                budget -= nbytes(window[-1][1])
+                case += 1
+        except TimpsError as exc:
+            error = exc
+        groups, done = {}, {}
+        for item in window:
+            groups.setdefault(key(item[1]), []).append(item)
+        for items in groups.values():
+            done.update(zip((c for c, _ in items), run(items)))
+        if error is not None:
+            raise error
+        for c, _ in window:
+            rows += done[c][0]
+            failures += done[c][1]
+    return rows, failures
+
+
+def _decompositions(stack: np.ndarray, tols) -> list:
+    """``canonical_decompositions`` of an ``(N, T, d, D, D)`` stack, case-major."""
+    return canonical_decompositions(stack.reshape((-1,) + stack.shape[2:]), tols)
+
+
 _CONTRACT_SHAPES = ((4, 2, 2), (4, 3, 2), (2, 2, 1), (3, 2, 1))
 
 
 def _exp_contract_sweep(params, rng, tols):
     count, s_steps = params["count"], params["s_steps"]
-    rows, failures = [], []
-    endpoints = []
-    for case in range(count):
-        d, D, chi = _CONTRACT_SHAPES[case % len(_CONTRACT_SHAPES)]
-        A = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        for k in range(s_steps):
-            s = k / (s_steps - 1)
-            P = contraction_path(A, s, tols=tols)
-            try:
-                dec = canonical_decompose(P, tols)
-                rows.append((case, s, dec.chi, dec.norm_residual))
-            except TimpsError as exc:
-                failures.append(f"case {case} s={s}: not in the tensor space ({exc})")
-                rows.append((case, s, -1, math.nan))
-        # the last grid point is s = 1: P is the endpoint
-        dev = float(np.abs(P.mats - contraction_endpoint(A.d, A.D).mats).max())
-        _check(failures, dev <= 1e-12, f"case {case}: endpoint deviation {dev:.3e}")
-        endpoints.append(P)
-    d_max = max(e.d for e in endpoints)
-    D_max = max(e.D for e in endpoints)
-    padded = [pad_tensor(e, d_max, D_max).mats for e in endpoints]
-    cross = 0.0
-    for em in padded[1:]:
-        cross = max(cross, float(np.abs(em - padded[0]).max()))
+    s_grid = [k / (s_steps - 1) for k in range(s_steps)]
+    shapes = [_CONTRACT_SHAPES[case % len(_CONTRACT_SHAPES)] for case in range(count)]
+    d_max, D_max = np.max([contraction_output_dims(d, D) for d, D, _ in shapes], axis=0)
+    first_end, cross = None, 0.0  # case 0's padded endpoint; the largest distance from it
+
+    def run(items):
+        nonlocal first_end, cross
+        P = contraction_path([A for _, A in items], s_grid, tols=tols)
+        decs = _decompositions(P, tols)
+        target = contraction_endpoint(items[0][1].d, items[0][1].D).mats
+        results = []
+        for j, (case, _) in enumerate(items):
+            rows, failures = [], []
+            for s, dec in zip(s_grid, decs[j * s_steps:]):
+                if isinstance(dec, TimpsError):
+                    failures.append(f"case {case} s={s}: not in the tensor space ({dec})")
+                    rows.append((case, s, -1, math.nan))
+                else:
+                    rows.append((case, s, dec.chi, dec.norm_residual))
+            # the last grid point is s = 1: P[j, -1] is the endpoint
+            dev = float(np.abs(P[j, -1] - target).max())
+            _check(failures, dev <= 1e-12, f"case {case}: endpoint deviation {dev:.3e}")
+            end = pad_tensor(MpsTensor(P[j, -1]), d_max, D_max).mats
+            first_end = end if first_end is None else first_end
+            cross = max(cross, float(np.abs(end - first_end).max()))
+            results.append((rows, failures))
+        return results
+
+    rows, failures = _sweep(
+        count, lambda case: random_tensor_in_e(rng, *shapes[case], tols=tols),
+        lambda A: (A.d, A.D),
+        lambda A: 16 * s_steps * contraction_output_dims(A.d, A.D)[0] * (A.D + 1) ** 2, run)
     _check(failures, cross <= 1e-12, f"endpoints differ across inputs by {cross:.3e}")
     summary = {"count": count, "max_endpoint_cross_dev": cross}
     return ["case", "s", "essential_rank", "core_norm_residual"], rows, summary, failures
 
 
+_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 def _exp_retract_sweep(params, rng, tols):
     count = params["count"]
     chis = params["chis"]
-    t_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    rows, failures = [], []
-    for case in range(count):
+
+    def draw(case):
         chi = chis[case % len(chis)]
-        D = chi + (case // len(chis)) % 2
-        dec_a = random_split_spectrum_tensor(rng, chi, D, tols)
-        move = random_gauge_move(rng, dec_a, tols=tols)
-        dec_b = canonical_decompose(apply_gauge(dec_a.tensor, move, tols), tols)
-        for t in t_grid:
-            st = retract(dec_a, t, tols=tols)
-            H = st.tensor
-            dist = float(np.abs(H.mats - dec_a.mats).max())
-            try:
-                dec = canonical_decompose(H, tols)
-                rank, resid = dec.chi, dec.norm_residual
-            except TimpsError as exc:
-                failures.append(f"case {case} t={t}: output not decomposable ({exc})")
-                # gauge_equivalent below decomposes H again and raises
-                dec, rank, resid = H, -1, math.nan
-            rows.append((case, chi, t, rank, st.delta, dist, resid))
-            if t == 0.0:
-                _check(failures, dist <= 1e-12,
-                       f"case {case}: retraction moved the t=0 tensor by {dist:.3e}")
-            if t == 1.0:
-                _check(failures, 0 < rank < chi,
-                       f"case {case}: rank {rank} not below {chi} at t=1")
-            if t > 0.0:
-                hb = retract(dec_b, t, tols=tols).tensor
-                _check(failures, gauge_equivalent(dec, hb, tols),
-                       f"case {case} t={t}: gauge equivariance failed")
+        dec_a = random_split_spectrum_tensor(rng, chi, chi + (case // len(chis)) % 2, tols)
+        moved = apply_gauge(dec_a, random_gauge_move(rng, dec_a, tols=tols), tols)
+        try:
+            return dec_a, canonical_decompose(moved, tols)
+        except TimpsError as exc:
+            return dec_a, exc
+
+    def run(items):
+        delta, H = retract([dec_a for _, (dec_a, _) in items], _T_GRID, tols=tols)
+        dist = np.abs(H - H[:, :1]).max(axis=(2, 3, 4))
+        # at t = 0 the output is the input, whose decomposition is dec_a
+        outs = _decompositions(H[:, 1:], tols)
+        moved = [None] * len(outs)  # the key keeps undecomposable gauge-moved inputs apart
+        if isinstance(items[0][1][1], CanonicalDecomposition):
+            HB = retract([dec_b for _, (_, dec_b) in items], _T_GRID[1:], tols=tols)[1]
+            moved = _decompositions(HB, tols)
+        both = [k for k, pair in enumerate(zip(outs, moved))
+                if all(isinstance(x, CanonicalDecomposition) for x in pair)]
+        equivalent = dict(zip(both, gauge_equivalent([outs[k] for k in both],
+                                                     [moved[k] for k in both], tols)))
+        results = []
+        for j, (case, (dec_a, dec_b)) in enumerate(items):
+            chi = chis[case % len(chis)]
+            rows, failures = [], []
+            if isinstance(dec_b, TimpsError):
+                failures.append(f"case {case}: gauge-moved input not decomposable ({dec_b})")
+            for i, t in enumerate(_T_GRID):
+                k = j * (len(_T_GRID) - 1) + i - 1
+                dec = outs[k] if i else dec_a
+                if isinstance(dec, TimpsError):
+                    failures.append(f"case {case} t={t}: output not decomposable ({dec})")
+                    rank, resid = -1, math.nan
+                else:
+                    rank, resid = dec.chi, dec.norm_residual
+                rows.append((case, chi, t, rank, delta[j], dist[j, i], resid))
+                if t == 0.0:
+                    _check(failures, dist[j, i] <= 1e-12,
+                           f"case {case}: retraction moved the t=0 tensor by {dist[j, i]:.3e}")
+                if t == 1.0:
+                    _check(failures, 0 < rank < chi,
+                           f"case {case}: rank {rank} not below {chi} at t=1")
+                if t > 0.0 and isinstance(moved[k], TimpsError):
+                    failures.append(f"case {case} t={t}: gauge-moved output not "
+                                    f"decomposable ({moved[k]})")
+                elif t > 0.0 and k in equivalent:
+                    _check(failures, equivalent[k],
+                           f"case {case} t={t}: gauge equivariance failed")
+            results.append((rows, failures))
+        return results
+
+    rows, failures = _sweep(
+        count, draw, lambda ab: (ab[0].d, ab[0].D, ab[0].chi, getattr(ab[1], "chi", None)),
+        lambda ab: 16 * (2 * len(_T_GRID) - 1) * ab[0].d * ab[0].D ** 2, run)
     summary = {"count": count, "chis": list(chis)}
     return (["case", "chi", "t", "essential_rank", "delta",
              "dist_from_input", "core_norm_residual"], rows, summary, failures)
@@ -394,7 +481,7 @@ def _exp_oracle_check(params, rng, tols):
         D = chi + 1
         dec_a = random_tensor_in_e(rng, d, D, chi, tols=tols)
         move = random_gauge_move(rng, dec_a, tols=tols)
-        dec_b = canonical_decompose(apply_gauge(dec_a.tensor, move, tols), tols)
+        dec_b = canonical_decompose(apply_gauge(dec_a, move, tols), tols)
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")
         T_a, T_b = fixed_point(dec_a.K, tols), fixed_point(dec_b.K, tols)

@@ -26,9 +26,8 @@ from .tensors import (
     CanonicalDecomposition,
     MpsTensor,
     _decomposition,
-    assemble,
+    _assembled,
     left_gram,
-    pad_tensor,
     right_gram,
 )
 
@@ -137,13 +136,14 @@ def isometry_path_block(phi: PhiRule, t: float, n_rows: int, n_cols: int) -> np.
 
 
 def _mix_physical(gam: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``sum_j gam_ij mats^j`` for every output index ``i``."""
-    return np.einsum("ij,jab->iab", gam, mats)
+    """``sum_j gam_ij mats^j`` for every output index ``i``, per tensor of a stack."""
+    return np.einsum("ij,...jab->...iab", gam, mats)
 
 
 def _conjugate_bonds(delta: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``delta mats^i delta^T`` for every physical index ``i`` (``delta`` is real)."""
-    return np.einsum("ab,ibc,dc->iad", delta, mats, delta)
+    """``delta mats^i delta^T`` for every physical index ``i``, per tensor of
+    a stack (``delta`` is real)."""
+    return np.einsum("ab,...ibc,dc->...iad", delta, mats, delta)
 
 
 def apply_physical_isometry(A, phi: PhiRule, t: float,
@@ -184,62 +184,66 @@ def contraction_endpoint(d: int, D: int) -> MpsTensor:
     return MpsTensor(mats)
 
 
-def _shifted(mat: np.ndarray) -> np.ndarray:
-    """Embed a D x D matrix into (D+1) x (D+1), shifted one slot down-right."""
-    D = mat.shape[0]
-    out = np.zeros((D + 1, D + 1), dtype=complex)
-    out[1:, 1:] = mat
-    return out
+_SHIFT = PhiRule.from_name("shift")
+_TRIPLE = PhiRule.from_name("3n+1")
 
 
-def _stage_widen(A: MpsTensor, t: float) -> np.ndarray:
+def _pair_slots(d: int, D: int):
+    """Physical indices ``j - 1`` and bond indices ``gamma - 1`` over all
+    pairs, j-major, and ``cantor_pair(j, gamma)`` of each."""
+    j, gamma = np.divmod(np.arange(d * D), D)
+    return j, gamma, np.array([cantor_pair(a + 1, b + 1) for a, b in zip(j, gamma)])
+
+
+# Each stage maps an (N, d, D, D) stack and a list of T stage-clock times
+# to the (N, T, ...) stack of its tensors.
+
+def _stage_widen(mats: np.ndarray, t: list) -> np.ndarray:
     """First stage: move along the physical (3n+1) and bond (n+1) isometry
-    paths simultaneously; identity at t = 0, triple-spaced embedding at 1."""
-    delta = isometry_path_block(PhiRule.from_name("shift"), t, A.D + 1, A.D)
-    gam = isometry_path_block(PhiRule.from_name("3n+1"), t, 3 * A.d + 1, A.d)
-    return _mix_physical(gam, _conjugate_bonds(delta, A.mats))
+    paths simultaneously; identity at t = 0, triple-spaced embedding at 1.
+    Shape ``(N, T, 3d + 1, D + 1, D + 1)``."""
+    d, D = mats.shape[-3], mats.shape[-1]
+    return np.stack([
+        _mix_physical(isometry_path_block(_TRIPLE, tk, 3 * d + 1, d),
+                      _conjugate_bonds(isometry_path_block(_SHIFT, tk, D + 1, D), mats))
+        for tk in t], axis=1)
 
 
-def _stage_row_growth(A: MpsTensor, t: float) -> np.ndarray:
+def _stage_row_growth(mats: np.ndarray, t: list) -> np.ndarray:
     """Second stage: keep the embedded copy on slots 3j+1 and grow, on slots
     3*pair(j, gamma), row vectors carrying the matrix rows of A scaled by
     t / sqrt(tr R(A))."""
-    d, D = A.d, A.D
+    d, D = mats.shape[-3], mats.shape[-1]
     d_out, D_out = contraction_output_dims(d, D)
-    coeff = t / math.sqrt(np.trace(right_gram(A)).real)
-    out = np.zeros((d_out, D_out, D_out), dtype=complex)
-    for j in range(1, d + 1):
-        out[3 * j] = _shifted(A.mats[j - 1])  # slot 3j+1
-    for j in range(1, d + 1):
-        for gamma in range(1, D + 1):
-            slot = 3 * cantor_pair(j, gamma)
-            out[slot - 1][0, 1:] = coeff * A.mats[j - 1][gamma - 1, :]
+    coeff = np.asarray(t) / np.sqrt(np.trace(right_gram(mats), axis1=-2, axis2=-1).real)[:, None]
+    out = np.zeros((len(mats), len(t), d_out, D_out, D_out), dtype=complex)
+    out[:, :, 3:3 * d + 1:3, 1:, 1:] = mats[:, None]  # slot 3j+1 holds A^j, shifted
+    j, gamma, pair = _pair_slots(d, D)
+    out[:, :, :, 0, 1:][:, :, 3 * pair - 1] = coeff[:, :, None, None] * mats[:, None, j, gamma]
     return out
 
 
-def _stage_swap(A: MpsTensor, t: float) -> np.ndarray:
+def _stage_swap(mats: np.ndarray, t: list) -> np.ndarray:
     """Third stage: scale the previous components to zero while growing a
     unit top-corner entry and column vectors carrying the matrix columns."""
-    d, D = A.d, A.D
-    d_out, D_out = contraction_output_dims(d, D)
-    old = _stage_row_growth(A, 1.0)
-    out = math.sqrt(1.0 - t) * old
+    d, D = mats.shape[-3], mats.shape[-1]
+    root = np.sqrt(np.asarray(t))
+    out = np.sqrt(1.0 - np.asarray(t))[:, None, None, None] * _stage_row_growth(mats, [1.0])
     # the old stage is zero on slot 1 and slots 3*pair - 1, where growth happens
-    out[0] = 0.0
-    out[0][0, 0] = math.sqrt(t)
-    for j in range(1, d + 1):
-        for gamma in range(1, D + 1):
-            slot = 3 * cantor_pair(j, gamma) - 1
-            out[slot - 1] = 0.0
-            out[slot - 1][1:, 0] = math.sqrt(t) * A.mats[j - 1][:, gamma - 1]
+    out[:, :, 0] = 0.0
+    out[:, :, 0, 0, 0] = root
+    j, gamma, pair = _pair_slots(d, D)
+    out[:, :, 3 * pair - 2] = 0.0
+    cols = np.swapaxes(mats, -1, -2)[:, j, gamma]
+    out[:, :, :, 1:, 0][:, :, 3 * pair - 2] = root[:, None, None] * cols[:, None]
     return out
 
 
-def _stage_fade(A: MpsTensor, t: float) -> np.ndarray:
+def _stage_fade(mats: np.ndarray, t: list) -> np.ndarray:
     """Final stage: freeze the top-corner component and fade all others."""
-    out = (1.0 - t) * _stage_swap(A, 1.0)
-    out[0] = 0.0
-    out[0][0, 0] = 1.0
+    out = (1.0 - np.asarray(t))[:, None, None, None] * _stage_swap(mats, [1.0])
+    out[:, :, 0] = 0.0
+    out[:, :, 0, 0, 0] = 1.0
     return out
 
 
@@ -264,8 +268,10 @@ def _stage_clock(tau: float) -> float:
     return 0.5 * m * r + m * (tau - r)
 
 
-def contraction_path(A, s: float,
-                     tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
+_STAGES = (_stage_widen, _stage_row_growth, _stage_swap, _stage_fade)
+
+
+def contraction_path(A, s, tols: Tolerances = DEFAULT_TOLS):
     """Evaluate the contraction of the tensor space at time ``s`` in [0, 1].
 
     The four stages run on the subintervals [0, 1/4], [1/4, 1/2],
@@ -274,35 +280,51 @@ def contraction_path(A, s: float,
     ``s = 1`` is the fixed endpoint tensor, independent of the input.
     Every intermediate tensor stays inside the space.  ``A`` is checked by
     decomposing it unless it is a decomposition.
+
+    ``A`` may also be a sequence of same-shape tensors or decompositions and
+    ``s`` a sequence of times: the result is then the ``(N, S, d_out,
+    D_out, D_out)`` array of every tensor at every time, each stage built
+    once for the whole stack.  One tensor at one time is the N=1 call.
     """
-    if not 0.0 <= s <= 1.0:
+    single = isinstance(A, (MpsTensor, CanonicalDecomposition))
+    times = [float(x) for x in ([s] if single else s)]
+    if not all(0.0 <= x <= 1.0 for x in times):
         raise ValueError("path parameter must lie in [0, 1]")
-    A = _decomposition(A, tols).tensor
-    d_out, D_out = contraction_output_dims(A.d, A.D)
-    if s <= 0.25:
-        mats = _stage_widen(A, _stage_clock(4.0 * s))
-        return pad_tensor(MpsTensor(mats), d_out, D_out)
-    if s <= 0.5:
-        return MpsTensor(_stage_row_growth(A, _stage_clock(4.0 * s - 1.0)))
-    if s <= 0.75:
-        return MpsTensor(_stage_swap(A, _stage_clock(4.0 * s - 2.0)))
-    return MpsTensor(_stage_fade(A, _stage_clock(4.0 * s - 3.0)))
+    mats = np.array([_decomposition(a, tols).mats for a in ([A] if single else A)])
+    d_out, D_out = contraction_output_dims(mats.shape[1], mats.shape[-1])
+    out = np.zeros((len(mats), len(times), d_out, D_out, D_out), dtype=complex)
+    by_stage = [[], [], [], []]
+    for k, x in enumerate(times):
+        by_stage[(x > 0.25) + (x > 0.5) + (x > 0.75)].append(k)
+    for stage, (build, ks) in enumerate(zip(_STAGES, by_stage)):
+        if ks:
+            vals = build(mats, [_stage_clock(4.0 * times[k] - stage) for k in ks])
+            out[:, ks, : vals.shape[2], : vals.shape[3], : vals.shape[4]] = vals
+    return MpsTensor(out[0, 0]) if single else out
 
 
-def spectral_filter(x: float, t: float, delta: float) -> float:
-    """The rank-lowering filter: 0 for x <= t*delta, else sqrt(1 - t*delta/x).
+def spectral_filter(x, t, delta) -> np.ndarray:
+    """The rank-lowering filter: 0 for x <= t*delta, else sqrt(1 - t*delta/x),
+    elementwise over broadcast arrays.
 
     At t = 0 (or delta = 0) this is the Heaviside step function.
     """
-    if x <= t * delta:
-        return 0.0
-    return math.sqrt(1.0 - t * delta / x)
+    x = np.asarray(x, dtype=float)
+    cut = np.multiply(t, delta)
+    keep = x > cut
+    return np.where(keep, np.sqrt(1.0 - cut / np.where(keep, x, 1.0)), 0.0)
 
 
 def _core_gram_eigh(K: np.ndarray):
-    """Ascending eigendecomposition of the core Gram matrix ``sum_i K^{i*} K^i``."""
+    """Ascending eigendecomposition of the core Gram matrix ``sum_i K^{i*} K^i``
+    of a core or of each core of a stack."""
     gram = left_gram(K)
-    return np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    return np.linalg.eigh((gram + _dagger(gram)) / 2.0)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _is_split(w: np.ndarray, tols: Tolerances) -> bool:
@@ -331,28 +353,31 @@ class RetractionState:
     tensor: MpsTensor
 
 
-def _retract_core(dec: CanonicalDecomposition, t: float, w: np.ndarray,
-                  V: np.ndarray, tols: Tolerances) -> MpsTensor:
-    """The retracted tensor, from the core Gram eigendecomposition ``w, V``."""
-    K, M, X = dec.K, dec.M, dec.X
-    fvals = np.array([spectral_filter(x, t, w[0] * (1.0 + 1e-12)) for x in w])
-    filt = (V * fvals) @ V.conj().T
-    Kf = np.einsum("iab,bc->iac", K, filt)
+def _retract_core(decs: list, K: np.ndarray, t: list, w: np.ndarray,
+                  V: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """The retracted tensors of same-shape decompositions at times ``t > 0``,
+    shape ``(N, T, d, D, D)``, from their stacked cores ``K`` and core Gram
+    eigendecompositions ``w, V``."""
+    M = np.array([dec.M for dec in decs])
+    X = np.array([dec.X for dec in decs])
+    fvals = spectral_filter(w[:, None, :], np.array(t)[:, None], w[:, None, :1] * (1.0 + 1e-12))
+    filt = (V[:, None] * fvals[..., None, :]) @ _dagger(V)[:, None]
+    Kf = np.einsum("niab,ntbc->ntiac", K, filt)
     S = right_gram(Kf)
-    sw, sV = np.linalg.eigh((S + S.conj().T) / 2.0)
+    sw, sV = np.linalg.eigh((S + _dagger(S)) / 2.0)
     sw = np.clip(sw, tols.tol_norm, None)
-    inv_sqrt = (sV * (1.0 / np.sqrt(sw))) @ sV.conj().T
-    K_new = np.einsum("ab,ibc->iac", inv_sqrt, Kf)
-    M_new = np.einsum("iab,bc->iac", M, filt)
-    return assemble(X, K_new, M_new)
+    inv_sqrt = (sV * (1.0 / np.sqrt(sw))[..., None, :]) @ _dagger(sV)
+    K_new = np.einsum("ntab,ntibc->ntiac", inv_sqrt, Kf)
+    M_new = np.einsum("niab,ntbc->ntiac", M, filt)
+    return _assembled(X[:, None], K_new, M_new)
 
 
 def retract(
     A,
-    t: float,
+    t,
     ambient_chi: int | None = None,
     tols: Tolerances = DEFAULT_TOLS,
-) -> RetractionState:
+):
     """Deform a tensor (or the tensor of a decomposition) toward lower
     essential rank.
 
@@ -363,23 +388,44 @@ def retract(
     essential rank strictly drops.  Tensors of rank below the ambient level
     are fixed points.  Raises ``NotInOError`` when the core Gram spectrum is
     a nonzero multiple of the identity at full ambient rank.
+
+    ``A`` may also be a sequence of decompositions (or tensors) of one shape
+    and ``t`` a sequence of times: the result is then ``(delta, mats)``, the
+    ``(N,)`` floors and the ``(N, T, d, D, D)`` deformed tensors, with one
+    Gram ``eigh`` per tensor and one stacked pass for all times.  A refused
+    tensor raises the error of the first one in the sequence.  One tensor
+    at one time is the N=1 call.
     """
-    if not 0.0 <= t <= 1.0:
+    single = isinstance(A, (MpsTensor, CanonicalDecomposition))
+    decs = [_decomposition(a, tols) for a in ([A] if single else A)]
+    times = [float(x) for x in ([t] if single else t)]
+    if not all(0.0 <= x <= 1.0 for x in times):
         raise ValueError("retraction time must lie in [0, 1]")
-    dec = _decomposition(A, tols)
+    chi = decs[0].chi
     if ambient_chi is None:
-        ambient_chi = dec.chi if dec.chi >= 2 else 2
-    if dec.chi > ambient_chi:
-        raise ValueError(f"tensor rank {dec.chi} exceeds ambient level {ambient_chi}")
-    if dec.chi < ambient_chi:
-        return RetractionState(t=t, delta=0.0, tensor=dec.tensor)
-    w, V = _core_gram_eigh(dec.K)
-    if not _is_split(w, tols):
-        raise NotInOError(
-            "core Gram spectrum is a multiple of the identity at full rank; "
-            "the retraction is undefined here"
-        )
-    delta = float(w[0])
-    if t == 0.0:
-        return RetractionState(t=0.0, delta=delta, tensor=dec.tensor)
-    return RetractionState(t=t, delta=delta, tensor=_retract_core(dec, t, w, V, tols))
+        ambient_chi = chi if chi >= 2 else 2
+    if chi > ambient_chi:
+        raise ValueError(f"tensor rank {chi} exceeds ambient level {ambient_chi}")
+    moving = [x > 0.0 and chi == ambient_chi for x in times]
+    if chi < ambient_chi:
+        delta = np.zeros(len(decs))
+    else:
+        K = np.array([dec.K for dec in decs])
+        w, V = _core_gram_eigh(K)
+        if not all(_is_split(spectrum, tols) for spectrum in w):
+            raise NotInOError(
+                "core Gram spectrum is a multiple of the identity at full rank; "
+                "the retraction is undefined here"
+            )
+        delta = w[:, 0]
+    if single:
+        tensor = decs[0].tensor
+        if moving[0]:
+            tensor = MpsTensor(_retract_core(decs, K, times, w, V, tols)[0, 0])
+        return RetractionState(t=t, delta=float(delta[0]), tensor=tensor)
+    if times and all(moving):
+        return delta, _retract_core(decs, K, times, w, V, tols)
+    out = np.repeat(np.array([dec.mats for dec in decs])[:, None], len(times), axis=1)
+    if any(moving):
+        out[:, moving] = _retract_core(decs, K, [x for x in times if x > 0.0], w, V, tols)
+    return delta, out

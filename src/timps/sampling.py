@@ -91,11 +91,15 @@ def random_gauge_move(rng: np.random.Generator, A,
 def random_split_spectrum_tensor(rng: np.random.Generator, chi: int, D: int,
                                  tols: Tolerances = DEFAULT_TOLS) -> CanonicalDecomposition:
     """Decomposition of a tensor of essential rank ``chi`` whose core Gram
-    matrix has a split spectrum (the retraction's domain).  Raises
-    ``NotInOError`` after 64 draws outside it."""
+    matrix has a split spectrum (the retraction's domain).  A draw that
+    does not decompose is rejected like one outside the domain; raises
+    ``NotInOError`` after 64 rejected draws."""
     d = chi * chi
     for _ in range(64):
-        dec = random_tensor_in_e(rng, d, D, chi, tols=tols)
+        try:
+            dec = random_tensor_in_e(rng, d, D, chi, tols=tols)
+        except TimpsError:
+            continue
         if has_split_core_spectrum(dec, tols):
             return dec
     raise NotInOError(f"64 draws failed to give a split core spectrum (chi={chi}, D={D})")

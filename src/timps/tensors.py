@@ -36,6 +36,7 @@ from .errors import (
     DegenerateLeadingEigenvalueError,
     IncompatibleGaugeMoveError,
     NotInEError,
+    TimpsError,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "range_projection",
     "is_injective",
     "canonical_decompose",
+    "canonical_decompositions",
     "canonical_cores",
     "essential_rank",
     "right_normalize",
@@ -186,7 +188,8 @@ def is_injective(mats, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff the matrices span the full matrix algebra of their size.
 
     Decided on the singular values of the ``d x chi^2`` vectorization: the
-    span is full iff the numerical rank equals ``chi^2``.
+    span is full iff the numerical rank equals ``chi^2``.  This is the N=1
+    call of the injectivity test every decomposition makes.
     """
     arr = np.asarray(mats, dtype=complex)
     d, chi, chi2 = arr.shape
@@ -229,19 +232,25 @@ class CanonicalDecomposition:
         return assemble(self.X, self.K, self.M)
 
 
+def _assembled(X: np.ndarray, K: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The matrices ``X [[K, 0], [M, 0]] X*`` of stacked block forms:
+    ``K (..., d, chi, chi)`` and ``M (..., d, D - chi, chi)`` share their
+    leading axes, and those of ``X (..., D, D)`` broadcast against them."""
+    D, chi = X.shape[-1], K.shape[-1]
+    blocks = np.zeros(K.shape[:-2] + (D, D), dtype=complex)
+    blocks[..., :chi, :chi] = K
+    blocks[..., chi:, :chi] = M
+    return np.einsum("...ab,...ibc,...dc->...iad", X, blocks, X.conj())
+
+
 def assemble(X: np.ndarray, K: np.ndarray, M: np.ndarray | None = None) -> MpsTensor:
     """Build ``X [[K, 0], [M, 0]] X*`` as an explicit tensor."""
     X = np.asarray(X, dtype=complex)
     K = np.asarray(K, dtype=complex)
-    D = X.shape[0]
     d, chi, _ = K.shape
     if M is None:
-        M = np.zeros((d, D - chi, chi), dtype=complex)
-    M = np.asarray(M, dtype=complex)
-    blocks = np.zeros((d, D, D), dtype=complex)
-    blocks[:, :chi, :chi] = K
-    blocks[:, chi:, :chi] = M
-    return MpsTensor(np.einsum("ab,ibc,dc->iad", X, blocks, X.conj()))
+        M = np.zeros((d, X.shape[0] - chi, chi), dtype=complex)
+    return MpsTensor(_assembled(X, K, np.asarray(M, dtype=complex)))
 
 
 def _reassembly_errors(B: np.ndarray, chi: int) -> np.ndarray:
@@ -301,6 +310,36 @@ def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
     """``A`` as given when it is a decomposition, without a call to
     :func:`canonical_decompose`; else the decomposition of the tensor ``A``."""
     return A if isinstance(A, CanonicalDecomposition) else canonical_decompose(A, tols)
+
+
+def canonical_decompositions(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list:
+    """:func:`canonical_decompose` of each tensor of an ``(N, d, D, D)``
+    stack, in one :func:`_block_forms` pass and one :func:`_memberships`
+    pass per essential rank.
+
+    Entry ``n`` is the decomposition of ``mats[n]``, or the ``TimpsError``
+    that ``canonical_decompose`` raises on it: a tensor the stacked pass
+    refuses is decomposed again on its own, so the error's type and message
+    are those of the scalar call.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    _, X, ranks, B = _block_forms(mats, tols)
+    out = [None] * len(mats)
+    for chi in np.unique(ranks[ranks > 0]).tolist():
+        idx = np.flatnonzero(ranks == chi)
+        K, _, norm, refusals = _memberships(B[idx], chi, tols)
+        for j in np.flatnonzero(~np.logical_or.reduce(refusals)).tolist():
+            n = idx[j]
+            out[n] = CanonicalDecomposition(X=X[n], K=K[j], M=B[n, :, chi:, :chi].copy(),
+                                            chi=chi, tensor=MpsTensor(mats[n]),
+                                            norm_residual=float(norm[j]))
+    for n, dec in enumerate(out):
+        if dec is None:
+            try:
+                out[n] = canonical_decompose(MpsTensor(mats[n]), tols)
+            except TimpsError as exc:
+                out[n] = exc
+    return out
 
 
 def canonical_cores(
@@ -428,12 +467,10 @@ class GaugeMove:
                    MpsTensor(np.zeros_like(A.mats)))
 
 
-def apply_gauge(
-    A: MpsTensor,
-    move: GaugeMove,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> MpsTensor:
-    """Apply a gauge move, validating it against the tensor's core support."""
+def apply_gauge(A, move: GaugeMove, tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
+    """Apply a gauge move to a tensor (or the tensor of a decomposition),
+    validating it against the tensor's core support; a decomposition's own
+    basis and rank give that support."""
     Z = np.asarray(move.Z, dtype=complex)
     if Z.shape != (A.D, A.D):
         raise IncompatibleGaugeMoveError("bond unitary has wrong size")
@@ -478,23 +515,36 @@ def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray) -> float:
     return float(abs(mixed_transfer_leading(K_a, K_b)))
 
 
-def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
     """Decide whether two tensors (or their decompositions) induce the same
     physical state.
 
     True iff the essential ranks agree and the fidelity per site of the
-    cores is at least ``1 - tols.tol_fid``.
+    cores is at least ``1 - tols.tol_fid``.  ``A`` and ``B`` may also be
+    equal-length sequences: the verdict of each pair then comes back as a
+    bool array, from one stacked mixed-transfer spectrum per group of pairs
+    sharing the rank and the larger physical dimension; a single pair is
+    the N=1 call.
     """
-    dec_a = _decomposition(A, tols)
-    dec_b = _decomposition(B, tols)
-    if dec_a.chi != dec_b.chi:
-        return False
-    d = max(dec_a.d, dec_b.d)
-    K_a = np.zeros((d,) + dec_a.K.shape[1:], dtype=complex)
-    K_a[: dec_a.d] = dec_a.K
-    K_b = np.zeros((d,) + dec_b.K.shape[1:], dtype=complex)
-    K_b[: dec_b.d] = dec_b.K
-    return fidelity_per_site(K_a, K_b) >= 1.0 - tols.tol_fid
+    single = isinstance(A, (MpsTensor, CanonicalDecomposition))
+    decs_a = [_decomposition(a, tols) for a in ([A] if single else A)]
+    decs_b = [_decomposition(b, tols) for b in ([B] if single else B)]
+    groups = {}
+    for n, (a, b) in enumerate(zip(decs_a, decs_b, strict=True)):
+        if a.chi == b.chi:
+            groups.setdefault((a.chi, max(a.d, b.d)), []).append(n)
+    out = np.zeros(len(decs_a), dtype=bool)
+    for (chi, d), idx in groups.items():
+        K_a = np.zeros((len(idx), d, chi, chi), dtype=complex)
+        K_b = np.zeros_like(K_a)
+        for j, n in enumerate(idx):
+            K_a[j, : decs_a[n].d] = decs_a[n].K
+            K_b[j, : decs_b[n].d] = decs_b[n].K
+        lead = _sorted_spectrum(mixed_transfer_spectra(K_a, K_b))[:, 0]
+        # np.abs of a complex array may round differently from abs() of one
+        # eigenvalue; hypot rounds like the latter, at every stack size
+        out[idx] = np.hypot(lead.real, lead.imag) >= 1.0 - tols.tol_fid
+    return bool(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------

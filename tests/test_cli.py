@@ -222,6 +222,23 @@ def test_exhausted_draws_exit_one_with_a_report(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+def test_undecomposable_retraction_outputs_keep_the_report(tmp_path, capsys):
+    # at tol_norm = 5e-15 roundoff alone refuses some retracted tensors, some
+    # of their gauge-moved partners and one gauge-moved input
+    code = run_cli(["retract-sweep", "--seed", 1, "--count", 20, "--tol", "tol_norm=5e-15",
+                    "--out", tmp_path])
+    out, err = capsys.readouterr()
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert failures == read_json(tmp_path / "retract-sweep.json")["failures"]
+    assert all(re.match(r"case \d+( t=[0-9.]+)?: ", f) for f in failures)
+    assert "case 2 t=0.25: gauge-moved output not decomposable (core is not " \
+           "right-normalized: residual 5.673e-15)" in failures
+    assert any(": gauge-moved input not decomposable (" in f for f in failures)
+    assert len((tmp_path / "retract-sweep.csv").read_text().splitlines()) == 2 + 20 * 5
+    assert "Traceback" not in err
+
+
 def _custom_spec_with_charts():
     """A custom family that runs on a 4x4 mesh but for its chart labels."""
     from timps.families import aklt_path, make_sphere_mesh

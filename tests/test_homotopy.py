@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from timps.errors import NotInOError
+from timps import cli
+from timps.config import DEFAULT_TOLS
+from timps.errors import NotInEError, NotInOError, TimpsError
 from timps.families import aklt_path, psi2_tensor
 from timps.homotopy import (
     PhiRule,
@@ -28,6 +31,7 @@ from timps.tensors import (
     MpsTensor,
     apply_gauge,
     canonical_decompose,
+    canonical_decompositions,
     essential_rank,
     gauge_equivalent,
     pad_tensor,
@@ -400,3 +404,258 @@ def test_decomposition_input_is_not_recomputed(make_rng, monkeypatch):
     retract(A, 0.5)
     gauge_equivalent(A, dec_b)
     assert calls == [A, A]
+
+
+# Parity of the stacked calls with their N=1 calls, on every sweep shape:
+# retract-sweep draws chi in {2, 3} with D in {chi, chi + 1}, contract-sweep
+# the four shapes below.
+RETRACT_SHAPES = [(chi, D) for chi in (2, 3) for D in (chi, chi + 1)]
+CONTRACT_SHAPES = cli._CONTRACT_SHAPES
+TIMES = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+
+
+def split_draws(rng, chi, D, n=3):
+    """Split-spectrum decompositions and those of gauge-moved copies."""
+    decs = [random_split_spectrum_tensor(rng, chi, D) for _ in range(n)]
+    moved = [canonical_decompose(apply_gauge(dec, random_gauge_move(rng, dec))) for dec in decs]
+    return decs, moved
+
+
+@pytest.mark.parametrize("chi, D", RETRACT_SHAPES)
+def test_stacked_retract_is_bit_equal_to_n1_calls(make_rng, chi, D):
+    for decs in split_draws(make_rng(10 * chi + D), chi, D):
+        delta, mats = retract(decs, TIMES)
+        assert mats.shape == (len(decs), len(TIMES), chi * chi, D, D)
+        for n, dec in enumerate(decs):
+            for k, t in enumerate(TIMES):
+                st = retract(dec, t)
+                assert st.delta == delta[n]
+                assert np.array_equal(st.tensor.mats, mats[n, k])
+
+
+@pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+def test_stacked_contraction_path_is_bit_equal_to_n1_calls(make_rng, shape):
+    decs = [random_tensor_in_e(make_rng(sum(shape)), *shape) for _ in range(3)]
+    times = [k / 10 for k in range(11)] + [0.25, 0.5, 0.75, 0.3]
+    out = contraction_path(decs, times)
+    assert out.shape[:2] == (len(decs), len(times))
+    for n, dec in enumerate(decs):
+        for k, s in enumerate(times):
+            assert np.array_equal(contraction_path(dec, s).mats, out[n, k])
+
+
+def assert_same_decomposition(stacked, scalar):
+    assert stacked.chi == scalar.chi
+    assert stacked.norm_residual == scalar.norm_residual
+    for name in ("X", "K", "M", "mats"):
+        assert np.array_equal(getattr(stacked, name), getattr(scalar, name))
+
+
+@pytest.mark.parametrize("chi, D", RETRACT_SHAPES)
+def test_stacked_decompositions_and_gauge_test_match_n1_calls(make_rng, chi, D):
+    decs, moved = split_draws(make_rng(20 + 10 * chi + D), chi, D)
+    outs = [canonical_decompositions(retract(group, TIMES)[1].reshape((-1, chi * chi, D, D)))
+            for group in (decs, moved)]
+    for out in outs:
+        for dec in out:
+            assert_same_decomposition(dec, canonical_decompose(MpsTensor(dec.mats)))
+    # t = 1 lowers the rank: pairs across times mix equal and unequal ranks
+    pairs = list(zip(outs[0], outs[1])) + list(zip(outs[0], outs[1][::-1]))
+    verdicts = gauge_equivalent([a for a, _ in pairs], [b for _, b in pairs])
+    assert verdicts.tolist() == [gauge_equivalent(a, b) for a, b in pairs]
+    assert verdicts[: len(outs[0])].all()
+
+
+@pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+def test_stacked_decompositions_of_contraction_paths_match_n1_calls(make_rng, shape):
+    decs = [random_tensor_in_e(make_rng(30 + sum(shape)), *shape) for _ in range(3)]
+    mats = contraction_path(decs, [k / 10 for k in range(11)])
+    mats = mats.reshape((-1,) + mats.shape[2:])
+    for dec, m in zip(canonical_decompositions(mats), mats):
+        assert_same_decomposition(dec, canonical_decompose(MpsTensor(m)))
+
+
+def test_gauge_test_pads_the_physical_dimension_as_the_n1_call(make_rng):
+    rng = make_rng(41)
+    small = [random_tensor_in_e(rng, 4, 3, 2) for _ in range(3)]
+    large = [random_tensor_in_e(rng, 5, 3, 2) for _ in range(3)]
+    a, b = small + large + small, large + small + small[::-1]
+    assert gauge_equivalent(a, b).tolist() == [gauge_equivalent(x, y) for x, y in zip(a, b)]
+
+
+def strict(**changes):
+    return dataclasses.replace(DEFAULT_TOLS, **changes)
+
+
+@pytest.mark.parametrize("shape", CONTRACT_SHAPES)
+def test_stacked_decompositions_report_the_n1_errors(make_rng, shape):
+    # at tol_norm = 2e-15 roundoff alone refuses some path tensors
+    tols = strict(tol_norm=2e-15)
+    decs = [random_tensor_in_e(make_rng(50 + sum(shape)), *shape) for _ in range(4)]
+    mats = contraction_path(decs, [k / 10 for k in range(11)])
+    mats = np.concatenate([mats.reshape((-1,) + mats.shape[2:]), np.zeros((1,) + mats.shape[2:])])
+    refused = 0
+    for dec, m in zip(canonical_decompositions(mats, tols), mats):
+        try:
+            expected = canonical_decompose(MpsTensor(m), tols)
+        except TimpsError as exc:
+            refused += 1
+            assert type(dec) is type(exc) and str(dec) == str(exc)
+        else:
+            assert_same_decomposition(dec, expected)
+    assert refused >= 1  # the zero tensor at least
+
+
+def test_stacked_retract_raises_the_error_of_the_scalar_loop(make_rng):
+    decs, _ = split_draws(make_rng(60), 2, 2)
+    decs.insert(1, canonical_decompose(pauli_core()))
+    with pytest.raises(NotInOError) as scalar:
+        [retract(dec, t) for dec in decs for t in TIMES]
+    with pytest.raises(NotInOError) as stacked:
+        retract(decs, TIMES)
+    assert str(stacked.value) == str(scalar.value)
+    with pytest.raises(ValueError) as scalar:
+        retract(decs[0], 1.5)
+    with pytest.raises(ValueError) as stacked:
+        retract(decs, [0.5, 1.5])
+    assert str(stacked.value) == str(scalar.value)
+    with pytest.raises(ValueError) as scalar:
+        contraction_path(decs[0], -0.1)
+    with pytest.raises(ValueError) as stacked:
+        contraction_path(decs, [0.5, -0.1])
+    assert str(stacked.value) == str(scalar.value)
+
+
+def test_spectral_filter_is_elementwise():
+    x = np.array([[0.5, 1.0, 2.0], [1e-300, 0.0, -1.0]])
+    t = np.array([[1.0], [0.0]])
+    delta = np.array([[1.0], [0.7]])
+    want = [[spectral_filter(a, b, c) for a in row]
+            for row, b, c in zip(x, t[:, 0], delta[:, 0])]
+    assert np.array_equal(spectral_filter(x, t, delta), want)
+    assert np.array_equal(want, [[0.0, 0.0, math.sqrt(0.5)], [1.0, 0.0, 0.0]])
+
+
+# One case at a time, as the sweeps ran before they were stacked: the order
+# of draws, rows and failures the stacked sweeps must reproduce.
+
+def one_at_a_time_retract_sweep(count, chis, rng, tols):
+    rows, failures = [], []
+    for case in range(count):
+        chi = chis[case % len(chis)]
+        dec_a = random_split_spectrum_tensor(rng, chi, chi + (case // len(chis)) % 2, tols)
+        moved = apply_gauge(dec_a, random_gauge_move(rng, dec_a, tols=tols), tols)
+        try:
+            dec_b = canonical_decompose(moved, tols)
+        except TimpsError as exc:
+            dec_b = None
+            failures.append(f"case {case}: gauge-moved input not decomposable ({exc})")
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            st = retract(dec_a, t, tols=tols)
+            dist = float(np.abs(st.tensor.mats - dec_a.mats).max())
+            try:
+                dec = canonical_decompose(st.tensor, tols)
+                rank, resid = dec.chi, dec.norm_residual
+            except TimpsError as exc:
+                failures.append(f"case {case} t={t}: output not decomposable ({exc})")
+                dec, rank, resid = None, -1, math.nan
+            rows.append((case, chi, t, rank, st.delta, dist, resid))
+            if t == 0.0 and dist > 1e-12:
+                failures.append(f"case {case}: retraction moved the t=0 tensor by {dist:.3e}")
+            if t == 1.0 and not 0 < rank < chi:
+                failures.append(f"case {case}: rank {rank} not below {chi} at t=1")
+            if t > 0.0 and dec_b is not None:
+                try:
+                    hb = canonical_decompose(retract(dec_b, t, tols=tols).tensor, tols)
+                except TimpsError as exc:
+                    failures.append(f"case {case} t={t}: gauge-moved output not "
+                                    f"decomposable ({exc})")
+                    continue
+                if dec is not None and not gauge_equivalent(dec, hb, tols):
+                    failures.append(f"case {case} t={t}: gauge equivariance failed")
+    return rows, failures
+
+
+def one_at_a_time_contract_sweep(count, s_steps, rng, tols):
+    rows, failures = [], []
+    for case in range(count):
+        A = random_tensor_in_e(rng, *CONTRACT_SHAPES[case % len(CONTRACT_SHAPES)], tols=tols)
+        for k in range(s_steps):
+            s = k / (s_steps - 1)
+            try:
+                dec = canonical_decompose(contraction_path(A, s, tols=tols), tols)
+                rows.append((case, s, dec.chi, dec.norm_residual))
+            except TimpsError as exc:
+                failures.append(f"case {case} s={s}: not in the tensor space ({exc})")
+                rows.append((case, s, -1, math.nan))
+    return rows, failures
+
+
+def formatted(rows):
+    return [[cli._fmt(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed, count, tols", [
+    (1, 20, strict(tol_norm=5e-15)),
+    (2, 20, strict(tol_norm=5e-15)),
+    (2, 40, strict(tol_fid=1e-15)),
+    (3, 12, DEFAULT_TOLS),
+], ids=["tol_norm-1", "tol_norm-2", "tol_fid", "default"])
+def test_stacked_retract_sweep_keeps_the_one_at_a_time_order(monkeypatch, seed, count, tols):
+    # small windows, so that one sweep spans several of them
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 1 << 16)
+    rng = lambda: np.random.default_rng(np.random.PCG64(seed))  # noqa: E731
+    _, rows, _, failures = cli._exp_retract_sweep({"count": count, "chis": [2, 3]}, rng(), tols)
+    want_rows, want_failures = one_at_a_time_retract_sweep(count, [2, 3], rng(), tols)
+    assert formatted(rows) == formatted(want_rows)
+    assert failures == want_failures
+    assert bool(failures) == (tols is not DEFAULT_TOLS)
+
+
+@pytest.mark.parametrize("tols", [DEFAULT_TOLS, strict(tol_norm=2e-15)],
+                         ids=["default", "tol_norm"])
+def test_stacked_contract_sweep_keeps_the_one_at_a_time_order(monkeypatch, tols):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 1 << 18)
+    rng = lambda: np.random.default_rng(np.random.PCG64(1))  # noqa: E731
+    _, rows, _, failures = cli._exp_contract_sweep({"count": 12, "s_steps": 6}, rng(), tols)
+    want_rows, want_failures = one_at_a_time_contract_sweep(12, 6, rng(), tols)
+    assert formatted(rows) == formatted(want_rows)
+    assert failures == want_failures
+    assert bool(failures) == (tols is not DEFAULT_TOLS)
+
+
+@pytest.mark.parametrize("bad, raised", [
+    ({8}, "run 8"),  # a case drawn before the failed draw runs first
+    ({10}, "draw 9"),
+    (set(), "draw 9"),
+])
+def test_sweep_raises_a_failed_draw_after_the_cases_before_it(monkeypatch, bad, raised):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 4)  # windows of four cases
+
+    def draw(case):
+        if case == 9:
+            raise NotInEError("draw 9")
+        return case
+
+    def run(items):
+        for case, _ in items:
+            if case in bad:
+                raise NotInEError(f"run {case}")
+        return [([case], []) for case, _ in items]
+
+    with pytest.raises(NotInEError, match=f"^{raised}$"):
+        cli._sweep(12, draw, lambda case: case % 2, lambda _: 1, run)
+
+
+def test_sweep_returns_results_in_case_order(monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 5)
+    calls = []
+
+    def run(items):
+        calls.append([case for case, _ in items])
+        return [([case, -case], [f"case {case}"]) for case, _ in items]
+
+    rows, failures = cli._sweep(12, lambda case: case, lambda case: case % 3, lambda _: 1, run)
+    assert rows == [v for case in range(12) for v in (case, -case)]
+    assert failures == [f"case {case}" for case in range(12)]
+    assert calls == [[0, 3], [1, 4], [2], [5, 8], [6, 9], [7], [10], [11]]
