@@ -84,10 +84,18 @@ def _header(experiment: str, seed) -> str:
             f"rng={RNG_NAME} convention={CONVENTION}")
 
 
+def _csv_rows(rows) -> list[str]:
+    """CSV lines of a list of row tuples, or of a dict of column arrays written
+    column by column as :func:`_fmt` would: ``repr`` of floats, else ``str``."""
+    if not isinstance(rows, dict):
+        return [",".join(_fmt(v) for v in row) for row in rows]
+    cols = [map(repr if col.dtype.kind == "f" else str, col.tolist())
+            for col in rows.values()]
+    return list(map(",".join, zip(*cols)))
+
+
 def _write_csv(path: Path, experiment: str, seed, columns, rows) -> None:
-    lines = [_header(experiment, seed), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [_header(experiment, seed), ",".join(columns), *_csv_rows(rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -366,9 +374,8 @@ def _exp_chern(params, rng, tols):
     report = curvature_report(family, mesh, tols)
     nearest, residual, errors = chern_verdict(report)
     failures = [str(e) for e in errors]
-    rows = [(int(report.plaquette_ids[p]), float(report.theta_lo[p]),
-             float(report.phi_lo[p]), float(report.curvature[p]))
-            for p in range(len(report.plaquette_ids))]
+    rows = {"plaquette_id": report.plaquette_ids, "theta_lo": report.theta_lo,
+            "phi_lo": report.phi_lo, "curvature": report.curvature}
     summary = {
         "family": spec["family"],
         "mesh": params["mesh"],
@@ -376,7 +383,7 @@ def _exp_chern(params, rng, tols):
         "residual": residual,
         "flagged_plaquettes": list(report.flagged),
     }
-    return ["plaquette_id", "theta_lo", "phi_lo", "curvature"], rows, summary, failures
+    return list(rows), rows, summary, failures
 
 
 def _exp_pump_boundary(params, rng, tols):

@@ -19,7 +19,7 @@ plaquette curvature sums to an exact multiple of 2*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,20 +57,52 @@ def psi2_tensor(k1: complex, k2: complex) -> MpsTensor:
 
     The point must be given with unit norm.
     """
-    norm = abs(k1) ** 2 + abs(k2) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise NotNormalizedPointError(f"|k1|^2 + |k2|^2 = {norm!r}, expected 1")
-    return MpsTensor(np.array([[[k1]], [[k2]]], dtype=complex))
+    return MpsTensor(_product_states(np.array([k1]), np.array([k2]))[0])
+
+
+def _product_states(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Stacked :func:`psi2_tensor`: ``(m, 2, 1, 1)`` at the points ``(k1[n], k2[n])``."""
+    norm = np.abs(k1) ** 2 + np.abs(k2) ** 2
+    bad = np.abs(norm - 1.0) > 1e-12
+    if bad.any():
+        raise NotNormalizedPointError(
+            f"|k1|^2 + |k2|^2 = {float(norm[np.argmax(bad)])!r}, expected 1")
+    return np.stack([k1, k2], axis=1).astype(complex)[:, :, None, None]
 
 
 def berry_rotation(theta: float, phi: float) -> np.ndarray:
     """The 2x2 rotation placing the north pole at (theta, phi)."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [[c, -np.exp(-1j * phi) * s],
-         [np.exp(1j * phi) * s, c]],
-        dtype=complex,
-    )
+    return _rotations(np.array([theta], dtype=float), np.array([phi], dtype=float))[0]
+
+
+def _rotations(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Stacked :func:`berry_rotation`: ``(m, 2, 2)``."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    out = np.empty(theta.shape + (2, 2), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = c
+    out[:, 0, 1] = -np.exp(-1j * phi) * s
+    out[:, 1, 0] = np.exp(1j * phi) * s
+    return out
+
+
+def _sq_norms(w: np.ndarray) -> np.ndarray:
+    """``w[n] @ w[n]`` per row, bit-equal to ``np.linalg.norm``'s dot product."""
+    return np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+
+
+def _check_on_sphere(w: np.ndarray, w4: np.ndarray) -> None:
+    """Refuse points ``(w[n], w4[n])`` off the unit 3-sphere by more than 1e-12."""
+    resid = np.abs(_sq_norms(w) + w4 ** 2 - 1.0)
+    off = resid > 1e-12
+    if off.any():
+        raise ValueError(f"point is off the unit sphere by {resid[np.argmax(off)]:.3e}")
+
+
+def _slice_points(theta: np.ndarray, phi: np.ndarray, w4: float) -> np.ndarray:
+    """The ``(m, 3)`` w parts of the points ``(theta[n], phi[n])`` of the w4 slice."""
+    r = math.sqrt(max(0.0, 1.0 - w4 * w4))
+    sin_t = np.sin(theta)
+    return r * np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -85,13 +117,10 @@ class PumpPoint:
     w4: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
+        w = np.array(self.w, dtype=float)
         if w.shape != (3,):
             raise ValueError("w must be a 3-vector")
-        resid = abs(float(w @ w) + self.w4 ** 2 - 1.0)
-        if resid > 1e-12:
-            raise ValueError(f"point is off the unit sphere by {resid:.3e}")
-        w = w.copy()
+        _check_on_sphere(w[None], np.array([self.w4], dtype=float))
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
@@ -109,11 +138,7 @@ class PumpPoint:
 
     @classmethod
     def from_angles(cls, theta: float, phi: float, w4: float) -> "PumpPoint":
-        r = math.sqrt(max(0.0, 1.0 - w4 * w4))
-        w = r * np.array([math.sin(theta) * math.cos(phi),
-                          math.sin(theta) * math.sin(phi),
-                          math.cos(theta)])
-        return cls(w=w, w4=w4)
+        return cls(w=_slice_points(np.array([theta]), np.array([phi]), w4)[0], w4=w4)
 
     @classmethod
     def from_ball(cls, v: Sequence[float]) -> "PumpPoint":
@@ -127,20 +152,32 @@ class PumpPoint:
         return cls(w=2.0 * math.sqrt(1.0 - nv2) * v, w4=1.0 - 2.0 * nv2)
 
 
-def _lambda_north(pt: PumpPoint) -> np.ndarray:
-    r = pt.w_norm / math.sqrt(3.0)
-    if pt.w4 >= 0.5:
-        return np.array([[0.0, -math.sqrt(0.5 - r)],
-                         [math.sqrt(0.5 + r), 0.0]], dtype=complex)
-    return np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
-
-def _lambda_south(pt: PumpPoint) -> np.ndarray:
-    r = pt.w_norm / math.sqrt(3.0)
-    if pt.w4 <= -0.5:
-        return np.array([[0.0, math.sqrt(0.5 + r)],
-                         [-math.sqrt(0.5 - r), 0.0]], dtype=complex)
-    return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+def _pump_charts(w: np.ndarray, w4: np.ndarray, north: bool) -> np.ndarray:
+    """The pump's north-chart (``north``) or south-chart tensors at the
+    points ``(w[n], w4[n])`` as one ``(m, 4, D, D)`` array, built from
+    ``M = X L X^T`` with X the rotation at the direction of w and L the
+    chart's 2x2 core."""
+    if not (w4 > -0.5 if north else w4 < 0.5).all():
+        raise OutOfChartError("north chart requires w4 > -1/2" if north
+                              else "south chart requires w4 < 1/2")
+    theta, phi = np.array([_angles(v) for v in w.tolist()]).reshape(-1, 2).T
+    full = w4 >= 0.5 if north else w4 <= -0.5
+    r = np.sqrt(_sq_norms(w[full])) / math.sqrt(3.0)
+    if (r > 0.5).any():
+        raise ValueError("math domain error")  # as math.sqrt(0.5 - r) raises
+    a, b = np.sqrt(0.5 + r), np.sqrt(0.5 - r)
+    L = np.zeros((len(w), 2, 2), dtype=complex)
+    if north:
+        L[full, 0, 1], L[full, 1, 0], L[~full, 1, 0] = -b, a, 1.0
+    else:
+        L[full, 0, 1], L[full, 1, 0], L[~full, 0, 1] = a, -b, 1.0
+    X = _rotations(theta, phi)
+    M = X @ L @ X.transpose(0, 2, 1)
+    if not north:
+        return M.reshape(-1, 4, 1, 1)
+    mats = np.zeros((len(w), 4, 2, 2), dtype=complex)
+    mats[:, 0:2, 0, :] = mats[:, 2:4, 1, :] = M  # the (i, j) matrix holds row j of M in row i
+    return mats
 
 
 def pump_north(pt: PumpPoint) -> MpsTensor:
@@ -150,28 +187,12 @@ def pump_north(pt: PumpPoint) -> MpsTensor:
     point's angles.  Right-normalized for every chart point; essential rank
     2 above the overlap band, 1 on it.
     """
-    if not pt.w4 > -0.5:
-        raise OutOfChartError("north chart requires w4 > -1/2")
-    X = berry_rotation(pt.theta, pt.phi)
-    M = X @ _lambda_north(pt) @ X.T
-    mats = np.zeros((4, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            mats[2 * i + j, i, :] = M[j, :]
-    return MpsTensor(mats)
+    return MpsTensor(_pump_charts(pt.w[None], np.array([pt.w4]), north=True)[0])
 
 
 def pump_south(pt: PumpPoint) -> MpsTensor:
     """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``."""
-    if not pt.w4 < 0.5:
-        raise OutOfChartError("south chart requires w4 < 1/2")
-    X = berry_rotation(pt.theta, pt.phi)
-    M = X @ _lambda_south(pt) @ X.T
-    mats = np.zeros((4, 1, 1), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            mats[2 * i + j, 0, 0] = M[i, j]
-    return MpsTensor(mats)
+    return MpsTensor(_pump_charts(pt.w[None], np.array([pt.w4]), north=False)[0])
 
 
 def _angles(v: np.ndarray) -> tuple[float, float]:
@@ -276,7 +297,8 @@ class Mesh2:
     shared by exactly two plaquettes with opposite orientation.  Corner
     order is theta-first: (i, j) -> (i+1, j) -> (i+1, j+1) -> (i, j+1),
     the outward orientation under which the spin-coherent family carries
-    total curvature +1.
+    total curvature +1.  ``theta`` and ``phi`` hold the vertex angles as
+    read-only arrays, in vertex order.
 
     The edge table is derived from the plaquettes.  Slot ``a`` of plaquette
     ``p`` is the side from corner ``a`` to corner ``a + 1 (mod 4)``.
@@ -294,6 +316,8 @@ class Mesh2:
     plaquettes: np.ndarray
     cell_theta_lo: np.ndarray
     cell_phi_lo: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
     edges: np.ndarray = field(init=False, repr=False)
     plaquette_edges: np.ndarray = field(init=False, repr=False)
     plaquette_signs: np.ndarray = field(init=False, repr=False)
@@ -321,16 +345,11 @@ class Mesh2:
         for name, arr in table.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        self.theta.flags.writeable = False
+        self.phi.flags.writeable = False
 
     def reversed(self) -> "Mesh2":
-        return Mesh2(
-            n_theta=self.n_theta,
-            n_phi=self.n_phi,
-            vertices=self.vertices,
-            plaquettes=self.plaquettes[:, ::-1].copy(),
-            cell_theta_lo=self.cell_theta_lo,
-            cell_phi_lo=self.cell_phi_lo,
-        )
+        return replace(self, plaquettes=self.plaquettes[:, ::-1].copy())
 
     @property
     def n_plaquettes(self) -> int:
@@ -346,45 +365,26 @@ def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
     plaquettes (polar rows included as cap fans)."""
     if n_theta < 4 or n_phi < 4:
         raise ValueError("mesh sizes must be at least 4 x 4")
-    vertices: list[MeshVertex] = []
-
-    def add_vertex(theta: float, phi: float) -> int:
-        idx = len(vertices)
-        vertices.append(MeshVertex(index=idx, theta=theta, phi=phi))
-        return idx
-
-    north = add_vertex(0.0, 0.0)
-    rings = np.empty((n_theta - 1, n_phi), dtype=int)
-    for i in range(1, n_theta):
-        theta = math.pi * i / n_theta
-        for j in range(n_phi):
-            rings[i - 1, j] = add_vertex(theta, 2.0 * math.pi * j / n_phi)
-    south = add_vertex(math.pi, 0.0)
-
-    def vid(i: int, j: int) -> int:
-        if i == 0:
-            return north
-        if i == n_theta:
-            return south
-        return int(rings[i - 1, j % n_phi])
-
-    plaquettes = np.empty((n_theta * n_phi, 4), dtype=int)
-    theta_lo = np.empty(n_theta * n_phi)
-    phi_lo = np.empty(n_theta * n_phi)
-    p = 0
-    for i in range(n_theta):
-        for j in range(n_phi):
-            plaquettes[p] = (vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1))
-            theta_lo[p] = math.pi * i / n_theta
-            phi_lo[p] = 2.0 * math.pi * j / n_phi
-            p += 1
+    theta = np.concatenate([[0.0], np.repeat(math.pi * np.arange(1, n_theta) / n_theta, n_phi),
+                            [math.pi]])
+    phi = np.concatenate([[0.0], np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi,
+                                         n_theta - 1), [0.0]])
+    ids = np.full((n_theta + 1, n_phi + 1), len(theta) - 1)  # vertex at grid point (i, j)
+    ids[0] = 0
+    rings = np.arange(1, len(theta) - 1).reshape(n_theta - 1, n_phi)
+    ids[1:-1] = rings[:, np.arange(n_phi + 1) % n_phi]
+    corners = [ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]]
+    plaquettes = np.stack(corners, axis=2).reshape(-1, 4)
+    i, j = np.divmod(np.arange(n_theta * n_phi), n_phi)
     return Mesh2(
         n_theta=n_theta,
         n_phi=n_phi,
-        vertices=tuple(vertices),
+        vertices=tuple(map(MeshVertex, range(len(theta)), theta.tolist(), phi.tolist())),
         plaquettes=plaquettes,
-        cell_theta_lo=theta_lo,
-        cell_phi_lo=phi_lo,
+        cell_theta_lo=math.pi * i / n_theta,
+        cell_phi_lo=2.0 * math.pi * j / n_phi,
+        theta=theta,
+        phi=phi,
     )
 
 
@@ -394,24 +394,34 @@ def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
 
 @dataclass(frozen=True)
 class SphereFamily:
-    """A family over the sphere evaluated per mesh vertex."""
+    """A family over the sphere, given by ``stack``, which evaluates it at
+    arrays of vertex angles as one ``(m, d, D, D)`` array, or per vertex by
+    ``func`` (whose tensors may differ in shape).  :meth:`eval_vertex` calls
+    ``func`` when given and is otherwise the N=1 call of ``stack``."""
 
     name: str
-    func: Callable[[MeshVertex], MpsTensor]
+    func: Callable[[MeshVertex], MpsTensor] | None = None
+    stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def eval_vertex(self, vertex: MeshVertex) -> MpsTensor:
-        return self.func(vertex)
+        if self.func is not None:
+            return self.func(vertex)
+        return MpsTensor(self.stack(np.array([vertex.theta]), np.array([vertex.phi]))[0])
+
+    def eval_vertices(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """The tensors at the vertices ``(theta[n], phi[n])`` as one
+        ``(m, d, D, D)`` array; only for a family with a ``stack``."""
+        return self.stack(theta, phi)
 
 
 def psi2_sphere_family() -> SphereFamily:
     """Spin-coherent identification of the sphere with the projective line:
     (theta, phi) -> [cos(theta/2) : e^{-i phi} sin(theta/2)]."""
 
-    def at(v: MeshVertex) -> MpsTensor:
-        return psi2_tensor(math.cos(v.theta / 2.0),
-                           np.exp(-1j * v.phi) * math.sin(v.theta / 2.0))
+    def stack(theta, phi):
+        return _product_states(np.cos(theta / 2.0), np.exp(-1j * phi) * np.sin(theta / 2.0))
 
-    return SphereFamily("psi2", at)
+    return SphereFamily("psi2", stack=stack)
 
 
 def boundary_generator_family() -> SphereFamily:
@@ -419,15 +429,17 @@ def boundary_generator_family() -> SphereFamily:
     projectivized first column of the conjugated rotation matrix.  It is the
     same sphere map as :func:`psi2_sphere_family` by construction."""
 
-    def at(v: MeshVertex) -> MpsTensor:
-        col = berry_rotation(v.theta, v.phi).conj()[:, 0]
-        return psi2_tensor(col[0], col[1])
+    def stack(theta, phi):
+        cols = _rotations(theta, phi).conj()[:, :, 0]
+        return _product_states(cols[:, 0], cols[:, 1])
 
-    return SphereFamily("pump-boundary", at)
+    return SphereFamily("pump-boundary", stack=stack)
 
 
 def constant_sphere_family(A: MpsTensor, name: str = "constant") -> SphereFamily:
-    return SphereFamily(name, lambda v: A)
+    """``A`` at every vertex; ``eval_vertex`` returns ``A`` itself."""
+    return SphereFamily(name, lambda v: A,
+                        lambda theta, phi: np.repeat(A.mats[None], len(theta), axis=0))
 
 
 def pump_slice_family(w4: float) -> SphereFamily:
@@ -439,13 +451,12 @@ def pump_slice_family(w4: float) -> SphereFamily:
     if abs(w4) >= 1.0:
         raise ValueError("slice must satisfy |w4| < 1")
 
-    def at(v: MeshVertex) -> MpsTensor:
-        pt = PumpPoint.from_angles(v.theta, v.phi, w4)
-        if w4 < 0.5:
-            return pump_south(pt)
-        return pump_north(pt)
+    def stack(theta, phi):
+        w, w4s = _slice_points(theta, phi, w4), np.full(len(theta), w4)
+        _check_on_sphere(w, w4s)
+        return _pump_charts(w, w4s, north=not w4 < 0.5)
 
-    return SphereFamily(f"pump-slice(w4={w4})", at)
+    return SphereFamily(f"pump-slice(w4={w4})", stack=stack)
 
 
 def custom_vertex_family(tensors: Sequence[MpsTensor]) -> SphereFamily:

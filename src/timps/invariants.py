@@ -57,8 +57,8 @@ BRANCH_CUT_MARGIN = 0.1
 RESIDUAL_CAP = 1e-3
 # Vertices or edges per stacked pass.  Larger chunks save little call
 # overhead but raise peak memory: on the w4=0.7 pump slice at 128x128 the
-# process peaks at 47.6 MB with chunks of 2048 and at 80.5 MB with the
-# whole mesh in one pass.
+# process peaks at 47.5 MB with chunks of 2048 and at 82.1 MB with the
+# whole mesh in one pass (numpy 2.4, stacked family evaluation).
 CHUNK = 2048
 
 
@@ -150,22 +150,19 @@ def _chunk_cores(tensors, vertices, chi, tols) -> np.ndarray:
     zero-padded to the largest ``d``; each tensor's essential rank must be
     ``chi``, the rank at vertex 0.
 
-    Tensors of one shape go through the stacked pass; any it refuses, and
-    every tensor of a mixed-shape run, are decomposed again one by one in
-    order, so the error raised is the one of the first failing vertex.
+    An ``(m, d, D, D)`` array goes through the stacked pass.  Tensors it
+    refuses, and every tensor of a list of mixed shapes, are decomposed
+    again one by one in order, so the error raised is the one of the first
+    failing vertex.
     """
-    shape = tensors[0].mats.shape
-    if all(t.mats.shape == shape for t in tensors):
-        mats = np.empty((len(tensors),) + shape, dtype=complex)
-        for k, t in enumerate(tensors):
-            mats[k] = t.mats
-        K, ok = canonical_cores(mats, chi, tols)
+    if isinstance(tensors, np.ndarray):
+        K, ok = canonical_cores(tensors, chi, tols)
         redo = np.flatnonzero(~ok)
     else:
-        K = np.zeros((len(tensors), max(t.d for t in tensors), chi, chi), dtype=complex)
+        K = np.zeros((len(tensors), max(len(a) for a in tensors), chi, chi), dtype=complex)
         redo = range(len(tensors))
     for k in redo:
-        dec = canonical_decompose(tensors[k], tols)
+        dec = canonical_decompose(MpsTensor(tensors[k]), tols)
         if dec.chi != chi:
             raise RankMismatchError(
                 f"family does not have constant essential rank on the mesh: "
@@ -174,6 +171,34 @@ def _chunk_cores(tensors, vertices, chi, tols) -> np.ndarray:
         K[k] = 0.0
         K[k, : dec.d] = dec.K
     return K
+
+
+def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
+    """The family's tensors on a chunk of vertices, as an ``(m, d, D, D)``
+    array when they share a shape and as a list otherwise, plus the error
+    that stopped the evaluation (or None).
+
+    A family with a stacked evaluator is evaluated in one call.  A family
+    given per vertex, and a chunk the stacked evaluator refuses (by raising
+    or with a non-finite entry), go vertex by vertex up to the first
+    failing vertex, whose error is returned.
+    """
+    if family.stack is not None:
+        try:
+            mats = family.eval_vertices(mesh.theta[chunk], mesh.phi[chunk])
+            if np.isfinite(mats).all():
+                return mats, None
+        except Exception:
+            pass  # redone below, which finds the failing vertex
+    tensors, error = [], None
+    try:
+        for vertex in mesh.vertices[chunk]:
+            tensors.append(family.eval_vertex(vertex).mats)
+    except Exception as exc:
+        error = exc
+    if len({a.shape for a in tensors}) == 1:
+        return np.array(tensors), error
+    return tensors, error
 
 
 def _vertex_cores(family, mesh: Mesh2, tols):
@@ -187,26 +212,19 @@ def _vertex_cores(family, mesh: Mesh2, tols):
     n = len(mesh.vertices)
     cores, dims = None, np.zeros(n, dtype=np.intp)
     for start in range(0, n, CHUNK):
-        vertices = mesh.vertices[start:start + CHUNK]
-        tensors, error = [], None
-        try:
-            for vertex in vertices:
-                tensors.append(family.eval_vertex(vertex))
-        except Exception as exc:
-            # The vertices evaluated before the failing one are decomposed
-            # first: their errors take precedence, as in a per-vertex loop.
-            error = exc
-        if tensors:
+        chunk = slice(start, start + CHUNK)
+        tensors, error = _chunk_tensors(family, mesh, chunk)
+        if len(tensors):
             if cores is None:
-                chi = canonical_decompose(tensors[0], tols).chi
-                cores = np.zeros((n, tensors[0].d, chi, chi), dtype=complex)
-            K = _chunk_cores(tensors, vertices, cores.shape[-1], tols)
+                chi = canonical_decompose(MpsTensor(tensors[0]), tols).chi
+                cores = np.zeros((n, len(tensors[0]), chi, chi), dtype=complex)
+            K = _chunk_cores(tensors, mesh.vertices[chunk], cores.shape[-1], tols)
             if K.shape[1] > cores.shape[1]:
                 cores = np.pad(cores, ((0, 0), (0, K.shape[1] - cores.shape[1]), (0, 0), (0, 0)))
             cores[start:start + len(K), : K.shape[1]] = K
-            dims[start:start + len(K)] = [t.d for t in tensors]
+            dims[start:start + len(K)] = [len(a) for a in tensors]
         if error is not None:
-            raise error
+            raise error  # after the vertices before it, as in a per-vertex loop
     return cores, dims
 
 

@@ -3,6 +3,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timps import __version__, cli
@@ -426,3 +427,15 @@ def test_readme_command_line_matches_the_parameter_table():
         assert set(flags) == {p.option for p in exp.params}, name
         for p in exp.params:
             assert p.parse(flags[p.option].split("|")[0]) == p.default, (name, p.key)
+
+
+def test_csv_columns_match_the_row_formatter():
+    floats = np.array([-0.0, 5e-324, 1e16, 0.1, np.pi, np.float64(2.5), -1.0 / 3.0, 1e-300])
+    ints = np.array([0, -7, np.int64(2) ** 62, 3, 42, np.int64(-1), 10 ** 16, 1])
+    columns = {"id": ints, "value": floats, "again": floats[::-1]}
+    numpy_rows = list(zip(ints, floats, floats[::-1]))
+    python_rows = [(int(i), float(x), float(y)) for i, x, y in numpy_rows]
+    expected = cli._csv_rows(numpy_rows)
+    assert expected[0] == "0,-0.0,1e-300"
+    assert expected[1] == "-7,5e-324,-0.3333333333333333"
+    assert cli._csv_rows(columns) == expected == cli._csv_rows(python_rows)
