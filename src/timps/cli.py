@@ -201,11 +201,6 @@ def _sweep(count: int, draw, key, nbytes, run):
     return rows, failures
 
 
-def _decompositions(stack: np.ndarray, tols) -> list:
-    """``canonical_decompositions`` of an ``(N, T, d, D, D)`` stack, case-major."""
-    return canonical_decompositions(stack.reshape((-1,) + stack.shape[2:]), tols)
-
-
 _CONTRACT_SHAPES = ((4, 2, 2), (4, 3, 2), (2, 2, 1), (3, 2, 1))
 
 
@@ -219,7 +214,7 @@ def _exp_contract_sweep(params, rng, tols):
     def run(items):
         nonlocal first_end, cross
         P = contraction_path([A for _, A in items], s_grid, tols=tols)
-        decs = _decompositions(P, tols)
+        decs = canonical_decompositions(P, tols)
         target = contraction_endpoint(items[0][1].d, items[0][1].D).mats
         results = []
         for j, (case, _) in enumerate(items):
@@ -268,11 +263,11 @@ def _exp_retract_sweep(params, rng, tols):
         delta, H = retract([dec_a for _, (dec_a, _) in items], _T_GRID, tols=tols)
         dist = np.abs(H - H[:, :1]).max(axis=(2, 3, 4))
         # at t = 0 the output is the input, whose decomposition is dec_a
-        outs = _decompositions(H[:, 1:], tols)
+        outs = canonical_decompositions(H[:, 1:], tols)
         moved = [None] * len(outs)  # the key keeps undecomposable gauge-moved inputs apart
         if isinstance(items[0][1][1], CanonicalDecomposition):
             HB = retract([dec_b for _, (_, dec_b) in items], _T_GRID[1:], tols=tols)[1]
-            moved = _decompositions(HB, tols)
+            moved = canonical_decompositions(HB, tols)
         both = [k for k, pair in enumerate(zip(outs, moved))
                 if all(isinstance(x, CanonicalDecomposition) for x in pair)]
         equivalent = dict(zip(both, gauge_equivalent([outs[k] for k in both],

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,9 +164,8 @@ def _pump_charts(w: np.ndarray, w4: np.ndarray, north: bool) -> np.ndarray:
     theta, phi = np.array([_angles(v) for v in w.tolist()]).reshape(-1, 2).T
     full = w4 >= 0.5 if north else w4 <= -0.5
     r = np.sqrt(_sq_norms(w[full])) / math.sqrt(3.0)
-    if (r > 0.5).any():
-        raise ValueError("math domain error")  # as math.sqrt(0.5 - r) raises
-    a, b = np.sqrt(0.5 + r), np.sqrt(0.5 - r)
+    # on the sphere |w| <= sqrt(3)/2, so r exceeds 1/2 only by rounding
+    a, b = np.sqrt(0.5 + r), np.sqrt(np.maximum(0.5 - r, 0.0))
     L = np.zeros((len(w), 2, 2), dtype=complex)
     if north:
         L[full, 0, 1], L[full, 1, 0], L[~full, 1, 0] = -b, a, 1.0
@@ -298,7 +298,8 @@ class Mesh2:
     order is theta-first: (i, j) -> (i+1, j) -> (i+1, j+1) -> (i, j+1),
     the outward orientation under which the spin-coherent family carries
     total curvature +1.  ``theta`` and ``phi`` hold the vertex angles as
-    read-only arrays, in vertex order.
+    read-only arrays, in vertex order; ``vertices`` holds them as
+    :class:`MeshVertex` values, built on first use.
 
     The edge table is derived from the plaquettes.  Slot ``a`` of plaquette
     ``p`` is the side from corner ``a`` to corner ``a + 1 (mod 4)``.
@@ -312,7 +313,6 @@ class Mesh2:
 
     n_theta: int
     n_phi: int
-    vertices: tuple
     plaquettes: np.ndarray
     cell_theta_lo: np.ndarray
     cell_phi_lo: np.ndarray
@@ -348,6 +348,11 @@ class Mesh2:
         self.theta.flags.writeable = False
         self.phi.flags.writeable = False
 
+    @cached_property
+    def vertices(self) -> tuple:
+        return tuple(map(MeshVertex, range(len(self.theta)), self.theta.tolist(),
+                         self.phi.tolist()))
+
     def reversed(self) -> "Mesh2":
         return replace(self, plaquettes=self.plaquettes[:, ::-1].copy())
 
@@ -379,7 +384,6 @@ def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
     return Mesh2(
         n_theta=n_theta,
         n_phi=n_phi,
-        vertices=tuple(map(MeshVertex, range(len(theta)), theta.tolist(), phi.tolist())),
         plaquettes=plaquettes,
         cell_theta_lo=math.pi * i / n_theta,
         cell_phi_lo=2.0 * math.pi * j / n_phi,

@@ -28,9 +28,9 @@ from .errors import (
 from .families import Mesh2, make_sphere_mesh, boundary_generator_family
 from .tensors import (
     MpsTensor,
+    _decomposition_pass,
     _degenerate,
     _sorted_spectrum,
-    canonical_cores,
     canonical_decompose,
     mixed_transfer_spectra,
 )
@@ -145,32 +145,31 @@ class CurvatureField:
         return float(self.curvature.sum())
 
 
-def _chunk_cores(tensors, vertices, chi, tols) -> np.ndarray:
-    """Cores of consecutive vertex tensors as one ``(m, d, chi, chi)`` array,
-    zero-padded to the largest ``d``; each tensor's essential rank must be
-    ``chi``, the rank at vertex 0.
+def _chunk_cores(tensors, start: int, chi: int | None, tols) -> list:
+    """Cores of the vertex tensors from vertex ``start`` on, in order, as
+    ``(m, d, chi, chi)`` arrays; each tensor's essential rank must be
+    ``chi`` or, when ``chi`` is None, that of the first tensor (vertex 0).
 
-    An ``(m, d, D, D)`` array goes through the stacked pass.  Tensors it
-    refuses, and every tensor of a list of mixed shapes, are decomposed
-    again one by one in order, so the error raised is the one of the first
-    failing vertex.
+    An ``(m, d, D, D)`` array goes through one decomposition pass and gives
+    one array, a list of mixed shapes one pass and one array per tensor; the
+    error raised is the one of the first failing vertex.
     """
-    if isinstance(tensors, np.ndarray):
-        K, ok = canonical_cores(tensors, chi, tols)
-        redo = np.flatnonzero(~ok)
-    else:
-        K = np.zeros((len(tensors), max(len(a) for a in tensors), chi, chi), dtype=complex)
-        redo = range(len(tensors))
-    for k in redo:
-        dec = canonical_decompose(MpsTensor(tensors[k]), tols)
-        if dec.chi != chi:
+    parts = []
+    for mats in [tensors] if isinstance(tensors, np.ndarray) else [a[None] for a in tensors]:
+        found = _decomposition_pass(mats, tols)
+        chi = int(found.ranks[0]) if chi is None else chi
+        failed = found.ranks != chi
+        failed[list(found.errors)] = True
+        if failed.any():
+            j = int(np.argmax(failed))
+            if j in found.errors:
+                raise found.errors[j]
             raise RankMismatchError(
                 f"family does not have constant essential rank on the mesh: "
-                f"{chi} vs {dec.chi} at vertex {vertices[k].index}"
+                f"{chi} vs {found.ranks[j]} at vertex {start + sum(map(len, parts)) + j}"
             )
-        K[k] = 0.0
-        K[k, : dec.d] = dec.K
-    return K
+        parts.append(found.B[:, :, :chi, :chi])
+    return parts
 
 
 def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
@@ -209,20 +208,19 @@ def _vertex_cores(family, mesh: Mesh2, tols):
     a per-vertex loop (evaluate, decompose, compare the rank with vertex
     0's) would raise first.
     """
-    n = len(mesh.vertices)
+    n = len(mesh.theta)
     cores, dims = None, np.zeros(n, dtype=np.intp)
     for start in range(0, n, CHUNK):
-        chunk = slice(start, start + CHUNK)
-        tensors, error = _chunk_tensors(family, mesh, chunk)
-        if len(tensors):
+        tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))
+        k = start
+        for K in _chunk_cores(tensors, start, None if cores is None else cores.shape[-1], tols):
             if cores is None:
-                chi = canonical_decompose(MpsTensor(tensors[0]), tols).chi
-                cores = np.zeros((n, len(tensors[0]), chi, chi), dtype=complex)
-            K = _chunk_cores(tensors, mesh.vertices[chunk], cores.shape[-1], tols)
-            if K.shape[1] > cores.shape[1]:
+                cores = np.zeros((n,) + K.shape[1:], dtype=complex)
+            elif K.shape[1] > cores.shape[1]:
                 cores = np.pad(cores, ((0, 0), (0, K.shape[1] - cores.shape[1]), (0, 0), (0, 0)))
-            cores[start:start + len(K), : K.shape[1]] = K
-            dims[start:start + len(K)] = [len(a) for a in tensors]
+            cores[k:k + len(K), : K.shape[1]] = K
+            dims[k:k + len(K)] = K.shape[1]
+            k += len(K)
         if error is not None:
             raise error  # after the vertices before it, as in a per-vertex loop
     return cores, dims

@@ -36,7 +36,6 @@ from .errors import (
     DegenerateLeadingEigenvalueError,
     IncompatibleGaugeMoveError,
     NotInEError,
-    TimpsError,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "is_injective",
     "canonical_decompose",
     "canonical_decompositions",
-    "canonical_cores",
     "essential_rank",
     "right_normalize",
     "apply_gauge",
@@ -136,22 +134,18 @@ def _sorted_eigh(H: np.ndarray):
     return w, V * (pivot.conj() / np.abs(pivot))
 
 
-def _ranks_from_spectra(w: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Eigenvalues above the relative cutoff, per descending spectrum in the
-    last axis of ``w``; -1 where one sits inside the cutoff window."""
-    cutoff = tols.eps_rank * w[..., :1]
-    ranks = (w > cutoff).sum(axis=-1) * (w[..., 0] > 0.0)
-    in_window = ((w > 0.5 * cutoff) & (w < 2.0 * cutoff)).any(axis=-1)
-    return ranks - (ranks + 1) * in_window
-
-
 def _block_forms(mats: np.ndarray, tols: Tolerances):
     """Block form of an ``(N, d, D, D)`` stack: the left Gram spectra
     (descending), the bond bases ``X`` (Gram eigenvectors), the essential
-    ranks (-1 where threshold-dependent) and the blocks ``X* A^i X``."""
+    ranks and the blocks ``X* A^i X``.  A rank counts the eigenvalues above
+    ``eps_rank`` times the largest; it is -1 where one sits inside the
+    cutoff window, (0.5, 2) times that cutoff."""
     w, X = _sorted_eigh(left_gram(mats))
+    cutoff = tols.eps_rank * w[..., :1]
+    ranks = (w > cutoff).sum(axis=-1) * (w[..., 0] > 0.0)
+    in_window = ((w > 0.5 * cutoff) & (w < 2.0 * cutoff)).any(axis=-1)
     B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
-    return w, X, _ranks_from_spectra(w, tols), B
+    return w, X, ranks - (ranks + 1) * in_window, B
 
 
 def _block_form(A: MpsTensor, tols: Tolerances):
@@ -159,10 +153,7 @@ def _block_form(A: MpsTensor, tols: Tolerances):
     refusing a threshold-dependent rank."""
     w, X, ranks, B = _block_forms(A.mats[None], tols)
     if ranks[0] < 0:
-        raise AmbiguousRankError(
-            f"eigenvalue inside the cutoff window (0.5, 2)*{tols.eps_rank * w[0, 0]:.3e}; "
-            "the rank decision would be threshold-dependent"
-        )
+        raise _refusal(tols, w[0, 0], -1)
     return X[0], int(ranks[0]), B[0]
 
 
@@ -253,27 +244,83 @@ def assemble(X: np.ndarray, K: np.ndarray, M: np.ndarray | None = None) -> MpsTe
     return MpsTensor(_assembled(X, K, np.asarray(M, dtype=complex)))
 
 
-def _reassembly_errors(B: np.ndarray, chi: int) -> np.ndarray:
-    """Largest Frobenius norm, over the physical index, of the columns past
-    ``chi`` of ``(..., d, D, D)`` blocks ``X* A X``: what the block form drops."""
-    dropped = B[..., chi:]
-    if dropped.size == 0:
-        return np.zeros(B.shape[:-3])
-    return np.sqrt((dropped.real ** 2 + dropped.imag ** 2).sum(axis=(-2, -1))).max(axis=-1)
-
-
-def _normalization_residuals(K: np.ndarray) -> np.ndarray:
-    """Frobenius distance of ``sum_i K^i K^{i*}`` from the identity, per core
-    of a ``(..., d, chi, chi)`` stack."""
-    return np.linalg.norm(right_gram(K) - np.eye(K.shape[-1]), axis=(-2, -1))
-
-
 def _memberships(B: np.ndarray, chi: int, tols: Tolerances):
-    """Cores, reassembly errors and normalization residuals of ``(..., d, D, D)``
-    blocks at rank ``chi``, and the refusal masks: reassembly, normalization, injectivity."""
+    """Reassembly errors and normalization residuals of ``(..., d, D, D)``
+    blocks ``X* A X`` at rank ``chi``, and the refusal masks: reassembly,
+    normalization, injectivity.  The reassembly error is the largest
+    Frobenius norm, over the physical index, of the columns past ``chi``
+    (what the block form drops); the normalization residual is the Frobenius
+    distance of ``sum_i K^i K^{i*}`` from the identity."""
     K = np.ascontiguousarray(B[..., :chi, :chi])
-    recon, norm = _reassembly_errors(B, chi), _normalization_residuals(K)
-    return K, recon, norm, (recon > tols.tol_recon, norm > tols.tol_norm, ~_injective(K, tols))
+    dropped = B[..., chi:]
+    recon = (np.sqrt((dropped.real ** 2 + dropped.imag ** 2).sum(axis=(-2, -1))).max(axis=-1)
+             if dropped.size else np.zeros(B.shape[:-3]))
+    norm = np.linalg.norm(right_gram(K) - np.eye(chi), axis=(-2, -1))
+    return recon, norm, (recon > tols.tol_recon, norm > tols.tol_norm, ~_injective(K, tols))
+
+
+def _refusal(tols: Tolerances, lead, rank, recon=0.0, norm=0.0, bad=(False, False, False)):
+    """The error :func:`canonical_decompose` raises on a tensor it refuses,
+    from the tensor's leading left Gram eigenvalue ``lead``, its essential
+    rank (-1 where threshold-dependent) and, at that rank, its reassembly
+    error, normalization residual and refusal masks ``bad`` (reassembly,
+    normalization, injectivity).  Precedence: ambiguous rank, zero Gram
+    matrix, reassembly, normalization, injectivity."""
+    bad_recon, bad_norm, _ = bad
+    if rank < 0:
+        return AmbiguousRankError(
+            f"eigenvalue inside the cutoff window (0.5, 2)*{tols.eps_rank * lead:.3e}; "
+            "the rank decision would be threshold-dependent"
+        )
+    if rank == 0:
+        return NotInEError("tensor has numerically zero left Gram matrix")
+    if bad_recon:
+        return NotInEError(
+            f"no block canonical form: reassembly error {recon:.3e} "
+            f"exceeds {tols.tol_recon:.1e}"
+        )
+    if bad_norm:
+        return NotInEError(f"core is not right-normalized: residual {norm:.3e}")
+    return NotInEError("core matrices do not span the full matrix algebra")
+
+
+@dataclass(frozen=True, eq=False)
+class _Pass:
+    """What :func:`_decomposition_pass` finds for an ``(N, d, D, D)`` stack:
+    the bond bases ``X``, the essential ranks (-1 where threshold-dependent),
+    the blocks ``B = X* A X``, each tensor's normalization residual at its
+    rank (NaN at rank <= 0) and, by tensor index, the error that
+    :func:`canonical_decompose` raises on that tensor."""
+
+    X: np.ndarray
+    ranks: np.ndarray
+    B: np.ndarray
+    norm: np.ndarray
+    errors: dict
+
+    def decomposition(self, n: int, tensor: MpsTensor) -> CanonicalDecomposition:
+        """The decomposition of tensor ``n``, which the pass did not refuse."""
+        chi, B = int(self.ranks[n]), self.B[n]
+        return CanonicalDecomposition(X=self.X[n], K=np.ascontiguousarray(B[:, :chi, :chi]),
+                                      M=B[:, chi:, :chi].copy(), chi=chi, tensor=tensor,
+                                      norm_residual=float(self.norm[n]))
+
+
+def _decomposition_pass(mats: np.ndarray, tols: Tolerances) -> _Pass:
+    """Decide which tensors of an ``(N, d, D, D)`` stack lie in E, and at
+    which essential rank, in one :func:`_block_forms` call and one
+    :func:`_memberships` call per rank present.  Every decomposition verdict
+    reads this pass."""
+    w, X, ranks, B = _block_forms(mats, tols)
+    norm = np.full(len(mats), np.nan)
+    errors = {k: _refusal(tols, w[k, 0], ranks[k]) for k in np.flatnonzero(ranks <= 0).tolist()}
+    for chi in sorted(set(ranks.tolist()) - {-1, 0}):
+        idx = np.flatnonzero(ranks == chi)
+        recon, norm[idx], bad = _memberships(B[idx], chi, tols)
+        for j in np.flatnonzero(bad[0] | bad[1] | bad[2]).tolist():
+            k = int(idx[j])
+            errors[k] = _refusal(tols, w[k, 0], chi, recon[j], norm[k], [m[j] for m in bad])
+    return _Pass(X, ranks, B, norm, errors)
 
 
 def canonical_decompose(
@@ -286,24 +333,14 @@ def canonical_decompose(
     eigenvalues descending, eigenvector phases fixed by the largest-modulus
     entry.  Raises ``NotInEError`` if the block form does not reproduce the
     input, or if the recovered core is not injective or not right-normalized.
+    This is the N=1 call of :func:`_decomposition_pass`.
     """
     if isinstance(A, CanonicalDecomposition):
         return A
-    X, chi, B = _block_form(A, tols)
-    if chi == 0:
-        raise NotInEError("tensor has numerically zero left Gram matrix")
-    K, recon_err, norm_err, (bad_recon, bad_norm, not_injective) = _memberships(B, chi, tols)
-    if bad_recon:
-        raise NotInEError(
-            f"no block canonical form: reassembly error {float(recon_err):.3e} "
-            f"exceeds {tols.tol_recon:.1e}"
-        )
-    if bad_norm:
-        raise NotInEError(f"core is not right-normalized: residual {float(norm_err):.3e}")
-    if not_injective:
-        raise NotInEError("core matrices do not span the full matrix algebra")
-    return CanonicalDecomposition(X=X, K=K, M=B[:, chi:, :chi].copy(), chi=chi, tensor=A,
-                                  norm_residual=float(norm_err))
+    found = _decomposition_pass(A.mats[None], tols)
+    if found.errors:
+        raise found.errors[0]
+    return found.decomposition(0, A)
 
 
 def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
@@ -313,52 +350,14 @@ def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
 
 
 def canonical_decompositions(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list:
-    """:func:`canonical_decompose` of each tensor of an ``(N, d, D, D)``
-    stack, in one :func:`_block_forms` pass and one :func:`_memberships`
-    pass per essential rank.
-
-    Entry ``n`` is the decomposition of ``mats[n]``, or the ``TimpsError``
-    that ``canonical_decompose`` raises on it: a tensor the stacked pass
-    refuses is decomposed again on its own, so the error's type and message
-    are those of the scalar call.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    _, X, ranks, B = _block_forms(mats, tols)
-    out = [None] * len(mats)
-    for chi in np.unique(ranks[ranks > 0]).tolist():
-        idx = np.flatnonzero(ranks == chi)
-        K, _, norm, refusals = _memberships(B[idx], chi, tols)
-        for j in np.flatnonzero(~np.logical_or.reduce(refusals)).tolist():
-            n = idx[j]
-            out[n] = CanonicalDecomposition(X=X[n], K=K[j], M=B[n, :, chi:, :chi].copy(),
-                                            chi=chi, tensor=MpsTensor(mats[n]),
-                                            norm_residual=float(norm[j]))
-    for n, dec in enumerate(out):
-        if dec is None:
-            try:
-                out[n] = canonical_decompose(MpsTensor(mats[n]), tols)
-            except TimpsError as exc:
-                out[n] = exc
-    return out
-
-
-def canonical_cores(
-    mats: np.ndarray,
-    chi: int,
-    tols: Tolerances = DEFAULT_TOLS,
-):
-    """The cores ``K`` of :func:`canonical_decompose` for an ``(N, d, D, D)``
-    stack of tensors of essential rank ``chi``, as an ``(N, d, chi, chi)``
-    array.
-
-    Returns ``(K, ok)``: ``ok[n]`` is False where ``canonical_decompose``
-    would refuse tensor ``n`` (ambiguous or zero rank, reassembly,
-    normalization or injectivity failure) or would find an essential rank
-    other than ``chi``; there ``K[n]`` is meaningless.
-    """
-    _, _, ranks, B = _block_forms(np.asarray(mats, dtype=complex), tols)
-    K, _, _, (bad_recon, bad_norm, not_injective) = _memberships(B, chi, tols)
-    return K, (ranks == chi) & ~(bad_recon | bad_norm | not_injective)
+    """:func:`canonical_decompose` of each tensor of a ``(..., d, D, D)``
+    stack, in C order, from one :func:`_decomposition_pass`: entry ``n`` is
+    the decomposition of the ``n``-th tensor, or the ``TimpsError`` that
+    ``canonical_decompose`` raises on it."""
+    mats = np.asarray(mats, dtype=complex).reshape((-1,) + np.shape(mats)[-3:])
+    found = _decomposition_pass(mats, tols)
+    return [found.errors[n] if n in found.errors else found.decomposition(n, MpsTensor(mats[n]))
+            for n in range(len(mats))]
 
 
 def essential_rank(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> int:

@@ -61,6 +61,18 @@ def test_chern_family_spec_file(tmp_path):
     assert doc["summary"]["chern"] == 0
 
 
+@pytest.mark.parametrize("w4", [0.5, -0.5])
+def test_chern_on_the_overlap_band_edges(tmp_path, w4):
+    # rounding puts |w| / sqrt(3) just above 1/2 on most vertices of these slices
+    spec_path = tmp_path / "family.json"
+    spec_path.write_text(json.dumps({"family": "pump", "params": {"w4": w4}}))
+    assert run_cli(["chern", "--family", f"@{spec_path}", "--mesh", "16x16",
+                    "--out", tmp_path]) == 0
+    doc = read_json(tmp_path / "chern.json")
+    assert doc["summary"]["chern"] == 0
+    assert doc["summary"]["flagged_plaquettes"] == []
+
+
 def test_oracle_check_seeded(tmp_path):
     assert run_cli(["oracle-check", "--seed", 7, "--trials", 12,
                     "--gauge-trials", 6, "--out", tmp_path]) == 0

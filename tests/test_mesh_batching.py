@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import timps.tensors
 from timps import invariants
 from timps.cli import main
 from timps.errors import (
@@ -44,8 +45,8 @@ from timps.invariants import (
 from timps.sampling import random_core, random_tensor_in_e
 from timps.tensors import (
     MpsTensor,
-    canonical_cores,
     canonical_decompose,
+    canonical_decompositions,
     mixed_transfer_leading,
     pad_tensor,
     tensor_to_json,
@@ -157,16 +158,30 @@ def test_mixed_transfer_kernel_matches_oracle(rng):
                    - oracle_mixed_leading(K_a, K_b)) <= 1e-12
 
 
+def assert_same_decomposition(stacked, scalar):
+    assert stacked.chi == scalar.chi
+    assert stacked.norm_residual == scalar.norm_residual
+    for name in ("X", "K", "M", "mats"):
+        assert bits(getattr(stacked, name)) == bits(getattr(scalar, name)), name
+
+
+def bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def test_stacked_cores_match_scalar_decomposition():
     tensors = [pump_slice_family(0.7).eval_vertex(v)
                for v in make_sphere_mesh(6, 6).vertices]
-    K, ok = canonical_cores(np.array([t.mats for t in tensors]), 2)
-    assert ok.all()
-    for k, t in enumerate(tensors):
-        assert np.abs(K[k] - canonical_decompose(t).K).max() <= 1e-14
+    decs = canonical_decompositions(np.array([t.mats for t in tensors]))
+    for dec, t in zip(decs, tensors, strict=True):
+        assert dec.chi == 2
+        assert_same_decomposition(dec, canonical_decompose(t))
 
 
-def test_stacked_cores_refuse_what_the_scalar_pass_refuses(rng):
+def every_refusal_stack(rng):
+    """A stack of mixed essential ranks holding each refusal kind of the
+    decomposition, and good tensors of rank 2 and rank 1."""
     good = random_tensor_in_e(rng, 4, 3, 2).tensor
     leaky = np.zeros((4, 3, 3), dtype=complex)
     leaky[:, :2, :2] = aklt_path(0.5).mats
@@ -177,18 +192,39 @@ def test_stacked_cores_refuse_what_the_scalar_pass_refuses(rng):
     ambiguous = np.zeros((4, 3, 3), dtype=complex)
     ambiguous[:, :2, :2] = aklt_path(0.5).mats
     ambiguous[0, 2, 2] = np.sqrt(1e-9)  # Gram eigenvalue at the cutoff
-    stack = [good.mats, good.scaled(1.5).mats, leaky, diagonal, ambiguous,
-             pad_tensor(psi2_tensor(0.6, 0.8), 4, 3).mats, np.zeros((4, 3, 3))]
-    _, ok = canonical_cores(np.array(stack), 2)
+    rank_1 = pad_tensor(psi2_tensor(0.6, 0.8), 4, 3).mats
+    # the last two fail two tests each: the first refusal in precedence order names them
+    return np.array([good.mats, good.scaled(1.5).mats, leaky, diagonal, ambiguous,
+                     rank_1, np.zeros((4, 3, 3)), 1.5 * leaky, 1.5 * diagonal])
 
-    def decomposes_at_rank_2(mats):
+
+def test_stacked_cores_refuse_what_the_scalar_pass_refuses(rng, monkeypatch):
+    stack = every_refusal_stack(rng)
+    expected = []
+    for mats in stack:
         try:
-            return canonical_decompose(MpsTensor(mats)).chi == 2
-        except TimpsError:
-            return False
+            expected.append(canonical_decompose(MpsTensor(mats)))
+        except TimpsError as exc:
+            expected.append(exc)
 
-    assert ok.tolist() == [decomposes_at_rank_2(m) for m in stack]
-    assert ok.tolist() == [True] + [False] * 6
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused tensor is decomposed again")
+
+    monkeypatch.setattr(timps.tensors, "canonical_decompose", refuse)
+    out = canonical_decompositions(stack)
+    for got, want in zip(out, expected, strict=True):
+        if isinstance(want, TimpsError):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert_same_decomposition(got, want)
+    kinds = [type(e).__name__ if isinstance(e, TimpsError) else e.chi for e in expected]
+    assert kinds == [2, "NotInEError", "NotInEError", "NotInEError", "AmbiguousRankError",
+                     1, "NotInEError", "NotInEError", "NotInEError"]
+    assert [str(e).split(":")[0] for e in expected[1:4] + expected[6:]] == [
+        "core is not right-normalized", "no block canonical form",
+        "core matrices do not span the full matrix algebra",
+        "tensor has numerically zero left Gram matrix", "no block canonical form",
+        "core is not right-normalized"]
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 7), (16, 16)])
@@ -298,6 +334,25 @@ def test_error_parity_with_oracle(case, chunk):
     mesh = make_sphere_mesh(4, 4)
     expected = raised(oracle_curvature, family, mesh)
     assert expected[0] is kind and fragment in expected[1]
+    assert raised(curvature_report, family, mesh) == expected
+
+
+@pytest.mark.parametrize("case", ["rank-jump-at-3", "non-E-vertex"])
+@pytest.mark.parametrize("mixed_shapes", [False, True], ids=["one-shape", "mixed-shapes"])
+def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, monkeypatch):
+    family, _, _ = parity_cases()[case]
+    mesh = make_sphere_mesh(4, 4)
+    if mixed_shapes:
+        # vertex 12, after every failing vertex, has a larger bond dimension
+        tensors = [family.eval_vertex(v) for v in mesh.vertices]
+        family = custom_vertex_family(padded_at(tensors, 12, D=3))
+    expected = raised(oracle_curvature, family, mesh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused tensor is decomposed again")
+
+    for module in (invariants, timps.tensors):
+        monkeypatch.setattr(module, "canonical_decompose", refuse)
     assert raised(curvature_report, family, mesh) == expected
 
 

@@ -29,7 +29,7 @@ from timps.families import (
     pump_slice_family,
     pump_south,
 )
-from timps.invariants import curvature_report
+from timps.invariants import chern_number, curvature_report
 from timps.tensors import MpsTensor, canonical_decompose
 
 
@@ -51,14 +51,14 @@ def oracle_psi2_tensor(k1, k2):
 
 def oracle_lambda(pt, north):
     r = pt.w_norm / math.sqrt(3.0)
+    # at |w4| = 1/2 the rounded |w| can put r just above 1/2
+    b = math.sqrt(max(0.5 - r, 0.0))
     if north:
         if pt.w4 >= 0.5:
-            return np.array([[0.0, -math.sqrt(0.5 - r)],
-                             [math.sqrt(0.5 + r), 0.0]], dtype=complex)
+            return np.array([[0.0, -b], [math.sqrt(0.5 + r), 0.0]], dtype=complex)
         return np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     if pt.w4 <= -0.5:
-        return np.array([[0.0, math.sqrt(0.5 + r)],
-                         [-math.sqrt(0.5 - r), 0.0]], dtype=complex)
+        return np.array([[0.0, math.sqrt(0.5 + r)], [-b, 0.0]], dtype=complex)
     return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
@@ -148,7 +148,6 @@ def oracle_sphere_mesh(n_theta, n_phi):
     return Mesh2(
         n_theta=n_theta,
         n_phi=n_phi,
-        vertices=tuple(vertices),
         plaquettes=plaquettes,
         cell_theta_lo=theta_lo,
         cell_phi_lo=phi_lo,
@@ -246,6 +245,17 @@ def test_pump_charts_match_the_oracle(rng):
             assert bits(pump_north(pt).mats) == bits(oracle_pump_north(pt).mats)
         if w4 < 0.5:
             assert bits(pump_south(pt).mats) == bits(oracle_pump_south(pt).mats)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (32, 32)])
+@pytest.mark.parametrize("w4", [0.5, -0.5])
+def test_pump_slices_on_the_overlap_band_edges_have_chern_zero(w4, shape):
+    mesh = make_sphere_mesh(*shape)
+    # the slices just inside the band, and the edges themselves
+    for w in (0.98 * w4, w4):
+        report = curvature_report(pump_slice_family(w), mesh)
+        assert report.flagged == ()
+        assert chern_number(pump_slice_family(w), mesh) == 0
 
 
 def test_pump_points_from_angles_match_the_oracle(rng):

@@ -90,6 +90,13 @@ def test_tols_is_passed_on(module):
 def comparing_functions(tree, matches):
     """Innermost functions (``<module>`` outside any) holding an ``ast.Compare``
     with a node that ``matches`` accepts; printed values are not compared."""
+    return owning_functions(tree, lambda node: isinstance(node, ast.Compare)
+                            and any(map(matches, ast.walk(node))))
+
+
+def owning_functions(tree, accepts):
+    """Innermost functions (``<module>`` outside any) holding a node that
+    ``accepts`` accepts."""
     found = set()
 
     def visit(node, owner):
@@ -97,7 +104,7 @@ def comparing_functions(tree, matches):
             owner = node.name
         elif isinstance(node, ast.Lambda):
             owner = "lambda"
-        if isinstance(node, ast.Compare) and any(map(matches, ast.walk(node))):
+        if accepts(node):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -125,3 +132,19 @@ def literal(value):
 def test_each_threshold_is_compared_in_one_function(matches, modules, owners):
     assert {f"{module}:{fn}" for module in modules
             for fn in comparing_functions(TREES[module], matches)} == owners
+
+
+# The message of each refusal of a decomposition, and the rank-window refusal.
+DECOMPOSITION_REFUSALS = ("inside the cutoff window", "numerically zero left Gram matrix",
+                          "no block canonical form", "core is not right-normalized",
+                          "core matrices do not span")
+
+
+def test_decomposition_refusals_are_built_in_one_function():
+    def builds(node):
+        return (isinstance(node, ast.Call) and callee(node) == "AmbiguousRankError"
+                or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(text in node.value for text in DECOMPOSITION_REFUSALS))
+
+    assert {f"{module}:{fn}" for module, tree in TREES.items()
+            for fn in owning_functions(tree, builds)} == {"tensors.py:_refusal"}
