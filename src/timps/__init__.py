@@ -62,5 +62,4 @@ from .invariants import (
     chern_number,
     curvature_report,
     link_variable,
-    pump_boundary_chern,
 )

@@ -366,6 +366,10 @@ def _exp_chern(params, rng, tols):
     family = family_from_spec(spec)
     n_theta, n_phi = _parse_mesh(params["mesh"])
     mesh = make_sphere_mesh(n_theta, n_phi)
+    count = len(spec.get("params", {}).get("tensors", [])) if spec["family"] == "custom" else None
+    if count not in (None, len(mesh.theta)):
+        raise ValueError(f"family param tensors holds {count} tensors, but mesh "
+                         f"{params['mesh']} has {len(mesh.theta)} vertices")
     report = curvature_report(family, mesh, tols)
     nearest, residual, errors = chern_verdict(report)
     failures = [str(e) for e in errors]
@@ -387,7 +391,7 @@ def _exp_pump_boundary(params, rng, tols):
     for mesh_txt in params["meshes"]:
         n_theta, n_phi = _parse_mesh(mesh_txt)
         mesh = make_sphere_mesh(n_theta, n_phi)
-        report = curvature_report(boundary_generator_family(), mesh, tols)
+        report = curvature_report(boundary_generator_family(tols), mesh, tols)
         nearest, _, errors = chern_verdict(report)
         cherns[mesh_txt] = nearest
         rows.append(("boundary_chern", mesh_txt, float(nearest)))

@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NotNormalizedPointError, OutOfChartError
-from .tensors import MpsTensor
+from .config import DEFAULT_TOLS, Tolerances
+from .errors import NotNormalizedPointError, OutOfChartError, RankMismatchError
+from .tensors import MpsTensor, _decomposition_pass
 
 __all__ = [
     "psi2_tensor",
@@ -126,10 +127,6 @@ class PumpPoint:
         object.__setattr__(self, "w", w)
 
     @property
-    def w_norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
-    @property
     def theta(self) -> float:
         return _angles(self.w)[0]
 
@@ -144,13 +141,19 @@ class PumpPoint:
     @classmethod
     def from_ball(cls, v: Sequence[float]) -> "PumpPoint":
         """Collapse the boundary of the unit 3-ball to the south pole:
-        v -> (2 sqrt(1 - |v|^2) v, 1 - 2 |v|^2)."""
-        v = np.asarray(v, dtype=float)
-        nv2 = float(v @ v)
-        if nv2 > 1.0 + 1e-12:
-            raise ValueError("ball point must have norm <= 1")
-        nv2 = min(nv2, 1.0)
-        return cls(w=2.0 * math.sqrt(1.0 - nv2) * v, w4=1.0 - 2.0 * nv2)
+        v -> (2 sqrt(1 - |v|^2) v, 1 - 2 |v|^2); the N=1 call of :func:`_ball_points`."""
+        w, w4 = _ball_points(np.asarray(v, dtype=float).reshape(1, 3))
+        return cls(w=w[0], w4=float(w4[0]))
+
+
+def _ball_points(v: np.ndarray):
+    """Stacked :meth:`PumpPoint.from_ball`: the parts ``(w, w4)`` of the
+    images of the ``(m, 3)`` ball points ``v``."""
+    nv2 = _sq_norms(v)
+    if (nv2 > 1.0 + 1e-12).any():
+        raise ValueError("ball point must have norm <= 1")
+    nv2 = np.minimum(nv2, 1.0)
+    return 2.0 * np.sqrt(1.0 - nv2)[:, None] * v, 1.0 - 2.0 * nv2
 
 
 def _pump_charts(w: np.ndarray, w4: np.ndarray, north: bool) -> np.ndarray:
@@ -206,52 +209,51 @@ def _angles(v: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
-def _lift_filler(theta: float, phi: float, pt: PumpPoint) -> np.ndarray:
-    """Filler block of the lifted pump tensor, per (i, j) flat index."""
-    out = np.zeros(4, dtype=complex)
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    if pt.w4 <= -0.5:
-        r = pt.w_norm / math.sqrt(3.0)
-        fade = math.sqrt(0.5 + r) - math.sqrt(0.5 - r)
-        out[0] = np.exp(-2j * phi) * (1.0 - cos_t) / 2.0 * fade
-        out[3] = (1.0 + cos_t) / 2.0 * fade
-    else:
-        out[0] = np.exp(-2j * phi) * math.sin(theta / 2.0) ** 2
-        out[3] = (1.0 + cos_t) / 2.0
-    out[1] = out[2] = -0.5 * np.exp(-1j * phi) * sin_t
-    return out
-
-
 def pump_lift(v: Sequence[float], branch: str = "auto") -> MpsTensor:
     """Lift of the pump over the closed 3-ball: d = 4, D = 2, total on the
     ball, restricting on the boundary sphere to tensors in the fiber over
     the south-pole basepoint.
 
     Two overlapping closed forms cover the ball (``branch`` north/south);
-    they agree on the annulus 1/2 < |v| < sqrt(3)/2.
+    they agree on the annulus 1/2 < |v| < sqrt(3)/2.  The N=1 call of :func:`_pump_lifts`.
     """
-    v = np.asarray(v, dtype=float)
-    pt = PumpPoint.from_ball(v)
-    nv = float(np.linalg.norm(v))
-    if branch == "auto":
-        branch = "north" if nv <= 0.65 else "south"
-    if branch == "north":
-        if nv >= math.sqrt(3.0) / 2.0:
-            raise OutOfChartError("north lift branch requires |v| < sqrt(3)/2")
-        return pump_north(pt)
-    if branch != "south":
+    return MpsTensor(_pump_lifts(np.asarray(v, dtype=float).reshape(1, 3), branch)[0])
+
+
+def _pump_lifts(v: np.ndarray, branch: str) -> np.ndarray:
+    """Stacked :func:`pump_lift` at the ``(m, 3)`` ball points ``v`` (``auto``
+    is north for |v| <= 0.65): the north chart on the north branch and, on
+    the south one, ``X* [[core, 0], [filler, 0]] X^T`` with X the rotation at
+    v's direction and core the south chart's entry."""
+    w, w4 = _ball_points(v)
+    nv = np.sqrt(_sq_norms(v))
+    if branch not in ("auto", "north", "south"):
         raise ValueError("branch must be auto, north, or south")
-    if nv <= 0.5:
+    north = nv <= 0.65 if branch == "auto" else np.full(len(v), branch == "north")
+    if (nv[north] >= math.sqrt(3.0) / 2.0).any():
+        raise OutOfChartError("north lift branch requires |v| < sqrt(3)/2")
+    if (nv[~north] <= 0.5).any():
         raise OutOfChartError("south lift branch requires |v| > 1/2")
-    theta, phi = _angles(v)
-    X = berry_rotation(theta, phi)
-    core = pump_south(pt).mats[:, 0, 0]
-    filler = _lift_filler(theta, phi, pt)
-    mats = np.zeros((4, 2, 2), dtype=complex)
-    for s in range(4):
-        block = np.array([[core[s], 0.0], [filler[s], 0.0]], dtype=complex)
-        mats[s] = X.conj() @ block @ X.T
-    return MpsTensor(mats)
+    mats = np.zeros((len(v), 4, 2, 2), dtype=complex)
+    if north.any():
+        mats[north] = _pump_charts(w[north], w4[north], north=True)
+    if north.all():
+        return mats
+    v, w, w4 = v[~north], w[~north], w4[~north]
+    theta, phi = np.array([_angles(x) for x in v.tolist()]).reshape(-1, 2).T
+    full, cos_t = w4 <= -0.5, np.cos(theta)
+    r = np.sqrt(_sq_norms(w)) / math.sqrt(3.0)
+    fade = np.where(full, np.sqrt(0.5 + r) - np.sqrt(np.maximum(0.5 - r, 0.0)), 1.0)
+    # sin(theta/2)^2 by C pow, as in the scalar formula (numpy's square can differ)
+    half = np.where(full, (1.0 - cos_t) / 2.0, np.float_power(np.sin(theta / 2.0), 2))
+    blocks = np.zeros((len(v), 4, 2, 2), dtype=complex)
+    blocks[:, :, 0, 0] = _pump_charts(w, w4, north=False).reshape(-1, 4)
+    blocks[:, 0, 1, 0] = np.exp(-2j * phi) * half * fade
+    blocks[:, 3, 1, 0] = (1.0 + cos_t) / 2.0 * fade
+    blocks[:, 1, 1, 0] = blocks[:, 2, 1, 0] = -0.5 * np.exp(-1j * phi) * np.sin(theta)
+    X = _rotations(theta, phi)[:, None]
+    mats[~north] = X.conj() @ blocks @ X.transpose(0, 1, 3, 2)
+    return mats
 
 
 def aklt_path(g: float) -> MpsTensor:
@@ -428,14 +430,20 @@ def psi2_sphere_family() -> SphereFamily:
     return SphereFamily("psi2", stack=stack)
 
 
-def boundary_generator_family() -> SphereFamily:
-    """The boundary restriction of the pump lift: the product family of the
-    projectivized first column of the conjugated rotation matrix.  It is the
-    same sphere map as :func:`psi2_sphere_family` by construction."""
+def boundary_generator_family(tols: Tolerances = DEFAULT_TOLS) -> SphereFamily:
+    """The pump's pi_3 witness: the core line of :func:`pump_lift` on the
+    boundary sphere |v| = 1, a sphere of tensors over the south-pole
+    basepoint, as a product family.  Each lift tensor must decompose at
+    essential rank 1; the line is the first vector of its bond basis."""
 
     def stack(theta, phi):
-        cols = _rotations(theta, phi).conj()[:, :, 0]
-        return _product_states(cols[:, 0], cols[:, 1])
+        found = _decomposition_pass(_pump_lifts(_slice_points(theta, phi, 0.0), "auto"), tols)
+        refused = set(found.errors) | set(np.flatnonzero(found.ranks != 1).tolist())
+        if refused:
+            k = min(refused)
+            raise found.errors.get(k) or RankMismatchError(
+                f"pump lift has essential rank {found.ranks[k]} on the boundary sphere, not 1")
+        return _product_states(found.X[:, 0, 0], found.X[:, 1, 0])
 
     return SphereFamily("pump-boundary", stack=stack)
 

@@ -25,7 +25,7 @@ from .errors import (
     RankMismatchError,
     VanishingOverlapError,
 )
-from .families import Mesh2, make_sphere_mesh, boundary_generator_family
+from .families import Mesh2
 from .tensors import (
     MpsTensor,
     _decomposition_pass,
@@ -47,7 +47,6 @@ __all__ = [
     "chern_number",
     "chern_verdict",
     "flagged_message",
-    "pump_boundary_chern",
 ]
 
 OVERLAP_FLOOR = 1e-8
@@ -298,17 +297,3 @@ def chern_number(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> int:
     if errors:
         raise errors[0]
     return nearest
-
-
-def pump_boundary_chern(n_theta: int, n_phi: int, tols: Tolerances = DEFAULT_TOLS) -> int:
-    """Chern number of the pump's boundary family on the 2-sphere.
-
-    This is the connecting-map witness of the pump's 3-sphere invariant: the
-    boundary of the ball lift is the product family of the projectivized
-    first rotation column, and its plaquette total must be the generator
-    value +1 with the outward orientation convention.
-    """
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("boundary mesh must be at least 8 x 8")
-    mesh = make_sphere_mesh(n_theta, n_phi)
-    return chern_number(boundary_generator_family(), mesh, tols)

@@ -263,6 +263,16 @@ def _custom_spec_with_charts():
                        "charts": ["main"] * n}}
 
 
+def _psi2_spec(n):
+    """A custom family of the psi2 tensors at the vertices of the n x n mesh."""
+    from timps.families import make_sphere_mesh, psi2_sphere_family
+    from timps.tensors import tensor_to_json
+
+    family = psi2_sphere_family()
+    return {"family": "custom", "params": {"tensors": [
+        tensor_to_json(family.eval_vertex(v)) for v in make_sphere_mesh(n, n).vertices]}}
+
+
 # (command-line arguments, or a config document; the parameter that the
 # `config error:` line must name)
 BAD_INPUTS = [
@@ -324,6 +334,12 @@ BAD_INPUTS = [
     *[(None, {"experiment": "chern",
               "params": {"family": {"family": "psi2", "params": falsy}}}, "params")
       for falsy in ([], 0, False, "", None)],
+    # a custom family with more tensors than mesh vertices: exited 0 with the
+    # tensors on the wrong vertices; with fewer, the message gave no counts
+    (None, {"experiment": "chern", "params": {"family": _psi2_spec(8), "mesh": "4x4"}},
+     "tensors holds 58 tensors, but mesh 4x4 has 14 vertices"),
+    (None, {"experiment": "chern", "params": {"family": _psi2_spec(4), "mesh": "8x8"}},
+     "tensors holds 14 tensors, but mesh 8x8 has 58 vertices"),
 ]
 
 

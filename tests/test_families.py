@@ -288,9 +288,10 @@ def test_sphere_families_evaluate_at_poles():
     assert np.abs(north.mats.ravel() - np.array([1.0, 0.0])).max() < 1e-15
     bnd = boundary_generator_family()
     for v in mesh.vertices:
-        a = fam.eval_vertex(v)
-        b = bnd.eval_vertex(v)
-        assert np.abs(a.mats - b.mats).max() < 1e-15
+        # the same state; the boundary line's phase is the decomposition's
+        a = fam.eval_vertex(v).mats.ravel()
+        b = bnd.eval_vertex(v).mats.ravel()
+        assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-15
 
 
 def test_pump_slice_family_ranks():

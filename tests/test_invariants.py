@@ -12,6 +12,7 @@ from timps.errors import (
 from timps.families import (
     SphereFamily,
     aklt_path,
+    boundary_generator_family,
     constant_sphere_family,
     custom_vertex_family,
     make_sphere_mesh,
@@ -25,7 +26,6 @@ from timps.invariants import (
     curvature_report,
     link_field,
     link_variable,
-    pump_boundary_chern,
 )
 
 
@@ -123,12 +123,7 @@ def test_chern_rejects_rank_jumps():
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_pump_boundary_generator_value(n):
-    assert pump_boundary_chern(n, n) == 1
-
-
-def test_pump_boundary_rejects_tiny_mesh():
-    with pytest.raises(ValueError):
-        pump_boundary_chern(4, 4)
+    assert chern_number(boundary_generator_family(), make_sphere_mesh(n, n)) == 1
 
 
 def test_frozen_polar_angle_gives_zero():

@@ -2,11 +2,11 @@
 per-vertex code they replace.
 
 The oracles below are the earlier per-vertex implementations: the scalar
-rotation, product-state and pump-chart formulas, the per-vertex closures
-of the psi2, boundary-generator and pump-slice families, and the double
-loop that built the sphere mesh.  The stacked code must reproduce them bit
-for bit, and a chunk the stacked evaluator refuses must raise what the
-per-vertex loop raises.
+rotation, product-state, pump-chart and pump-lift formulas, the per-vertex
+closures of the psi2 and pump-slice families, the boundary generator
+derived one vertex at a time, and the double loop that built the sphere
+mesh.  The stacked code must reproduce them bit for bit, and a chunk the
+stacked evaluator refuses must raise what the per-vertex loop raises.
 """
 
 import math
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from timps import families, invariants
+from timps.config import DEFAULT_TOLS
 from timps.errors import NotInEError, NotNormalizedPointError, OutOfChartError, RankMismatchError
 from timps.families import (
     Mesh2,
@@ -22,15 +23,20 @@ from timps.families import (
     PumpPoint,
     SphereFamily,
     _angles,
+    _product_states,
+    _pump_charts,
+    _pump_lifts,
+    _slice_points,
     boundary_generator_family,
     make_sphere_mesh,
     psi2_sphere_family,
+    pump_lift,
     pump_north,
     pump_slice_family,
     pump_south,
 )
 from timps.invariants import chern_number, curvature_report
-from timps.tensors import MpsTensor, canonical_decompose
+from timps.tensors import MpsTensor, _decomposition_pass, canonical_decompose
 
 
 def oracle_berry_rotation(theta, phi):
@@ -50,7 +56,7 @@ def oracle_psi2_tensor(k1, k2):
 
 
 def oracle_lambda(pt, north):
-    r = pt.w_norm / math.sqrt(3.0)
+    r = float(np.linalg.norm(pt.w)) / math.sqrt(3.0)
     # at |w4| = 1/2 the rounded |w| can put r just above 1/2
     b = math.sqrt(max(0.5 - r, 0.0))
     if north:
@@ -99,9 +105,67 @@ def oracle_psi2_at(v):
                               np.exp(-1j * v.phi) * math.sin(v.theta / 2.0))
 
 
+def oracle_from_ball(v):
+    v = np.asarray(v, dtype=float)
+    nv2 = float(v @ v)
+    if nv2 > 1.0 + 1e-12:
+        raise ValueError("ball point must have norm <= 1")
+    nv2 = min(nv2, 1.0)
+    return PumpPoint(w=2.0 * math.sqrt(1.0 - nv2) * v, w4=1.0 - 2.0 * nv2)
+
+
+def oracle_lift_filler(theta, phi, pt):
+    out = np.zeros(4, dtype=complex)
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    if pt.w4 <= -0.5:
+        r = float(np.linalg.norm(pt.w)) / math.sqrt(3.0)
+        fade = math.sqrt(0.5 + r) - math.sqrt(0.5 - r)
+        out[0] = np.exp(-2j * phi) * (1.0 - cos_t) / 2.0 * fade
+        out[3] = (1.0 + cos_t) / 2.0 * fade
+    else:
+        out[0] = np.exp(-2j * phi) * math.sin(theta / 2.0) ** 2
+        out[3] = (1.0 + cos_t) / 2.0
+    out[1] = out[2] = -0.5 * np.exp(-1j * phi) * sin_t
+    return out
+
+
+def oracle_pump_lift(v, branch="auto"):
+    v = np.asarray(v, dtype=float)
+    pt = oracle_from_ball(v)
+    nv = float(np.linalg.norm(v))
+    if branch == "auto":
+        branch = "north" if nv <= 0.65 else "south"
+    if branch == "north":
+        if nv >= math.sqrt(3.0) / 2.0:
+            raise OutOfChartError("north lift branch requires |v| < sqrt(3)/2")
+        return oracle_pump_north(pt)
+    if branch != "south":
+        raise ValueError("branch must be auto, north, or south")
+    if nv <= 0.5:
+        raise OutOfChartError("south lift branch requires |v| > 1/2")
+    theta, phi = _angles(v)
+    X = oracle_berry_rotation(theta, phi)
+    core = oracle_pump_south(pt).mats[:, 0, 0]
+    filler = oracle_lift_filler(theta, phi, pt)
+    mats = np.zeros((4, 2, 2), dtype=complex)
+    for s in range(4):
+        block = np.array([[core[s], 0.0], [filler[s], 0.0]], dtype=complex)
+        mats[s] = X.conj() @ block @ X.T
+    return MpsTensor(mats)
+
+
 def oracle_boundary_at(v):
+    """The closed form the boundary generator had: the projectivized first
+    column of the conjugated rotation at the vertex."""
     col = oracle_berry_rotation(v.theta, v.phi).conj()[:, 0]
     return oracle_psi2_tensor(col[0], col[1])
+
+
+def derived_boundary_at(v):
+    """The boundary generator derived at one vertex: the lift at the unit
+    vector, its N=1 decomposition, and the first bond basis vector."""
+    X = canonical_decompose(oracle_pump_lift(oracle_from_angles(v.theta, v.phi, 0.0).w)).X
+    return oracle_psi2_tensor(X[0, 0], X[1, 0])
 
 
 def oracle_pump_slice_at(w4):
@@ -190,7 +254,7 @@ PUMP_W4 = [-0.7, -0.5, -0.2, 0.2, 0.5, 0.55, 0.7, 0.8]
 
 ORACLES = {
     "psi2": (psi2_sphere_family, oracle_psi2_at),
-    "boundary": (boundary_generator_family, oracle_boundary_at),
+    "boundary": (boundary_generator_family, derived_boundary_at),
     **{f"pump-{w4}": (lambda w4=w4: pump_slice_family(w4), oracle_pump_slice_at(w4))
        for w4 in PUMP_W4},
 }
@@ -341,3 +405,84 @@ def test_stacked_refusal_raises_what_the_loop_raises(w4, faults, kind, fragment,
     expected = raised(per_vertex_loop, family, mesh)
     assert expected[0] is kind and fragment in expected[1]
     assert raised(curvature_report, family, mesh) == expected
+
+
+def lift_points(rng):
+    """3,000 points on the annulus, where both lift branches hold, 300 inside
+    it and 300 outside, and the radii 0, 1/2 + 1e-6, 0.65, sqrt(3)/2 - 1e-9
+    and 1 along the coordinate axes and 100 random directions."""
+    dirs = rng.normal(size=(3700, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.concatenate([rng.uniform(0.5, math.sqrt(3.0) / 2.0, 3000),
+                            rng.uniform(0.0, 0.5, 300), rng.uniform(math.sqrt(3.0) / 2.0, 1.0, 300)])
+    axes = np.concatenate([np.eye(3), -np.eye(3), dirs[3600:]])
+    special = np.array([0.0, 0.5 + 1e-6, 0.65, math.sqrt(3.0) / 2.0 - 1e-9, 1.0])
+    return np.concatenate([radii[:, None] * dirs[:3600],
+                           (special[:, None, None] * axes).reshape(-1, 3)])
+
+
+@pytest.mark.parametrize("branch", ["auto", "north", "south"])
+def test_pump_lift_matches_the_scalar_oracle(branch, rng):
+    points = lift_points(rng)
+    expected = [outcome(lambda: oracle_pump_lift(v, branch).mats) for v in points]
+    assert [outcome(lambda: pump_lift(v, branch).mats) for v in points] == expected
+    ok = np.array([e[0] == "ok" for e in expected])
+    assert ok.sum() >= 3000
+    stacked = _pump_lifts(points[ok], branch)
+    assert [bits(m) for m in stacked] == [e[1:] for e, good in zip(expected, ok) if good]
+    for v in points[~ok]:
+        assert raised(_pump_lifts, np.concatenate([points[ok][:5], v[None]]), branch) == \
+            outcome(lambda: oracle_pump_lift(v, branch))[1:]
+
+
+@pytest.mark.parametrize("v, branch", [
+    ([0.0, 0.0, 1.0 + 1e-9], "auto"), ([0.6, 0.8, 1e-5], "south"), ([0.3, 0.2, 0.1], "east"),
+    ([0.0, 0.0, 1.1], "east"), ([0.9, 0.0, 0.0], "north"), ([0.0, 0.3, 0.0], "south"),
+])
+def test_pump_lift_refuses_what_the_oracle_refuses(v, branch):
+    expected = raised(oracle_pump_lift, v, branch)
+    assert raised(pump_lift, v, branch) == expected
+    assert raised(_pump_lifts, np.array([[0.0, 0.6, 0.0], v]), branch) == expected
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 4), (6, 6), (8, 8), (16, 16), (32, 32), (64, 64)])
+def test_boundary_generator_is_the_closed_form_line(shape):
+    mesh = make_sphere_mesh(*shape)
+    family = boundary_generator_family()
+    derived = family.eval_vertices(mesh.theta, mesh.phi)[:, :, 0, 0]
+    closed = np.array([oracle_boundary_at(v).mats[:, 0, 0] for v in mesh.vertices])
+    assert np.abs(np.abs(np.einsum("ni,ni->n", closed.conj(), derived)) - 1.0).max() <= 1e-15
+    report = curvature_report(family, mesh)
+    closed_report = curvature_report(SphereFamily("closed form", oracle_boundary_at), mesh)
+    assert np.abs(report.curvature - closed_report.curvature).max() <= 1e-15
+    assert report.flagged == ()
+    assert chern_number(family, mesh) == 1
+
+
+def test_the_boundary_class_is_read_off_the_lift(monkeypatch):
+    mesh = make_sphere_mesh(16, 16)
+    lifts = families._pump_lifts
+    monkeypatch.setattr(families, "_pump_lifts", lambda v, branch: lifts(v, branch).conj())
+    assert chern_number(boundary_generator_family(), mesh) == -1
+
+
+def north_core_lines(w4):
+    """The core line of the north chart on the w4 slice of the overlap band,
+    where the chart has essential rank 1."""
+
+    def stack(theta, phi):
+        w = _slice_points(theta, phi, w4)
+        found = _decomposition_pass(_pump_charts(w, np.full(len(w), w4), north=True),
+                                    DEFAULT_TOLS)
+        assert not found.errors and (found.ranks == 1).all()
+        return _product_states(found.X[:, 0, 0], found.X[:, 1, 0])
+
+    return SphereFamily(f"north-line(w4={w4})", stack=stack)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("w4", [-0.49, -0.2, 0.0, 0.3, 0.49])
+def test_chart_clutching_number_is_the_lift_class(w4, n):
+    mesh = make_sphere_mesh(n, n)
+    lift_class = chern_number(boundary_generator_family(), mesh)
+    assert chern_number(north_core_lines(w4), mesh) == lift_class == 1
