@@ -51,7 +51,6 @@ from .tensors import (
     MpsTensor,
     apply_gauge,
     canonical_decompose,
-    canonical_decompositions,
     fidelity_per_site,
     gauge_equivalent,
     pad_tensor,
@@ -170,35 +169,50 @@ SWEEP_CHUNK_BYTES = 1 << 19
 def _sweep(count: int, draw, key, nbytes, run):
     """Rows and failures of a randomized sweep, in case order.
 
-    Cases are drawn in RNG order by ``draw(case)``, in windows that end with
-    the case whose ``nbytes(drawn)`` brings the total to ``SWEEP_CHUNK_BYTES``.
-    The window's cases of equal ``key(drawn)`` go through one ``run(items)``
-    call on ``(case, drawn)`` pairs, which returns each case's rows and
-    failures.  A failed draw is raised after the cases drawn before it have
-    run, as in a one-case-at-a-time loop; ``run`` may raise only errors whose
-    type and message do not depend on the case.
+    Cases are drawn in RNG order in windows that end with the case whose
+    ``nbytes(case)`` brings the total to ``SWEEP_CHUNK_BYTES``: ``draw(cases)``
+    gives a window's drawn cases in order, and ends with the ``TimpsError``
+    of a failed draw, raised after the cases drawn before it have run, as in
+    a one-case-at-a-time loop.  The window's cases of equal ``key(drawn)``
+    go through one ``run(items)`` call on ``(case, drawn)`` pairs, which
+    returns each case's rows and failures; ``run`` may raise only errors
+    whose type and message do not depend on the case.
     """
     rows, failures, case = [], [], 0
     while case < count:
-        window, budget, error = [], SWEEP_CHUNK_BYTES, None
-        try:
-            while case < count and budget > 0:
-                window.append((case, draw(case)))
-                budget -= nbytes(window[-1][1])
-                case += 1
-        except TimpsError as exc:
-            error = exc
+        cases, budget = [], SWEEP_CHUNK_BYTES
+        while case < count and budget > 0:
+            cases.append(case)
+            budget -= nbytes(case)
+            case += 1
+        drawn = draw(cases)
+        error = drawn.pop() if drawn and isinstance(drawn[-1], TimpsError) else None
         groups, done = {}, {}
-        for item in window:
+        for item in zip(cases, drawn):
             groups.setdefault(key(item[1]), []).append(item)
         for items in groups.values():
             done.update(zip((c for c, _ in items), run(items)))
         if error is not None:
             raise error
-        for c, _ in window:
+        for c in cases:
             rows += done[c][0]
             failures += done[c][1]
     return rows, failures
+
+
+def _gauge_moved(drawn: list, tols: Tolerances) -> list:
+    """``(dec, decomposition or refusal of its gauge-moved copy)`` of each
+    drawn ``(dec, move)``, in order, the copies decomposed in one call; ends
+    with the ``TimpsError`` that ends ``drawn`` or that the first failing
+    ``apply_gauge`` raises, where a case-by-case loop stops."""
+    end, moved = [x for x in drawn if isinstance(x, TimpsError)], []
+    for dec, move in drawn[:len(drawn) - len(end)]:
+        try:
+            moved.append(apply_gauge(dec, move, tols))
+        except TimpsError as exc:
+            end = [exc]
+            break
+    return [(a, b) for (a, _), b in zip(drawn, canonical_decompose(moved, tols))] + end
 
 
 _CONTRACT_SHAPES = ((4, 2, 2), (4, 3, 2), (2, 2, 1), (3, 2, 1))
@@ -214,7 +228,7 @@ def _exp_contract_sweep(params, rng, tols):
     def run(items):
         nonlocal first_end, cross
         P = contraction_path([A for _, A in items], s_grid, tols=tols)
-        decs = canonical_decompositions(P, tols)
+        decs = canonical_decompose(P, tols)
         target = contraction_endpoint(items[0][1].d, items[0][1].D).mats
         results = []
         for j, (case, _) in enumerate(items):
@@ -234,10 +248,13 @@ def _exp_contract_sweep(params, rng, tols):
             results.append((rows, failures))
         return results
 
+    def nbytes(case):
+        d, D, _ = shapes[case]
+        return 16 * s_steps * contraction_output_dims(d, D)[0] * (D + 1) ** 2
+
     rows, failures = _sweep(
-        count, lambda case: random_tensor_in_e(rng, *shapes[case], tols=tols),
-        lambda A: (A.d, A.D),
-        lambda A: 16 * s_steps * contraction_output_dims(A.d, A.D)[0] * (A.D + 1) ** 2, run)
+        count, lambda cases: random_tensor_in_e(rng, *zip(*(shapes[c] for c in cases)), tols=tols),
+        lambda A: (A.d, A.D), nbytes, run)
     _check(failures, cross <= 1e-12, f"endpoints differ across inputs by {cross:.3e}")
     summary = {"count": count, "max_endpoint_cross_dev": cross}
     return ["case", "s", "essential_rank", "core_norm_residual"], rows, summary, failures
@@ -250,24 +267,24 @@ def _exp_retract_sweep(params, rng, tols):
     count = params["count"]
     chis = params["chis"]
 
-    def draw(case):
+    def shape(case):
         chi = chis[case % len(chis)]
-        dec_a = random_split_spectrum_tensor(rng, chi, chi + (case // len(chis)) % 2, tols)
-        moved = apply_gauge(dec_a, random_gauge_move(rng, dec_a, tols=tols), tols)
-        try:
-            return dec_a, canonical_decompose(moved, tols)
-        except TimpsError as exc:
-            return dec_a, exc
+        return chi, chi + (case // len(chis)) % 2
+
+    def draw(cases):
+        return _gauge_moved(random_split_spectrum_tensor(
+            rng, *zip(*map(shape, cases)), tols=tols,
+            then=lambda g, dec: (dec, random_gauge_move(g, dec, tols=tols))), tols)
 
     def run(items):
         delta, H = retract([dec_a for _, (dec_a, _) in items], _T_GRID, tols=tols)
         dist = np.abs(H - H[:, :1]).max(axis=(2, 3, 4))
         # at t = 0 the output is the input, whose decomposition is dec_a
-        outs = canonical_decompositions(H[:, 1:], tols)
+        outs = canonical_decompose(H[:, 1:], tols)
         moved = [None] * len(outs)  # the key keeps undecomposable gauge-moved inputs apart
         if isinstance(items[0][1][1], CanonicalDecomposition):
             HB = retract([dec_b for _, (_, dec_b) in items], _T_GRID[1:], tols=tols)[1]
-            moved = canonical_decompositions(HB, tols)
+            moved = canonical_decompose(HB, tols)
         both = [k for k, pair in enumerate(zip(outs, moved))
                 if all(isinstance(x, CanonicalDecomposition) for x in pair)]
         equivalent = dict(zip(both, gauge_equivalent([outs[k] for k in both],
@@ -304,7 +321,7 @@ def _exp_retract_sweep(params, rng, tols):
 
     rows, failures = _sweep(
         count, draw, lambda ab: (ab[0].d, ab[0].D, ab[0].chi, getattr(ab[1], "chi", None)),
-        lambda ab: 16 * (2 * len(_T_GRID) - 1) * ab[0].d * ab[0].D ** 2, run)
+        lambda case: 16 * (2 * len(_T_GRID) - 1) * (shape(case)[0] * shape(case)[1]) ** 2, run)
     summary = {"count": count, "chis": list(chis)}
     return (["case", "chi", "t", "essential_rank", "delta",
              "dist_from_input", "core_norm_residual"], rows, summary, failures)
@@ -462,12 +479,16 @@ def _exp_oracle_check(params, rng, tols):
     rows, failures = [], []
     max_oracle_dev = 0.0
     n_max = {d: _window_sites(d, params["window_max"]) for d, _ in _ORACLE_SHAPES}
-    for trial in range(params["trials"]):
-        d, chi = _ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)]
-        K = random_core(rng, d, chi, tols).tensor
+    shapes = [_ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)] for trial in range(params["trials"])]
+    drawn = random_core(rng, [d for d, _ in shapes], [chi for _, chi in shapes], tols,
+                        then=lambda g, dec: (dec.tensor, random_observable(
+                            g, dec.d, int(g.integers(1, n_max[dec.d] + 1)))))
+    for trial, ((d, chi), item) in enumerate(zip(shapes, drawn)):
+        if isinstance(item, TimpsError):
+            raise item
+        K, obs = item
+        n = obs.n
         T = fixed_point(K, tols)
-        n = int(rng.integers(1, n_max[d] + 1))
-        obs = random_observable(rng, d, n)
         lhs = expectation(K, T, obs)
         rho = window_density_matrix(K, T, n)
         C = obs.factors[0]
@@ -482,12 +503,16 @@ def _exp_oracle_check(params, rng, tols):
            f"expectation vs window oracle deviation {max_oracle_dev:.3e} > 1e-9")
 
     max_gauge_dev = 0.0
-    for trial in range(params["gauge_trials"]):
-        d, chi = (4, 2) if trial % 2 == 0 else (3, 1)
-        D = chi + 1
-        dec_a = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        move = random_gauge_move(rng, dec_a, tols=tols)
-        dec_b = canonical_decompose(apply_gauge(dec_a, move, tols), tols)
+    shapes = [(4, 2) if trial % 2 == 0 else (3, 1) for trial in range(params["gauge_trials"])]
+    pairs = _gauge_moved(random_tensor_in_e(
+        rng, [d for d, _ in shapes], [chi + 1 for _, chi in shapes], [chi for _, chi in shapes],
+        tols=tols, then=lambda g, dec: (dec, random_gauge_move(g, dec, tols=tols))), tols)
+    for trial, ((d, chi), pair) in enumerate(zip(shapes, pairs)):
+        if isinstance(pair, TimpsError):
+            raise pair
+        dec_a, dec_b = pair
+        if isinstance(dec_b, TimpsError):
+            raise dec_b
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")
         T_a, T_b = fixed_point(dec_a.K, tols), fixed_point(dec_b.K, tols)

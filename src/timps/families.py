@@ -403,11 +403,13 @@ class SphereFamily:
     """A family over the sphere, given by ``stack``, which evaluates it at
     arrays of vertex angles as one ``(m, d, D, D)`` array, or per vertex by
     ``func`` (whose tensors may differ in shape).  :meth:`eval_vertex` calls
-    ``func`` when given and is otherwise the N=1 call of ``stack``."""
+    ``func`` when given and is otherwise the N=1 call of ``stack``.  A family
+    given for the vertices of one mesh has their number as ``size``."""
 
     name: str
     func: Callable[[MeshVertex], MpsTensor] | None = None
     stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    size: int | None = None
 
     def eval_vertex(self, vertex: MeshVertex) -> MpsTensor:
         if self.func is not None:
@@ -480,7 +482,7 @@ def custom_vertex_family(tensors: Sequence[MpsTensor]) -> SphereFamily:
             raise ValueError("custom family has fewer tensors than mesh vertices")
         return tensors[v.index]
 
-    return SphereFamily("custom", at)
+    return SphereFamily("custom", at, size=len(tensors))
 
 
 def _spec_number(params: dict, key: str, default: float) -> float:

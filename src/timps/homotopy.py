@@ -27,6 +27,7 @@ from .tensors import (
     MpsTensor,
     _decomposition,
     _assembled,
+    _stacked,
     left_gram,
     right_gram,
 )
@@ -339,8 +340,13 @@ def _is_split(w: np.ndarray, tols: Tolerances) -> bool:
 def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff the core Gram matrix of a tensor (or decomposition) has at
     least two distinct nonzero eigenvalues (relative separation above
-    ``tols.tol_distinct``); requires essential rank >= 2."""
-    return _is_split(_core_gram_eigh(_decomposition(A, tols).K)[0], tols)
+    ``tols.tol_distinct``); requires essential rank >= 2.  ``A`` may also be
+    a sequence: the verdicts then come back as a list, from one stacked Gram
+    ``eigh`` per core shape."""
+    if isinstance(A, (MpsTensor, CanonicalDecomposition)):
+        return _is_split(_core_gram_eigh(_decomposition(A, tols).K)[0], tols)
+    return _stacked([_decomposition(a, tols).K for a in A],
+                    lambda K: [_is_split(w, tols) for w in _core_gram_eigh(K)[0]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -205,9 +205,13 @@ def _vertex_cores(family, mesh: Mesh2, tols):
 
     Vertices go in chunks of at most ``CHUNK``.  The error raised is the one
     a per-vertex loop (evaluate, decompose, compare the rank with vertex
-    0's) would raise first.
+    0's) would raise first; a family whose ``size`` exceeds the mesh's
+    vertex count is refused before any vertex.
     """
     n = len(mesh.theta)
+    if family.size is not None and family.size > n:
+        raise ValueError(f"family {family.name} has {family.size} tensors, but the mesh has "
+                         f"{n} vertices")
     cores, dims = None, np.zeros(n, dtype=np.intp)
     for start in range(0, n, CHUNK):
         tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))

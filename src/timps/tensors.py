@@ -47,7 +47,6 @@ __all__ = [
     "range_projection",
     "is_injective",
     "canonical_decompose",
-    "canonical_decompositions",
     "essential_rank",
     "right_normalize",
     "apply_gauge",
@@ -148,21 +147,16 @@ def _block_forms(mats: np.ndarray, tols: Tolerances):
     return w, X, ranks - (ranks + 1) * in_window, B
 
 
-def _block_form(A: MpsTensor, tols: Tolerances):
-    """The N=1 call of :func:`_block_forms`: ``(X, chi, B)`` of one tensor,
-    refusing a threshold-dependent rank."""
-    w, X, ranks, B = _block_forms(A.mats[None], tols)
-    if ranks[0] < 0:
-        raise _refusal(tols, w[0, 0], -1)
-    return X[0], int(ranks[0]), B[0]
-
-
 def range_projection(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Orthogonal projection onto the span of the dominant eigenvectors of
     the left Gram matrix (eigenvalues above ``tols.eps_rank * lambda_max``);
     a decomposition's own basis and rank are used as given."""
-    X, rank = (A.X, A.chi) if isinstance(A, CanonicalDecomposition) else _block_form(A, tols)[:2]
-    return X[:, :rank] @ X[:, :rank].conj().T
+    if isinstance(A, CanonicalDecomposition):
+        return A.X[:, :A.chi] @ A.X[:, :A.chi].conj().T
+    w, X, ranks, _ = _block_forms(A.mats[None], tols)
+    if ranks[0] < 0:
+        raise _refusal(tols, w[0, 0], -1)
+    return X[0, :, :ranks[0]] @ X[0, :, :ranks[0]].conj().T
 
 
 def _injective(K: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -298,6 +292,11 @@ class _Pass:
     norm: np.ndarray
     errors: dict
 
+    def results(self, mats: np.ndarray) -> list:
+        """Each tensor's decomposition, or the error the pass found for it."""
+        return [self.errors.get(n) or self.decomposition(n, MpsTensor(m))
+                for n, m in enumerate(mats)]
+
     def decomposition(self, n: int, tensor: MpsTensor) -> CanonicalDecomposition:
         """The decomposition of tensor ``n``, which the pass did not refuse."""
         chi, B = int(self.ranks[n]), self.B[n]
@@ -323,20 +322,39 @@ def _decomposition_pass(mats: np.ndarray, tols: Tolerances) -> _Pass:
     return _Pass(X, ranks, B, norm, errors)
 
 
-def canonical_decompose(
-    A: MpsTensor,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CanonicalDecomposition:
+def _stacked(A, stacked_pass) -> list:
+    """``stacked_pass`` on an ``(..., d, D, D)`` stack, or on each group of
+    same-shape entries (tensors or arrays) of a sequence, stacked: its
+    per-tensor results in input order (C order for a stack)."""
+    if isinstance(A, np.ndarray):
+        return stacked_pass(np.asarray(A, dtype=complex).reshape((-1,) + A.shape[-3:]))
+    mats = [np.asarray(getattr(a, "mats", a), dtype=complex) for a in A]
+    out = [None] * len(mats)
+    for shape in dict.fromkeys(m.shape for m in mats):
+        idx = [n for n, m in enumerate(mats) if m.shape == shape]
+        for n, result in zip(idx, stacked_pass(np.array([mats[n] for n in idx]))):
+            out[n] = result
+    return out
+
+
+def canonical_decompose(A, tols: Tolerances = DEFAULT_TOLS):
     """Recover ``(X, K, M, chi)`` from a tensor, or refuse; a decomposition is returned as given.
 
     The bond basis is the eigenbasis of the left Gram matrix, range first,
     eigenvalues descending, eigenvector phases fixed by the largest-modulus
     entry.  Raises ``NotInEError`` if the block form does not reproduce the
     input, or if the recovered core is not injective or not right-normalized.
-    This is the N=1 call of :func:`_decomposition_pass`.
+
+    ``A`` may also be an ``(..., d, D, D)`` stack or a sequence of tensors
+    (of any shapes): the result is then the list, in C order, of each
+    tensor's decomposition or of the ``TimpsError`` the N=1 call raises on
+    it, from one :func:`_decomposition_pass` per shape.  One tensor is the
+    N=1 call.
     """
     if isinstance(A, CanonicalDecomposition):
         return A
+    if not isinstance(A, MpsTensor):
+        return _stacked(A, lambda mats: _decomposition_pass(mats, tols).results(mats))
     found = _decomposition_pass(A.mats[None], tols)
     if found.errors:
         raise found.errors[0]
@@ -347,17 +365,6 @@ def _decomposition(A, tols: Tolerances) -> CanonicalDecomposition:
     """``A`` as given when it is a decomposition, without a call to
     :func:`canonical_decompose`; else the decomposition of the tensor ``A``."""
     return A if isinstance(A, CanonicalDecomposition) else canonical_decompose(A, tols)
-
-
-def canonical_decompositions(mats: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list:
-    """:func:`canonical_decompose` of each tensor of a ``(..., d, D, D)``
-    stack, in C order, from one :func:`_decomposition_pass`: entry ``n`` is
-    the decomposition of the ``n``-th tensor, or the ``TimpsError`` that
-    ``canonical_decompose`` raises on it."""
-    mats = np.asarray(mats, dtype=complex).reshape((-1,) + np.shape(mats)[-3:])
-    found = _decomposition_pass(mats, tols)
-    return [found.errors[n] if n in found.errors else found.decomposition(n, MpsTensor(mats[n]))
-            for n in range(len(mats))]
 
 
 def essential_rank(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> int:
@@ -400,51 +407,75 @@ def _degenerate(vals: np.ndarray, tols: Tolerances) -> np.ndarray:
 
 
 def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):
-    """Descending-modulus spectrum ``vals`` of a ``chi^2 x chi^2`` transfer
-    matrix and ``eigh`` ``(w, V)`` of its leading eigenvector as a trace-one
-    Hermitian ``chi x chi`` matrix; a gapless spectrum or traceless lead is refused."""
-    vals, vecs = _sorted_spectrum(*np.linalg.eig(mat))
-    if _degenerate(vals, tols):
-        raise DegenerateLeadingEigenvalueError(
-            f"transfer gap too small: |lambda_2| = {abs(vals[1]):.12f}"
-        )
-    rho = vecs[:, 0].reshape(chi, chi)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-14:
-        raise DegenerateLeadingEigenvalueError("leading eigenvector is traceless")
-    rho = rho / tr
-    w, V = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    return vals, w, V
+    """Descending-modulus spectra ``vals`` of ``(N, chi^2, chi^2)`` transfer
+    matrices, ``eigh`` ``(w, V)`` of each leading eigenvector as a trace-one
+    Hermitian ``chi x chi`` matrix, and by index the refusal of each gapless
+    spectrum or traceless lead.  One ``chi^2 x chi^2`` matrix is the N=1
+    call: it raises its refusal, else returns ``(vals, w, V)``."""
+    vals, vecs = _sorted_spectrum(*np.linalg.eig(mat.reshape((-1,) + mat.shape[-2:])))
+    gapless = _degenerate(vals, tols)
+    rho = vecs[:, :, 0].reshape(-1, chi, chi)
+    tr = np.trace(rho, axis1=1, axis2=2)
+    traceless = np.abs(tr) < 1e-14
+    errors = {n: DegenerateLeadingEigenvalueError(
+        f"transfer gap too small: |lambda_2| = {abs(vals[n, 1]):.12f}" if gapless[n]
+        else "leading eigenvector is traceless")
+        for n in np.flatnonzero(gapless | traceless).tolist()}
+    rho = rho / np.where(traceless, 1.0, tr)[:, None, None]
+    w, V = np.linalg.eigh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
+    if mat.ndim > 2:
+        return vals, w, V, errors
+    if errors:
+        raise errors[0]
+    return vals[0], w[0], V[0]
 
 
-def right_normalize(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
+def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     """Produce a representative with a right-normalized core.
 
     The core support is read off the left Gram range; the core block is then
     rescaled by the leading eigenvalue of its map ``B -> sum_i K^i B K^{i*}``
     and conjugated by the Hermitian square root of the fixed point.  The
     physical state is preserved up to overall normalization.
-    """
-    V, chi, B = _block_form(A, tols)
-    if chi == 0:
-        raise NotInEError("cannot normalize a numerically zero tensor")
-    K0 = B[:, :chi, :chi]
-    M0 = B[:, chi:, :chi]
-    vals, rw, rV = _leading_fixed_point(transfer_kernel(K0, K0), chi, tols)
-    lam = float(vals[0].real)
-    if lam <= 0:
-        raise NotInEError("core map has non-positive leading eigenvalue")
-    if rw[0] < tols.tol_norm * rw[-1]:
-        raise DegenerateLeadingEigenvalueError(
-            "fixed point of the core map is singular (reducible core)"
-        )
-    sqrt_rho = (rV * np.sqrt(rw)) @ rV.conj().T
-    inv_sqrt_rho = (rV * (1.0 / np.sqrt(rw))) @ rV.conj().T
 
-    scale = 1.0 / np.sqrt(lam)
-    K_new = scale * np.einsum("ab,ibc,cd->iad", inv_sqrt_rho, K0, sqrt_rho)
-    M_new = scale * np.einsum("iab,bc->iac", M0, sqrt_rho)
-    return assemble(V, K_new, M_new)
+    ``A`` may also be a stack or a sequence, as for
+    :func:`canonical_decompose`: the result is then the list of each
+    tensor's representative or of the ``TimpsError`` the N=1 call raises on
+    it, from one stacked :func:`_leading_fixed_point` per essential rank.
+    """
+    if not isinstance(A, MpsTensor):
+        return _stacked(A, lambda mats: _normalized(mats, tols))
+    out = _normalized(A.mats[None], tols)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _normalized(mats: np.ndarray, tols: Tolerances) -> list:
+    """Representative or refusal of each tensor of an ``(N, d, D, D)`` stack."""
+    w, V, ranks, B = _block_forms(mats, tols)
+    out = [_refusal(tols, w[n, 0], -1) if r < 0 else None if r else
+           NotInEError("cannot normalize a numerically zero tensor") for n, r in enumerate(ranks)]
+    for chi in set(ranks.tolist()) - {-1, 0}:
+        idx = np.flatnonzero(ranks == chi)
+        K0, M0 = B[idx, :, :chi, :chi], B[idx, :, chi:, :chi]
+        vals, rw, rV, errors = _leading_fixed_point(transfer_kernel(K0, K0), chi, tols)
+        for j, n in enumerate(idx):
+            out[n] = errors.get(j) or (
+                NotInEError("core map has non-positive leading eigenvalue") if vals[j, 0].real <= 0
+                else DegenerateLeadingEigenvalueError(
+                    "fixed point of the core map is singular (reducible core)")
+                if rw[j, 0] < tols.tol_norm * rw[j, -1] else None)
+        ok = [j for j, n in enumerate(idx) if out[n] is None]
+        root, rV = np.sqrt(rw[ok])[:, None, :], rV[ok]
+        rVh = np.swapaxes(rV.conj(), -1, -2)
+        sqrt_rho, inv_sqrt_rho = (rV * root) @ rVh, (rV * (1.0 / root)) @ rVh
+        scale = (1.0 / np.sqrt(vals[ok, 0].real))[:, None, None, None]
+        K_new = scale * np.einsum("nab,nibc,ncd->niad", inv_sqrt_rho, K0[ok], sqrt_rho)
+        M_new = scale * np.einsum("niab,nbc->niac", M0[ok], sqrt_rho)
+        for n, A in zip(idx[ok], _assembled(V[idx[ok]], K_new, M_new)):
+            out[n] = MpsTensor(A)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

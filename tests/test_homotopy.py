@@ -31,7 +31,6 @@ from timps.tensors import (
     MpsTensor,
     apply_gauge,
     canonical_decompose,
-    canonical_decompositions,
     essential_rank,
     gauge_equivalent,
     pad_tensor,
@@ -454,7 +453,7 @@ def assert_same_decomposition(stacked, scalar):
 @pytest.mark.parametrize("chi, D", RETRACT_SHAPES)
 def test_stacked_decompositions_and_gauge_test_match_n1_calls(make_rng, chi, D):
     decs, moved = split_draws(make_rng(20 + 10 * chi + D), chi, D)
-    outs = [canonical_decompositions(retract(group, TIMES)[1].reshape((-1, chi * chi, D, D)))
+    outs = [canonical_decompose(retract(group, TIMES)[1].reshape((-1, chi * chi, D, D)))
             for group in (decs, moved)]
     for out in outs:
         for dec in out:
@@ -471,7 +470,7 @@ def test_stacked_decompositions_of_contraction_paths_match_n1_calls(make_rng, sh
     decs = [random_tensor_in_e(make_rng(30 + sum(shape)), *shape) for _ in range(3)]
     mats = contraction_path(decs, [k / 10 for k in range(11)])
     mats = mats.reshape((-1,) + mats.shape[2:])
-    for dec, m in zip(canonical_decompositions(mats), mats):
+    for dec, m in zip(canonical_decompose(mats), mats):
         assert_same_decomposition(dec, canonical_decompose(MpsTensor(m)))
 
 
@@ -495,7 +494,7 @@ def test_stacked_decompositions_report_the_n1_errors(make_rng, shape):
     mats = contraction_path(decs, [k / 10 for k in range(11)])
     mats = np.concatenate([mats.reshape((-1,) + mats.shape[2:]), np.zeros((1,) + mats.shape[2:])])
     refused = 0
-    for dec, m in zip(canonical_decompositions(mats, tols), mats):
+    for dec, m in zip(canonical_decompose(mats, tols), mats):
         try:
             expected = canonical_decompose(MpsTensor(m), tols)
         except TimpsError as exc:
@@ -632,10 +631,8 @@ def test_stacked_contract_sweep_keeps_the_one_at_a_time_order(monkeypatch, tols)
 def test_sweep_raises_a_failed_draw_after_the_cases_before_it(monkeypatch, bad, raised):
     monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 4)  # windows of four cases
 
-    def draw(case):
-        if case == 9:
-            raise NotInEError("draw 9")
-        return case
+    def draw(cases):
+        return [NotInEError("draw 9") if case == 9 else case for case in cases if case <= 9]
 
     def run(items):
         for case, _ in items:
@@ -655,7 +652,7 @@ def test_sweep_returns_results_in_case_order(monkeypatch):
         calls.append([case for case, _ in items])
         return [([case, -case], [f"case {case}"]) for case, _ in items]
 
-    rows, failures = cli._sweep(12, lambda case: case, lambda case: case % 3, lambda _: 1, run)
+    rows, failures = cli._sweep(12, list, lambda case: case % 3, lambda _: 1, run)
     assert rows == [v for case in range(12) for v in (case, -case)]
     assert failures == [f"case {case}" for case in range(12)]
     assert calls == [[0, 3], [1, 4], [2], [5, 8], [6, 9], [7], [10], [11]]

@@ -19,6 +19,7 @@ from timps.families import (
     psi2_sphere_family,
     psi2_tensor,
 )
+from timps.tensors import MpsTensor
 from timps.invariants import (
     CurvatureField,
     chern_number,
@@ -111,6 +112,16 @@ def test_vertex_phase_leaves_curvature_invariant():
     r0 = curvature_report(base, mesh)
     r1 = curvature_report(fam, mesh)
     assert np.abs(r0.curvature - r1.curvature).max() < 1e-12
+
+
+@pytest.mark.parametrize("invariant", [chern_number, curvature_report, link_field])
+def test_custom_family_for_a_larger_mesh_is_refused(invariant):
+    # the psi2 tensors of a 32x32 mesh gave Chern 0 on a 16x16 mesh
+    big = make_sphere_mesh(32, 32)
+    tensors = [MpsTensor(m) for m in psi2_sphere_family().eval_vertices(big.theta, big.phi)]
+    with pytest.raises(ValueError, match="994 tensors, but the mesh has 242 vertices"):
+        invariant(custom_vertex_family(tensors), make_sphere_mesh(16, 16))
+    assert chern_number(custom_vertex_family(tensors), big) == 1
 
 
 def test_chern_rejects_rank_jumps():

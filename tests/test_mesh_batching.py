@@ -46,7 +46,6 @@ from timps.sampling import random_core, random_tensor_in_e
 from timps.tensors import (
     MpsTensor,
     canonical_decompose,
-    canonical_decompositions,
     mixed_transfer_leading,
     pad_tensor,
     tensor_to_json,
@@ -173,7 +172,7 @@ def bits(a):
 def test_stacked_cores_match_scalar_decomposition():
     tensors = [pump_slice_family(0.7).eval_vertex(v)
                for v in make_sphere_mesh(6, 6).vertices]
-    decs = canonical_decompositions(np.array([t.mats for t in tensors]))
+    decs = canonical_decompose(np.array([t.mats for t in tensors]))
     for dec, t in zip(decs, tensors, strict=True):
         assert dec.chi == 2
         assert_same_decomposition(dec, canonical_decompose(t))
@@ -211,7 +210,7 @@ def test_stacked_cores_refuse_what_the_scalar_pass_refuses(rng, monkeypatch):
         raise AssertionError("a refused tensor is decomposed again")
 
     monkeypatch.setattr(timps.tensors, "canonical_decompose", refuse)
-    out = canonical_decompositions(stack)
+    out = canonical_decompose(stack)
     for got, want in zip(out, expected, strict=True):
         if isinstance(want, TimpsError):
             assert (type(got), str(got)) == (type(want), str(want))
