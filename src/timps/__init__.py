@@ -49,7 +49,6 @@ from .families import (
     Mesh2,
     PumpPoint,
     aklt_path,
-    berry_rotation,
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,

@@ -31,7 +31,6 @@ from .tensors import MpsTensor, _decomposition_pass
 
 __all__ = [
     "psi2_tensor",
-    "berry_rotation",
     "PumpPoint",
     "pump_north",
     "pump_south",
@@ -72,13 +71,8 @@ def _product_states(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return np.stack([k1, k2], axis=1).astype(complex)[:, :, None, None]
 
 
-def berry_rotation(theta: float, phi: float) -> np.ndarray:
-    """The 2x2 rotation placing the north pole at (theta, phi)."""
-    return _rotations(np.array([theta], dtype=float), np.array([phi], dtype=float))[0]
-
-
 def _rotations(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Stacked :func:`berry_rotation`: ``(m, 2, 2)``."""
+    """The ``(m, 2, 2)`` rotations placing the north pole at ``(theta[n], phi[n])``."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     out = np.empty(theta.shape + (2, 2), dtype=complex)
     out[:, 0, 0] = out[:, 1, 1] = c

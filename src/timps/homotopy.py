@@ -272,6 +272,14 @@ def _stage_clock(tau: float) -> float:
 _STAGES = (_stage_widen, _stage_row_growth, _stage_swap, _stage_fade)
 
 
+def _one_shape(mats: list) -> np.ndarray:
+    """The ``(N, d, D, D)`` stack of matrices that must share ``(d, D)``."""
+    shapes = list(dict.fromkeys(m.shape[:2] for m in mats))
+    if len(shapes) > 1:
+        raise ValueError(f"a tensor sequence must share (d, D); got {shapes[0]} and {shapes[1]}")
+    return np.array(mats)
+
+
 def contraction_path(A, s, tols: Tolerances = DEFAULT_TOLS):
     """Evaluate the contraction of the tensor space at time ``s`` in [0, 1].
 
@@ -291,7 +299,7 @@ def contraction_path(A, s, tols: Tolerances = DEFAULT_TOLS):
     times = [float(x) for x in ([s] if single else s)]
     if not all(0.0 <= x <= 1.0 for x in times):
         raise ValueError("path parameter must lie in [0, 1]")
-    mats = np.array([_decomposition(a, tols).mats for a in ([A] if single else A)])
+    mats = _one_shape([_decomposition(a, tols).mats for a in ([A] if single else A)])
     d_out, D_out = contraction_output_dims(mats.shape[1], mats.shape[-1])
     out = np.zeros((len(mats), len(times), d_out, D_out, D_out), dtype=complex)
     by_stage = [[], [], [], []]
@@ -337,16 +345,16 @@ def _is_split(w: np.ndarray, tols: Tolerances) -> bool:
     return (lam_max - lam_min) > tols.tol_distinct * lam_max
 
 
-def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS) -> bool:
+def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS):
     """True iff the core Gram matrix of a tensor (or decomposition) has at
     least two distinct nonzero eigenvalues (relative separation above
     ``tols.tol_distinct``); requires essential rank >= 2.  ``A`` may also be
     a sequence: the verdicts then come back as a list, from one stacked Gram
-    ``eigh`` per core shape."""
-    if isinstance(A, (MpsTensor, CanonicalDecomposition)):
-        return _is_split(_core_gram_eigh(_decomposition(A, tols).K)[0], tols)
-    return _stacked([_decomposition(a, tols).K for a in A],
-                    lambda K: [_is_split(w, tols) for w in _core_gram_eigh(K)[0]])
+    ``eigh`` per core shape.  One tensor is the N=1 call."""
+    single = isinstance(A, (MpsTensor, CanonicalDecomposition))
+    split = _stacked([_decomposition(a, tols).K for a in ([A] if single else A)],
+                     lambda K: [_is_split(w, tols) for w in _core_gram_eigh(K)[0]])
+    return split[0] if single else split
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,12 +386,7 @@ def _retract_core(decs: list, K: np.ndarray, t: list, w: np.ndarray,
     return _assembled(X[:, None], K_new, M_new)
 
 
-def retract(
-    A,
-    t,
-    ambient_chi: int | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
-):
+def retract(A, t, tols: Tolerances = DEFAULT_TOLS):
     """Deform a tensor (or the tensor of a decomposition) toward lower
     essential rank.
 
@@ -391,47 +394,37 @@ def retract(
     core is multiplied by the spectral filter anchored at its smallest Gram
     eigenvalue and renormalized by the inverse square root of the resulting
     right Gram matrix.  At ``t = 0`` the input is returned; at ``t = 1`` the
-    essential rank strictly drops.  Tensors of rank below the ambient level
-    are fixed points.  Raises ``NotInOError`` when the core Gram spectrum is
-    a nonzero multiple of the identity at full ambient rank.
+    essential rank strictly drops.  Rank-1 tensors are fixed points, with
+    floor 0.  Raises ``NotInOError`` when the core Gram spectrum of a tensor
+    of rank >= 2 is a multiple of the identity.
 
-    ``A`` may also be a sequence of decompositions (or tensors) of one shape
-    and ``t`` a sequence of times: the result is then ``(delta, mats)``, the
-    ``(N,)`` floors and the ``(N, T, d, D, D)`` deformed tensors, with one
-    Gram ``eigh`` per tensor and one stacked pass for all times.  A refused
-    tensor raises the error of the first one in the sequence.  One tensor
-    at one time is the N=1 call.
+    ``A`` may also be a sequence of decompositions (or tensors) of one
+    ``(d, D)`` and ``t`` a sequence of times: the result is then ``(delta,
+    mats)``, the ``(N,)`` floors and the ``(N, T, d, D, D)`` deformed
+    tensors.  Each tensor moves at its own essential rank, with one stacked
+    Gram ``eigh`` and one stacked pass for all times per rank.  A refused
+    tensor raises the error of the first one in the sequence.  One tensor at
+    one time is the N=1 call.
     """
     single = isinstance(A, (MpsTensor, CanonicalDecomposition))
     decs = [_decomposition(a, tols) for a in ([A] if single else A)]
     times = [float(x) for x in ([t] if single else t)]
     if not all(0.0 <= x <= 1.0 for x in times):
         raise ValueError("retraction time must lie in [0, 1]")
-    chi = decs[0].chi
-    if ambient_chi is None:
-        ambient_chi = chi if chi >= 2 else 2
-    if chi > ambient_chi:
-        raise ValueError(f"tensor rank {chi} exceeds ambient level {ambient_chi}")
-    moving = [x > 0.0 and chi == ambient_chi for x in times]
-    if chi < ambient_chi:
-        delta = np.zeros(len(decs))
-    else:
-        K = np.array([dec.K for dec in decs])
+    out = np.repeat(_one_shape([dec.mats for dec in decs])[:, None], len(times), axis=1)
+    moving, delta = [k for k, x in enumerate(times) if x > 0.0], np.zeros(len(decs))
+    for chi in sorted({dec.chi for dec in decs} - {1}):
+        idx = [n for n, dec in enumerate(decs) if dec.chi == chi]
+        K = np.array([decs[n].K for n in idx])
         w, V = _core_gram_eigh(K)
         if not all(_is_split(spectrum, tols) for spectrum in w):
             raise NotInOError(
                 "core Gram spectrum is a multiple of the identity at full rank; "
                 "the retraction is undefined here"
             )
-        delta = w[:, 0]
+        delta[idx] = w[:, 0]
+        out[np.ix_(idx, moving)] = _retract_core([decs[n] for n in idx], K,
+                                                 [times[k] for k in moving], w, V, tols)
     if single:
-        tensor = decs[0].tensor
-        if moving[0]:
-            tensor = MpsTensor(_retract_core(decs, K, times, w, V, tols)[0, 0])
-        return RetractionState(t=t, delta=float(delta[0]), tensor=tensor)
-    if times and all(moving):
-        return delta, _retract_core(decs, K, times, w, V, tols)
-    out = np.repeat(np.array([dec.mats for dec in decs])[:, None], len(times), axis=1)
-    if any(moving):
-        out[:, moving] = _retract_core(decs, K, [x for x in times if x > 0.0], w, V, tols)
+        return RetractionState(t=t, delta=float(delta[0]), tensor=MpsTensor(out[0, 0]))
     return delta, out

@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+# Scale of the Gaussian filler blocks of tensors in E and of gauge moves.
+_FILLER_SCALE = 0.5
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return _haar(_ginibre(rng, (n, n)))
 
@@ -89,30 +93,27 @@ def random_core(rng: np.random.Generator, d, chi, tols: Tolerances = DEFAULT_TOL
 
 
 def random_tensor_in_e(rng: np.random.Generator, d, D, chi,
-                       filler_scale: float = 0.5,
                        tols: Tolerances = DEFAULT_TOLS, then=None):
     """Decomposition of a tensor assembled from a random core, a Haar bond
     basis and a Gaussian filler block.  ``d``, ``D`` and ``chi`` may also be
     sequences, as for :func:`random_core`."""
     if np.ndim(d):
         return _speculate(rng, list(zip(d, D, chi, strict=True)), then,
-                          lambda g, case: random_tensor_in_e(g, *case, filler_scale, tols=tols),
-                          tols, 1, filler_scale)
+                          lambda g, case: random_tensor_in_e(g, *case, tols=tols), tols, 1)
     K = random_core(rng, d, chi, tols).K
     X = haar_unitary(rng, D)
-    M = filler_scale * _ginibre(rng, (d, D - chi, chi))
+    M = _FILLER_SCALE * _ginibre(rng, (d, D - chi, chi))
     return canonical_decompose(assemble(X, K, M), tols)
 
 
 def random_gauge_move(rng: np.random.Generator, A,
-                      filler_scale: float = 0.5,
                       tols: Tolerances = DEFAULT_TOLS) -> GaugeMove:
     """A valid gauge move for the tensor ``A`` (or the tensor of a
     decomposition ``A``): random phase, Haar bond unitary, and a filler
     supported off the core in the tensor's own block basis."""
     dec = _decomposition(A, tols)
     d, D, chi = dec.d, dec.D, dec.chi
-    N = filler_scale * _ginibre(rng, (d, D - chi, chi))
+    N = _FILLER_SCALE * _ginibre(rng, (d, D - chi, chi))
     return GaugeMove(lam=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
                      Z=haar_unitary(rng, D),
                      filler=assemble(dec.X, np.zeros((d, chi, chi)), N))
@@ -140,8 +141,7 @@ def random_split_spectrum_tensor(rng: np.random.Generator, chi, D,
     raise NotInOError(f"64 draws failed to give a split core spectrum (chi={chi}, D={D})")
 
 
-def _speculate(rng, cases: list, then, scalar, tols: Tolerances, depth: int = 0,
-               filler_scale: float = 0.5) -> list:
+def _speculate(rng, cases: list, then, scalar, tols: Tolerances, depth: int = 0) -> list:
     """The loop of ``then(rng, scalar(rng, case))`` over ``(d, D, chi)``
     cases, ending with the ``TimpsError`` of the first case that raises:
     ``scalar`` is the sampler of ``depth`` (0 core, 1 tensor in E, 2 split
@@ -154,7 +154,7 @@ def _speculate(rng, cases: list, then, scalar, tols: Tolerances, depth: int = 0,
         todo, saved, drawn = cases[len(out):], [], []
         for d, D, chi in todo:
             start, core = rng.bit_generator.state, _ginibre(rng, (d, chi, chi))
-            drawn.append((core, _ginibre(rng, (D, D)), filler_scale * _ginibre(
+            drawn.append((core, _ginibre(rng, (D, D)), _FILLER_SCALE * _ginibre(
                 rng, (d, D - chi, chi))) if depth else (core,))
             saved.append((start, rng.bit_generator.state))
             then(rng, CanonicalDecomposition(np.eye(D), np.zeros((d, chi, chi)), None, chi,

@@ -410,9 +410,8 @@ def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):
     """Descending-modulus spectra ``vals`` of ``(N, chi^2, chi^2)`` transfer
     matrices, ``eigh`` ``(w, V)`` of each leading eigenvector as a trace-one
     Hermitian ``chi x chi`` matrix, and by index the refusal of each gapless
-    spectrum or traceless lead.  One ``chi^2 x chi^2`` matrix is the N=1
-    call: it raises its refusal, else returns ``(vals, w, V)``."""
-    vals, vecs = _sorted_spectrum(*np.linalg.eig(mat.reshape((-1,) + mat.shape[-2:])))
+    spectrum or traceless lead."""
+    vals, vecs = _sorted_spectrum(*np.linalg.eig(mat))
     gapless = _degenerate(vals, tols)
     rho = vecs[:, :, 0].reshape(-1, chi, chi)
     tr = np.trace(rho, axis1=1, axis2=2)
@@ -423,11 +422,7 @@ def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):
         for n in np.flatnonzero(gapless | traceless).tolist()}
     rho = rho / np.where(traceless, 1.0, tr)[:, None, None]
     w, V = np.linalg.eigh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
-    if mat.ndim > 2:
-        return vals, w, V, errors
-    if errors:
-        raise errors[0]
-    return vals[0], w[0], V[0]
+    return vals, w, V, errors
 
 
 def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
@@ -559,21 +554,21 @@ def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
     single = isinstance(A, (MpsTensor, CanonicalDecomposition))
     decs_a = [_decomposition(a, tols) for a in ([A] if single else A)]
     decs_b = [_decomposition(b, tols) for b in ([B] if single else B)]
-    groups = {}
-    for n, (a, b) in enumerate(zip(decs_a, decs_b, strict=True)):
-        if a.chi == b.chi:
-            groups.setdefault((a.chi, max(a.d, b.d)), []).append(n)
-    out = np.zeros(len(decs_a), dtype=bool)
-    for (chi, d), idx in groups.items():
-        K_a = np.zeros((len(idx), d, chi, chi), dtype=complex)
-        K_b = np.zeros_like(K_a)
-        for j, n in enumerate(idx):
-            K_a[j, : decs_a[n].d] = decs_a[n].K
-            K_b[j, : decs_b[n].d] = decs_b[n].K
-        lead = _sorted_spectrum(mixed_transfer_spectra(K_a, K_b))[:, 0]
+    both = [n for n, (a, b) in enumerate(zip(decs_a, decs_b, strict=True)) if a.chi == b.chi]
+    # each pair's cores, zero-padded to the larger physical dimension
+    pairs = [np.zeros((2, max(decs_a[n].d, decs_b[n].d)) + decs_a[n].K.shape[1:], dtype=complex)
+             for n in both]
+    for n, pair in zip(both, pairs):
+        pair[0, :decs_a[n].d], pair[1, :decs_b[n].d] = decs_a[n].K, decs_b[n].K
+
+    def fidelity_ok(P):
+        lead = _sorted_spectrum(mixed_transfer_spectra(P[:, 0], P[:, 1]))[:, 0]
         # np.abs of a complex array may round differently from abs() of one
         # eigenvalue; hypot rounds like the latter, at every stack size
-        out[idx] = np.hypot(lead.real, lead.imag) >= 1.0 - tols.tol_fid
+        return np.hypot(lead.real, lead.imag) >= 1.0 - tols.tol_fid
+
+    out = np.zeros(len(decs_a), dtype=bool)
+    out[both] = _stacked(pairs, fidelity_ok)
     return bool(out[0]) if single else out
 
 

@@ -109,8 +109,10 @@ def fixed_point(K, tols: Tolerances = DEFAULT_TOLS) -> TransferFixedPoint:
     spectrum repaired by clipping eigenvalues in ``[-tol_norm, 0)`` to zero.
     """
     mats = _core_mats(K)
-    d, chi = mats.shape[0], mats.shape[1]
-    vals, w, V = _leading_fixed_point(transfer_matrix(mats, np.eye(d)), chi, tols)
+    stack = transfer_matrix(mats, np.eye(mats.shape[0]))[None]
+    (vals,), (w,), (V,), errors = _leading_fixed_point(stack, mats.shape[1], tols)
+    if errors:
+        raise errors[0]
     if w[0] < -tols.tol_norm:
         raise NotPositiveError(
             f"Hermitized fixed point has eigenvalue {w[0]:.3e} < -tol_norm"
@@ -135,7 +137,7 @@ def expectation(K, T, obs: WindowObservable) -> complex:
     return complex(np.trace(B))
 
 
-def window_density_matrix(K, T, n: int, cap: int = WINDOW_CAP) -> np.ndarray:
+def window_density_matrix(K, T, n: int) -> np.ndarray:
     """Dense reduced density matrix of the state on an n-site window.
 
     Mixture over boundary matrix units built from the eigenbasis of the fixed
@@ -145,8 +147,8 @@ def window_density_matrix(K, T, n: int, cap: int = WINDOW_CAP) -> np.ndarray:
     mats = _core_mats(K)
     d, chi = mats.shape[0], mats.shape[1]
     dim = d**n
-    if dim > cap:
-        raise WindowTooLargeError(f"window dimension {dim} exceeds cap {cap}")
+    if dim > WINDOW_CAP:
+        raise WindowTooLargeError(f"window dimension {dim} exceeds cap {WINDOW_CAP}")
     Tm = T.T if isinstance(T, TransferFixedPoint) else np.asarray(T, dtype=complex)
 
     # G[j1..jn] = K^{j1} ... K^{jn}, flattened over the physical string.

@@ -6,8 +6,8 @@ import pytest
 from timps.errors import NotNormalizedPointError, OutOfChartError
 from timps.families import (
     PumpPoint,
+    _rotations,
     aklt_path,
-    berry_rotation,
     boundary_generator_family,
     constant_sphere_family,
     custom_vertex_family,
@@ -54,9 +54,14 @@ def test_psi2_is_a_product_state(rng):
     assert abs(val - (omega.conj() @ C @ omega) ** 2) < 1e-13
 
 
+def rotation(theta, phi):
+    """The N=1 call of the stacked rotations."""
+    return _rotations(np.array([theta]), np.array([phi]))[0]
+
+
 def test_berry_rotation_special_values():
-    assert np.abs(berry_rotation(0.0, 0.0) - np.eye(2)).max() == 0.0
-    at_pi = berry_rotation(math.pi, 0.0)
+    assert np.abs(rotation(0.0, 0.0) - np.eye(2)).max() == 0.0
+    at_pi = rotation(math.pi, 0.0)
     assert np.abs(at_pi - np.array([[0.0, -1.0], [1.0, 0.0]])).max() < 1e-15
 
 
@@ -64,7 +69,7 @@ def test_berry_rotation_unitarity(rng):
     for _ in range(100):
         theta = rng.uniform(0, math.pi)
         phi = rng.uniform(0, 2 * math.pi)
-        X = berry_rotation(theta, phi)
+        X = rotation(theta, phi)
         assert np.abs(X.conj().T @ X - np.eye(2)).max() < 1e-14
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_retract_fixes_low_rank_tensors():
         assert st.delta == 0.0
         assert np.abs(st.tensor.mats - A.mats).max() == 0.0
     B = aklt_path(0.0)
-    st = retract(B, 0.7, ambient_chi=2)
+    st = retract(B, 0.7)
     assert np.abs(st.tensor.mats - B.mats).max() == 0.0
 
 
@@ -523,6 +524,64 @@ def test_stacked_retract_raises_the_error_of_the_scalar_loop(make_rng):
     with pytest.raises(ValueError) as stacked:
         contraction_path(decs, [0.5, -0.1])
     assert str(stacked.value) == str(scalar.value)
+
+
+def outcome(call):
+    """``call()``'s result, or the type and message of the ``TimpsError`` it raises."""
+    try:
+        return call()
+    except TimpsError as exc:
+        return type(exc), str(exc)
+
+
+def mixed_rank_draws(rng):
+    """Two rank-1 and two split rank-2 decompositions, all at d = 4, D = 2."""
+    return ([random_tensor_in_e(rng, 4, 2, 1) for _ in range(2)],
+            [random_split_spectrum_tensor(rng, 2, 2) for _ in range(2)])
+
+
+def test_stacked_retract_moves_each_entry_at_its_own_rank(make_rng):
+    low, high = mixed_rank_draws(make_rng(0))
+    for decs in ([low[0], high[0]], [high[0], low[0]], [low[0], high[0], low[1], high[1]]):
+        delta, mats = retract(decs, TIMES)
+        for n, dec in enumerate(decs):
+            for k, t in enumerate(TIMES):
+                st = retract(dec, t)
+                assert st.delta == delta[n]
+                assert np.array_equal(st.tensor.mats, mats[n, k])
+    # rank-1 entries stay fixed; rank-2 entries move and drop to rank 1 at t = 1
+    delta, mats = retract([low[0], high[0]], [1.0])
+    assert delta[0] == 0.0 and np.array_equal(mats[0, 0], low[0].mats)
+    assert delta[1] > 0.0 and canonical_decompose(MpsTensor(mats[1, 0])).chi == 1
+    flat = canonical_decompose(pauli_core())
+    for decs in ([low[0], flat], [flat, low[0]]):
+        assert outcome(lambda: retract(decs, TIMES)) == outcome(lambda: retract(flat, 0.5))
+
+
+def test_stacked_split_and_gauge_verdicts_match_n1_calls_on_mixed_ranks(make_rng):
+    rng = make_rng(3)
+    low, high = mixed_rank_draws(rng)
+    decs = [low[0], high[0], random_tensor_in_e(rng, 3, 2, 1), random_tensor_in_e(rng, 5, 3, 2),
+            canonical_decompose(aklt_path(0.5)), random_split_spectrum_tensor(rng, 3, 3), high[1]]
+    split = has_split_core_spectrum(decs)
+    assert split == [has_split_core_spectrum(dec) for dec in decs]
+    assert split == [False, True, False, True, False, True, True]
+    moved = [canonical_decompose(apply_gauge(dec, random_gauge_move(rng, dec))) for dec in decs]
+    a, b = decs + decs + low, moved + moved[::-1] + high
+    verdicts = gauge_equivalent(a, b)
+    assert verdicts.tolist() == [gauge_equivalent(x, y) for x, y in zip(a, b)]
+    assert verdicts[: len(decs)].all() and not verdicts[-2:].any()
+
+
+@pytest.mark.parametrize("second, shape", [((5, 2, 2), (5, 2)), ((4, 3, 2), (4, 3))])
+def test_sequences_of_mixed_shapes_are_refused_by_name(make_rng, second, shape):
+    rng = make_rng(4)
+    decs = [random_tensor_in_e(rng, 4, 2, 2), random_tensor_in_e(rng, *second)]
+    message = re.escape(f"a tensor sequence must share (d, D); got (4, 2) and {shape}")
+    with pytest.raises(ValueError, match=message):
+        retract(decs, TIMES)
+    with pytest.raises(ValueError, match=message):
+        contraction_path(decs, TIMES)
 
 
 def test_spectral_filter_is_elementwise():

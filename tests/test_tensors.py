@@ -67,8 +67,8 @@ def test_grams_of_product_endpoint():
 
 
 def test_right_gram_of_embedded_core_has_identity_block(rng):
-    A = random_tensor_in_e(rng, 4, 3, 2, filler_scale=0.0)
-    dec = canonical_decompose(A)
+    drawn = random_tensor_in_e(rng, 4, 3, 2)
+    dec = canonical_decompose(assemble(drawn.X, drawn.K))
     gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from timps.config import DEFAULT_TOLS
 from timps.errors import DegenerateLeadingEigenvalueError, WindowTooLargeError
 from timps.families import aklt_path, psi2_tensor
 from timps.sampling import random_core, random_gauge_move, random_observable, random_tensor_in_e
 from timps.tensors import (
+    GaugeMove,
     MpsTensor,
+    _leading_fixed_point,
     apply_gauge,
+    assemble,
     canonical_decompose,
     right_normalize,
     transfer_kernel,
@@ -177,6 +181,27 @@ def test_interpolation_fixed_point_is_half_identity(g):
     assert np.abs(fp.T - 0.5 * np.eye(2)).max() < 1e-10
     assert abs(np.trace(fp.T) - 1.0) < 1e-12
     assert abs(fp.spectrum[0] - 1.0) < 1e-10
+
+
+def test_fixed_point_refusals_are_those_of_the_stacked_pass():
+    gapped = transfer_matrix(aklt_path(0.5), np.eye(4))
+    gapless = transfer_matrix(aklt_path(1e-4), np.eye(4))
+    # a gapped spectrum whose leading eigenvector, vec(E_01), is traceless;
+    # no core has it, since a completely positive map has a positive lead
+    traceless = np.diag([0.5, 1.0, 0.2, 0.5]).astype(complex)
+    vals, w, V, errors = _leading_fixed_point(np.array([gapped, gapless, traceless]), 2,
+                                              DEFAULT_TOLS)
+    assert sorted(errors) == [1, 2]
+    with pytest.raises(DegenerateLeadingEigenvalueError) as gap:
+        fixed_point(aklt_path(1e-4))
+    assert str(gap.value) == str(errors[1]) == "transfer gap too small: |lambda_2| = 0.999999986667"
+    assert type(errors[2]) is DegenerateLeadingEigenvalueError
+    assert str(errors[2]) == "leading eigenvector is traceless"
+    one = _leading_fixed_point(gapped[None], 2, DEFAULT_TOLS)
+    assert one[3] == {}
+    for stacked, alone in zip((vals, w, V), one[:3]):
+        assert np.array_equal(stacked[0], alone[0])
+    assert np.array_equal(fixed_point(aklt_path(0.5)).spectrum, vals[0])
 
 
 def test_fixed_point_scalar_core():
@@ -354,7 +379,10 @@ def test_trace_invariant_closed_form():
 
 
 def test_trace_invariant_gauge_invariance(rng):
+    # filler blocks of scale 1: the sampled scale 0.5 doubled, same draws
     for _ in range(100):
-        A = random_tensor_in_e(rng, 4, 3, 2, filler_scale=1.0)
-        B = apply_gauge(A, random_gauge_move(rng, A, filler_scale=1.0))
+        dec = random_tensor_in_e(rng, 4, 3, 2)
+        A = assemble(dec.X, dec.K, 2.0 * dec.M)
+        move = random_gauge_move(rng, A)
+        B = apply_gauge(A, GaugeMove(move.lam, move.Z, move.filler.scaled(2.0)))
         assert abs(trace_invariant(A) - trace_invariant(B)) < 1e-8
