@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from timps.cli import _window_trace
 from timps.config import DEFAULT_TOLS
 from timps.errors import DegenerateLeadingEigenvalueError, WindowTooLargeError
 from timps.families import aklt_path, psi2_tensor
@@ -313,7 +315,7 @@ def test_window_density_matrix_is_hermitian_with_unit_trace(make_rng, d, chi):
 
 
 def test_elementwise_window_trace_matches_dense_product(make_rng):
-    # the oracle-check experiment takes trace(rho @ C) as sum(rho * C.T)
+    # trace(rho @ C) as the elementwise contraction sum(rho * C.T)
     rng = make_rng(11)
     for d, chi, n in [(2, 1, 4), (3, 1, 3), (4, 1, 2), (4, 2, 4)]:
         K = random_core(rng, d, chi)
@@ -322,6 +324,33 @@ def test_elementwise_window_trace_matches_dense_product(make_rng):
         C = kron_all(random_observable(rng, d, n).factors)
         dense = np.trace(rho @ C)
         assert abs(np.sum(rho * C.T) - dense) <= 1e-13 * abs(dense)
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4)
+                                  for n in range(1, 11) if d**n <= 1024])
+def test_site_by_site_window_trace_matches_kron_oracle(make_rng, d, n):
+    # generic non-Hermitian rho and factors: a transposed index shows
+    rng = make_rng(10 * d + n)
+    rho = random_matrix(rng, d**n)
+    factors = [random_matrix(rng, d) for _ in range(n)]
+    dense = np.trace(rho @ kron_all(factors))
+    scale = np.linalg.norm(rho) * math.prod(np.linalg.norm(C) for C in factors)
+    assert abs(_window_trace(rho, factors) - dense) <= 1e-12 * scale
+
+
+def test_window_oracle_trial_peak_memory_is_one_density_matrix(make_rng):
+    # one d=4, n=5 oracle trial holds the 16 MiB rho and no observable of its size
+    rng = make_rng(5)
+    K = random_core(rng, 4, 2)
+    T = fixed_point(K)
+    obs = random_observable(rng, 4, 5)
+    tracemalloc.start()
+    try:
+        _window_trace(window_density_matrix(K, T, obs.n), obs.factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16 * 1024**2
 
 
 def test_window_density_matrix_cap():
