@@ -57,6 +57,7 @@ from .tensors import (
 )
 from .transfer import (
     WINDOW_CAP,
+    _window_amplitudes,
     correlation_length,
     expectation,
     fixed_point,
@@ -473,12 +474,13 @@ def _window_sites(d: int, window_max: int) -> int:
     return n
 
 
-def _window_trace(rho, factors) -> complex:
-    """``trace(rho (C_1 x ... x C_n))``, site by site, with no d^n x d^n observable."""
-    for C in reversed(factors):
-        m = rho.shape[0] // len(C)
-        rho = np.einsum("aibj,ji->ab", rho.reshape(m, len(C), m, len(C)), C)
-    return complex(rho[0, 0])
+def _window_trace(P, factors) -> complex:
+    """``trace(P P^dagger (C_1 x ... x C_n)) = vdot(P, (C_1 x ... x C_n) P)``,
+    one site at a time on the d^n x r factor, with no d^n x d^n array."""
+    Q = P
+    for k, C in enumerate(factors):
+        Q = np.einsum("ij,ajb->aib", C, Q.reshape(len(C) ** k, len(C), -1))
+    return complex(np.vdot(P, Q))
 
 
 def _exp_oracle_check(params, rng, tols):
@@ -495,7 +497,7 @@ def _exp_oracle_check(params, rng, tols):
         K, obs = item
         T = fixed_point(K, tols)
         lhs = expectation(K, T, obs)
-        rhs = _window_trace(window_density_matrix(K, T, obs.n), obs.factors)
+        rhs = _window_trace(_window_amplitudes(K, T, obs.n), obs.factors)
         dev = abs(lhs - rhs)
         rows.append(("oracle", trial, d, chi, obs.n, dev))
         max_oracle_dev = max(max_oracle_dev, dev)

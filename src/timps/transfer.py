@@ -141,9 +141,16 @@ def window_density_matrix(K, T, n: int) -> np.ndarray:
     """Dense reduced density matrix of the state on an n-site window.
 
     Mixture over boundary matrix units built from the eigenbasis of the fixed
-    point; trace one; the brute-force oracle for :func:`expectation`.  The
-    mixture is one rank-chi^2 product ``P P^dagger``, O(d^{2n} chi^2).
+    point; trace one.  The mixture is one rank-chi^2 product ``P P^dagger``
+    of :func:`_window_amplitudes`, O(d^{2n} chi^2).  This is the dense API;
+    the window oracle for :func:`expectation` reads the factor ``P`` alone.
     """
+    P = _window_amplitudes(K, T, n)
+    return P @ P.conj().T
+
+
+def _window_amplitudes(K, T, n: int) -> np.ndarray:
+    """The d^n x r factor ``P`` with ``P P^dagger`` the window density matrix."""
     mats = _core_mats(K)
     d, chi = mats.shape[0], mats.shape[1]
     dim = d**n
@@ -161,8 +168,7 @@ def window_density_matrix(K, T, n: int) -> np.ndarray:
     # boundary insertion |v_b><v_a| gives amplitudes psi[s, a, b] =
     # <v_a| G^s |v_b>; column (a, b) of P is sqrt(mu_a) psi[:, a, b]
     psi = V[:, keep].conj().T @ G @ V
-    P = (np.sqrt(mu[keep])[:, None] * psi).reshape(dim, np.count_nonzero(keep) * chi)
-    return P @ P.conj().T
+    return (np.sqrt(mu[keep])[:, None] * psi).reshape(dim, np.count_nonzero(keep) * chi)
 
 
 def correlation_length(K, tols: Tolerances = DEFAULT_TOLS) -> float:

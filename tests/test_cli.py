@@ -135,6 +135,19 @@ def test_window_max_beyond_the_cap_is_clamped_fast(tmp_path):
     assert docs[0] == docs[1]
 
 
+def test_oracle_check_runs_cap_sized_windows(tmp_path):
+    # seed 1 draws d = 4, n = 6 windows (4096 = WINDOW_CAP) at trials 7 and 14
+    args = ["oracle-check", "--seed", 1, "--trials", 16, "--gauge-trials", 4,
+            "--window-max", 12]
+    for out in ("a", "b"):
+        assert run_cli(args + ["--out", tmp_path / out]) == 0
+    csv_text = (tmp_path / "a" / "oracle-check.csv").read_text()
+    assert "oracle,7,4,2,6," in csv_text and "oracle,14,4,1,6," in csv_text
+    assert read_json(tmp_path / "a" / "oracle-check.json")["pass"] is True
+    for name in ("oracle-check.csv", "oracle-check.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_gauge_trials_take_one_fixed_point_per_tensor(tmp_path, monkeypatch):
     calls = []
 

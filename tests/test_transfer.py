@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timps.cli import _window_trace
+from timps.cli import _ORACLE_SHAPES, _window_trace
 from timps.config import DEFAULT_TOLS
 from timps.errors import DegenerateLeadingEigenvalueError, WindowTooLargeError
 from timps.families import aklt_path, psi2_tensor
@@ -21,6 +21,7 @@ from timps.tensors import (
 )
 from timps.transfer import (
     WindowObservable,
+    _window_amplitudes,
     correlation_length,
     expectation,
     fixed_point,
@@ -329,34 +330,53 @@ def test_elementwise_window_trace_matches_dense_product(make_rng):
 @pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4)
                                   for n in range(1, 11) if d**n <= 1024])
 def test_site_by_site_window_trace_matches_kron_oracle(make_rng, d, n):
-    # generic non-Hermitian rho and factors: a transposed index shows
+    # generic complex factor P and non-Hermitian factors: a transposed index
+    # or a conjugate on the wrong side shows
     rng = make_rng(10 * d + n)
-    rho = random_matrix(rng, d**n)
-    factors = [random_matrix(rng, d) for _ in range(n)]
-    dense = np.trace(rho @ kron_all(factors))
-    scale = np.linalg.norm(rho) * math.prod(np.linalg.norm(C) for C in factors)
-    assert abs(_window_trace(rho, factors) - dense) <= 1e-12 * scale
+    for r in (1, 4):
+        P = rng.normal(size=(d**n, r)) + 1j * rng.normal(size=(d**n, r))
+        factors = [random_matrix(rng, d) for _ in range(n)]
+        dense = np.trace(P @ P.conj().T @ kron_all(factors))
+        scale = np.linalg.norm(P) ** 2 * math.prod(np.linalg.norm(C) for C in factors)
+        assert abs(_window_trace(P, factors) - dense) <= 1e-12 * scale
 
 
-def test_window_oracle_trial_peak_memory_is_one_density_matrix(make_rng):
-    # one d=4, n=5 oracle trial holds the 16 MiB rho and no observable of its size
+def test_window_oracle_trial_peak_memory_is_one_amplitude_factor(make_rng):
+    # one d=4, n=5 oracle trial holds the 1024 x 4 factor P and a few copies
+    # of it, not the 16 MiB d^n x d^n density matrix
     rng = make_rng(5)
     K = random_core(rng, 4, 2)
     T = fixed_point(K)
     obs = random_observable(rng, 4, 5)
     tracemalloc.start()
     try:
-        _window_trace(window_density_matrix(K, T, obs.n), obs.factors)
+        _window_trace(_window_amplitudes(K, T, obs.n), obs.factors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 16 * 1024**2
+    assert peak <= 1024**2
+
+
+@pytest.mark.parametrize("d, chi", _ORACLE_SHAPES)
+def test_window_density_matrix_is_the_product_of_its_amplitude_factor(make_rng, d, chi):
+    rng = make_rng(300 * d + chi)
+    K = random_core(rng, d, chi)
+    T = fixed_point(K)
+    for n in (1, 2, 3):
+        P = _window_amplitudes(K, T, n)
+        assert np.array_equal(window_density_matrix(K, T, n), P @ P.conj().T)
 
 
 def test_window_density_matrix_cap():
     K = aklt_path(0.5)
     with pytest.raises(WindowTooLargeError):
         window_density_matrix(K, fixed_point(K), 7)
+
+
+def test_window_amplitudes_cap():
+    K = aklt_path(0.5)
+    with pytest.raises(WindowTooLargeError):
+        _window_amplitudes(K, fixed_point(K), 7)
 
 
 def test_translation_invariance_padding_identities(rng):
