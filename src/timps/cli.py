@@ -201,17 +201,16 @@ def _sweep(count: int, draw, key, nbytes, run):
 
 def _gauge_moved(drawn: list, tols: Tolerances) -> list:
     """``(dec, decomposition or refusal of its gauge-moved copy)`` of each
-    drawn ``(dec, move)``, in order, the copies decomposed in one call; ends
-    with the ``TimpsError`` that ends ``drawn`` or that the first failing
-    ``apply_gauge`` raises, where a case-by-case loop stops."""
-    end, moved = [x for x in drawn if isinstance(x, TimpsError)], []
-    for dec, move in drawn[:len(drawn) - len(end)]:
-        try:
-            moved.append(apply_gauge(dec, move, tols))
-        except TimpsError as exc:
-            end = [exc]
-            break
-    return [(a, b) for (a, _), b in zip(drawn, canonical_decompose(moved, tols))] + end
+    drawn ``(dec, move)``, in order, the moves applied in one call and the
+    copies decomposed in one call; ends with the ``TimpsError`` that ends
+    ``drawn`` or that the first failing ``apply_gauge`` raises, where a
+    case-by-case loop stops."""
+    end = [x for x in drawn if isinstance(x, TimpsError)]
+    cases = drawn[:len(drawn) - len(end)]
+    moved = apply_gauge([dec for dec, _ in cases], [move for _, move in cases], tols)
+    if moved and isinstance(moved[-1], TimpsError):
+        end = [moved.pop()]
+    return [(a, b) for (a, _), b in zip(cases, canonical_decompose(moved, tols))] + end
 
 
 _CONTRACT_SHAPES = ((4, 2, 2), (4, 3, 2), (2, 2, 1), (3, 2, 1))
@@ -464,6 +463,11 @@ def _exp_pump_boundary(params, rng, tols):
 
 
 _ORACLE_SHAPES = ((2, 1), (3, 1), (4, 1), (4, 2))
+# Amplitude-factor bytes of one stacked oracle pass (expectation, factor and
+# trace of a (d, chi, n) group), which holds a few arrays of that size. On a
+# 2-CPU VM, oracle-check --trials 2000 peaks at 46.4 MB with 128 KB and at
+# 62.8 MB with no bound, and takes as long.
+ORACLE_CHUNK_BYTES = 1 << 17
 
 
 def _window_sites(d: int, window_max: int) -> int:
@@ -474,33 +478,42 @@ def _window_sites(d: int, window_max: int) -> int:
     return n
 
 
-def _window_trace(P, factors) -> complex:
-    """``trace(P P^dagger (C_1 x ... x C_n)) = vdot(P, (C_1 x ... x C_n) P)``,
-    one site at a time on the d^n x r factor, with no d^n x d^n array."""
-    Q = P
-    for k, C in enumerate(factors):
-        Q = np.einsum("ij,ajb->aib", C, Q.reshape(len(C) ** k, len(C), -1))
-    return complex(np.vdot(P, Q))
+def _window_trace(P, factors) -> np.ndarray:
+    """``trace(P P^dagger (C_1 x ... x C_n)) = vdot(P, (C_1 x ... x C_n) P)``
+    of each d^n x r factor of an ``(m, d^n, r)`` stack with its ``(n, d, d)``
+    window factors, one site at a time, with no d^n x d^n array."""
+    factors = np.asarray(factors)
+    (m, n, d), Q = factors.shape[:3], P
+    for k in range(n):
+        Q = np.einsum("mij,majb->maib", factors[:, k], Q.reshape(m, d**k, d, -1))
+    return np.array([np.vdot(p, q) for p, q in zip(P, Q)])
 
 
 def _exp_oracle_check(params, rng, tols):
     rows, failures = [], []
-    max_oracle_dev = 0.0
     n_max = {d: _window_sites(d, params["window_max"]) for d, _ in _ORACLE_SHAPES}
     shapes = [_ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)] for trial in range(params["trials"])]
     drawn = random_core(rng, [d for d, _ in shapes], [chi for _, chi in shapes], tols,
                         then=lambda g, dec: (dec.tensor, random_observable(
                             g, dec.d, int(g.integers(1, n_max[dec.d] + 1)))))
-    for trial, ((d, chi), item) in enumerate(zip(shapes, drawn)):
-        if isinstance(item, TimpsError):
-            raise item
-        K, obs = item
-        T = fixed_point(K, tols)
-        lhs = expectation(K, T, obs)
-        rhs = _window_trace(_window_amplitudes(K, T, obs.n), obs.factors)
-        dev = abs(lhs - rhs)
-        rows.append(("oracle", trial, d, chi, obs.n, dev))
-        max_oracle_dev = max(max_oracle_dev, dev)
+    trials = [item for item in drawn if not isinstance(item, TimpsError)]
+    fps = fixed_point([K for K, _ in trials], tols)
+    error = next((x for x in fps + drawn if isinstance(x, TimpsError)), None)
+    if error is not None:
+        raise error
+    groups, devs = {}, [0.0] * len(trials)
+    for trial, (K, obs) in enumerate(trials):
+        groups.setdefault((K.mats.shape, obs.n), []).append(trial)
+    for ((d, chi, _), n), group in groups.items():
+        size = max(1, ORACLE_CHUNK_BYTES // (16 * d**n * chi * chi))
+        for idx in (group[i:i + size] for i in range(0, len(group), size)):
+            (K, obs), T = zip(*(trials[t] for t in idx)), [fps[t] for t in idx]
+            rhs = _window_trace(_window_amplitudes(K, T, n), [o.factors for o in obs])
+            for t, diff in zip(idx, expectation(K, T, obs) - rhs):
+                devs[t] = abs(complex(diff))
+    rows += [("oracle", trial, d, chi, obs.n, dev)
+             for trial, ((d, chi), (_, obs), dev) in enumerate(zip(shapes, trials, devs))]
+    max_oracle_dev = max([0.0] + devs)
     _check(failures, max_oracle_dev <= 1e-9,
            f"expectation vs window oracle deviation {max_oracle_dev:.3e} > 1e-9")
 
@@ -509,15 +522,17 @@ def _exp_oracle_check(params, rng, tols):
     pairs = _gauge_moved(random_tensor_in_e(
         rng, [d for d, _ in shapes], [chi + 1 for _, chi in shapes], [chi for _, chi in shapes],
         tols=tols, then=lambda g, dec: (dec, random_gauge_move(g, dec, tols=tols))), tols)
-    for trial, ((d, chi), pair) in enumerate(zip(shapes, pairs)):
-        if isinstance(pair, TimpsError):
-            raise pair
-        dec_a, dec_b = pair
-        if isinstance(dec_b, TimpsError):
-            raise dec_b
+    # trials end at a failed draw or move, or at a refused moved copy
+    ends = [p if isinstance(p, TimpsError) else p[1] for p in pairs]
+    ok = pairs[:next((t for t, x in enumerate(ends) if isinstance(x, TimpsError)), len(pairs))]
+    fps = fixed_point([dec.K for pair in ok for dec in pair], tols)
+    error = next((x for x in fps + ends[len(ok):] if isinstance(x, TimpsError)), None)
+    if error is not None:
+        raise error
+    for trial, ((d, chi), (dec_a, dec_b)) in enumerate(zip(shapes, ok)):
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")
-        T_a, T_b = fixed_point(dec_a.K, tols), fixed_point(dec_b.K, tols)
+        T_a, T_b = fps[2 * trial], fps[2 * trial + 1]
         dev = 0.0
         for n in (1, 2):
             rho_a = window_density_matrix(dec_a.K, T_a, n)
@@ -615,8 +630,8 @@ EXPERIMENTS = {
               "a non-empty list of integers >= 2 (essential ranks to sample)", flag="chi"),
     )),
     "aklt-sweep": Experiment(_exp_aklt_sweep, "interpolation family invariants", False, (
-        Param("g_start", 0.05, float, lambda v, _: _is_number(v) and 0.0 <= v <= 1.0,
-              "a number in [0, 1]"),
+        Param("g_start", 0.05, float, lambda v, _: _is_number(v) and 0.0 < v <= 1.0,
+              "a number in (0, 1]"),
         Param("g_stop", 0.95, float,
               lambda v, p: _is_number(v) and p["g_start"] <= v <= 1.0,
               "a number in [g_start, 1]"),

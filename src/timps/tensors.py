@@ -36,6 +36,7 @@ from .errors import (
     DegenerateLeadingEigenvalueError,
     IncompatibleGaugeMoveError,
     NotInEError,
+    TimpsError,
 )
 
 __all__ = [
@@ -322,19 +323,29 @@ def _decomposition_pass(mats: np.ndarray, tols: Tolerances) -> _Pass:
     return _Pass(X, ranks, B, norm, errors)
 
 
-def _stacked(A, stacked_pass) -> list:
+def _stacked(A, stacked_pass, *aligned) -> list:
     """``stacked_pass`` on an ``(..., d, D, D)`` stack, or on each group of
     same-shape entries (tensors or arrays) of a sequence, stacked: its
-    per-tensor results in input order (C order for a stack)."""
+    per-tensor results in input order (C order for a stack).  Each of the
+    ``aligned`` sequences, one entry per tensor, is passed on as the list
+    of the group's entries."""
     if isinstance(A, np.ndarray):
-        return stacked_pass(np.asarray(A, dtype=complex).reshape((-1,) + A.shape[-3:]))
+        return stacked_pass(np.asarray(A, dtype=complex).reshape((-1,) + A.shape[-3:]), *aligned)
     mats = [np.asarray(getattr(a, "mats", a), dtype=complex) for a in A]
     out = [None] * len(mats)
     for shape in dict.fromkeys(m.shape for m in mats):
         idx = [n for n, m in enumerate(mats) if m.shape == shape]
-        for n, result in zip(idx, stacked_pass(np.array([mats[n] for n in idx]))):
+        for n, result in zip(idx, stacked_pass(np.array([mats[n] for n in idx]),
+                                               *([s[n] for n in idx] for s in aligned))):
             out[n] = result
     return out
+
+
+def _only(results: list):
+    """The one result of an N=1 call, raised if it is a refusal."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 def canonical_decompose(A, tols: Tolerances = DEFAULT_TOLS):
@@ -440,10 +451,7 @@ def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     """
     if not isinstance(A, MpsTensor):
         return _stacked(A, lambda mats: _normalized(mats, tols))
-    out = _normalized(A.mats[None], tols)[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
+    return _only(_normalized(A.mats[None], tols))
 
 
 def _normalized(mats: np.ndarray, tols: Tolerances) -> list:
@@ -492,27 +500,56 @@ class GaugeMove:
                    MpsTensor(np.zeros_like(A.mats)))
 
 
-def apply_gauge(A, move: GaugeMove, tols: Tolerances = DEFAULT_TOLS) -> MpsTensor:
+def apply_gauge(A, move: GaugeMove, tols: Tolerances = DEFAULT_TOLS):
     """Apply a gauge move to a tensor (or the tensor of a decomposition),
     validating it against the tensor's core support; a decomposition's own
-    basis and rank give that support."""
-    Z = np.asarray(move.Z, dtype=complex)
-    if Z.shape != (A.D, A.D):
-        raise IncompatibleGaugeMoveError("bond unitary has wrong size")
-    if abs(abs(move.lam) - 1.0) > tols.tol_unitary:
-        raise IncompatibleGaugeMoveError("phase is not unit modulus")
-    if np.linalg.norm(Z.conj().T @ Z - np.eye(A.D)) > tols.tol_unitary * A.D:
-        raise IncompatibleGaugeMoveError("Z is not unitary")
-    if move.filler.mats.shape != A.mats.shape:
-        raise IncompatibleGaugeMoveError("filler has wrong shape")
-    Q = range_projection(A, tols)
-    tilde = move.filler.mats
-    if np.linalg.norm(np.einsum("ab,ibc->iac", Q, tilde)) > tols.tol_norm:
-        raise IncompatibleGaugeMoveError("filler maps into the core range")
-    if np.linalg.norm(np.einsum("iab,bc->iac", tilde, Q) - tilde) > tols.tol_norm:
-        raise IncompatibleGaugeMoveError("filler is not supported on the core domain")
-    moved = move.lam * np.einsum("ab,ibc,dc->iad", Z, A.mats + tilde, Z.conj())
-    return MpsTensor(moved)
+    basis and rank give that support.
+
+    ``A`` and ``move`` may also be equal-length sequences of tensors (or
+    decompositions) and moves: the result is then the list of the moved
+    tensors, in order, ending with the ``TimpsError`` of the first move that
+    fails, where a one-at-a-time loop stops; one pass per tensor shape.  One
+    pair is the N=1 call.
+    """
+    if isinstance(A, (MpsTensor, CanonicalDecomposition)):
+        return _only(_moved(A.mats[None], [A], [move], tols))
+    if len(A) != len(move):
+        raise ValueError("apply_gauge needs one move per tensor")
+    out = _stacked(A, lambda mats, As, moves: _moved(mats, As, moves, tols), A, move)
+    return out[:next((n + 1 for n, x in enumerate(out) if isinstance(x, TimpsError)), len(out))]
+
+
+def _moved(mats: np.ndarray, A: list, moves: list, tols: Tolerances) -> list:
+    """Each tensor (or decomposition) ``A[n]``, matrices ``mats[n]``, moved
+    by ``moves[n]``, or the refusal of the move: the N=1 checks in order."""
+    N, D = len(mats), mats.shape[-1]
+    sized = [np.shape(mv.Z) == (D, D) for mv in moves]
+    filled = [mv.filler.mats.shape == mats.shape[1:] for mv in moves]
+    Z = np.array([mv.Z if ok else np.eye(D) for mv, ok in zip(moves, sized)], dtype=complex)
+    tilde = np.array([mv.filler.mats if ok else 0 * m for mv, ok, m in zip(moves, filled, mats)])
+    lam = np.array([mv.lam for mv in moves], dtype=complex)
+    Q, errors = np.zeros_like(Z), {}
+    for n, a in enumerate(A):
+        try:
+            Q[n] = range_projection(a, tols)
+        except TimpsError as exc:
+            errors[n] = exc
+    checks = (
+        (np.logical_not(sized), "bond unitary has wrong size"),
+        (np.abs(np.abs(lam) - 1.0) > tols.tol_unitary, "phase is not unit modulus"),
+        (np.linalg.norm(np.swapaxes(Z.conj(), 1, 2) @ Z - np.eye(D), axis=(1, 2))
+         > tols.tol_unitary * D, "Z is not unitary"),
+        (np.logical_not(filled), "filler has wrong shape"),
+        ([n in errors for n in range(N)], None),
+        (np.linalg.norm(np.einsum("nab,nibc->niac", Q, tilde).reshape(N, -1), axis=1)
+         > tols.tol_norm, "filler maps into the core range"),
+        (np.linalg.norm((np.einsum("niab,nbc->niac", tilde, Q) - tilde).reshape(N, -1), axis=1)
+         > tols.tol_norm, "filler is not supported on the core domain"),
+    )
+    moved = lam[:, None, None, None] * np.einsum("nab,nibc,ndc->niad", Z, mats + tilde, Z.conj())
+    found = [next((message for bad, message in checks if bad[n]), "") for n in range(N)]
+    return [MpsTensor(moved[n]) if message == "" else errors[n] if message is None
+            else IncompatibleGaugeMoveError(message) for n, message in enumerate(found)]
 
 
 def mixed_transfer_spectra(K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 A right-normalized injective core ``K`` defines the completely positive map
 ``E_C(B) = sum_{ij} C_{ij} K^{i*} B K^j`` for a single-site observable ``C``.
 The unique positive trace-one fixed point ``T`` of ``E_1`` generates all
-expectation values of the translation-invariant state; a dense window
-density matrix serves as the brute-force oracle at desk scale.
+expectation values of the translation-invariant state.  The brute-force
+oracle at desk scale reads the window amplitude factor ``P``, with ``P
+P^dagger`` the dense window density matrix, site by site.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from .tensors import (
     MpsTensor,
     _degenerate,
     _leading_fixed_point,
+    _only,
     _sorted_spectrum,
+    _stacked,
     transfer_kernel,
 )
 
@@ -81,16 +84,31 @@ def _core_mats(K) -> np.ndarray:
     return np.asarray(getattr(K, "mats", K), dtype=complex)
 
 
+def _one_core(K) -> bool:
+    """Whether ``K`` is one core (a tensor, a decomposition or ``d``
+    matrices), not a stack or a sequence of cores."""
+    return hasattr(K, "mats") or (len(K) > 0 and np.ndim(getattr(K[0], "mats", K[0])) == 2)
+
+
+def _stacks(K, T):
+    """Whether ``K`` is one core, and the same-shape cores and their fixed
+    points (each one or its matrix) as ``(m, d, chi, chi)`` and ``(m, chi, chi)`` arrays."""
+    one = _one_core(K)
+    Ks, Ts = ([K], [T]) if one else (K, T)
+    return (one, np.array([getattr(k, "mats", k) for k in Ks], dtype=complex),
+            np.array([t.T if isinstance(t, TransferFixedPoint) else t for t in Ts], dtype=complex))
+
+
 def transfer_matrix(K, C) -> np.ndarray:
     """Dense ``chi^2 x chi^2`` matrix of ``B -> sum_{ij} C_{ij} K^{i*} B K^j``
     in the row-major vectorization: the adjoint of the kernel with weights
-    ``conj(C)`` (see :mod:`timps.tensors`)."""
+    ``conj(C)`` (see :mod:`timps.tensors`); also of stacks of ``K`` and ``C``."""
     mats = _core_mats(K)
     C = np.asarray(C, dtype=complex)
-    d = mats.shape[0]
-    if C.shape != (d, d):
+    d = mats.shape[-3]
+    if C.shape[-2:] != (d, d):
         raise ValueError(f"observable must be {d} x {d}, got {C.shape}")
-    return transfer_kernel(mats, mats, C.conj()).conj().T
+    return np.swapaxes(transfer_kernel(mats, mats, C.conj()).conj(), -1, -2)
 
 
 def transfer_spectrum(K) -> np.ndarray:
@@ -101,40 +119,55 @@ def transfer_spectrum(K) -> np.ndarray:
     return _sorted_spectrum(np.linalg.eigvals(mat))
 
 
-def fixed_point(K, tols: Tolerances = DEFAULT_TOLS) -> TransferFixedPoint:
+def fixed_point(K, tols: Tolerances = DEFAULT_TOLS):
     """Positive trace-one fixed point of the identity transfer map.
 
     Computed by dense eigendecomposition (exactness over scalability at desk
     scale).  The leading eigenvector is trace-normalized, Hermitized, and its
     spectrum repaired by clipping eigenvalues in ``[-tol_norm, 0)`` to zero.
+
+    ``K`` may also be an ``(m, d, chi, chi)`` stack or a sequence of cores:
+    the result is then the list of each core's fixed point or of the
+    ``TimpsError`` the N=1 call raises on it, from one pass per core shape.
     """
-    mats = _core_mats(K)
-    stack = transfer_matrix(mats, np.eye(mats.shape[0]))[None]
-    (vals,), (w,), (V,), errors = _leading_fixed_point(stack, mats.shape[1], tols)
-    if errors:
-        raise errors[0]
-    if w[0] < -tols.tol_norm:
-        raise NotPositiveError(
-            f"Hermitized fixed point has eigenvalue {w[0]:.3e} < -tol_norm"
-        )
-    T = (V * np.clip(w, 0.0, None)) @ V.conj().T
-    return TransferFixedPoint(T=T / np.trace(T).real, spectrum=vals)
+    if not _one_core(K):
+        return _stacked(K, lambda mats: _fixed_points(mats, tols))
+    return _only(_fixed_points(_core_mats(K)[None], tols))
 
 
-def expectation(K, T, obs: WindowObservable) -> complex:
+def _fixed_points(mats: np.ndarray, tols: Tolerances) -> list:
+    """Fixed point or refusal of each core of an ``(m, d, chi, chi)`` stack."""
+    vals, w, V, errors = _leading_fixed_point(
+        transfer_matrix(mats, np.eye(mats.shape[1])), mats.shape[2], tols)
+    for n in np.flatnonzero(w[:, 0] < -tols.tol_norm).tolist():
+        errors.setdefault(n, NotPositiveError(
+            f"Hermitized fixed point has eigenvalue {w[n, 0]:.3e} < -tol_norm"))
+    ok = [n for n in range(len(mats)) if n not in errors]
+    T = (V[ok] * np.clip(w[ok], 0.0, None)[:, None, :]) @ np.swapaxes(V[ok].conj(), -1, -2)
+    T = dict(zip(ok, T / np.trace(T, axis1=1, axis2=2).real[:, None, None]))
+    return [errors.get(n) or TransferFixedPoint(T=T[n], spectrum=vals[n])
+            for n in range(len(mats))]
+
+
+def expectation(K, T, obs: WindowObservable):
     """Expectation of a product window observable in the transfer state.
 
     Applies the single-site transfer maps successively to the fixed point and
-    takes the trace.
+    takes the trace.  For a stack or a sequence of same-shape cores, with
+    ``T`` and ``obs`` one entry per core and windows of one length, the
+    array of the expectations.
     """
-    mats = _core_mats(K)
-    d, chi = mats.shape[0], mats.shape[1]
-    B = T.T if isinstance(T, TransferFixedPoint) else np.asarray(T, dtype=complex)
-    for C in obs.factors:
-        if C.shape != (d, d):
+    one, mats, B = _stacks(K, T)
+    obs = [obs] if one else list(obs)
+    m, d, chi = mats.shape[:3]
+    if len({o.n for o in obs}) > 1:
+        raise ValueError("stacked windows must share their length")
+    for C in zip(*(o.factors for o in obs)):
+        if any(c.shape != (d, d) for c in C):
             raise ValueError(f"window factor must be {d} x {d}")
-        B = (transfer_matrix(mats, C) @ B.reshape(-1)).reshape(chi, chi)
-    return complex(np.trace(B))
+        B = (transfer_matrix(mats, np.array(C)) @ B.reshape(m, -1, 1)).reshape(m, chi, chi)
+    vals = np.trace(B, axis1=1, axis2=2)
+    return complex(vals[0]) if one else vals
 
 
 def window_density_matrix(K, T, n: int) -> np.ndarray:
@@ -150,25 +183,26 @@ def window_density_matrix(K, T, n: int) -> np.ndarray:
 
 
 def _window_amplitudes(K, T, n: int) -> np.ndarray:
-    """The d^n x r factor ``P`` with ``P P^dagger`` the window density matrix."""
-    mats = _core_mats(K)
-    d, chi = mats.shape[0], mats.shape[1]
+    """The d^n x chi^2 factor ``P`` with ``P P^dagger`` the window density
+    matrix (zero columns for non-positive fixed-point eigenvalues); for
+    cores and ``T`` as in :func:`expectation`, the stack of their factors."""
+    one, mats, Tm = _stacks(K, T)
+    m, d, chi = mats.shape[:3]
     dim = d**n
     if dim > WINDOW_CAP:
         raise WindowTooLargeError(f"window dimension {dim} exceeds cap {WINDOW_CAP}")
-    Tm = T.T if isinstance(T, TransferFixedPoint) else np.asarray(T, dtype=complex)
 
     # G[j1..jn] = K^{j1} ... K^{jn}, flattened over the physical string.
     G = mats.copy()
     for _ in range(n - 1):
-        G = np.einsum("sab,jbc->sjac", G, mats).reshape(-1, chi, chi)
+        G = np.einsum("msab,mjbc->msjac", G, mats).reshape(m, -1, chi, chi)
 
-    mu, V = np.linalg.eigh((Tm + Tm.conj().T) / 2.0)
-    keep = mu > 0
+    mu, V = np.linalg.eigh((Tm + np.swapaxes(Tm.conj(), -1, -2)) / 2.0)
     # boundary insertion |v_b><v_a| gives amplitudes psi[s, a, b] =
     # <v_a| G^s |v_b>; column (a, b) of P is sqrt(mu_a) psi[:, a, b]
-    psi = V[:, keep].conj().T @ G @ V
-    return (np.sqrt(mu[keep])[:, None] * psi).reshape(dim, np.count_nonzero(keep) * chi)
+    psi = np.swapaxes(V.conj(), -1, -2)[:, None] @ G @ V[:, None]
+    P = (np.sqrt(np.maximum(mu, 0.0))[:, None, :, None] * psi).reshape(m, dim, chi * chi)
+    return P[0] if one else P
 
 
 def correlation_length(K, tols: Tolerances = DEFAULT_TOLS) -> float:

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from timps import __version__, cli
+from timps import __version__, cli, transfer
 from timps.cli import EXPERIMENTS, main
+from timps.errors import NotInEError, NotPositiveError
 from timps.transfer import fixed_point
 
 
@@ -148,17 +149,106 @@ def test_oracle_check_runs_cap_sized_windows(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _oracle_cores(monkeypatch):
+    """Record the cores oracle-check draws: each oracle trial's core, and
+    each gauge trial's dec_a.K and dec_b.K, as bytes in trial order."""
+    drawn = {"oracle": [], "gauge": []}
+    real_core, real_moved = cli.random_core, cli._gauge_moved
+
+    def random_core(*args, **kwargs):
+        out = real_core(*args, **kwargs)
+        drawn["oracle"] += [K.mats.tobytes() for K, _ in out]
+        return out
+
+    def gauge_moved(*args, **kwargs):
+        out = real_moved(*args, **kwargs)
+        drawn["gauge"] += [(a.K.tobytes(), b.K.tobytes()) for a, b in out]
+        return out
+
+    monkeypatch.setattr(cli, "random_core", random_core)
+    monkeypatch.setattr(cli, "_gauge_moved", gauge_moved)
+    return drawn
+
+
 def test_gauge_trials_take_one_fixed_point_per_tensor(tmp_path, monkeypatch):
-    calls = []
+    # each of the 300 cores (100 oracle trials, two per gauge trial) reaches
+    # fixed_point exactly once, in no more calls than there are trial groups
+    passed, calls = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fixed_point(*args, **kwargs)
+    def counted(K, *args, **kwargs):
+        cores = [K] if hasattr(K, "mats") or getattr(K, "ndim", 0) == 3 else list(K)
+        passed.extend(np.asarray(getattr(k, "mats", k)).tobytes() for k in cores)
+        calls.append(len(cores))
+        return fixed_point(K, *args, **kwargs)
 
+    drawn = _oracle_cores(monkeypatch)
     monkeypatch.setattr(cli, "fixed_point", counted)
     assert run_cli(["oracle-check", "--seed", 0, "--out", tmp_path]) == 0
-    # 100 trials at one each, 100 gauge trials at two each
-    assert len(calls) == 300
+    cores = drawn["oracle"] + [K for pair in drawn["gauge"] for K in pair]
+    assert len(cores) == len(set(cores)) == 300
+    assert sorted(passed) == sorted(cores)
+    rows = [line.split(",") for line in
+            (tmp_path / "oracle-check.csv").read_text().splitlines()[2:]]
+    groups = {(kind, d, chi, n if kind == "oracle" else None) for kind, _, d, chi, n, _ in rows}
+    assert len(rows) == 200 and len(calls) <= len(groups)
+
+
+_FIXED_POINTS = transfer._fixed_points
+
+
+def _refuse(monkeypatch, refusals):
+    """Make the stacked fixed-point pass refuse the cores given, by bytes."""
+    def refusing(mats, tols):
+        out = _FIXED_POINTS(mats, tols)
+        return [refusals.get(m.tobytes(), fp) for m, fp in zip(mats, out)]
+
+    monkeypatch.setattr(transfer, "_fixed_points", refusing)
+
+
+def _failures(tmp_path, args):
+    assert run_cli(["oracle-check", "--seed", 3, *args, "--out", tmp_path]) == 1
+    return json.loads((tmp_path / "oracle-check.json").read_text())["failures"]
+
+
+def test_oracle_check_raises_the_first_failure_in_trial_order(tmp_path, monkeypatch):
+    args = ["--trials", 12, "--gauge-trials", 6, "--window-max", 3]
+    drawn = _oracle_cores(monkeypatch)
+    assert run_cli(["oracle-check", "--seed", 3, *args, "--out", tmp_path]) == 0
+    oracle, gauge = drawn["oracle"][:12], drawn["gauge"][:6]
+    # trials 9 (d=3) and 6 (d=4) sit in different groups, and the d=3 group
+    # is decided first
+    _refuse(monkeypatch, {oracle[9]: NotPositiveError("at trial 9"),
+                          oracle[6]: NotPositiveError("at trial 6")})
+    assert _failures(tmp_path, args) == ["NotPositiveError: at trial 6"]
+    # an earlier trial's refusal comes before the sampler's trailing error
+    real_core = cli.random_core
+    monkeypatch.setattr(cli, "random_core", lambda *a, **k: real_core(*a, **k)[:8] + [
+        NotInEError("draw of trial 8 failed")])
+    assert _failures(tmp_path, args) == ["NotPositiveError: at trial 6"]
+    _refuse(monkeypatch, {})
+    assert _failures(tmp_path, args) == ["NotInEError: draw of trial 8 failed"]
+    monkeypatch.setattr(cli, "random_core", real_core)
+    # gauge trials: a before b within a trial, and trial 2 (chi=2) before
+    # trial 3 (chi=1)
+    _refuse(monkeypatch, {gauge[3][0]: NotPositiveError("a of trial 3"),
+                          gauge[2][1]: NotPositiveError("b of trial 2"),
+                          gauge[2][0]: NotPositiveError("a of trial 2")})
+    assert _failures(tmp_path, args) == ["NotPositiveError: a of trial 2"]
+    _refuse(monkeypatch, {gauge[3][0]: NotPositiveError("a of trial 3"),
+                          gauge[2][1]: NotPositiveError("b of trial 2")})
+    assert _failures(tmp_path, args) == ["NotPositiveError: b of trial 2"]
+
+
+def test_aklt_sweep_refuses_the_rank_one_endpoint(tmp_path, capsys):
+    # aklt_path(0) is the rank-1 endpoint, off the sweep's 2 sqrt(1 - g^2)
+    # checks: a sweep starting there exited 1 on input the schema passed
+    assert run_cli(["aklt-sweep", "--g-start", "0", "--out", tmp_path / "zero"]) == 2
+    assert "g_start must be a number in (0, 1], got 0.0" in capsys.readouterr().err
+    assert not (tmp_path / "zero").exists()
+    assert run_cli(["aklt-sweep", "--g-start", "1e-3", "--g-stop", "1e-3",
+                    "--out", tmp_path / "small"]) == 0
+    doc = read_json(tmp_path / "small" / "aklt-sweep.json")
+    assert doc["summary"]["invariant_at_g0_tensor"] == 1.0
 
 
 def test_tolerance_override_applies(tmp_path):
@@ -353,6 +443,9 @@ BAD_INPUTS = [
      "tensors holds 58 tensors, but mesh 4x4 has 14 vertices"),
     (None, {"experiment": "chern", "params": {"family": _psi2_spec(4), "mesh": "8x8"}},
      "tensors holds 14 tensors, but mesh 8x8 has 58 vertices"),
+    # g_start = 0, the rank-1 endpoint: exited 1
+    (["aklt-sweep", "--g-start", "0"], None, "g_start"),
+    (None, {"experiment": "aklt-sweep", "params": {"g_start": 0}}, "g_start"),
 ]
 
 

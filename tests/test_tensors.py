@@ -231,6 +231,62 @@ def test_apply_gauge_rejects_core_supported_filler():
         apply_gauge(A, GaugeMove(1.0, np.eye(2, dtype=complex), MpsTensor(bad)))
 
 
+def _bad_moves(rng):
+    """A decomposed tensor (d=4, D=3, chi=2) with a valid move, and moves that
+    fail each check of apply_gauge, with the N=1 messages."""
+    dec = random_tensor_in_e(rng, 4, 3, 2)
+    good = random_gauge_move(rng, dec)
+    core = np.zeros((4, 3, 3), dtype=complex)
+    core[:, :2, :2] = 0.1  # maps into the core range
+    off = np.zeros((4, 3, 3), dtype=complex)
+    off[:, 2, 2] = 0.1  # not supported on the core domain
+    in_basis = [dec.X @ m @ dec.X.conj().T for m in (core, off)]
+    return dec, good, [
+        (GaugeMove(good.lam, np.eye(2), good.filler), "bond unitary has wrong size"),
+        (GaugeMove(1.1, good.Z, good.filler), "phase is not unit modulus"),
+        (GaugeMove(good.lam, 2.0 * good.Z, good.filler), "Z is not unitary"),
+        (GaugeMove(good.lam, good.Z, MpsTensor(np.zeros((4, 2, 2)))), "filler has wrong shape"),
+        (GaugeMove(good.lam, good.Z, MpsTensor(in_basis[0])), "filler maps into the core range"),
+        (GaugeMove(good.lam, good.Z, MpsTensor(in_basis[1])),
+         "filler is not supported on the core domain"),
+    ]
+
+
+def test_apply_gauge_on_a_sequence_is_the_n1_calls_bit_for_bit(rng):
+    decs = [random_tensor_in_e(rng, d, D, chi)
+            for d, D, chi in [(4, 3, 2), (2, 2, 1), (4, 3, 2), (9, 4, 3), (2, 2, 1)]]
+    tensors = [dec if k % 2 else dec.tensor for k, dec in enumerate(decs)]
+    moves = [random_gauge_move(rng, dec) for dec in decs]
+    moved = apply_gauge(tensors, moves)
+    assert len(moved) == len(decs)
+    for A, move, B in zip(tensors, moves, moved):
+        assert np.array_equal(B.mats, apply_gauge(A, move).mats)
+    assert apply_gauge([], []) == []
+    with pytest.raises(ValueError, match="one move per tensor"):
+        apply_gauge(tensors, moves[:-1])
+
+
+def test_apply_gauge_on_a_sequence_stops_at_the_first_refusal(rng):
+    dec, good, bad = _bad_moves(rng)
+    other = random_tensor_in_e(rng, 2, 2, 1)
+    mats = np.zeros((2, 2, 2), dtype=complex)
+    mats[0, 0, 0], mats[1, 1, 1] = 1.0, 3e-5  # range inside the cutoff window
+    ambiguous = MpsTensor(mats)
+    for move, message in bad + [(GaugeMove.identity(ambiguous), None)]:
+        target = ambiguous if message is None else dec
+        error = AmbiguousRankError if message is None else IncompatibleGaugeMoveError
+        with pytest.raises(error) as alone:
+            apply_gauge(target, move)
+        # a valid move of another shape before it, a second refusal after it
+        out = apply_gauge([other, dec, target, dec, dec],
+                          [random_gauge_move(rng, other), good, move, bad[0][0], good])
+        assert len(out) == 3 and type(out[2]) is type(alone.value)
+        assert str(out[2]) == str(alone.value)
+        if message is not None:
+            assert str(out[2]) == message
+        assert np.array_equal(out[1].mats, apply_gauge(dec, good).mats)
+
+
 def test_apply_gauge_preserves_q_conjugation(rng):
     A = random_tensor_in_e(rng, 4, 3, 2)
     move = random_gauge_move(rng, A)

@@ -6,7 +6,8 @@ import pytest
 
 from timps.cli import _ORACLE_SHAPES, _window_trace
 from timps.config import DEFAULT_TOLS
-from timps.errors import DegenerateLeadingEigenvalueError, WindowTooLargeError
+from timps import transfer
+from timps.errors import DegenerateLeadingEigenvalueError, NotPositiveError, WindowTooLargeError
 from timps.families import aklt_path, psi2_tensor
 from timps.sampling import random_core, random_gauge_move, random_observable, random_tensor_in_e
 from timps.tensors import (
@@ -20,6 +21,7 @@ from timps.tensors import (
     transfer_kernel,
 )
 from timps.transfer import (
+    TransferFixedPoint,
     WindowObservable,
     _window_amplitudes,
     correlation_length,
@@ -207,6 +209,74 @@ def test_fixed_point_refusals_are_those_of_the_stacked_pass():
     assert np.array_equal(fixed_point(aklt_path(0.5)).spectrum, vals[0])
 
 
+def test_fixed_point_of_a_stack_is_the_n1_calls_bit_for_bit(make_rng):
+    rng = make_rng(16)
+    shapes = [(4, 2), (2, 1), (4, 2), (3, 1), (4, 2), (2, 1), (9, 3)]
+    cores = [random_core(rng, d, chi).tensor for d, chi in shapes]
+    stack = np.array([K.mats for K in cores if K.d == 4])
+    for K, fp in [*zip(cores, fixed_point(cores)),
+                  *zip([K for K in cores if K.d == 4], fixed_point(stack))]:
+        alone = fixed_point(K)
+        assert np.array_equal(fp.T, alone.T)
+        assert np.array_equal(fp.spectrum, alone.spectrum)
+    assert fixed_point([]) == []
+
+
+def test_fixed_point_of_a_stack_gives_each_n1_refusal_by_index(monkeypatch):
+    # transfer matrices no core has: a traceless lead, and a lead whose
+    # Hermitized fixed point is diag(2, -1); entry k of the stack is marked
+    # by its first matrix entry
+    v = np.array([1.0, 0.0, 0.0, -0.5]) / math.sqrt(1.25)
+    table = [transfer_matrix(aklt_path(0.5), np.eye(4)),
+             transfer_matrix(aklt_path(1e-4), np.eye(4)),
+             np.diag([0.5, 1.0, 0.2, 0.5]).astype(complex),
+             np.outer(v, v) + 0.2 * (np.eye(4) - np.outer(v, v))]
+    real = transfer.transfer_matrix
+
+    def marked(mats, C):
+        return np.array([table[int(m[0, 0, 0].real)] for m in mats]) if mats.ndim == 4 \
+            else real(mats, C)
+
+    monkeypatch.setattr(transfer, "transfer_matrix", marked)
+    cores = [np.full((4, 2, 2), float(k), dtype=complex) for k in (3, 0, 1, 2, 0)]
+    stacked = fixed_point(np.array(cores))
+    assert [type(x) for x in fixed_point(cores)] == [type(x) for x in stacked]
+    assert isinstance(stacked[1], TransferFixedPoint)
+    assert np.array_equal(stacked[1].T, fixed_point(cores[1]).T)
+    messages = {0: "Hermitized fixed point has eigenvalue -1.000e+00 < -tol_norm",
+                2: "transfer gap too small: |lambda_2| = 0.999999986667",
+                3: "leading eigenvector is traceless"}
+    for k, message in messages.items():
+        assert type(stacked[k]) is (NotPositiveError if k == 0 else
+                                    DegenerateLeadingEigenvalueError)
+        assert str(stacked[k]) == message
+        with pytest.raises(type(stacked[k])) as alone:
+            fixed_point(cores[k])
+        assert str(alone.value) == message
+
+
+def test_expectation_of_a_stack_matches_the_n1_calls(make_rng):
+    rng = make_rng(17)
+    for d, chi in _ORACLE_SHAPES:
+        for n in (1, 2, 3):
+            cores = [random_core(rng, d, chi).tensor for _ in range(5)]
+            fps = fixed_point(cores)
+            obs = [random_observable(rng, d, n) for _ in cores]
+            for T in (fps, np.array([fp.T for fp in fps])):
+                stacked = expectation(np.array([K.mats for K in cores]), T, obs)
+                assert stacked.shape == (5,)
+                for K, fp, o, value in zip(cores, fps, obs, stacked):
+                    alone = expectation(K, fp, o)
+                    assert abs(value - alone) <= 1e-13 * abs(alone)
+            P = _window_amplitudes(cores, fps, n)
+            for j, (K, fp) in enumerate(zip(cores, fps)):
+                assert np.array_equal(P[j], _window_amplitudes(K, fp, n))
+    K = random_core(rng, 2, 1).tensor
+    fp = fixed_point(K)
+    with pytest.raises(ValueError, match="share their length"):
+        expectation([K, K], [fp, fp], [random_observable(rng, 2, n) for n in (1, 2)])
+
+
 def test_fixed_point_scalar_core():
     fp = fixed_point(psi2_tensor(0.6, 0.8))
     assert np.allclose(fp.T, [[1.0]])
@@ -315,16 +385,20 @@ def test_window_density_matrix_is_hermitian_with_unit_trace(make_rng, d, chi):
         assert abs(np.trace(rho) - 1.0) <= 1e-13
 
 
-def test_elementwise_window_trace_matches_dense_product(make_rng):
-    # trace(rho @ C) as the elementwise contraction sum(rho * C.T)
+def test_stacked_window_trace_matches_per_trial_calls_and_kron_oracle(make_rng):
+    # the oracle's stacked pass on the draws of one (d, chi, n) group against
+    # each trial's one-entry pass and the dense trace(rho (C_1 x ... x C_n))
     rng = make_rng(11)
     for d, chi, n in [(2, 1, 4), (3, 1, 3), (4, 1, 2), (4, 2, 4)]:
-        K = random_core(rng, d, chi)
-        T = fixed_point(K)
-        rho = window_density_matrix(K, T, n)
-        C = kron_all(random_observable(rng, d, n).factors)
-        dense = np.trace(rho @ C)
-        assert abs(np.sum(rho * C.T) - dense) <= 1e-13 * abs(dense)
+        cores = [random_core(rng, d, chi).tensor for _ in range(4)]
+        fps = fixed_point(cores)
+        factors = [random_observable(rng, d, n).factors for _ in cores]
+        stacked = _window_trace(_window_amplitudes(cores, fps, n), factors)
+        for j, (K, T) in enumerate(zip(cores, fps)):
+            alone = _window_trace(_window_amplitudes([K], [T], n), factors[j:j + 1])
+            assert alone.shape == (1,) and alone[0] == stacked[j]
+            dense = np.trace(window_density_matrix(K, T, n) @ kron_all(factors[j]))
+            assert abs(stacked[j] - dense) <= 1e-13 * abs(dense)
 
 
 @pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4)
@@ -338,7 +412,7 @@ def test_site_by_site_window_trace_matches_kron_oracle(make_rng, d, n):
         factors = [random_matrix(rng, d) for _ in range(n)]
         dense = np.trace(P @ P.conj().T @ kron_all(factors))
         scale = np.linalg.norm(P) ** 2 * math.prod(np.linalg.norm(C) for C in factors)
-        assert abs(_window_trace(P, factors) - dense) <= 1e-12 * scale
+        assert abs(_window_trace(P[None], [factors])[0] - dense) <= 1e-12 * scale
 
 
 def test_window_oracle_trial_peak_memory_is_one_amplitude_factor(make_rng):
@@ -350,7 +424,7 @@ def test_window_oracle_trial_peak_memory_is_one_amplitude_factor(make_rng):
     obs = random_observable(rng, 4, 5)
     tracemalloc.start()
     try:
-        _window_trace(_window_amplitudes(K, T, obs.n), obs.factors)
+        _window_trace(_window_amplitudes([K], [T], obs.n), [obs.factors])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
