@@ -40,6 +40,7 @@ from .homotopy import (
 )
 from .invariants import chern_verdict, curvature_report
 from .sampling import (
+    _move_draws,
     random_core,
     random_gauge_move,
     random_observable,
@@ -49,6 +50,7 @@ from .sampling import (
 from .tensors import (
     CanonicalDecomposition,
     MpsTensor,
+    _decomposition_pass,
     apply_gauge,
     canonical_decompose,
     fidelity_per_site,
@@ -201,16 +203,17 @@ def _sweep(count: int, draw, key, nbytes, run):
 
 def _gauge_moved(drawn: list, tols: Tolerances) -> list:
     """``(dec, decomposition or refusal of its gauge-moved copy)`` of each
-    drawn ``(dec, move)``, in order, the moves applied in one call and the
-    copies decomposed in one call; ends with the ``TimpsError`` that ends
-    ``drawn`` or that the first failing ``apply_gauge`` raises, where a
-    case-by-case loop stops."""
+    drawn ``(dec, move draws)``, in order: the moves built in one call, applied
+    in one call and the copies decomposed in one call; ends with the
+    ``TimpsError`` that ends ``drawn`` or that the first failing
+    ``apply_gauge`` raises, where a case-by-case loop stops."""
     end = [x for x in drawn if isinstance(x, TimpsError)]
     cases = drawn[:len(drawn) - len(end)]
-    moved = apply_gauge([dec for dec, _ in cases], [move for _, move in cases], tols)
+    decs = [dec for dec, _ in cases]
+    moved = apply_gauge(decs, random_gauge_move([x for _, x in cases], decs, tols), tols)
     if moved and isinstance(moved[-1], TimpsError):
         end = [moved.pop()]
-    return [(a, b) for (a, _), b in zip(cases, canonical_decompose(moved, tols))] + end
+    return list(zip(decs, canonical_decompose(moved, tols))) + end
 
 
 _CONTRACT_SHAPES = ((4, 2, 2), (4, 3, 2), (2, 2, 1), (3, 2, 1))
@@ -226,17 +229,18 @@ def _exp_contract_sweep(params, rng, tols):
     def run(items):
         nonlocal first_end, cross
         P = contraction_path([A for _, A in items], s_grid, tols=tols)
-        decs = canonical_decompose(P, tols)
+        found = _decomposition_pass(P.reshape((-1,) + P.shape[2:]), tols)
         target = contraction_endpoint(items[0][1].d, items[0][1].D).mats
         results = []
         for j, (case, _) in enumerate(items):
             rows, failures = [], []
-            for s, dec in zip(s_grid, decs[j * s_steps:]):
-                if isinstance(dec, TimpsError):
-                    failures.append(f"case {case} s={s}: not in the tensor space ({dec})")
+            for k, s in enumerate(s_grid, j * s_steps):
+                if k in found.errors:
+                    failures.append(f"case {case} s={s}: not in the tensor space "
+                                    f"({found.errors[k]})")
                     rows.append((case, s, -1, math.nan))
                 else:
-                    rows.append((case, s, dec.chi, dec.norm_residual))
+                    rows.append((case, s, found.ranks[k], found.norm[k]))
             # the last grid point is s = 1: P[j, -1] is the endpoint
             dev = float(np.abs(P[j, -1] - target).max())
             _check(failures, dev <= 1e-12, f"case {case}: endpoint deviation {dev:.3e}")
@@ -272,7 +276,7 @@ def _exp_retract_sweep(params, rng, tols):
     def draw(cases):
         return _gauge_moved(random_split_spectrum_tensor(
             rng, *zip(*map(shape, cases)), tols=tols,
-            then=lambda g, dec: (dec, random_gauge_move(g, dec, tols=tols))), tols)
+            then=lambda g, dec: (dec, _move_draws(g, dec))), tols)
 
     def run(items):
         delta, H = retract([dec_a for _, (dec_a, _) in items], _T_GRID, tols=tols)
@@ -521,7 +525,7 @@ def _exp_oracle_check(params, rng, tols):
     shapes = [(4, 2) if trial % 2 == 0 else (3, 1) for trial in range(params["gauge_trials"])]
     pairs = _gauge_moved(random_tensor_in_e(
         rng, [d for d, _ in shapes], [chi + 1 for _, chi in shapes], [chi for _, chi in shapes],
-        tols=tols, then=lambda g, dec: (dec, random_gauge_move(g, dec, tols=tols))), tols)
+        tols=tols, then=lambda g, dec: (dec, _move_draws(g, dec))), tols)
     # trials end at a failed draw or move, or at a refused moved copy
     ends = [p if isinstance(p, TimpsError) else p[1] for p in pairs]
     ok = pairs[:next((t for t, x in enumerate(ends) if isinstance(x, TimpsError)), len(pairs))]

@@ -25,8 +25,10 @@ from .errors import NotInOError
 from .tensors import (
     CanonicalDecomposition,
     MpsTensor,
-    _decomposition,
     _assembled,
+    _dagger,
+    _decomposition,
+    _sandwich,
     _stacked,
     left_gram,
     right_gram,
@@ -137,14 +139,9 @@ def isometry_path_block(phi: PhiRule, t: float, n_rows: int, n_cols: int) -> np.
 
 
 def _mix_physical(gam: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``sum_j gam_ij mats^j`` for every output index ``i``, per tensor of a stack."""
-    return np.einsum("ij,...jab->...iab", gam, mats)
-
-
-def _conjugate_bonds(delta: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """``delta mats^i delta^T`` for every physical index ``i``, per tensor of
-    a stack (``delta`` is real)."""
-    return np.einsum("ab,...ibc,dc->...iad", delta, mats, delta)
+    """``sum_j gam_ij mats^j`` for every output index ``i``, per tensor of a
+    stack; a stack of ``gam`` broadcasts against the tensors' leading axes."""
+    return np.einsum("...ij,...jab->...iab", gam, mats)
 
 
 def apply_physical_isometry(A, phi: PhiRule, t: float,
@@ -163,7 +160,8 @@ def apply_bond_isometry(A, phi: PhiRule, t: float,
     isometry path, enlarging the bond dimension to ``phi(D)``.  ``A`` is
     checked by decomposing it unless it is a decomposition."""
     A = _decomposition(A, tols).tensor
-    return MpsTensor(_conjugate_bonds(isometry_path_block(phi, t, phi(A.D), A.D), A.mats))
+    delta = isometry_path_block(phi, t, phi(A.D), A.D)  # real: delta^T is its adjoint
+    return MpsTensor(_sandwich(delta, A.mats, delta.T))
 
 
 def cantor_pair(j: int, gamma: int) -> int:
@@ -204,10 +202,9 @@ def _stage_widen(mats: np.ndarray, t: list) -> np.ndarray:
     paths simultaneously; identity at t = 0, triple-spaced embedding at 1.
     Shape ``(N, T, 3d + 1, D + 1, D + 1)``."""
     d, D = mats.shape[-3], mats.shape[-1]
-    return np.stack([
-        _mix_physical(isometry_path_block(_TRIPLE, tk, 3 * d + 1, d),
-                      _conjugate_bonds(isometry_path_block(_SHIFT, tk, D + 1, D), mats))
-        for tk in t], axis=1)
+    delta = np.array([isometry_path_block(_SHIFT, tk, D + 1, D) for tk in t])
+    gam = np.array([isometry_path_block(_TRIPLE, tk, 3 * d + 1, d) for tk in t])
+    return _mix_physical(gam, _sandwich(delta, mats[:, None], np.swapaxes(delta, 1, 2)))
 
 
 def _stage_row_growth(mats: np.ndarray, t: list) -> np.ndarray:
@@ -273,7 +270,9 @@ _STAGES = (_stage_widen, _stage_row_growth, _stage_swap, _stage_fade)
 
 
 def _one_shape(mats: list) -> np.ndarray:
-    """The ``(N, d, D, D)`` stack of matrices that must share ``(d, D)``."""
+    """The ``(N, d, D, D)`` stack of matrices that must share ``(d, D)``; N >= 1."""
+    if not mats:
+        raise ValueError("a tensor sequence must not be empty")
     shapes = list(dict.fromkeys(m.shape[:2] for m in mats))
     if len(shapes) > 1:
         raise ValueError(f"a tensor sequence must share (d, D); got {shapes[0]} and {shapes[1]}")
@@ -331,11 +330,6 @@ def _core_gram_eigh(K: np.ndarray):
     return np.linalg.eigh((gram + _dagger(gram)) / 2.0)
 
 
-def _dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix of a stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
 def _is_split(w: np.ndarray, tols: Tolerances) -> bool:
     """Whether an ascending core Gram spectrum is nonsingular and not a
     multiple of the identity (a single eigenvalue never is split)."""
@@ -376,13 +370,13 @@ def _retract_core(decs: list, K: np.ndarray, t: list, w: np.ndarray,
     X = np.array([dec.X for dec in decs])
     fvals = spectral_filter(w[:, None, :], np.array(t)[:, None], w[:, None, :1] * (1.0 + 1e-12))
     filt = (V[:, None] * fvals[..., None, :]) @ _dagger(V)[:, None]
-    Kf = np.einsum("niab,ntbc->ntiac", K, filt)
+    Kf = K[:, None] @ filt[:, :, None]
     S = right_gram(Kf)
     sw, sV = np.linalg.eigh((S + _dagger(S)) / 2.0)
     sw = np.clip(sw, tols.tol_norm, None)
     inv_sqrt = (sV * (1.0 / np.sqrt(sw))[..., None, :]) @ _dagger(sV)
-    K_new = np.einsum("ntab,ntibc->ntiac", inv_sqrt, Kf)
-    M_new = np.einsum("niab,ntbc->ntiac", M, filt)
+    K_new = inv_sqrt[:, :, None] @ Kf
+    M_new = M[:, None] @ filt[:, :, None]
     return _assembled(X[:, None], K_new, M_new)
 
 

@@ -25,6 +25,7 @@ from .tensors import (
     CanonicalDecomposition,
     GaugeMove,
     MpsTensor,
+    _assembled,
     _decomposition,
     _stacked,
     assemble,
@@ -106,17 +107,36 @@ def random_tensor_in_e(rng: np.random.Generator, d, D, chi,
     return canonical_decompose(assemble(X, K, M), tols)
 
 
-def random_gauge_move(rng: np.random.Generator, A,
-                      tols: Tolerances = DEFAULT_TOLS) -> GaugeMove:
+def random_gauge_move(rng, A, tols: Tolerances = DEFAULT_TOLS):
     """A valid gauge move for the tensor ``A`` (or the tensor of a
     decomposition ``A``): random phase, Haar bond unitary, and a filler
-    supported off the core in the tensor's own block basis."""
-    dec = _decomposition(A, tols)
-    d, D, chi = dec.d, dec.D, dec.chi
-    N = _FILLER_SCALE * _ginibre(rng, (d, D - chi, chi))
-    return GaugeMove(lam=np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
-                     Z=haar_unitary(rng, D),
-                     filler=assemble(dec.X, np.zeros((d, chi, chi)), N))
+    supported off the core in the tensor's own block basis.  For a sequence
+    ``A`` of decompositions (or tensors) and ``rng`` the sequence of their
+    :func:`_move_draws`, the list of their moves, built with one stacked QR
+    and filler assembly per ``(d, D, chi)``; one tensor is the N=1 call."""
+    if isinstance(A, (MpsTensor, CanonicalDecomposition)):
+        dec = _decomposition(A, tols)
+        return random_gauge_move([_move_draws(rng, dec)], [dec], tols)[0]
+    decs = [_decomposition(a, tols) for a in A]
+    return _stacked([draws[0] for draws in rng], _built_moves, decs, rng)
+
+
+def _move_draws(rng: np.random.Generator, dec: CanonicalDecomposition) -> tuple:
+    """The draws of a gauge move for a decomposition's shape, in the order
+    :func:`random_gauge_move` makes them: filler block, phase, Ginibre
+    matrix of the Haar unitary."""
+    return (_FILLER_SCALE * _ginibre(rng, (dec.d, dec.D - dec.chi, dec.chi)),
+            rng.uniform(0.0, 2.0 * np.pi), _ginibre(rng, (dec.D, dec.D)))
+
+
+def _built_moves(N: np.ndarray, decs: list, draws: list) -> list:
+    """The gauge moves of same-shape decompositions from their draws, with
+    ``N`` the ``(n, d, D - chi, chi)`` stack of their filler blocks."""
+    X = np.array([dec.X for dec in decs])
+    fillers = _assembled(X, np.zeros(N.shape[:2] + (N.shape[-1],) * 2), N)
+    Z = _haar(np.array([z for _, _, z in draws]))
+    return [GaugeMove(lam=np.exp(1j * phase), Z=z, filler=MpsTensor(filler))
+            for (_, phase, _), z, filler in zip(draws, Z, fillers)]
 
 
 def random_split_spectrum_tensor(rng: np.random.Generator, chi, D,

@@ -110,24 +110,44 @@ def pad_tensor(A: MpsTensor, d: int, D: int) -> MpsTensor:
     return MpsTensor(out)
 
 
+def _sandwich(L, mats, R) -> np.ndarray:
+    """``L A^i R`` for each matrix of a ``(..., d, a, b)`` stack, ``L (..., c, a)``
+    and ``R (..., b, e)`` broadcast over its tensors: two batched matmuls, ``L``
+    on each tensor's matrices side by side, then ``R`` on them stacked in rows."""
+    d, a, b = mats.shape[-3:]
+    LA = L @ np.swapaxes(mats, -3, -2).reshape(mats.shape[:-3] + (a, d * b))
+    lead, c = LA.shape[:-2], LA.shape[-2]
+    # rebinding frees the side-by-side products before the second matmul
+    LA = np.swapaxes(LA.reshape(lead + (c, d, b)), -3, -2).reshape(lead + (d * c, b))
+    out = LA @ R
+    return out.reshape(out.shape[:-2] + (d, c, out.shape[-1]))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def left_gram(A) -> np.ndarray:
     """Sum of ``A^{i*} A^i`` of a tensor, or of each tensor of a ``(..., d, D, D)``
-    stack; Hermitian PSD, its rank is the essential rank."""
-    m = getattr(A, "mats", A)
-    return np.einsum("...iba,...ibc->...ac", m.conj(), m)
+    stack; Hermitian PSD, its rank is the essential rank.  One matmul per
+    tensor, on its matrices stacked in rows."""
+    m = np.asarray(getattr(A, "mats", A))
+    rows = m.reshape(m.shape[:-3] + (m.shape[-3] * m.shape[-2], m.shape[-1]))
+    return _dagger(rows) @ rows
 
 
 def right_gram(A) -> np.ndarray:
-    """Sum of ``A^i A^{i*}`` of a tensor, or of each tensor of a stack."""
-    m = getattr(A, "mats", A)
-    return np.einsum("...iab,...icb->...ac", m, m.conj())
+    """Sum of ``A^i A^{i*}`` of a tensor, or of each tensor of a stack: the
+    left Gram matrix of the adjoint matrices."""
+    return left_gram(_dagger(np.asarray(getattr(A, "mats", A))))
 
 
 def _sorted_eigh(H: np.ndarray):
     """Hermitian eigendecomposition of a matrix or an ``(N, D, D)`` stack,
     eigenvalues descending, each eigenvector phase-fixed so its
     largest-modulus entry is real positive."""
-    w, V = np.linalg.eigh((H + np.swapaxes(H.conj(), -1, -2)) / 2.0)
+    w, V = np.linalg.eigh((H + _dagger(H)) / 2.0)
     # eigh returns ascending eigenvalues; unit eigenvectors have a nonzero pivot
     w, V = w[..., ::-1], V[..., ::-1]
     pivot = np.take_along_axis(V, np.abs(V).argmax(axis=-2)[..., None, :], axis=-2)
@@ -144,7 +164,7 @@ def _block_forms(mats: np.ndarray, tols: Tolerances):
     cutoff = tols.eps_rank * w[..., :1]
     ranks = (w > cutoff).sum(axis=-1) * (w[..., 0] > 0.0)
     in_window = ((w > 0.5 * cutoff) & (w < 2.0 * cutoff)).any(axis=-1)
-    B = np.einsum("nba,nibc,ncd->niad", X.conj(), mats, X)
+    B = _sandwich(_dagger(X), mats, X)
     return w, X, ranks - (ranks + 1) * in_window, B
 
 
@@ -221,12 +241,9 @@ class CanonicalDecomposition:
 def _assembled(X: np.ndarray, K: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The matrices ``X [[K, 0], [M, 0]] X*`` of stacked block forms:
     ``K (..., d, chi, chi)`` and ``M (..., d, D - chi, chi)`` share their
-    leading axes, and those of ``X (..., D, D)`` broadcast against them."""
-    D, chi = X.shape[-1], K.shape[-1]
-    blocks = np.zeros(K.shape[:-2] + (D, D), dtype=complex)
-    blocks[..., :chi, :chi] = K
-    blocks[..., chi:, :chi] = M
-    return np.einsum("...ab,...ibc,...dc->...iad", X, blocks, X.conj())
+    leading axes, and those of ``X (..., D, D)`` broadcast against them:
+    the column blocks ``[K; M]`` between ``X`` and the first ``chi`` rows of ``X*``."""
+    return _sandwich(X, np.concatenate([K, M], axis=-2), _dagger(X[..., :K.shape[-1]]))
 
 
 def assemble(X: np.ndarray, K: np.ndarray, M: np.ndarray | None = None) -> MpsTensor:
@@ -392,10 +409,13 @@ def transfer_kernel(K_a, K_b, W=None) -> np.ndarray:
     """
     K_a = np.asarray(K_a, dtype=complex)
     K_b = np.asarray(K_b, dtype=complex).conj()
+    d, a, b = K_a.shape[-3], K_a.shape[-1], K_b.shape[-1]
+    cols = K_b.reshape(K_b.shape[:-3] + (d, b * b))
     if W is not None:
-        K_b = np.einsum("...ij,...jrs->...irs", W, K_b)
-    a, b = K_a.shape[-1], K_b.shape[-1]
-    out = np.einsum("...ipq,...irs->...prqs", K_a, K_b)
+        cols = W @ cols
+    # one matmul per core pair: rows (p, q) of K_a, columns (r, s) of K_b
+    out = np.swapaxes(K_a.reshape(K_a.shape[:-3] + (d, a * a)), -1, -2) @ cols
+    out = np.swapaxes(out.reshape(out.shape[:-2] + (a, a, b, b)), -3, -2)
     return out.reshape(out.shape[:-4] + (a * b, a * b))
 
 
@@ -432,7 +452,7 @@ def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):
         else "leading eigenvector is traceless")
         for n in np.flatnonzero(gapless | traceless).tolist()}
     rho = rho / np.where(traceless, 1.0, tr)[:, None, None]
-    w, V = np.linalg.eigh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
+    w, V = np.linalg.eigh((rho + _dagger(rho)) / 2.0)
     return vals, w, V, errors
 
 
@@ -471,11 +491,11 @@ def _normalized(mats: np.ndarray, tols: Tolerances) -> list:
                 if rw[j, 0] < tols.tol_norm * rw[j, -1] else None)
         ok = [j for j, n in enumerate(idx) if out[n] is None]
         root, rV = np.sqrt(rw[ok])[:, None, :], rV[ok]
-        rVh = np.swapaxes(rV.conj(), -1, -2)
+        rVh = _dagger(rV)
         sqrt_rho, inv_sqrt_rho = (rV * root) @ rVh, (rV * (1.0 / root)) @ rVh
         scale = (1.0 / np.sqrt(vals[ok, 0].real))[:, None, None, None]
-        K_new = scale * np.einsum("nab,nibc,ncd->niad", inv_sqrt_rho, K0[ok], sqrt_rho)
-        M_new = scale * np.einsum("niab,nbc->niac", M0[ok], sqrt_rho)
+        K_new = scale * _sandwich(inv_sqrt_rho, K0[ok], sqrt_rho)
+        M_new = scale * (M0[ok] @ sqrt_rho[:, None])
         for n, A in zip(idx[ok], _assembled(V[idx[ok]], K_new, M_new)):
             out[n] = MpsTensor(A)
     return out
@@ -537,16 +557,16 @@ def _moved(mats: np.ndarray, A: list, moves: list, tols: Tolerances) -> list:
     checks = (
         (np.logical_not(sized), "bond unitary has wrong size"),
         (np.abs(np.abs(lam) - 1.0) > tols.tol_unitary, "phase is not unit modulus"),
-        (np.linalg.norm(np.swapaxes(Z.conj(), 1, 2) @ Z - np.eye(D), axis=(1, 2))
+        (np.linalg.norm(_dagger(Z) @ Z - np.eye(D), axis=(1, 2))
          > tols.tol_unitary * D, "Z is not unitary"),
         (np.logical_not(filled), "filler has wrong shape"),
         ([n in errors for n in range(N)], None),
-        (np.linalg.norm(np.einsum("nab,nibc->niac", Q, tilde).reshape(N, -1), axis=1)
+        (np.linalg.norm((Q[:, None] @ tilde).reshape(N, -1), axis=1)
          > tols.tol_norm, "filler maps into the core range"),
-        (np.linalg.norm((np.einsum("niab,nbc->niac", tilde, Q) - tilde).reshape(N, -1), axis=1)
+        (np.linalg.norm((tilde @ Q[:, None] - tilde).reshape(N, -1), axis=1)
          > tols.tol_norm, "filler is not supported on the core domain"),
     )
-    moved = lam[:, None, None, None] * np.einsum("nab,nibc,ndc->niad", Z, mats + tilde, Z.conj())
+    moved = lam[:, None, None, None] * _sandwich(Z, mats + tilde, _dagger(Z))
     found = [next((message for bad, message in checks if bad[n]), "") for n in range(N)]
     return [MpsTensor(moved[n]) if message == "" else errors[n] if message is None
             else IncompatibleGaugeMoveError(message) for n, message in enumerate(found)]

@@ -23,9 +23,11 @@ from .errors import (
 )
 from .tensors import (
     MpsTensor,
+    _dagger,
     _degenerate,
     _leading_fixed_point,
     _only,
+    _sandwich,
     _sorted_spectrum,
     _stacked,
     transfer_kernel,
@@ -200,7 +202,7 @@ def _window_amplitudes(K, T, n: int) -> np.ndarray:
     mu, V = np.linalg.eigh((Tm + np.swapaxes(Tm.conj(), -1, -2)) / 2.0)
     # boundary insertion |v_b><v_a| gives amplitudes psi[s, a, b] =
     # <v_a| G^s |v_b>; column (a, b) of P is sqrt(mu_a) psi[:, a, b]
-    psi = np.swapaxes(V.conj(), -1, -2)[:, None] @ G @ V[:, None]
+    psi = _sandwich(_dagger(V), G, V)
     P = (np.sqrt(np.maximum(mu, 0.0))[:, None, :, None] * psi).reshape(m, dim, chi * chi)
     return P[0] if one else P
 

@@ -13,6 +13,7 @@ from timps.cli import main
 from timps.config import DEFAULT_TOLS
 from timps.errors import NotInEError, NotInOError, TimpsError
 from timps.sampling import (
+    _move_draws,
     random_core,
     random_gauge_move,
     random_observable,
@@ -150,6 +151,45 @@ def test_exhausted_draws_end_the_list_after_the_same_cases(seed, name, cases, to
         got = check_against_scalar_loop(seed, cases, scalar, sequence, then)
         assert isinstance(got[-1], error) and str(got[-1]).startswith("64 draws failed")
         assert len(got) == 3 and not any(isinstance(x, TimpsError) for x in got[:-1])
+
+
+def draws_then(rng, dec):
+    return dec, _move_draws(rng, dec)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("tols_name", ["default", "eps_rank"])
+@pytest.mark.parametrize("name", ["random_tensor_in_e", "random_split_spectrum_tensor"])
+def test_moves_built_from_window_draws_are_the_n1_moves(seed, tols_name, name):
+    # windows of mixed shapes; after each the generator is where the scalar loop leaves it
+    tols = TOLS[tols_name]
+    cases, scalar, sequence = samplers(tols)[name]
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for start in range(0, len(cases), 7):
+        want = scalar_loop(rng_a, cases[start:start + 7], scalar, gauge_then(tols))
+        drawn = sequence(rng_b, cases[start:start + 7], draws_then)
+        assert rng_b.bit_generator.state == rng_a.bit_generator.state
+        end = drawn[-1:] if drawn and isinstance(drawn[-1], TimpsError) else []
+        decs = [dec for dec, _ in drawn[:len(drawn) - len(end)]]
+        moves = random_gauge_move([draws for _, draws in drawn[:len(decs)]], decs, tols)
+        got = list(zip(decs, moves)) + end
+        assert len(got) == len(want) and all(map(same, got, want))
+
+
+@pytest.mark.parametrize("args, moves", [
+    (["retract-sweep", "--seed", "1", "--count", "400"], 400),
+    (["oracle-check", "--seed", "0"], 100),  # 100 gauge trials
+])
+def test_sweeps_build_each_gauge_move_once(monkeypatch, tmp_path, args, moves):
+    built, build = [], sampling.GaugeMove
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "GaugeMove", counted)
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert len(built) == moves
 
 
 def test_the_scalar_call_is_the_one_case_sequence(make_rng):
