@@ -14,13 +14,16 @@ Families:
 Meshes are quadrilateralized theta-phi grids on the sphere with single pole
 vertices; the polar rows close the surface as degenerate quad fans so that
 plaquette curvature sums to an exact multiple of 2*pi.
+
+A family over the sphere is a name and a ``stack`` over arrays of angles
+(:class:`SphereFamily`).  Tensors given per vertex of one mesh (``custom``)
+are :class:`VertexData`: they have no values between vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,10 +39,10 @@ __all__ = [
     "pump_south",
     "pump_lift",
     "aklt_path",
-    "MeshVertex",
     "Mesh2",
     "make_sphere_mesh",
     "SphereFamily",
+    "VertexData",
     "psi2_sphere_family",
     "boundary_generator_family",
     "constant_sphere_family",
@@ -275,13 +278,6 @@ def aklt_path(g: float) -> MpsTensor:
 # Sphere meshes.
 
 
-@dataclass(frozen=True)
-class MeshVertex:
-    index: int
-    theta: float
-    phi: float
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh2:
     """Oriented quadrilateralized sphere.
@@ -294,8 +290,7 @@ class Mesh2:
     order is theta-first: (i, j) -> (i+1, j) -> (i+1, j+1) -> (i, j+1),
     the outward orientation under which the spin-coherent family carries
     total curvature +1.  ``theta`` and ``phi`` hold the vertex angles as
-    read-only arrays, in vertex order; ``vertices`` holds them as
-    :class:`MeshVertex` values, built on first use.
+    read-only arrays, in vertex order.
 
     The edge table is derived from the plaquettes.  Slot ``a`` of plaquette
     ``p`` is the side from corner ``a`` to corner ``a + 1 (mod 4)``.
@@ -344,11 +339,6 @@ class Mesh2:
         self.theta.flags.writeable = False
         self.phi.flags.writeable = False
 
-    @cached_property
-    def vertices(self) -> tuple:
-        return tuple(map(MeshVertex, range(len(self.theta)), self.theta.tolist(),
-                         self.phi.tolist()))
-
     def reversed(self) -> "Mesh2":
         return replace(self, plaquettes=self.plaquettes[:, ::-1].copy())
 
@@ -395,25 +385,27 @@ def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
 @dataclass(frozen=True)
 class SphereFamily:
     """A family over the sphere, given by ``stack``, which evaluates it at
-    arrays of vertex angles as one ``(m, d, D, D)`` array, or per vertex by
-    ``func`` (whose tensors may differ in shape).  :meth:`eval_vertex` calls
-    ``func`` when given and is otherwise the N=1 call of ``stack``.  A family
-    given for the vertices of one mesh has their number as ``size``."""
+    arrays of angles ``(theta[n], phi[n])`` as one ``(m, d, D, D)`` array."""
 
     name: str
-    func: Callable[[MeshVertex], MpsTensor] | None = None
-    stack: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    size: int | None = None
+    stack: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def eval_vertex(self, vertex: MeshVertex) -> MpsTensor:
-        if self.func is not None:
-            return self.func(vertex)
-        return MpsTensor(self.stack(np.array([vertex.theta]), np.array([vertex.phi]))[0])
+    def eval_vertex(self, theta: float, phi: float) -> MpsTensor:
+        """The tensor at one point: the N=1 call of ``stack``."""
+        return MpsTensor(self.stack(np.array([theta]), np.array([phi]))[0])
 
     def eval_vertices(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The tensors at the vertices ``(theta[n], phi[n])`` as one
-        ``(m, d, D, D)`` array; only for a family with a ``stack``."""
+        """The tensors at the points ``(theta[n], phi[n])``: ``stack`` itself."""
         return self.stack(theta, phi)
+
+
+@dataclass(frozen=True, eq=False)
+class VertexData:
+    """Tensors of any shapes given at the vertices of one mesh, in vertex
+    order; the invariants decompose them as given."""
+
+    name: str
+    tensors: tuple
 
 
 def psi2_sphere_family() -> SphereFamily:
@@ -445,9 +437,8 @@ def boundary_generator_family(tols: Tolerances = DEFAULT_TOLS) -> SphereFamily:
 
 
 def constant_sphere_family(A: MpsTensor, name: str = "constant") -> SphereFamily:
-    """``A`` at every vertex; ``eval_vertex`` returns ``A`` itself."""
-    return SphereFamily(name, lambda v: A,
-                        lambda theta, phi: np.repeat(A.mats[None], len(theta), axis=0))
+    """``A`` at every point."""
+    return SphereFamily(name, lambda theta, phi: np.repeat(A.mats[None], len(theta), axis=0))
 
 
 def pump_slice_family(w4: float) -> SphereFamily:
@@ -467,16 +458,9 @@ def pump_slice_family(w4: float) -> SphereFamily:
     return SphereFamily(f"pump-slice(w4={w4})", stack=stack)
 
 
-def custom_vertex_family(tensors: Sequence[MpsTensor]) -> SphereFamily:
+def custom_vertex_family(tensors: Sequence[MpsTensor]) -> VertexData:
     """Per-vertex tensors supplied externally, indexed by mesh vertex."""
-    tensors = list(tensors)
-
-    def at(v: MeshVertex) -> MpsTensor:
-        if v.index >= len(tensors):
-            raise ValueError("custom family has fewer tensors than mesh vertices")
-        return tensors[v.index]
-
-    return SphereFamily("custom", at, size=len(tensors))
+    return VertexData("custom", tuple(tensors))
 
 
 def _spec_number(params: dict, key: str, default: float) -> float:
@@ -487,9 +471,9 @@ def _spec_number(params: dict, key: str, default: float) -> float:
     return float(value)
 
 
-def family_from_spec(spec: dict) -> SphereFamily:
-    """Build a mesh-evaluable family from its JSON description:
-    ``{"family": "psi2"|"pump"|"aklt"|"custom", "params": {...}}``."""
+def family_from_spec(spec: dict) -> SphereFamily | VertexData:
+    """Build a sphere family, or vertex data for ``custom``, from its JSON
+    description: ``{"family": "psi2"|"pump"|"aklt"|"custom", "params": {...}}``."""
     from .tensors import tensor_from_json
 
     if not isinstance(spec, dict) or set(spec) - {"family", "params"}:

@@ -7,6 +7,8 @@ argument of the oriented product of link variables; because every geometric
 edge of a closed mesh is shared by two plaquettes with opposite orientation,
 the total curvature is an exact integer multiple of 2*pi up to roundoff.
 
+The mesh functions take a :class:`SphereFamily` or :class:`VertexData`.
+
 Conventions: plaquettes are outward-oriented; vertex phase changes move
 individual links but never a plaquette product.
 """
@@ -25,7 +27,7 @@ from .errors import (
     RankMismatchError,
     VanishingOverlapError,
 )
-from .families import Mesh2
+from .families import Mesh2, VertexData
 from .tensors import (
     MpsTensor,
     _decomposition_pass,
@@ -145,94 +147,87 @@ class CurvatureField:
 
 
 def _chunk_cores(tensors, start: int, chi: int | None, tols) -> list:
-    """Cores of the vertex tensors from vertex ``start`` on, in order, as
-    ``(m, d, chi, chi)`` arrays; each tensor's essential rank must be
-    ``chi`` or, when ``chi`` is None, that of the first tensor (vertex 0).
-
-    An ``(m, d, D, D)`` array goes through one decomposition pass and gives
-    one array, a list of mixed shapes one pass and one array per tensor; the
-    error raised is the one of the first failing vertex.
-    """
-    parts = []
-    for mats in [tensors] if isinstance(tensors, np.ndarray) else [a[None] for a in tensors]:
+    """``(vertex indices, (k, d, chi, chi) cores)`` pairs of the tensors of
+    vertex ``start`` on (an ``(m, d, D, D)`` array or a list of ``(d, D, D)``
+    arrays), from one decomposition pass per shape.  Ranks must be ``chi`` or,
+    when None, the first tensor's; the first failing vertex's error is raised."""
+    if isinstance(tensors, np.ndarray):
+        groups = [(np.arange(len(tensors)), tensors)]
+    else:
+        shapes = {}
+        for k, a in enumerate(tensors):
+            shapes.setdefault(a.shape, []).append(k)
+        groups = [(np.array(idx), np.array([tensors[k] for k in idx]))
+                  for idx in shapes.values()]
+    ranks, errors, blocks = np.empty(len(tensors), dtype=np.intp), {}, []
+    for idx, mats in groups:
         found = _decomposition_pass(mats, tols)
-        chi = int(found.ranks[0]) if chi is None else chi
-        failed = found.ranks != chi
-        failed[list(found.errors)] = True
-        if failed.any():
-            j = int(np.argmax(failed))
-            if j in found.errors:
-                raise found.errors[j]
-            raise RankMismatchError(
-                f"family does not have constant essential rank on the mesh: "
-                f"{chi} vs {found.ranks[j]} at vertex {start + sum(map(len, parts)) + j}"
-            )
-        parts.append(found.B[:, :, :chi, :chi])
-    return parts
+        ranks[idx] = found.ranks
+        errors.update((int(idx[j]), e) for j, e in found.errors.items())
+        blocks.append((start + idx, found.B))
+    chi = int(ranks[0]) if chi is None else chi
+    failed = list(errors) + np.flatnonzero(ranks != chi).tolist()
+    if failed:
+        j = min(failed)
+        raise errors.get(j) or RankMismatchError(
+            f"family does not have constant essential rank on the mesh: "
+            f"{chi} vs {ranks[j]} at vertex {start + j}")
+    return [(idx, B[:, :, :chi, :chi]) for idx, B in blocks]
 
 
 def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
-    """The family's tensors on a chunk of vertices, as an ``(m, d, D, D)``
-    array when they share a shape and as a list otherwise, plus the error
-    that stopped the evaluation (or None).
-
-    A family with a stacked evaluator is evaluated in one call.  A family
-    given per vertex, and a chunk the stacked evaluator refuses (by raising
-    or with a non-finite entry), go vertex by vertex up to the first
-    failing vertex, whose error is returned.
-    """
-    if family.stack is not None:
-        try:
-            mats = family.eval_vertices(mesh.theta[chunk], mesh.phi[chunk])
-            if np.isfinite(mats).all():
-                return mats, None
-        except Exception:
-            pass  # redone below, which finds the failing vertex
-    tensors, error = [], None
+    """The tensors on a chunk of vertices, and None: vertex data's as given, a
+    family's from one stack call.  If the stack refuses the chunk (raises, or
+    gives a non-finite entry): the tensors :meth:`SphereFamily.eval_vertex`
+    gives up to the first failing vertex, and that vertex's error."""
+    if isinstance(family, VertexData):
+        return [t.mats for t in family.tensors[chunk]], None
     try:
-        for vertex in mesh.vertices[chunk]:
-            tensors.append(family.eval_vertex(vertex).mats)
+        mats = family.eval_vertices(mesh.theta[chunk], mesh.phi[chunk])
+        if np.isfinite(mats).all():
+            return mats, None
+    except Exception:
+        pass  # redone below, which finds the failing vertex
+    tensors = []
+    try:
+        for theta, phi in zip(mesh.theta[chunk].tolist(), mesh.phi[chunk].tolist()):
+            tensors.append(family.eval_vertex(theta, phi).mats)
     except Exception as exc:
-        error = exc
-    if len({a.shape for a in tensors}) == 1:
-        return np.array(tensors), error
-    return tensors, error
+        return tensors, exc
+    return tensors, None
 
 
 def _vertex_cores(family, mesh: Mesh2, tols):
-    """Cores of the family at every mesh vertex as an ``(n, d, chi, chi)``
-    array, zero-padded to the largest ``d``, plus each vertex's ``d``.
-
-    Vertices go in chunks of at most ``CHUNK``.  The error raised is the one
-    a per-vertex loop (evaluate, decompose, compare the rank with vertex
-    0's) would raise first; a family whose ``size`` exceeds the mesh's
-    vertex count is refused before any vertex.
-    """
+    """Cores at every mesh vertex, ``(n, d, chi, chi)`` zero-padded to the
+    largest ``d``, and each vertex's ``d``: a family's in chunks of at most
+    ``CHUNK`` vertices, vertex data's (refused unless it has one tensor per
+    vertex) as one chunk.  The error raised is the first one a per-vertex
+    loop (evaluate, decompose, compare ranks with vertex 0) raises."""
     n = len(mesh.theta)
-    if family.size is not None and family.size > n:
-        raise ValueError(f"family {family.name} has {family.size} tensors, but the mesh has "
-                         f"{n} vertices")
-    cores, dims = None, np.zeros(n, dtype=np.intp)
-    for start in range(0, n, CHUNK):
-        tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))
-        k = start
-        for K in _chunk_cores(tensors, start, None if cores is None else cores.shape[-1], tols):
+    if isinstance(family, VertexData) and len(family.tensors) != n:
+        raise ValueError(f"family {family.name} has {len(family.tensors)} tensors, but the "
+                         f"mesh has {n} vertices")
+    cores, dims = None, np.empty(n, dtype=np.intp)
+    step = n if isinstance(family, VertexData) else CHUNK
+    for start in range(0, n, step):
+        tensors, error = _chunk_tensors(family, mesh, slice(start, start + step))
+        chi = None if cores is None else cores.shape[-1]
+        for idx, K in _chunk_cores(tensors, start, chi, tols) if len(tensors) else ():
             if cores is None:
                 cores = np.zeros((n,) + K.shape[1:], dtype=complex)
             elif K.shape[1] > cores.shape[1]:
                 cores = np.pad(cores, ((0, 0), (0, K.shape[1] - cores.shape[1]), (0, 0), (0, 0)))
-            cores[k:k + len(K), : K.shape[1]] = K
-            dims[k:k + len(K)] = K.shape[1]
-            k += len(K)
+            cores[idx, :K.shape[1]] = K
+            dims[idx] = K.shape[1]
         if error is not None:
             raise error  # after the vertices before it, as in a per-vertex loop
     return cores, dims
 
 
 def link_field(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> LinkField:
-    """Evaluate the family once per vertex and the link variable once per
-    undirected edge of the mesh's edge table, in chunks of at most
-    ``CHUNK`` edges.
+    """Decompose the family (or vertex data) once per vertex and compute the
+    link variable once per undirected edge of the mesh's edge table, in
+    chunks of at most ``CHUNK`` edges.
 
     A failure raises the error of the first failing vertex or, when every
     vertex passed, of the first failing edge in edge-table order.

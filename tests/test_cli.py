@@ -307,7 +307,7 @@ def test_domain_failure_exits_one(tmp_path):
     from timps.tensors import tensor_to_json
 
     mesh = make_sphere_mesh(4, 4)
-    tensors = [tensor_to_json(aklt_path(0.5))] * len(mesh.vertices)
+    tensors = [tensor_to_json(aklt_path(0.5))] * len(mesh.theta)
     tensors[3] = tensor_to_json(aklt_path(0.0))
     spec = {"family": "custom", "params": {"tensors": tensors}}
     spec_path = tmp_path / "family.json"
@@ -361,7 +361,7 @@ def _custom_spec_with_charts():
     from timps.families import aklt_path, make_sphere_mesh
     from timps.tensors import tensor_to_json
 
-    n = len(make_sphere_mesh(4, 4).vertices)
+    n = len(make_sphere_mesh(4, 4).theta)
     return {"family": "custom",
             "params": {"tensors": [tensor_to_json(aklt_path(0.5))] * n,
                        "charts": ["main"] * n}}
@@ -370,11 +370,12 @@ def _custom_spec_with_charts():
 def _psi2_spec(n):
     """A custom family of the psi2 tensors at the vertices of the n x n mesh."""
     from timps.families import make_sphere_mesh, psi2_sphere_family
-    from timps.tensors import tensor_to_json
+    from timps.tensors import MpsTensor, tensor_to_json
 
-    family = psi2_sphere_family()
+    mesh = make_sphere_mesh(n, n)
     return {"family": "custom", "params": {"tensors": [
-        tensor_to_json(family.eval_vertex(v)) for v in make_sphere_mesh(n, n).vertices]}}
+        tensor_to_json(MpsTensor(m))
+        for m in psi2_sphere_family().eval_vertices(mesh.theta, mesh.phi)]}}
 
 
 # (command-line arguments, or a config document; the parameter that the

@@ -9,8 +9,6 @@ from timps.families import (
     _rotations,
     aklt_path,
     boundary_generator_family,
-    constant_sphere_family,
-    custom_vertex_family,
     family_from_spec,
     make_sphere_mesh,
     psi2_sphere_family,
@@ -253,9 +251,9 @@ def test_single_site_expectations_vary_continuously(rng):
 def test_mesh_structure():
     mesh = make_sphere_mesh(4, 4)
     assert mesh.n_plaquettes == 16
-    assert len(mesh.vertices) == (4 - 1) * 4 + 2
-    for v in mesh.vertices:
-        assert 0.0 <= v.theta <= np.pi and 0.0 <= v.phi < 2.0 * np.pi
+    assert len(mesh.theta) == len(mesh.phi) == (4 - 1) * 4 + 2
+    assert ((0.0 <= mesh.theta) & (mesh.theta <= np.pi)).all()
+    assert ((0.0 <= mesh.phi) & (mesh.phi < 2.0 * np.pi)).all()
     with pytest.raises(ValueError):
         make_sphere_mesh(3, 8)
 
@@ -289,13 +287,13 @@ def test_mesh_reversal_flips_orientation():
 def test_sphere_families_evaluate_at_poles():
     mesh = make_sphere_mesh(4, 4)
     fam = psi2_sphere_family()
-    north = fam.eval_vertex(mesh.vertices[0])
+    north = fam.eval_vertex(mesh.theta[0], mesh.phi[0])
     assert np.abs(north.mats.ravel() - np.array([1.0, 0.0])).max() < 1e-15
     bnd = boundary_generator_family()
-    for v in mesh.vertices:
+    for theta, phi in zip(mesh.theta, mesh.phi):
         # the same state; the boundary line's phase is the decomposition's
-        a = fam.eval_vertex(v).mats.ravel()
-        b = bnd.eval_vertex(v).mats.ravel()
+        a = fam.eval_vertex(theta, phi).mats.ravel()
+        b = bnd.eval_vertex(theta, phi).mats.ravel()
         assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-15
 
 
@@ -303,8 +301,9 @@ def test_pump_slice_family_ranks():
     mesh = make_sphere_mesh(4, 4)
     low = pump_slice_family(0.0)
     high = pump_slice_family(0.8)
-    assert all(low.eval_vertex(v).D == 1 for v in mesh.vertices)
-    assert all(essential_rank(high.eval_vertex(v)) == 2 for v in mesh.vertices)
+    vertices = list(zip(mesh.theta, mesh.phi))
+    assert all(low.eval_vertex(*v).D == 1 for v in vertices)
+    assert all(essential_rank(high.eval_vertex(*v)) == 2 for v in vertices)
 
 
 def test_family_from_spec():
@@ -312,26 +311,13 @@ def test_family_from_spec():
     assert fam.name == "psi2"
     fam = family_from_spec({"family": "aklt", "params": {"g": 0.3}})
     mesh = make_sphere_mesh(4, 4)
-    assert trace_invariant(fam.eval_vertex(mesh.vertices[0])) == pytest.approx(
+    assert trace_invariant(fam.eval_vertex(mesh.theta[0], mesh.phi[0])) == pytest.approx(
         2 * math.sqrt(1 - 0.09))
-    mesh_tensors = [tensor_to_json(psi2_tensor(1.0, 0.0))] * len(mesh.vertices)
+    mesh_tensors = [tensor_to_json(psi2_tensor(1.0, 0.0))] * len(mesh.theta)
     fam = family_from_spec({"family": "custom", "params": {"tensors": mesh_tensors}})
-    assert fam.eval_vertex(mesh.vertices[3]).d == 2
+    assert fam.name == "custom" and len(fam.tensors) == len(mesh.theta)
+    assert fam.tensors[3].d == 2
     with pytest.raises(ValueError):
         family_from_spec({"family": "psi2", "params": {"oops": 1}})
     with pytest.raises(ValueError):
         family_from_spec({"family": "nope"})
-
-
-def test_custom_family_requires_enough_tensors():
-    mesh = make_sphere_mesh(4, 4)
-    fam = custom_vertex_family([psi2_tensor(1.0, 0.0)])
-    with pytest.raises(ValueError):
-        fam.eval_vertex(mesh.vertices[5])
-
-
-def test_constant_family():
-    mesh = make_sphere_mesh(4, 4)
-    fam = constant_sphere_family(aklt_path(0.5))
-    assert all(fam.eval_vertex(v) is fam.eval_vertex(mesh.vertices[0])
-               for v in mesh.vertices)

@@ -9,8 +9,8 @@ from timps.errors import (
     RankMismatchError,
     VanishingOverlapError,
 )
+from timps import invariants
 from timps.families import (
-    SphereFamily,
     aklt_path,
     boundary_generator_family,
     constant_sphere_family,
@@ -18,8 +18,10 @@ from timps.families import (
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,
+    pump_slice_family,
 )
-from timps.tensors import MpsTensor
+from timps.sampling import random_gauge_move
+from timps.tensors import MpsTensor, apply_gauge, pad_tensor
 from timps.invariants import (
     CurvatureField,
     chern_number,
@@ -102,13 +104,9 @@ def test_orientation_reversal_negates_chern():
 def test_vertex_phase_leaves_curvature_invariant():
     mesh = make_sphere_mesh(8, 8)
     base = psi2_sphere_family()
-    marked = 7
-
-    def spun(v):
-        A = base.eval_vertex(v)
-        return A.scaled(np.exp(1.23j)) if v.index == marked else A
-
-    fam = SphereFamily("spun", spun)
+    tensors = [MpsTensor(m) for m in base.eval_vertices(mesh.theta, mesh.phi)]
+    tensors[7] = tensors[7].scaled(np.exp(1.23j))
+    fam = custom_vertex_family(tensors)
     r0 = curvature_report(base, mesh)
     r1 = curvature_report(fam, mesh)
     assert np.abs(r0.curvature - r1.curvature).max() < 1e-12
@@ -124,9 +122,54 @@ def test_custom_family_for_a_larger_mesh_is_refused(invariant):
     assert chern_number(custom_vertex_family(tensors), big) == 1
 
 
+def count_passes(monkeypatch):
+    """Record the shape of every stack the mesh path decomposes."""
+    shapes = []
+    real = invariants._decomposition_pass
+
+    def counted(mats, tols):
+        shapes.append(mats.shape)
+        return real(mats, tols)
+
+    monkeypatch.setattr(invariants, "_decomposition_pass", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("count", [15, 13, 1, 0], ids=["too-many", "too-few", "one", "zero"])
+@pytest.mark.parametrize("invariant", [chern_number, curvature_report, link_field])
+def test_vertex_data_of_another_count_is_refused_up_front(invariant, count, monkeypatch):
+    mesh = make_sphere_mesh(4, 4)
+    psi2 = [MpsTensor(m) for m in psi2_sphere_family().eval_vertices(mesh.theta, mesh.phi)]
+    passes = count_passes(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        invariant(custom_vertex_family((psi2 + psi2)[:count]), mesh)
+    assert str(info.value) == f"family custom has {count} tensors, but the mesh has 14 vertices"
+    assert passes == []
+    assert chern_number(custom_vertex_family(psi2), mesh) == 1
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("make", [psi2_sphere_family, lambda: pump_slice_family(0.7),
+                                  lambda: pump_slice_family(-0.2)],
+                         ids=["psi2", "pump-0.7", "pump-minus-0.2"])
+def test_gauge_moved_vertex_data_keeps_the_curvature(make, n, rng):
+    # each vertex: D padded by 0-2, then a random gauge move; the shapes mix
+    family, mesh = make(), make_sphere_mesh(n, n)
+    moved = []
+    for mats, extra in zip(family.eval_vertices(mesh.theta, mesh.phi),
+                           rng.integers(0, 3, len(mesh.theta))):
+        A = pad_tensor(MpsTensor(mats), mats.shape[0], mats.shape[1] + extra)
+        moved.append(apply_gauge(A, random_gauge_move(rng, A)))
+    assert len({A.D for A in moved}) == 3
+    data = custom_vertex_family(moved)
+    expected = curvature_report(family, mesh).curvature
+    assert np.abs(curvature_report(data, mesh).curvature - expected).max() <= 1e-13
+    assert chern_number(data, mesh) == chern_number(family, mesh)
+
+
 def test_chern_rejects_rank_jumps():
     mesh = make_sphere_mesh(4, 4)
-    tensors = [aklt_path(0.5)] * len(mesh.vertices)
+    tensors = [aklt_path(0.5)] * len(mesh.theta)
     tensors[3] = aklt_path(0.0)
     with pytest.raises(RankMismatchError):
         chern_number(custom_vertex_family(tensors), mesh)
@@ -140,12 +183,11 @@ def test_pump_boundary_generator_value(n):
 def test_frozen_polar_angle_gives_zero():
     theta0 = 1.0
 
-    def frozen(v):
-        return psi2_tensor(math.cos(theta0 / 2),
-                           np.exp(-1j * v.phi) * math.sin(theta0 / 2))
+    def frozen(phi):
+        return psi2_tensor(math.cos(theta0 / 2), np.exp(-1j * phi) * math.sin(theta0 / 2))
 
     mesh = make_sphere_mesh(12, 12)
-    assert chern_number(SphereFamily("frozen", frozen), mesh) == 0
+    assert chern_number(custom_vertex_family([frozen(phi) for phi in mesh.phi]), mesh) == 0
 
 
 def test_curvature_report_rows_align_with_mesh():

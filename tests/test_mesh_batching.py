@@ -26,6 +26,7 @@ from timps.errors import (
 )
 from timps.families import (
     SphereFamily,
+    VertexData,
     aklt_path,
     boundary_generator_family,
     custom_vertex_family,
@@ -62,17 +63,27 @@ def oracle_mixed_leading(K_a, K_b):
     return vals[int(np.argmax(np.abs(vals)))]
 
 
+def vertex_tensors(family, mesh):
+    """The tensors at the mesh vertices, in order, one at a time: vertex
+    data as given, a family by its N=1 call."""
+    if isinstance(family, VertexData):
+        yield from family.tensors
+    else:
+        for theta, phi in zip(mesh.theta.tolist(), mesh.phi.tolist()):
+            yield family.eval_vertex(theta, phi)
+
+
 def oracle_curvature(family, mesh):
     """Per-plaquette curvature, flags and total by the plain loops."""
     cores, chi = [], None
-    for vertex in mesh.vertices:
-        dec = canonical_decompose(family.eval_vertex(vertex))
+    for index, tensor in enumerate(vertex_tensors(family, mesh)):
+        dec = canonical_decompose(tensor)
         if chi is None:
             chi = dec.chi
         elif dec.chi != chi:
             raise RankMismatchError(
                 f"family does not have constant essential rank on the mesh: "
-                f"{chi} vs {dec.chi} at vertex {vertex.index}"
+                f"{chi} vs {dec.chi} at vertex {index}"
             )
         cores.append(dec.K)
     links = {}
@@ -104,27 +115,28 @@ def oracle_curvature(family, mesh):
     return curvature, flagged, curvature.sum() / (2.0 * np.pi)
 
 
-def spun_family():
+def psi2_at_vertices(mesh):
+    return [MpsTensor(m) for m in psi2_sphere_family().eval_vertices(mesh.theta, mesh.phi)]
+
+
+def spun_family(mesh):
     """psi2 with a vertex-dependent phase: the same curvature, other links."""
-    base = psi2_sphere_family()
-
-    def at(v):
-        return base.eval_vertex(v).scaled(np.exp(0.37j * v.index))
-
-    return SphereFamily("spun", at)
+    return custom_vertex_family([A.scaled(np.exp(0.37j * k))
+                                 for k, A in enumerate(psi2_at_vertices(mesh))])
 
 
 def bloch(theta, phi):
     return psi2_tensor(math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2))
 
 
+# name -> the family (or vertex data) on a given mesh
 FAMILIES = {
-    "psi2": psi2_sphere_family,
-    "boundary": boundary_generator_family,
-    "pump-0.2": lambda: pump_slice_family(0.2),
-    "pump-0.55": lambda: pump_slice_family(0.55),
-    "pump-0.7": lambda: pump_slice_family(0.7),
-    "pump-0.8": lambda: pump_slice_family(0.8),
+    "psi2": lambda mesh: psi2_sphere_family(),
+    "boundary": lambda mesh: boundary_generator_family(),
+    "pump-0.2": lambda mesh: pump_slice_family(0.2),
+    "pump-0.55": lambda mesh: pump_slice_family(0.55),
+    "pump-0.7": lambda mesh: pump_slice_family(0.7),
+    "pump-0.8": lambda mesh: pump_slice_family(0.8),
     "spun": spun_family,
 }
 
@@ -141,7 +153,7 @@ def test_stacked_curvature_matches_oracle(name, reverse, chunk):
     mesh = make_sphere_mesh(10, 12)
     if reverse:
         mesh = mesh.reversed()
-    family = FAMILIES[name]()
+    family = FAMILIES[name](mesh)
     curvature, flagged, total = oracle_curvature(family, mesh)
     report = curvature_report(family, mesh)
     assert np.abs(report.curvature - curvature).max() <= 1e-12
@@ -170,8 +182,8 @@ def bits(a):
 
 
 def test_stacked_cores_match_scalar_decomposition():
-    tensors = [pump_slice_family(0.7).eval_vertex(v)
-               for v in make_sphere_mesh(6, 6).vertices]
+    mesh = make_sphere_mesh(6, 6)
+    tensors = [MpsTensor(m) for m in pump_slice_family(0.7).eval_vertices(mesh.theta, mesh.phi)]
     decs = canonical_decompose(np.array([t.mats for t in tensors]))
     for dec, t in zip(decs, tensors, strict=True):
         assert dec.chi == 2
@@ -291,10 +303,10 @@ def test_reversed_mesh_flips_every_side():
 
 def test_link_field_values_are_the_oracle_links(chunk):
     mesh = make_sphere_mesh(6, 6)
-    family = spun_family()
+    family = spun_family(mesh)
     field = link_field(family, mesh)
     assert np.array_equal(field.edges, mesh.edges)
-    cores = [canonical_decompose(family.eval_vertex(v)).K for v in mesh.vertices]
+    cores = [canonical_decompose(A).K for A in family.tensors]
     for (u, v), value in zip(field.edges, field.values):
         ref = oracle_mixed_leading(cores[u], cores[v])
         assert abs(value - ref / abs(ref)) <= 1e-12
@@ -309,7 +321,7 @@ def raised(fn, *args):
 
 def parity_cases():
     mesh = make_sphere_mesh(4, 4)
-    n = len(mesh.vertices)
+    n = len(mesh.theta)
     base = aklt_path(0.5)
     rank_jump = [base] * n
     rank_jump[3] = aklt_path(0.0)
@@ -336,6 +348,19 @@ def test_error_parity_with_oracle(case, chunk):
     assert raised(curvature_report, family, mesh) == expected
 
 
+def count_passes(monkeypatch):
+    """Record the shape of every stack the mesh path decomposes."""
+    shapes = []
+    real = invariants._decomposition_pass
+
+    def counted(mats, tols):
+        shapes.append(mats.shape)
+        return real(mats, tols)
+
+    monkeypatch.setattr(invariants, "_decomposition_pass", counted)
+    return shapes
+
+
 @pytest.mark.parametrize("case", ["rank-jump-at-3", "non-E-vertex"])
 @pytest.mark.parametrize("mixed_shapes", [False, True], ids=["one-shape", "mixed-shapes"])
 def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, monkeypatch):
@@ -343,37 +368,57 @@ def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, mon
     mesh = make_sphere_mesh(4, 4)
     if mixed_shapes:
         # vertex 12, after every failing vertex, has a larger bond dimension
-        tensors = [family.eval_vertex(v) for v in mesh.vertices]
-        family = custom_vertex_family(padded_at(tensors, 12, D=3))
+        family = custom_vertex_family(padded_at(family.tensors, 12, D=3))
     expected = raised(oracle_curvature, family, mesh)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a refused tensor is decomposed again")
-
-    for module in (invariants, timps.tensors):
-        monkeypatch.setattr(module, "canonical_decompose", refuse)
+    passes = count_passes(monkeypatch)
     assert raised(curvature_report, family, mesh) == expected
+    # vertex data goes in one pass per tensor shape, whatever the chunk size
+    assert passes == [(13, 4, 2, 2), (1, 4, 3, 3)] if mixed_shapes else [(14, 4, 2, 2)]
+
+
+@pytest.mark.parametrize("mixed_shapes", [False, True], ids=["one-shape", "mixed-shapes"])
+def test_vertex_data_takes_one_pass_per_shape(mixed_shapes, chunk, monkeypatch):
+    mesh = make_sphere_mesh(8, 8)
+    psi2 = psi2_at_vertices(mesh)
+    family = custom_vertex_family(padded_at(psi2, 5, D=3) if mixed_shapes else psi2)
+    passes = count_passes(monkeypatch)
+    report = curvature_report(family, mesh)
+    assert sorted(passes) == ([(1, 2, 3, 3), (57, 2, 1, 1)] if mixed_shapes
+                              else [(58, 2, 1, 1)])
+    assert np.abs(report.curvature
+                  - curvature_report(psi2_sphere_family(), mesh).curvature).max() <= 1e-12
+
+
+def stack_by_vertex(name, mesh, at):
+    """A family whose stack evaluates ``at(k)`` point by point, with ``k``
+    the mesh vertex at the point's angles; it raises what ``at`` raises."""
+    index = {v: k for k, v in enumerate(zip(mesh.theta.tolist(), mesh.phi.tolist()))}
+
+    def stack(theta, phi):
+        return np.array([at(index[v]).mats for v in zip(theta.tolist(), phi.tolist())])
+
+    return SphereFamily(name, stack)
 
 
 def test_decomposition_error_precedes_later_evaluation_error(chunk):
     mesh = make_sphere_mesh(4, 4)
     bad = aklt_path(0.5).scaled(2.0)
 
-    def at(v):
-        if v.index == 8:
+    def at(k):
+        if k == 8:
             raise OutOfChartError("vertex 8 is outside every chart")
-        return bad if v.index == 2 else aklt_path(0.5)
+        return bad if k == 2 else aklt_path(0.5)
 
-    family = SphereFamily("broken", at)
+    family = stack_by_vertex("broken", mesh, at)
     assert raised(curvature_report, family, mesh) == raised(oracle_curvature, family, mesh)
     assert raised(curvature_report, family, mesh)[0] is NotInEError
 
-    def out_of_chart(v):
-        if v.index == 8:
+    def out_of_chart(k):
+        if k == 8:
             raise OutOfChartError("vertex 8 is outside every chart")
         return aklt_path(0.5)
 
-    assert raised(curvature_report, SphereFamily("chart", out_of_chart), mesh) == (
+    assert raised(curvature_report, stack_by_vertex("chart", mesh, out_of_chart), mesh) == (
         OutOfChartError, "vertex 8 is outside every chart")
 
 
@@ -390,7 +435,7 @@ def test_near_tie_links_are_refused(chunk):
     with pytest.raises(DegenerateLeadingEigenvalueError):
         link_variable(A, B)
     mesh = make_sphere_mesh(4, 4)
-    tensors = [A] * len(mesh.vertices)
+    tensors = [A] * len(mesh.theta)
     tensors[6] = B
     with pytest.raises(DegenerateLeadingEigenvalueError):
         link_field(custom_vertex_family(tensors), mesh)
@@ -399,7 +444,7 @@ def test_near_tie_links_are_refused(chunk):
 def flagged_family(mesh):
     """North-pole states except one plaquette whose corners circle the Bloch
     equator just above it: that plaquette's curvature is close to -pi."""
-    tensors = [bloch(0.0, 0.0)] * len(mesh.vertices)
+    tensors = [bloch(0.0, 0.0)] * len(mesh.theta)
     for k, vid in enumerate(mesh.plaquettes[4]):
         tensors[vid] = bloch(math.pi / 2 - 0.02, k * math.pi / 2)
     return tensors
@@ -435,8 +480,8 @@ def padded_at(tensors, index, d=None, D=None):
 
 def test_mixed_bond_dimension_keeps_the_curvature(chunk):
     mesh = make_sphere_mesh(4, 4)
-    psi2 = [psi2_sphere_family().eval_vertex(v) for v in mesh.vertices]
-    report = curvature_report(custom_vertex_family(padded_at(psi2, 5, D=3)), mesh)
+    report = curvature_report(custom_vertex_family(padded_at(psi2_at_vertices(mesh), 5, D=3)),
+                              mesh)
     expected = curvature_report(psi2_sphere_family(), mesh).curvature
     assert np.abs(report.curvature - expected).max() <= 1e-12
 
@@ -448,9 +493,9 @@ def orthogonal_at(n, index):
 
 
 def mixed_d_tensors(mesh, case):
-    n = len(mesh.vertices)
+    n = len(mesh.theta)
     if case == "psi2-d3-at-5":
-        return padded_at([psi2_sphere_family().eval_vertex(v) for v in mesh.vertices], 5, d=3)
+        return padded_at(psi2_at_vertices(mesh), 5, d=3)
     if case == "orthogonal-6-d3-at-9":
         # an edge at vertex 6 comes before every edge at vertex 9
         return padded_at(orthogonal_at(n, 6), 9, d=3)

@@ -19,7 +19,6 @@ from timps.config import DEFAULT_TOLS
 from timps.errors import NotInEError, NotNormalizedPointError, OutOfChartError, RankMismatchError
 from timps.families import (
     Mesh2,
-    MeshVertex,
     PumpPoint,
     SphereFamily,
     _angles,
@@ -28,6 +27,7 @@ from timps.families import (
     _pump_lifts,
     _slice_points,
     boundary_generator_family,
+    custom_vertex_family,
     make_sphere_mesh,
     psi2_sphere_family,
     pump_lift,
@@ -100,9 +100,9 @@ def oracle_from_angles(theta, phi, w4):
     return PumpPoint(w=w, w4=w4)
 
 
-def oracle_psi2_at(v):
-    return oracle_psi2_tensor(math.cos(v.theta / 2.0),
-                              np.exp(-1j * v.phi) * math.sin(v.theta / 2.0))
+def oracle_psi2_at(theta, phi):
+    return oracle_psi2_tensor(math.cos(theta / 2.0),
+                              np.exp(-1j * phi) * math.sin(theta / 2.0))
 
 
 def oracle_from_ball(v):
@@ -154,34 +154,35 @@ def oracle_pump_lift(v, branch="auto"):
     return MpsTensor(mats)
 
 
-def oracle_boundary_at(v):
+def oracle_boundary_at(theta, phi):
     """The closed form the boundary generator had: the projectivized first
     column of the conjugated rotation at the vertex."""
-    col = oracle_berry_rotation(v.theta, v.phi).conj()[:, 0]
+    col = oracle_berry_rotation(theta, phi).conj()[:, 0]
     return oracle_psi2_tensor(col[0], col[1])
 
 
-def derived_boundary_at(v):
+def derived_boundary_at(theta, phi):
     """The boundary generator derived at one vertex: the lift at the unit
     vector, its N=1 decomposition, and the first bond basis vector."""
-    X = canonical_decompose(oracle_pump_lift(oracle_from_angles(v.theta, v.phi, 0.0).w)).X
+    X = canonical_decompose(oracle_pump_lift(oracle_from_angles(theta, phi, 0.0).w)).X
     return oracle_psi2_tensor(X[0, 0], X[1, 0])
 
 
 def oracle_pump_slice_at(w4):
-    def at(v):
-        pt = oracle_from_angles(v.theta, v.phi, w4)
+    def at(theta, phi):
+        pt = oracle_from_angles(theta, phi, w4)
         return oracle_pump_south(pt) if w4 < 0.5 else oracle_pump_north(pt)
 
     return at
 
 
 def oracle_sphere_mesh(n_theta, n_phi):
-    """The vertex and plaquette double loop of the earlier mesh builder."""
+    """The vertex and plaquette double loop of the earlier mesh builder:
+    the mesh and its ``(index, theta, phi)`` vertex tuple."""
     vertices = []
 
     def add_vertex(theta, phi):
-        vertices.append(MeshVertex(index=len(vertices), theta=theta, phi=phi))
+        vertices.append((len(vertices), theta, phi))
         return len(vertices) - 1
 
     north = add_vertex(0.0, 0.0)
@@ -209,21 +210,28 @@ def oracle_sphere_mesh(n_theta, n_phi):
             theta_lo[p] = math.pi * i / n_theta
             phi_lo[p] = 2.0 * math.pi * j / n_phi
             p += 1
-    return Mesh2(
+    mesh = Mesh2(
         n_theta=n_theta,
         n_phi=n_phi,
         plaquettes=plaquettes,
         cell_theta_lo=theta_lo,
         cell_phi_lo=phi_lo,
-        theta=np.array([v.theta for v in vertices]),
-        phi=np.array([v.phi for v in vertices]),
+        theta=np.array([theta for _, theta, _ in vertices]),
+        phi=np.array([phi for _, _, phi in vertices]),
     )
+    return mesh, tuple(vertices)
 
 
 def bits(a):
     """Exact content of an array: dtype, shape and bytes (signed zeros count)."""
     a = np.ascontiguousarray(a)
     return a.dtype.str, a.shape, a.tobytes()
+
+
+def point_by_point(name, at):
+    """A family whose stack calls the oracle ``at(theta, phi)`` point by point."""
+    return SphereFamily(name, lambda theta, phi: np.array(
+        [at(t, p).mats for t, p in zip(theta.tolist(), phi.tolist())]))
 
 
 def outcome(fn):
@@ -234,14 +242,21 @@ def outcome(fn):
         return "raised", type(exc), str(exc)
 
 
-def vertex_bits(v):
-    return v.index, float(v.theta).hex(), float(v.phi).hex()
+def vertex_bits(index, theta, phi):
+    return index, float(theta).hex(), float(phi).hex()
+
+
+def mesh_vertices(mesh):
+    """The vertex angles of a mesh as ``(theta, phi)`` pairs, in vertex order."""
+    return list(zip(mesh.theta.tolist(), mesh.phi.tolist()))
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (4, 9), (9, 4), (16, 16), (33, 17)])
 def test_mesh_matches_the_loop_oracle(shape):
-    mesh, ref = make_sphere_mesh(*shape), oracle_sphere_mesh(*shape)
-    assert [vertex_bits(v) for v in mesh.vertices] == [vertex_bits(v) for v in ref.vertices]
+    mesh = make_sphere_mesh(*shape)
+    ref, vertices = oracle_sphere_mesh(*shape)
+    assert [vertex_bits(k, *v) for k, v in enumerate(mesh_vertices(mesh))] == [
+        vertex_bits(*v) for v in vertices]
     for name in ["plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi",
                  "edges", "plaquette_edges", "plaquette_signs"]:
         assert bits(getattr(mesh, name)) == bits(getattr(ref, name)), name
@@ -267,7 +282,7 @@ def test_stacked_evaluators_match_the_per_vertex_oracle(name, shape, chunk, monk
     make_family, at = ORACLES[name]
     family = make_family()
     mesh = make_sphere_mesh(*shape)
-    vertices = mesh.vertices
+    vertices = mesh_vertices(mesh)
 
     def stacked():
         return np.concatenate([
@@ -275,12 +290,15 @@ def test_stacked_evaluators_match_the_per_vertex_oracle(name, shape, chunk, monk
             for start in range(0, len(vertices), chunk)
         ])
 
-    expected = outcome(lambda: np.array([at(v).mats for v in vertices]))
+    expected = outcome(lambda: np.array([at(*v).mats for v in vertices]))
     assert outcome(stacked) == expected
-    assert outcome(lambda: np.array([family.eval_vertex(v).mats for v in vertices])) == expected
+    assert outcome(lambda: np.array([family.eval_vertex(*v).mats for v in vertices])) == expected
     monkeypatch.setattr(invariants, "CHUNK", chunk)
     report = outcome(lambda: curvature_report(family, mesh).curvature)
-    assert report == outcome(lambda: curvature_report(SphereFamily(name, at), mesh).curvature)
+    # the oracle's tensors as vertex data, or, where it raises, as a stack
+    oracle = (custom_vertex_family([at(*v) for v in vertices]) if expected[0] == "ok"
+              else point_by_point(name, at))
+    assert report == outcome(lambda: curvature_report(oracle, mesh).curvature)
     if expected[0] == "raised":
         assert report == expected
 
@@ -333,7 +351,7 @@ def test_built_in_families_skip_the_per_vertex_path(monkeypatch):
     expected = {name: curvature_report(make(), mesh).curvature
                 for name, (make, _) in ORACLES.items()}
 
-    def refuse(self, vertex):
+    def refuse(self, theta, phi):
         raise AssertionError("per-vertex evaluation")
 
     monkeypatch.setattr(SphereFamily, "eval_vertex", refuse)
@@ -350,11 +368,11 @@ def raised(fn, *args):
 def per_vertex_loop(family, mesh):
     """Evaluate and decompose vertex by vertex, comparing ranks with vertex 0."""
     chi = None
-    for v in mesh.vertices:
-        dec = canonical_decompose(family.eval_vertex(v))
+    for k, v in enumerate(mesh_vertices(mesh)):
+        dec = canonical_decompose(family.eval_vertex(*v))
         chi = dec.chi if chi is None else chi
         if dec.chi != chi:
-            raise RankMismatchError(f"{chi} vs {dec.chi} at vertex {v.index}")
+            raise RankMismatchError(f"{chi} vs {dec.chi} at vertex {k}")
 
 
 def corrupt_slice(monkeypatch, mesh, w4, faults):
@@ -450,10 +468,11 @@ def test_boundary_generator_is_the_closed_form_line(shape):
     mesh = make_sphere_mesh(*shape)
     family = boundary_generator_family()
     derived = family.eval_vertices(mesh.theta, mesh.phi)[:, :, 0, 0]
-    closed = np.array([oracle_boundary_at(v).mats[:, 0, 0] for v in mesh.vertices])
-    assert np.abs(np.abs(np.einsum("ni,ni->n", closed.conj(), derived)) - 1.0).max() <= 1e-15
+    closed = [oracle_boundary_at(*v) for v in mesh_vertices(mesh)]
+    overlaps = np.einsum("ni,ni->n", np.array([t.mats[:, 0, 0] for t in closed]).conj(), derived)
+    assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-15
     report = curvature_report(family, mesh)
-    closed_report = curvature_report(SphereFamily("closed form", oracle_boundary_at), mesh)
+    closed_report = curvature_report(custom_vertex_family(closed), mesh)
     assert np.abs(report.curvature - closed_report.curvature).max() <= 1e-15
     assert report.flagged == ()
     assert chern_number(family, mesh) == 1
