@@ -394,17 +394,12 @@ class SphereFamily:
         """The tensor at one point: the N=1 call of ``stack``."""
         return MpsTensor(self.stack(np.array([theta]), np.array([phi]))[0])
 
-    def eval_vertices(self, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """The tensors at the points ``(theta[n], phi[n])``: ``stack`` itself."""
-        return self.stack(theta, phi)
-
 
 @dataclass(frozen=True, eq=False)
 class VertexData:
     """Tensors of any shapes given at the vertices of one mesh, in vertex
     order; the invariants decompose them as given."""
 
-    name: str
     tensors: tuple
 
 
@@ -460,7 +455,7 @@ def pump_slice_family(w4: float) -> SphereFamily:
 
 def custom_vertex_family(tensors: Sequence[MpsTensor]) -> VertexData:
     """Per-vertex tensors supplied externally, indexed by mesh vertex."""
-    return VertexData("custom", tuple(tensors))
+    return VertexData(tuple(tensors))
 
 
 def _spec_number(params: dict, key: str, default: float) -> float:

@@ -32,6 +32,7 @@ from .tensors import (
     MpsTensor,
     _decomposition_pass,
     _degenerate,
+    _shape_groups,
     _sorted_spectrum,
     canonical_decompose,
     mixed_transfer_spectra,
@@ -151,14 +152,8 @@ def _chunk_cores(tensors, start: int, chi: int | None, tols) -> list:
     vertex ``start`` on (an ``(m, d, D, D)`` array or a list of ``(d, D, D)``
     arrays), from one decomposition pass per shape.  Ranks must be ``chi`` or,
     when None, the first tensor's; the first failing vertex's error is raised."""
-    if isinstance(tensors, np.ndarray):
-        groups = [(np.arange(len(tensors)), tensors)]
-    else:
-        shapes = {}
-        for k, a in enumerate(tensors):
-            shapes.setdefault(a.shape, []).append(k)
-        groups = [(np.array(idx), np.array([tensors[k] for k in idx]))
-                  for idx in shapes.values()]
+    groups = ([(np.arange(len(tensors)), tensors)] if isinstance(tensors, np.ndarray)
+              else _shape_groups(tensors))
     ranks, errors, blocks = np.empty(len(tensors), dtype=np.intp), {}, []
     for idx, mats in groups:
         found = _decomposition_pass(mats, tols)
@@ -183,7 +178,7 @@ def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
     if isinstance(family, VertexData):
         return [t.mats for t in family.tensors[chunk]], None
     try:
-        mats = family.eval_vertices(mesh.theta[chunk], mesh.phi[chunk])
+        mats = family.stack(mesh.theta[chunk], mesh.phi[chunk])
         if np.isfinite(mats).all():
             return mats, None
     except Exception:
@@ -199,18 +194,17 @@ def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
 
 def _vertex_cores(family, mesh: Mesh2, tols):
     """Cores at every mesh vertex, ``(n, d, chi, chi)`` zero-padded to the
-    largest ``d``, and each vertex's ``d``: a family's in chunks of at most
-    ``CHUNK`` vertices, vertex data's (refused unless it has one tensor per
-    vertex) as one chunk.  The error raised is the first one a per-vertex
-    loop (evaluate, decompose, compare ranks with vertex 0) raises."""
+    largest ``d``, and each vertex's ``d``, in chunks of at most ``CHUNK``
+    vertices; vertex data is refused unless it has one tensor per vertex.
+    The error raised is the first one a per-vertex loop (evaluate,
+    decompose, compare ranks with vertex 0) raises."""
     n = len(mesh.theta)
     if isinstance(family, VertexData) and len(family.tensors) != n:
-        raise ValueError(f"family {family.name} has {len(family.tensors)} tensors, but the "
+        raise ValueError(f"family custom has {len(family.tensors)} tensors, but the "
                          f"mesh has {n} vertices")
     cores, dims = None, np.empty(n, dtype=np.intp)
-    step = n if isinstance(family, VertexData) else CHUNK
-    for start in range(0, n, step):
-        tensors, error = _chunk_tensors(family, mesh, slice(start, start + step))
+    for start in range(0, n, CHUNK):
+        tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))
         chi = None if cores is None else cores.shape[-1]
         for idx, K in _chunk_cores(tensors, start, chi, tols) if len(tensors) else ():
             if cores is None:

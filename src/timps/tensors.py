@@ -350,12 +350,21 @@ def _stacked(A, stacked_pass, *aligned) -> list:
         return stacked_pass(np.asarray(A, dtype=complex).reshape((-1,) + A.shape[-3:]), *aligned)
     mats = [np.asarray(getattr(a, "mats", a), dtype=complex) for a in A]
     out = [None] * len(mats)
-    for shape in dict.fromkeys(m.shape for m in mats):
-        idx = [n for n, m in enumerate(mats) if m.shape == shape]
-        for n, result in zip(idx, stacked_pass(np.array([mats[n] for n in idx]),
-                                               *([s[n] for n in idx] for s in aligned))):
+    for idx, stack in _shape_groups(mats):
+        idx = idx.tolist()
+        for n, result in zip(idx, stacked_pass(stack, *([s[n] for n in idx] for s in aligned))):
             out[n] = result
     return out
+
+
+def _shape_groups(mats) -> list:
+    """``(indices, stack)`` of each group of same-shape arrays of a sequence,
+    in order of first appearance: the group's positions as an index array,
+    and its arrays stacked."""
+    groups = {}
+    for n, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(n)
+    return [(np.array(idx), np.array([mats[n] for n in idx])) for idx in groups.values()]
 
 
 def _only(results: list):

@@ -375,7 +375,7 @@ def _psi2_spec(n):
     mesh = make_sphere_mesh(n, n)
     return {"family": "custom", "params": {"tensors": [
         tensor_to_json(MpsTensor(m))
-        for m in psi2_sphere_family().eval_vertices(mesh.theta, mesh.phi)]}}
+        for m in psi2_sphere_family().stack(mesh.theta, mesh.phi)]}}
 
 
 # (command-line arguments, or a config document; the parameter that the

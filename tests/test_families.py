@@ -17,6 +17,7 @@ from timps.families import (
     pump_north,
     pump_south,
     pump_slice_family,
+    VertexData,
 )
 from timps.tensors import (
     canonical_decompose,
@@ -315,7 +316,7 @@ def test_family_from_spec():
         2 * math.sqrt(1 - 0.09))
     mesh_tensors = [tensor_to_json(psi2_tensor(1.0, 0.0))] * len(mesh.theta)
     fam = family_from_spec({"family": "custom", "params": {"tensors": mesh_tensors}})
-    assert fam.name == "custom" and len(fam.tensors) == len(mesh.theta)
+    assert isinstance(fam, VertexData) and len(fam.tensors) == len(mesh.theta)
     assert fam.tensors[3].d == 2
     with pytest.raises(ValueError):
         family_from_spec({"family": "psi2", "params": {"oops": 1}})

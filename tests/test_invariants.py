@@ -9,7 +9,6 @@ from timps.errors import (
     RankMismatchError,
     VanishingOverlapError,
 )
-from timps import invariants
 from timps.families import (
     aklt_path,
     boundary_generator_family,
@@ -104,7 +103,7 @@ def test_orientation_reversal_negates_chern():
 def test_vertex_phase_leaves_curvature_invariant():
     mesh = make_sphere_mesh(8, 8)
     base = psi2_sphere_family()
-    tensors = [MpsTensor(m) for m in base.eval_vertices(mesh.theta, mesh.phi)]
+    tensors = [MpsTensor(m) for m in base.stack(mesh.theta, mesh.phi)]
     tensors[7] = tensors[7].scaled(np.exp(1.23j))
     fam = custom_vertex_family(tensors)
     r0 = curvature_report(base, mesh)
@@ -116,31 +115,18 @@ def test_vertex_phase_leaves_curvature_invariant():
 def test_custom_family_for_a_larger_mesh_is_refused(invariant):
     # the psi2 tensors of a 32x32 mesh gave Chern 0 on a 16x16 mesh
     big = make_sphere_mesh(32, 32)
-    tensors = [MpsTensor(m) for m in psi2_sphere_family().eval_vertices(big.theta, big.phi)]
+    tensors = [MpsTensor(m) for m in psi2_sphere_family().stack(big.theta, big.phi)]
     with pytest.raises(ValueError, match="994 tensors, but the mesh has 242 vertices"):
         invariant(custom_vertex_family(tensors), make_sphere_mesh(16, 16))
     assert chern_number(custom_vertex_family(tensors), big) == 1
 
 
-def count_passes(monkeypatch):
-    """Record the shape of every stack the mesh path decomposes."""
-    shapes = []
-    real = invariants._decomposition_pass
-
-    def counted(mats, tols):
-        shapes.append(mats.shape)
-        return real(mats, tols)
-
-    monkeypatch.setattr(invariants, "_decomposition_pass", counted)
-    return shapes
-
-
 @pytest.mark.parametrize("count", [15, 13, 1, 0], ids=["too-many", "too-few", "one", "zero"])
 @pytest.mark.parametrize("invariant", [chern_number, curvature_report, link_field])
-def test_vertex_data_of_another_count_is_refused_up_front(invariant, count, monkeypatch):
+def test_vertex_data_of_another_count_is_refused_up_front(invariant, count, count_passes):
     mesh = make_sphere_mesh(4, 4)
-    psi2 = [MpsTensor(m) for m in psi2_sphere_family().eval_vertices(mesh.theta, mesh.phi)]
-    passes = count_passes(monkeypatch)
+    psi2 = [MpsTensor(m) for m in psi2_sphere_family().stack(mesh.theta, mesh.phi)]
+    passes = count_passes()
     with pytest.raises(ValueError) as info:
         invariant(custom_vertex_family((psi2 + psi2)[:count]), mesh)
     assert str(info.value) == f"family custom has {count} tensors, but the mesh has 14 vertices"
@@ -156,7 +142,7 @@ def test_gauge_moved_vertex_data_keeps_the_curvature(make, n, rng):
     # each vertex: D padded by 0-2, then a random gauge move; the shapes mix
     family, mesh = make(), make_sphere_mesh(n, n)
     moved = []
-    for mats, extra in zip(family.eval_vertices(mesh.theta, mesh.phi),
+    for mats, extra in zip(family.stack(mesh.theta, mesh.phi),
                            rng.integers(0, 3, len(mesh.theta))):
         A = pad_tensor(MpsTensor(mats), mats.shape[0], mats.shape[1] + extra)
         moved.append(apply_gauge(A, random_gauge_move(rng, A)))

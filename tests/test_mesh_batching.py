@@ -116,7 +116,7 @@ def oracle_curvature(family, mesh):
 
 
 def psi2_at_vertices(mesh):
-    return [MpsTensor(m) for m in psi2_sphere_family().eval_vertices(mesh.theta, mesh.phi)]
+    return [MpsTensor(m) for m in psi2_sphere_family().stack(mesh.theta, mesh.phi)]
 
 
 def spun_family(mesh):
@@ -183,7 +183,7 @@ def bits(a):
 
 def test_stacked_cores_match_scalar_decomposition():
     mesh = make_sphere_mesh(6, 6)
-    tensors = [MpsTensor(m) for m in pump_slice_family(0.7).eval_vertices(mesh.theta, mesh.phi)]
+    tensors = [MpsTensor(m) for m in pump_slice_family(0.7).stack(mesh.theta, mesh.phi)]
     decs = canonical_decompose(np.array([t.mats for t in tensors]))
     for dec, t in zip(decs, tensors, strict=True):
         assert dec.chi == 2
@@ -348,43 +348,52 @@ def test_error_parity_with_oracle(case, chunk):
     assert raised(curvature_report, family, mesh) == expected
 
 
-def count_passes(monkeypatch):
-    """Record the shape of every stack the mesh path decomposes."""
-    shapes = []
-    real = invariants._decomposition_pass
-
-    def counted(mats, tols):
-        shapes.append(mats.shape)
-        return real(mats, tols)
-
-    monkeypatch.setattr(invariants, "_decomposition_pass", counted)
-    return shapes
+def passes_per_chunk(tensors, chunk, last):
+    """The stack shapes of one decomposition pass per tensor shape per chunk
+    of vertex data, shapes in order of first appearance, over the chunks up
+    to the one holding vertex ``last``."""
+    passes = []
+    for start in range(0, last + 1, chunk):
+        shapes = [t.mats.shape for t in tensors[start:start + chunk]]
+        passes += [(shapes.count(s),) + s for s in dict.fromkeys(shapes)]
+    return passes
 
 
 @pytest.mark.parametrize("case", ["rank-jump-at-3", "non-E-vertex"])
 @pytest.mark.parametrize("mixed_shapes", [False, True], ids=["one-shape", "mixed-shapes"])
-def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, monkeypatch):
+def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, monkeypatch,
+                                                  count_passes):
     family, _, _ = parity_cases()[case]
     mesh = make_sphere_mesh(4, 4)
     if mixed_shapes:
         # vertex 12, after every failing vertex, has a larger bond dimension
         family = custom_vertex_family(padded_at(family.tensors, 12, D=3))
     expected = raised(oracle_curvature, family, mesh)
-    passes = count_passes(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused tensor is decomposed again")
+
+    for module in (invariants, timps.tensors):
+        monkeypatch.setattr(module, "canonical_decompose", refuse)
+    passes = count_passes()
     assert raised(curvature_report, family, mesh) == expected
-    # vertex data goes in one pass per tensor shape, whatever the chunk size
-    assert passes == [(13, 4, 2, 2), (1, 4, 3, 3)] if mixed_shapes else [(14, 4, 2, 2)]
+    # one pass per tensor shape per chunk, up to the chunk of the failing vertex
+    last = {"rank-jump-at-3": 3, "non-E-vertex": 5}[case]
+    assert passes == passes_per_chunk(family.tensors, chunk, last)
+    if chunk > len(mesh.theta):
+        assert passes == ([(13, 4, 2, 2), (1, 4, 3, 3)] if mixed_shapes else [(14, 4, 2, 2)])
 
 
 @pytest.mark.parametrize("mixed_shapes", [False, True], ids=["one-shape", "mixed-shapes"])
-def test_vertex_data_takes_one_pass_per_shape(mixed_shapes, chunk, monkeypatch):
+def test_vertex_data_takes_one_pass_per_shape(mixed_shapes, chunk, count_passes):
     mesh = make_sphere_mesh(8, 8)
     psi2 = psi2_at_vertices(mesh)
     family = custom_vertex_family(padded_at(psi2, 5, D=3) if mixed_shapes else psi2)
-    passes = count_passes(monkeypatch)
+    passes = count_passes()
     report = curvature_report(family, mesh)
-    assert sorted(passes) == ([(1, 2, 3, 3), (57, 2, 1, 1)] if mixed_shapes
-                              else [(58, 2, 1, 1)])
+    assert passes == passes_per_chunk(family.tensors, chunk, len(mesh.theta) - 1)
+    if chunk > len(mesh.theta):
+        assert passes == ([(57, 2, 1, 1), (1, 2, 3, 3)] if mixed_shapes else [(58, 2, 1, 1)])
     assert np.abs(report.curvature
                   - curvature_report(psi2_sphere_family(), mesh).curvature).max() <= 1e-12
 

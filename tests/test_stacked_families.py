@@ -286,7 +286,7 @@ def test_stacked_evaluators_match_the_per_vertex_oracle(name, shape, chunk, monk
 
     def stacked():
         return np.concatenate([
-            family.eval_vertices(mesh.theta[start:start + chunk], mesh.phi[start:start + chunk])
+            family.stack(mesh.theta[start:start + chunk], mesh.phi[start:start + chunk])
             for start in range(0, len(vertices), chunk)
         ])
 
@@ -467,7 +467,7 @@ def test_pump_lift_refuses_what_the_oracle_refuses(v, branch):
 def test_boundary_generator_is_the_closed_form_line(shape):
     mesh = make_sphere_mesh(*shape)
     family = boundary_generator_family()
-    derived = family.eval_vertices(mesh.theta, mesh.phi)[:, :, 0, 0]
+    derived = family.stack(mesh.theta, mesh.phi)[:, :, 0, 0]
     closed = [oracle_boundary_at(*v) for v in mesh_vertices(mesh)]
     overlaps = np.einsum("ni,ni->n", np.array([t.mats[:, 0, 0] for t in closed]).conj(), derived)
     assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-15
