@@ -91,9 +91,17 @@ def _csv_rows(rows) -> list[str]:
     column by column as :func:`_fmt` would: ``repr`` of floats, else ``str``."""
     if not isinstance(rows, dict):
         return [",".join(_fmt(v) for v in row) for row in rows]
-    cols = [map(repr if col.dtype.kind == "f" else str, col.tolist())
-            for col in rows.values()]
-    return list(map(",".join, zip(*cols)))
+    return list(map(",".join, zip(*map(_column_text, rows.values()))))
+
+
+def _column_text(col: np.ndarray) -> list:
+    """The text of each entry of a column; a float column's ``repr`` is made
+    once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    bits, inverse = np.unique(np.ascontiguousarray(col, dtype=float).view(np.int64),
+                              return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
 
 
 def _write_csv(path: Path, experiment: str, seed, columns, rows) -> None:
@@ -404,6 +412,25 @@ def _exp_chern(params, rng, tols):
     return list(rows), rows, summary, failures
 
 
+def _unrefused(results: list) -> list:
+    """``results``, unless one is a refusal: then the first is raised."""
+    error = next((x for x in results if isinstance(x, TimpsError)), None)
+    if error is not None:
+        raise error
+    return results
+
+
+def _chart_decompositions(pts, north, tols) -> list:
+    """The decomposition or refusal of each point's north-chart (``north[k]``) or
+    south-chart tensor, from one chart and one decomposition call per chart."""
+    out = [None] * len(pts)
+    for chart, side in ((pump_north, True), (pump_south, False)):
+        idx = [k for k, n in enumerate(north) if n == side]
+        for k, dec in zip(idx, canonical_decompose(chart([pts[k] for k in idx]), tols)):
+            out[k] = dec
+    return out
+
+
 def _exp_pump_boundary(params, rng, tols):
     rows, failures = [], []
     cherns = {}
@@ -418,42 +445,39 @@ def _exp_pump_boundary(params, rng, tols):
         _check(failures, nearest == 1,
                f"{mesh_txt}: boundary generator value {nearest}, expected +1")
 
-    max_norm = 0.0
-    for k in range(params["samples"]):
-        x = rng.normal(size=4)
-        x /= np.linalg.norm(x)
-        pt = PumpPoint(w=x[:3], w4=float(x[3]))
-        A = pump_north(pt) if pt.w4 > -0.5 else pump_south(pt)
-        resid = canonical_decompose(A, tols).norm_residual
-        rows.append(("core_norm_residual", k, resid))
-        max_norm = max(max_norm, resid)
+    # each loop draws its samples one by one, as a per-sample loop would,
+    # then checks them in stacks and raises the first refusal in sample order
+    draws = [rng.normal(size=4) for _ in range(params["samples"])]
+    pts = [PumpPoint(w=x[:3], w4=float(x[3])) for x in (x / np.linalg.norm(x) for x in draws)]
+    decs = _unrefused(_chart_decompositions(pts, [pt.w4 > -0.5 for pt in pts], tols))
+    resids = [dec.norm_residual for dec in decs]
+    rows += [("core_norm_residual", k, resid) for k, resid in enumerate(resids)]
+    max_norm = max([0.0] + resids)
     _check(failures, max_norm <= 1e-10,
            f"chart core normalization residual {max_norm:.3e} > 1e-10")
 
-    min_fid = 1.0
-    for k in range(params["overlap_samples"]):
-        x = rng.normal(size=3)
-        w4 = rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6)
-        w = x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4)
-        pt = PumpPoint(w=w, w4=w4)
-        dec_n = canonical_decompose(pump_north(pt), tols)
-        dec_s = canonical_decompose(pump_south(pt), tols)
-        if dec_n.chi != dec_s.chi:
-            failures.append(f"overlap sample {k}: rank mismatch")
-            continue
-        fid = fidelity_per_site(dec_n.K, dec_s.K)
-        rows.append(("overlap_fidelity", k, fid))
-        min_fid = min(min_fid, fid)
+    draws = [(rng.normal(size=3), rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6))
+             for _ in range(params["overlap_samples"])]
+    pts = [PumpPoint(w=x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4), w4=w4) for x, w4 in draws]
+    decs = _unrefused(_chart_decompositions([pt for pt in pts for _ in "ns"],
+                                            [True, False] * len(pts), tols))
+    agree = [n.chi == s.chi for n, s in zip(decs[0::2], decs[1::2])]
+    failures += [f"overlap sample {k}: rank mismatch" for k, ok in enumerate(agree) if not ok]
+    same = np.flatnonzero(agree).tolist()
+    # the south chart has D = 1, so every core kept has shape (4, 1, 1)
+    cores = np.array([[decs[2 * k].K, decs[2 * k + 1].K] for k in same]).reshape(-1, 2, 4, 1, 1)
+    fids = fidelity_per_site(cores[:, 0], cores[:, 1]).tolist()
+    rows += [("overlap_fidelity", k, fid) for k, fid in zip(same, fids)]
+    min_fid = min([1.0] + fids)
     _check(failures, min_fid >= 1.0 - 1e-9,
            f"chart overlap fidelity dropped to {min_fid!r}")
 
-    max_annulus = 0.0
-    for k in range(params["annulus_samples"]):
-        v = rng.normal(size=3)
-        v = v / np.linalg.norm(v) * rng.uniform(0.5 + 1e-6, math.sqrt(3.0) / 2.0 - 1e-6)
-        dev = float(np.abs(pump_lift(v, "north").mats - pump_lift(v, "south").mats).max())
-        rows.append(("annulus_dev", k, dev))
-        max_annulus = max(max_annulus, dev)
+    draws = [(rng.normal(size=3), rng.uniform(0.5 + 1e-6, math.sqrt(3.0) / 2.0 - 1e-6))
+             for _ in range(params["annulus_samples"])]
+    v = np.array([x / np.linalg.norm(x) * r for x, r in draws]).reshape(-1, 3)
+    devs = np.abs(pump_lift(v, "north") - pump_lift(v, "south")).max(axis=(1, 2, 3)).tolist()
+    rows += [("annulus_dev", k, dev) for k, dev in enumerate(devs)]
+    max_annulus = max([0.0] + devs)
     _check(failures, max_annulus <= 1e-10,
            f"lift branch disagreement {max_annulus:.3e} > 1e-10")
 
@@ -502,9 +526,7 @@ def _exp_oracle_check(params, rng, tols):
                             g, dec.d, int(g.integers(1, n_max[dec.d] + 1)))))
     trials = [item for item in drawn if not isinstance(item, TimpsError)]
     fps = fixed_point([K for K, _ in trials], tols)
-    error = next((x for x in fps + drawn if isinstance(x, TimpsError)), None)
-    if error is not None:
-        raise error
+    _unrefused(fps + drawn)
     groups, devs = {}, [0.0] * len(trials)
     for trial, (K, obs) in enumerate(trials):
         groups.setdefault((K.mats.shape, obs.n), []).append(trial)
@@ -530,9 +552,7 @@ def _exp_oracle_check(params, rng, tols):
     ends = [p if isinstance(p, TimpsError) else p[1] for p in pairs]
     ok = pairs[:next((t for t, x in enumerate(ends) if isinstance(x, TimpsError)), len(pairs))]
     fps = fixed_point([dec.K for pair in ok for dec in pair], tols)
-    error = next((x for x in fps + ends[len(ok):] if isinstance(x, TimpsError)), None)
-    if error is not None:
-        raise error
+    _unrefused(fps + ends[len(ok):])
     for trial, ((d, chi), (dec_a, dec_b)) in enumerate(zip(shapes, ok)):
         _check(failures, dec_a.chi == dec_b.chi,
                f"gauge trial {trial}: essential rank changed")

@@ -125,11 +125,11 @@ class PumpPoint:
 
     @property
     def theta(self) -> float:
-        return _angles(self.w)[0]
+        return float(_directions(self.w[None])[0][0])
 
     @property
     def phi(self) -> float:
-        return _angles(self.w)[1]
+        return float(_directions(self.w[None])[1][0])
 
     @classmethod
     def from_angles(cls, theta: float, phi: float, w4: float) -> "PumpPoint":
@@ -161,7 +161,7 @@ def _pump_charts(w: np.ndarray, w4: np.ndarray, north: bool) -> np.ndarray:
     if not (w4 > -0.5 if north else w4 < 0.5).all():
         raise OutOfChartError("north chart requires w4 > -1/2" if north
                               else "south chart requires w4 < 1/2")
-    theta, phi = np.array([_angles(v) for v in w.tolist()]).reshape(-1, 2).T
+    theta, phi = _directions(w)
     full = w4 >= 0.5 if north else w4 <= -0.5
     r = np.sqrt(_sq_norms(w[full])) / math.sqrt(3.0)
     # on the sphere |w| <= sqrt(3)/2, so r exceeds 1/2 only by rounding
@@ -180,41 +180,57 @@ def _pump_charts(w: np.ndarray, w4: np.ndarray, north: bool) -> np.ndarray:
     return mats
 
 
-def pump_north(pt: PumpPoint) -> MpsTensor:
+def pump_north(pt):
     """North-chart tensor of the pump: d = 4, D = 2.
 
     The (i, j) matrix is ``|i><j| X L X^T`` with X the rotation at the
     point's angles.  Right-normalized for every chart point; essential rank
-    2 above the overlap band, 1 on it.
+    2 above the overlap band, 1 on it.  A sequence of points gives the
+    ``(m, 4, 2, 2)`` stack; one :class:`PumpPoint` is the N=1 call.
     """
-    return MpsTensor(_pump_charts(pt.w[None], np.array([pt.w4]), north=True)[0])
+    return _charts_at(pt, north=True)
 
 
-def pump_south(pt: PumpPoint) -> MpsTensor:
-    """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``."""
-    return MpsTensor(_pump_charts(pt.w[None], np.array([pt.w4]), north=False)[0])
+def pump_south(pt):
+    """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``; a
+    sequence of points gives the ``(m, 4, 1, 1)`` stack, as in :func:`pump_north`."""
+    return _charts_at(pt, north=False)
 
 
-def _angles(v: np.ndarray) -> tuple[float, float]:
-    """Polar angle and azimuth of a 3-vector; the azimuth is 0 on the polar
-    axis, and both are 0 at the origin."""
-    rho = math.hypot(v[0], v[1])
-    if rho == 0.0 and v[2] == 0.0:
-        return 0.0, 0.0
-    theta = math.atan2(rho, v[2])
-    phi = 0.0 if rho == 0.0 else math.atan2(v[1], v[0]) % (2.0 * math.pi)
+def _charts_at(pt, north: bool):
+    """:func:`_pump_charts` at one point or a sequence of points."""
+    if isinstance(pt, PumpPoint):
+        return MpsTensor(_charts_at([pt], north)[0])
+    w = np.array([p.w for p in pt], dtype=float).reshape(-1, 3)
+    return _pump_charts(w, np.array([p.w4 for p in pt], dtype=float), north)
+
+
+def _directions(v: np.ndarray):
+    """Polar angles and azimuths of the rows of an ``(m, 3)`` array (phi = 0 on
+    the polar axis, both 0 at the origin), by ``math.hypot`` and ``math.atan2``
+    over the columns: numpy's ``hypot`` and ``arctan2`` round differently."""
+    x, y, z = v.T.tolist()
+    rho = list(map(math.hypot, x, y))
+    theta = np.fromiter(map(math.atan2, rho, z), float, len(z))
+    phi = np.fromiter(map(math.atan2, y, x), float, len(z)) % (2.0 * math.pi)
+    axis = np.array(rho) == 0.0
+    theta[axis & (np.array(z) == 0.0)] = phi[axis] = 0.0
     return theta, phi
 
 
-def pump_lift(v: Sequence[float], branch: str = "auto") -> MpsTensor:
+def pump_lift(v, branch: str = "auto"):
     """Lift of the pump over the closed 3-ball: d = 4, D = 2, total on the
     ball, restricting on the boundary sphere to tensors in the fiber over
     the south-pole basepoint.
 
     Two overlapping closed forms cover the ball (``branch`` north/south);
-    they agree on the annulus 1/2 < |v| < sqrt(3)/2.  The N=1 call of :func:`_pump_lifts`.
+    they agree on the annulus 1/2 < |v| < sqrt(3)/2.  An ``(m, 3)`` array
+    of points gives the ``(m, 4, 2, 2)`` stack of :func:`_pump_lifts`; one
+    3-vector is the N=1 call.
     """
-    return MpsTensor(_pump_lifts(np.asarray(v, dtype=float).reshape(1, 3), branch)[0])
+    v = np.asarray(v, dtype=float)
+    mats = _pump_lifts(v.reshape(len(v) if v.ndim > 1 else 1, 3), branch)
+    return mats if v.ndim > 1 else MpsTensor(mats[0])
 
 
 def _pump_lifts(v: np.ndarray, branch: str) -> np.ndarray:
@@ -237,7 +253,7 @@ def _pump_lifts(v: np.ndarray, branch: str) -> np.ndarray:
     if north.all():
         return mats
     v, w, w4 = v[~north], w[~north], w4[~north]
-    theta, phi = np.array([_angles(x) for x in v.tolist()]).reshape(-1, 2).T
+    theta, phi = _directions(v)
     full, cos_t = w4 <= -0.5, np.cos(theta)
     r = np.sqrt(_sq_norms(w)) / math.sqrt(3.0)
     fade = np.where(full, np.sqrt(0.5 + r) - np.sqrt(np.maximum(0.5 - r, 0.0)), 1.0)

@@ -601,9 +601,18 @@ def mixed_transfer_leading(K_a: np.ndarray, K_b: np.ndarray) -> complex:
     return _sorted_spectrum(mixed_transfer_spectra(K_a[None], K_b[None]))[0, 0]
 
 
-def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray) -> float:
-    """Modulus of the mixed-transfer leading eigenvalue; 1 iff same state."""
-    return float(abs(mixed_transfer_leading(K_a, K_b)))
+def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray):
+    """Modulus of the mixed-transfer leading eigenvalue; 1 iff same state.  Stacked
+    core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``, give the ``(N,)``
+    moduli from one spectrum call; one pair is the N=1 call."""
+    if np.ndim(K_a) == 3:
+        return float(fidelity_per_site([K_a], [K_b])[0])
+    if np.shape(K_a)[1] != np.shape(K_b)[1]:
+        raise ValueError("cores must share the physical dimension")
+    lead = _sorted_spectrum(mixed_transfer_spectra(K_a, K_b))[:, 0]
+    # np.abs of a complex array may round differently from abs() of one
+    # eigenvalue; hypot rounds like the latter, at every stack size
+    return np.hypot(lead.real, lead.imag)
 
 
 def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
@@ -627,14 +636,9 @@ def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
     for n, pair in zip(both, pairs):
         pair[0, :decs_a[n].d], pair[1, :decs_b[n].d] = decs_a[n].K, decs_b[n].K
 
-    def fidelity_ok(P):
-        lead = _sorted_spectrum(mixed_transfer_spectra(P[:, 0], P[:, 1]))[:, 0]
-        # np.abs of a complex array may round differently from abs() of one
-        # eigenvalue; hypot rounds like the latter, at every stack size
-        return np.hypot(lead.real, lead.imag) >= 1.0 - tols.tol_fid
-
     out = np.zeros(len(decs_a), dtype=bool)
-    out[both] = _stacked(pairs, fidelity_ok)
+    out[both] = _stacked(pairs, lambda P: fidelity_per_site(P[:, 0], P[:, 1])
+                         >= 1.0 - tols.tol_fid)
     return bool(out[0]) if single else out
 
 

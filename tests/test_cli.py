@@ -575,3 +575,19 @@ def test_csv_columns_match_the_row_formatter():
     assert expected[0] == "0,-0.0,1e-300"
     assert expected[1] == "-7,5e-324,-0.3333333333333333"
     assert cli._csv_rows(columns) == expected == cli._csv_rows(python_rows)
+    # each distinct float is formatted once: signed zeros (distinct bits,
+    # equal values), nan, infinities, repeats and subnormals; then a long
+    # column of all-distinct values
+    odd = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 0.1, -0.0, 5e-324, -5e-324,
+                    2.2250738585072014e-308, 1e-310, 0.0, np.nan, 0.1, -np.inf])
+    ids = np.arange(len(odd))
+    columns = {"id": ids, "odd": odd, "back": odd[::-1], "twice": np.repeat(odd[:8], 2)}
+    rows = list(zip(*columns.values()))
+    lines = cli._csv_rows(columns)
+    assert lines == cli._csv_rows(rows)
+    assert [line.split(",")[1] for line in lines[:5]] == ["0.0", "-0.0", "nan", "inf", "-inf"]
+    assert lines[7] == "7,-0.0,5e-324,inf"
+    long = np.random.default_rng(3).normal(size=20_000) * 10.0 ** np.arange(-150, 150, 0.015)
+    assert len(np.unique(long)) == len(long)
+    columns = {"id": np.arange(len(long)), "x": long, "y": long[::-1].copy()}
+    assert cli._csv_rows(columns) == cli._csv_rows(list(zip(*columns.values())))

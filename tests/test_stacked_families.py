@@ -2,7 +2,7 @@
 per-vertex code they replace.
 
 The oracles below are the earlier per-vertex implementations: the scalar
-rotation, product-state, pump-chart and pump-lift formulas, the per-vertex
+angle, rotation, product-state, pump-chart and pump-lift formulas, the per-vertex
 closures of the psi2 and pump-slice families, the boundary generator
 derived one vertex at a time, and the double loop that built the sphere
 mesh.  The stacked code must reproduce them bit for bit, and a chunk the
@@ -21,7 +21,7 @@ from timps.families import (
     Mesh2,
     PumpPoint,
     SphereFamily,
-    _angles,
+    _directions,
     _product_states,
     _pump_charts,
     _pump_lifts,
@@ -37,6 +37,15 @@ from timps.families import (
 )
 from timps.invariants import chern_number, curvature_report
 from timps.tensors import MpsTensor, _decomposition_pass, canonical_decompose
+
+
+def oracle_angles(v):
+    rho = math.hypot(v[0], v[1])
+    if rho == 0.0 and v[2] == 0.0:
+        return 0.0, 0.0
+    theta = math.atan2(rho, v[2])
+    phi = 0.0 if rho == 0.0 else math.atan2(v[1], v[0]) % (2.0 * math.pi)
+    return theta, phi
 
 
 def oracle_berry_rotation(theta, phi):
@@ -71,7 +80,7 @@ def oracle_lambda(pt, north):
 def oracle_pump_north(pt):
     if not pt.w4 > -0.5:
         raise OutOfChartError("north chart requires w4 > -1/2")
-    X = oracle_berry_rotation(*_angles(pt.w))
+    X = oracle_berry_rotation(*oracle_angles(pt.w))
     M = X @ oracle_lambda(pt, True) @ X.T
     mats = np.zeros((4, 2, 2), dtype=complex)
     for i in range(2):
@@ -83,7 +92,7 @@ def oracle_pump_north(pt):
 def oracle_pump_south(pt):
     if not pt.w4 < 0.5:
         raise OutOfChartError("south chart requires w4 < 1/2")
-    X = oracle_berry_rotation(*_angles(pt.w))
+    X = oracle_berry_rotation(*oracle_angles(pt.w))
     M = X @ oracle_lambda(pt, False) @ X.T
     mats = np.zeros((4, 1, 1), dtype=complex)
     for i in range(2):
@@ -143,7 +152,7 @@ def oracle_pump_lift(v, branch="auto"):
         raise ValueError("branch must be auto, north, or south")
     if nv <= 0.5:
         raise OutOfChartError("south lift branch requires |v| > 1/2")
-    theta, phi = _angles(v)
+    theta, phi = oracle_angles(v)
     X = oracle_berry_rotation(theta, phi)
     core = oracle_pump_south(pt).mats[:, 0, 0]
     filler = oracle_lift_filler(theta, phi, pt)
@@ -327,6 +336,55 @@ def test_pump_charts_match_the_oracle(rng):
             assert bits(pump_north(pt).mats) == bits(oracle_pump_north(pt).mats)
         if w4 < 0.5:
             assert bits(pump_south(pt).mats) == bits(oracle_pump_south(pt).mats)
+
+
+def test_directions_match_the_scalar_angles():
+    # the 200,000 normal vectors on which numpy's arctan2 and hypot differ
+    # from math's, then the poles, the origin and signed zeros in every slot
+    v = np.random.default_rng(0).normal(size=(200_000, 3))
+    zeros = [np.array(z) for z in np.stack(np.meshgrid(*[[0.0, -0.0]] * 3), -1).reshape(-1, 3)]
+    special = zeros + [np.array([0.0, 0.0, 1.0]), np.array([-0.0, 0.0, -1.0]),
+                       np.array([0.0, -0.0, 2.5]), np.array([-0.0, -0.0, -1e-300]),
+                       np.array([5e-324, 0.0, 0.0]), np.array([0.0, -5e-324, -1.0]),
+                       np.array([-1.0, -0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
+                       np.array([1.0, -1e-300, 0.0]), np.array([-1.0, -1e-300, -0.0])]
+    v = np.concatenate([v, special])
+    theta, phi = _directions(v)
+    expected = np.array([oracle_angles(row) for row in v.tolist()])
+    assert bits(theta) == bits(expected[:, 0]) and bits(phi) == bits(expected[:, 1])
+    # PumpPoint.theta and .phi are its N=1 calls
+    x = v[:200] / np.linalg.norm(v[:200], axis=1)[:, None] * 0.8
+    pts = [PumpPoint(w=w, w4=0.6) for w in x] + [
+        PumpPoint(w=w, w4=w4) for w, w4 in [(np.zeros(3), 1.0), (np.zeros(3), -1.0),
+                                            (np.array([0.0, -0.0, 0.6]), 0.8),
+                                            (np.array([-0.0, 0.0, -0.6]), -0.8),
+                                            (np.array([-0.6, -0.0, 0.0]), 0.8)]]
+    got = [(pt.theta, pt.phi) for pt in pts]
+    assert all(type(a) is float for pair in got for a in pair)
+    assert [tuple(map(float.hex, pair)) for pair in got] == \
+        [tuple(map(float.hex, oracle_angles(pt.w))) for pt in pts]
+
+
+def test_sequence_forms_of_the_charts_and_the_lift_match_their_n1_calls(rng):
+    x = rng.normal(size=(300, 4))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    pts = [PumpPoint(w=r[:3], w4=float(r[3])) for r in x]
+    pts += [oracle_from_angles(1.1, 4.0, w4) for w4 in [1.0, 0.9, 0.5, 0.0, -0.5, -0.9, -1.0]]
+    for chart, inside in [(pump_north, lambda pt: pt.w4 > -0.5),
+                          (pump_south, lambda pt: pt.w4 < 0.5)]:
+        chosen = [pt for pt in pts if inside(pt)]
+        stack = chart(chosen)
+        assert isinstance(stack, np.ndarray) and len(stack) == len(chosen) > 100
+        assert [bits(m) for m in stack] == [bits(chart(pt).mats) for pt in chosen]
+        assert raised(chart, chosen[:3] + [pt for pt in pts if not inside(pt)][:1]) == \
+            raised(chart, [pt for pt in pts if not inside(pt)][0])
+    points = lift_points(rng)
+    radii = np.linalg.norm(points, axis=1)
+    for branch, ok in [("auto", radii <= 1.0), ("north", radii < math.sqrt(3.0) / 2.0),
+                       ("south", radii > 0.5)]:
+        stack = pump_lift(points[ok], branch)
+        assert [bits(m) for m in stack] == [bits(pump_lift(v, branch).mats) for v in points[ok]]
+        assert bits(pump_lift(points[ok].tolist(), branch)) == bits(stack)
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (32, 32)])

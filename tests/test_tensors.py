@@ -21,6 +21,7 @@ from timps.tensors import (
     assemble,
     canonical_decompose,
     essential_rank,
+    fidelity_per_site,
     gauge_equivalent,
     is_injective,
     left_gram,
@@ -370,3 +371,19 @@ def test_tensor_json_strict_validation(mutate):
 def test_matrix_json_rejects_ragged():
     with pytest.raises(ValueError):
         matrix_from_json([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+
+
+def test_stacked_fidelities_are_the_n1_moduli_of_the_leading_eigenvalue(rng):
+    pairs = [(random_core(rng, 4, chi).K, random_core(rng, 4, chi).K)
+             for chi in (1, 2) for _ in range(20)]
+    pairs += [(K, K) for K, _ in pairs[:3]]
+    for group in (pairs[:20], pairs[20:40], pairs[40:]):
+        K_a, K_b = (np.array(side) for side in zip(*group))
+        stacked = fidelity_per_site(K_a, K_b)
+        assert stacked.shape == (len(group),)
+        # the N=1 call is entry 0 of a one-pair stack, and abs() of the eigenvalue
+        assert stacked.tolist() == [fidelity_per_site(a, b) for a, b in group] == \
+            [float(abs(mixed_transfer_leading(a, b))) for a, b in group]
+    assert abs(fidelity_per_site(*pairs[0]) - 1.0) > 1e-3
+    with pytest.raises(ValueError, match="cores must share the physical dimension"):
+        fidelity_per_site(pairs[0][0], pairs[0][1][:3])
