@@ -283,8 +283,7 @@ def _exp_retract_sweep(params, rng, tols):
 
     def draw(cases):
         return _gauge_moved(random_split_spectrum_tensor(
-            rng, *zip(*map(shape, cases)), tols=tols,
-            then=lambda g, dec: (dec, _move_draws(g, dec))), tols)
+            rng, *zip(*map(shape, cases)), tols=tols, then=_move_draws), tols)
 
     def run(items):
         delta, H = retract([dec_a for _, (dec_a, _) in items], _T_GRID, tols=tols)
@@ -522,9 +521,9 @@ def _exp_oracle_check(params, rng, tols):
     n_max = {d: _window_sites(d, params["window_max"]) for d, _ in _ORACLE_SHAPES}
     shapes = [_ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)] for trial in range(params["trials"])]
     drawn = random_core(rng, [d for d, _ in shapes], [chi for _, chi in shapes], tols,
-                        then=lambda g, dec: (dec.tensor, random_observable(
-                            g, dec.d, int(g.integers(1, n_max[dec.d] + 1)))))
-    trials = [item for item in drawn if not isinstance(item, TimpsError)]
+                        then=lambda g, d, D, chi: random_observable(
+                            g, d, int(g.integers(1, n_max[d] + 1))))
+    trials = [(item[0].tensor, item[1]) for item in drawn if not isinstance(item, TimpsError)]
     fps = fixed_point([K for K, _ in trials], tols)
     _unrefused(fps + drawn)
     groups, devs = {}, [0.0] * len(trials)
@@ -547,7 +546,7 @@ def _exp_oracle_check(params, rng, tols):
     shapes = [(4, 2) if trial % 2 == 0 else (3, 1) for trial in range(params["gauge_trials"])]
     pairs = _gauge_moved(random_tensor_in_e(
         rng, [d for d, _ in shapes], [chi + 1 for _, chi in shapes], [chi for _, chi in shapes],
-        tols=tols, then=lambda g, dec: (dec, _move_draws(g, dec))), tols)
+        tols=tols, then=_move_draws), tols)
     # trials end at a failed draw or move, or at a refused moved copy
     ends = [p if isinstance(p, TimpsError) else p[1] for p in pairs]
     ok = pairs[:next((t for t, x in enumerate(ends) if isinstance(x, TimpsError)), len(pairs))]

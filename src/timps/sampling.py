@@ -4,14 +4,11 @@ All draws go through a caller-supplied ``numpy.random.Generator`` (PCG64 in
 the CLI) so that identical seeds reproduce identical tensors.
 
 The rejection samplers ``random_core``, ``random_tensor_in_e`` and
-``random_split_spectrum_tensor`` also take sequences of dimensions, one entry
-per case, and then draw speculatively.  Saving the generator state before
-each case, they make each case's first draw, and the further draws the
-caller makes in the case (``then``), with the calls of a loop of scalar
-calls; test all first draws in stacked passes; and accept the cases up to
-the first rejected one.  For that case they restore the saved state, run the
-scalar sampler and go on after it.  The stream, every result and every
-error are thus those of the loop of scalar calls.
+``random_split_spectrum_tensor`` have one body over a sequence of cases; one
+case is the N=1 call.  A window of cases is drawn in the order of one-case
+calls and tested in stacked passes.  At the first rejected case the
+generator goes back to the end of the failed step, that case redraws alone,
+counting toward the 64-draw limits, and full windows resume after it.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import NotInEError, NotInOError, TimpsError
+from .errors import NotInEError, NotInOError
 from .homotopy import has_split_core_spectrum
 from .tensors import (
     CanonicalDecomposition,
@@ -27,6 +24,7 @@ from .tensors import (
     MpsTensor,
     _assembled,
     _decomposition,
+    _only,
     _stacked,
     assemble,
     canonical_decompose,
@@ -72,39 +70,21 @@ def random_core(rng: np.random.Generator, d, chi, tols: Tolerances = DEFAULT_TOL
     confirms full rank; ``NotInEError`` after 64 rejected draws.
 
     ``d`` and ``chi`` may also be equal-length sequences, one entry per
-    case: the result is then the list of each case's ``then(rng, dec)``
-    (``dec`` itself without ``then``), ending with the ``TimpsError`` of the
-    first case that raises.  ``then`` makes the caller's further draws
-    within the case; they may depend only on the shape of ``dec``.
+    case: the result is then the list of each case's result, ending with the
+    ``TimpsError`` of the first case that raises.  With ``then``, a case's
+    result is the pair ``(dec, then(rng, d, D, chi))``: ``then`` makes the
+    caller's further draws within the case, once, after the case's own, and
+    sees only its shape (``D = chi`` for a core); its errors propagate.
     """
-    if np.ndim(d):
-        return _speculate(rng, [(a, c, c) for a, c in zip(d, chi, strict=True)], then,
-                          lambda g, case: random_core(g, case[0], case[2], tols), tols)
-    if d < chi * chi:
-        raise ValueError("injectivity needs d >= chi^2")
-    for _ in range(64):
-        raw = MpsTensor(_ginibre(rng, (d, chi, chi)))
-        try:
-            dec = canonical_decompose(right_normalize(raw, tols), tols)
-            if dec.chi == chi:
-                return dec
-        except TimpsError:
-            continue
-    raise NotInEError(f"64 draws failed to give an injective normalized core (d={d}, chi={chi})")
+    return _sample(rng, (d, chi), lambda d, chi: (d, chi, chi), then, tols, 0)
 
 
 def random_tensor_in_e(rng: np.random.Generator, d, D, chi,
                        tols: Tolerances = DEFAULT_TOLS, then=None):
     """Decomposition of a tensor assembled from a random core, a Haar bond
-    basis and a Gaussian filler block.  ``d``, ``D`` and ``chi`` may also be
-    sequences, as for :func:`random_core`."""
-    if np.ndim(d):
-        return _speculate(rng, list(zip(d, D, chi, strict=True)), then,
-                          lambda g, case: random_tensor_in_e(g, *case, tols=tols), tols, 1)
-    K = random_core(rng, d, chi, tols).K
-    X = haar_unitary(rng, D)
-    M = _FILLER_SCALE * _ginibre(rng, (d, D - chi, chi))
-    return canonical_decompose(assemble(X, K, M), tols)
+    basis and a Gaussian filler block, or its refusal raised.  ``d``, ``D``
+    and ``chi`` may also be sequences, as for :func:`random_core`."""
+    return _sample(rng, (d, D, chi), lambda *case: case, then, tols, 1)
 
 
 def random_gauge_move(rng, A, tols: Tolerances = DEFAULT_TOLS):
@@ -116,17 +96,17 @@ def random_gauge_move(rng, A, tols: Tolerances = DEFAULT_TOLS):
     and filler assembly per ``(d, D, chi)``; one tensor is the N=1 call."""
     if isinstance(A, (MpsTensor, CanonicalDecomposition)):
         dec = _decomposition(A, tols)
-        return random_gauge_move([_move_draws(rng, dec)], [dec], tols)[0]
+        return random_gauge_move([_move_draws(rng, dec.d, dec.D, dec.chi)], [dec], tols)[0]
     decs = [_decomposition(a, tols) for a in A]
     return _stacked([draws[0] for draws in rng], _built_moves, decs, rng)
 
 
-def _move_draws(rng: np.random.Generator, dec: CanonicalDecomposition) -> tuple:
-    """The draws of a gauge move for a decomposition's shape, in the order
-    :func:`random_gauge_move` makes them: filler block, phase, Ginibre
-    matrix of the Haar unitary."""
-    return (_FILLER_SCALE * _ginibre(rng, (dec.d, dec.D - dec.chi, dec.chi)),
-            rng.uniform(0.0, 2.0 * np.pi), _ginibre(rng, (dec.D, dec.D)))
+def _move_draws(rng: np.random.Generator, d: int, D: int, chi: int) -> tuple:
+    """The draws of a gauge move for a decomposition of shape ``(d, D,
+    chi)``, in the order :func:`random_gauge_move` makes them: filler block,
+    phase, Ginibre matrix of the Haar unitary."""
+    return (_FILLER_SCALE * _ginibre(rng, (d, D - chi, chi)),
+            rng.uniform(0.0, 2.0 * np.pi), _ginibre(rng, (D, D)))
 
 
 def _built_moves(N: np.ndarray, decs: list, draws: list) -> list:
@@ -146,68 +126,85 @@ def random_split_spectrum_tensor(rng: np.random.Generator, chi, D,
     does not decompose is rejected like one outside the domain; raises
     ``NotInOError`` after 64 rejected draws.  ``chi`` and ``D`` may also be
     sequences, as for :func:`random_core`."""
-    if np.ndim(chi):
-        return _speculate(rng, [(c * c, b, c) for c, b in zip(chi, D, strict=True)], then,
-                          lambda g, case: random_split_spectrum_tensor(g, case[2], case[1], tols),
-                          tols, 2)
-    d = chi * chi
-    for _ in range(64):
-        try:
-            dec = random_tensor_in_e(rng, d, D, chi, tols=tols)
-        except TimpsError:
-            continue
-        if has_split_core_spectrum(dec, tols):
-            return dec
-    raise NotInOError(f"64 draws failed to give a split core spectrum (chi={chi}, D={D})")
+    return _sample(rng, (chi, D), lambda chi, D: (chi * chi, D, chi), then, tols, 2)
 
 
-def _speculate(rng, cases: list, then, scalar, tols: Tolerances, depth: int = 0) -> list:
-    """The loop of ``then(rng, scalar(rng, case))`` over ``(d, D, chi)``
-    cases, ending with the ``TimpsError`` of the first case that raises:
-    ``scalar`` is the sampler of ``depth`` (0 core, 1 tensor in E, 2 split
-    spectrum).  While drawing ahead, ``then`` runs on a zero stand-in of the
-    case's shape; for an accepted case it runs again, from the state saved
-    before it, on the case's decomposition."""
-    then = then or (lambda g, dec: dec)
-    out, replay = [], np.random.Generator(type(rng.bit_generator)())
+def _sample(rng, dims: tuple, case, then, tols: Tolerances, depth: int):
+    """The sampler of ``depth`` (0 core, 1 tensor in E, 2 split spectrum) on
+    its dimension arguments ``dims``, numbers (the N=1 call) or sequences,
+    with ``case`` mapping one entry of each to its ``(d, D, chi)``."""
+    single = not np.ndim(dims[0])
+    cases = [case(*dim) for dim in zip(*([x] for x in dims) if single else dims, strict=True)]
+    if any(d < chi * chi for d, _, chi in cases):
+        raise ValueError("injectivity needs d >= chi^2")
+    out, cores, tries = [], 0, 0  # the first pending case's rejected cores and failed tensors
     while len(out) < len(cases):
-        todo, saved, drawn = cases[len(out):], [], []
-        for d, D, chi in todo:
-            start, core = rng.bit_generator.state, _ginibre(rng, (d, chi, chi))
-            drawn.append((core, _ginibre(rng, (D, D)), _FILLER_SCALE * _ginibre(
-                rng, (d, D - chi, chi))) if depth else (core,))
-            saved.append((start, rng.bit_generator.state))
-            then(rng, CanonicalDecomposition(np.eye(D), np.zeros((d, chi, chi)), None, chi,
-                                             None, 0.0))
-        # each step of the sampler, stacked: the decompositions, by case, of the
-        # candidates that pass it at their case's rank
-        decs = _of_rank(dict(enumerate(right_normalize([x[0] for x in drawn], tols))), todo, tols)
+        # a full window, unless the first pending case was rejected: it redraws alone
+        todo = cases[len(out):len(out) + (1 if cores or tries else len(cases))]
+        found, step, refusal = _pass(rng, todo, then, tols, depth)
+        out += found
+        if found:
+            cores = tries = 0
+        if step is None:
+            continue
+        if depth == 1 and step:  # a refused tensor is the case's error
+            out.append(refusal)
+            break
+        cores += not step
+        if depth == 2 and (step or cores == 64):  # an attempt fails at its 64th core or tensor
+            cores, tries = 0, tries + 1
+        d, D, chi = todo[len(found)]
+        if cores == 64:
+            out.append(NotInEError(
+                f"64 draws failed to give an injective normalized core (d={d}, chi={chi})"))
+            break
+        if tries == 64:
+            out.append(NotInOError(
+                f"64 draws failed to give a split core spectrum (chi={chi}, D={D})"))
+            break
+    return _only(out) if single else out
+
+
+def _pass(rng, todo: list, then, tols: Tolerances, depth: int) -> tuple:
+    """``(results, step, refusal)`` of one stacked pass over the ``(d, D,
+    chi)`` cases ``todo``: the results before the first rejected case, the
+    step it failed (0 core, 1 tensor; None if none did), with the generator
+    back at the end of that step, and a refused tensor's error."""
+    drawn, states, extras = [], [], []
+    for n, (d, D, chi) in enumerate(todo):
+        drawn.append([_ginibre(rng, (d, chi, chi))])
+        states.append([rng.bit_generator.state])
         if depth:
-            X = dict(zip(decs, _stacked([drawn[n][1] for n in decs], _haar)))
-            decs = _of_rank({n: assemble(X[n], dec.K, drawn[n][2]) for n, dec in decs.items()},
-                            todo, tols)
-        if depth > 1:
-            split = has_split_core_spectrum(list(decs.values()), tols)
-            decs = {n: dec for (n, dec), ok in zip(decs.items(), split) if ok}
-        for n, (case, (start, after)) in enumerate(zip(todo, saved)):
-            try:
-                if n not in decs:
-                    rng.bit_generator.state = start
-                    out.append(then(rng, scalar(rng, case)))
-                    break
-                replay.bit_generator.state = after
-                out.append(then(replay, decs[n]))
-            except TimpsError as exc:
-                return out + [exc]
-    return out
+            drawn[-1] += [_ginibre(rng, (D, D)), _FILLER_SCALE * _ginibre(rng, (d, D - chi, chi))]
+            states[-1].append(rng.bit_generator.state)
+        if then and n + 1 < len(todo):  # the last case's, once it is accepted
+            extras.append(then(rng, d, D, chi))
+    # each step of the sampler, stacked, on the cases before the first it rejects
+    decs = _leading(canonical_decompose(_leading(right_normalize([x[0] for x in drawn], tols)),
+                                        tols), lambda n, dec: dec.chi == todo[n][2])
+    step, refusal = None if len(decs) == len(todo) else 0, None
+    if depth:
+        X = _stacked([x[1] for x in drawn[:len(decs)]], _haar)
+        found = canonical_decompose([assemble(x, dec.K, y[2]) for x, dec, y in zip(X, decs, drawn)],
+                                    tols)
+        split = has_split_core_spectrum(_leading(found), tols) if depth > 1 else None
+        tensors = _leading(found, lambda n, dec: split is None or split[n])
+        if len(tensors) < len(decs):
+            step, refusal = 1, found[len(tensors)]
+        decs = tensors
+    if step is not None:
+        rng.bit_generator.state = states[len(decs)][step]
+    elif then:
+        extras.append(then(rng, *todo[-1]))
+    return list(zip(decs, extras)) if then else decs, step, refusal
 
 
-def _of_rank(tensors: dict, cases: list, tols: Tolerances) -> dict:
-    """The decompositions, by case, of the ``tensors`` (by case) that are
-    tensors and decompose at their case's rank."""
-    keep = [n for n, A in tensors.items() if isinstance(A, MpsTensor)]
-    return {n: dec for n, dec in zip(keep, canonical_decompose([tensors[n] for n in keep], tols))
-            if isinstance(dec, CanonicalDecomposition) and dec.chi == cases[n][2]}
+def _leading(results: list, ok=lambda n, result: True) -> list:
+    """``results`` up to the first that is a refusal or fails ``ok(n, result)``."""
+    for n, result in enumerate(results):
+        if isinstance(result, Exception) or not ok(n, result):
+            return results[:n]
+    return results
 
 
 def random_observable(rng: np.random.Generator, d: int, n: int) -> WindowObservable:

@@ -1,5 +1,6 @@
 """pump-boundary's stacked sample checks against the per-sample loops they
-replace, and the calls the benchmark's traced runs require of it.
+replace, and the calls the benchmark's traced runs require of it and of the
+sweeps whose samplers draw in stacks.
 
 ``loop_body`` is the experiment as it was written before the sample checks
 were stacked: one chart tensor, one decomposition, one fidelity or one pair
@@ -178,17 +179,37 @@ def test_tolerance_refusals_are_those_of_the_loops(tmp_path):
         assert stacked == loop
 
 
-def test_pump_boundary_makes_the_benchmarks_traced_calls(tmp_path, monkeypatch):
+# workload, invocation -> spans its traced run must list and make: the
+# pump's stacked entry points, and the sampler spans of the sweeps
+TRACED = {
+    ("chern-sphere", "pump-boundary"): {"families.pump_north", "families.pump_south",
+                                        "families.pump_lift", "tensors.canonical_decompose"},
+    ("homotopy-sweep", "retract-sweep"): {"sampling.random_split_spectrum_tensor",
+                                          "sampling.random_gauge_move"},
+    ("homotopy-sweep", "contract-sweep"): {"sampling.random_tensor_in_e"},
+    ("homotopy-sweep", "gamma-check"): {"homotopy.isometry_path_block"},
+    ("oracle-window", "oracle-check"): {"sampling.random_core", "sampling.random_observable",
+                                        "sampling.random_tensor_in_e",
+                                        "sampling.random_gauge_move"},
+    ("oracle-window", "aklt-sweep"): {"transfer.transfer_spectrum"},
+}
+
+
+@pytest.mark.parametrize("workload, command", list(TRACED), ids=[c for _, c in TRACED])
+def test_pump_boundary_makes_the_benchmarks_traced_calls(tmp_path, monkeypatch, workload,
+                                                         command):
     # the benchmark's traced runs fail unless each listed function is called;
-    # run its pump-boundary invocation at its --quick sizes under its shim
+    # run the workload's (first) invocation of the command at its --quick
+    # sizes under its shim
     bench = ROOT / "bench"
     monkeypatch.syspath_prepend(str(bench))
     spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_run", run)  # dataclasses look it up
     spec.loader.exec_module(run)
-    inv = next(i for i in run.WORKLOADS["chern-sphere"] if i.argv[0] == "pump-boundary")
-    argv = [a.format(seed=1) for a in inv.argv] + list(run.QUICK_ARGS["pump-boundary"])
+    inv = next(i for i in run.WORKLOADS[workload] if i.argv[0] == command)
+    seeds = [run.oracle_seed(1, i) for i in range(run.ORACLE_SEEDS)]
+    argv = [a.format(seed=1, seeds=seeds) for a in inv.argv] + list(run.QUICK_ARGS[command])
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(bench / "trace_shim.py"), "--spans", str(spans),
@@ -196,7 +217,5 @@ def test_pump_boundary_makes_the_benchmarks_traced_calls(tmp_path, monkeypatch):
                    env=env, check=True, capture_output=True)
     doc = json.loads(spans.read_text())
     called = {doc["names"][row[0]] for row in doc["spans"]}
-    required = {"families.pump_north", "families.pump_south", "families.pump_lift",
-                "tensors.canonical_decompose"}
-    assert required <= set(inv.calls)
+    assert TRACED[workload, command] <= set(inv.calls)
     assert set(inv.calls) <= called
