@@ -72,31 +72,22 @@ CONVENTION = ("plaquettes=outward;link=left-core;pair-index=row-major;"
               "pole-azimuth=0")
 RNG_NAME = "PCG64"
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def _header(experiment: str, seed) -> str:
     seed_txt = "none" if seed is None else str(seed)
     return (f"# timps {__version__} experiment={experiment} seed={seed_txt} "
             f"rng={RNG_NAME} convention={CONVENTION}")
 
 
-def _csv_rows(rows) -> list[str]:
-    """CSV lines of a list of row tuples, or of a dict of column arrays written
-    column by column as :func:`_fmt` would: ``repr`` of floats, else ``str``."""
-    if not isinstance(rows, dict):
-        return [",".join(_fmt(v) for v in row) for row in rows]
-    return list(map(",".join, zip(*map(_column_text, rows.values()))))
+def _csv_rows(columns: dict) -> list[str]:
+    """CSV lines of a dict of equal-length columns, each written by :func:`_column_text`."""
+    return list(map(",".join, zip(*map(_column_text, columns.values()))))
 
 
-def _column_text(col: np.ndarray) -> list:
-    """The text of each entry of a column; a float column's ``repr`` is made
-    once per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+def _column_text(col) -> list:
+    """The text of each entry of a column (a sequence or an array): ``repr``
+    of a float, made once per distinct bit pattern (so -0.0 and 0.0 stay
+    apart), else ``str``."""
+    col = np.asarray(col)
     if col.dtype.kind != "f":
         return list(map(str, col.tolist()))
     bits, inverse = np.unique(np.ascontiguousarray(col, dtype=float).view(np.int64),
@@ -104,8 +95,13 @@ def _column_text(col: np.ndarray) -> list:
     return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse].tolist()
 
 
-def _write_csv(path: Path, experiment: str, seed, columns, rows) -> None:
-    lines = [_header(experiment, seed), ",".join(columns), *_csv_rows(rows)]
+def _columns(names: list, rows: list) -> dict:
+    """The columns, by name, of a list of row tuples; empty ones with no rows."""
+    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+
+
+def _write_csv(path: Path, experiment: str, seed, columns: dict) -> None:
+    lines = [_header(experiment, seed), ",".join(columns), *_csv_rows(columns)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -130,7 +126,8 @@ def _check(failures: list, ok: bool, message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each returns (columns, rows, summary, failures)
+# experiment bodies: each returns (columns, summary, failures), the columns
+# a dict from column name to sequence
 
 
 _PHI_RULES = {"both": ["shift", "3n+1"], "shift": ["shift"], "3n+1": ["3n+1"]}
@@ -165,7 +162,7 @@ def _exp_gamma_check(params, rng, tols):
     _check(failures, end_dev1 <= 1e-14, f"t=1 endpoint deviation {end_dev1:.3e} > 1e-14")
     summary = {"max_isometry_dev": max_dev, "endpoint_dev_t0": end_dev0,
                "endpoint_dev_t1": end_dev1, "block": block}
-    return ["phi", "t", "isometry_dev"], rows, summary, failures
+    return _columns(["phi", "t", "isometry_dev"], rows), summary, failures
 
 
 # Output bytes per window of a sweep: a window's cases are held at once and
@@ -267,7 +264,7 @@ def _exp_contract_sweep(params, rng, tols):
         lambda A: (A.d, A.D), nbytes, run)
     _check(failures, cross <= 1e-12, f"endpoints differ across inputs by {cross:.3e}")
     summary = {"count": count, "max_endpoint_cross_dev": cross}
-    return ["case", "s", "essential_rank", "core_norm_residual"], rows, summary, failures
+    return _columns(["case", "s", "essential_rank", "core_norm_residual"], rows), summary, failures
 
 
 _T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -332,8 +329,8 @@ def _exp_retract_sweep(params, rng, tols):
         count, draw, lambda ab: (ab[0].d, ab[0].D, ab[0].chi, getattr(ab[1], "chi", None)),
         lambda case: 16 * (2 * len(_T_GRID) - 1) * (shape(case)[0] * shape(case)[1]) ** 2, run)
     summary = {"count": count, "chis": list(chis)}
-    return (["case", "chi", "t", "essential_rank", "delta",
-             "dist_from_input", "core_norm_residual"], rows, summary, failures)
+    return (_columns(["case", "chi", "t", "essential_rank", "delta",
+                      "dist_from_input", "core_norm_residual"], rows), summary, failures)
 
 
 def _exp_aklt_sweep(params, rng, tols):
@@ -374,8 +371,8 @@ def _exp_aklt_sweep(params, rng, tols):
         "invariant_at_g0_tensor": f_endpoint,
         "discontinuity_gap": 2.0 - f_endpoint,
     }
-    return (["g", "f_value", "xi", "lambda2", "spectrum_dev", "fixed_point_dev"],
-            rows, summary, failures)
+    return (_columns(["g", "f_value", "xi", "lambda2", "spectrum_dev", "fixed_point_dev"], rows),
+            summary, failures)
 
 
 def _parse_mesh(text: str) -> tuple[int, int]:
@@ -392,15 +389,11 @@ def _exp_chern(params, rng, tols):
     family = family_from_spec(spec)
     n_theta, n_phi = _parse_mesh(params["mesh"])
     mesh = make_sphere_mesh(n_theta, n_phi)
-    count = len(spec.get("params", {}).get("tensors", [])) if spec["family"] == "custom" else None
-    if count not in (None, len(mesh.theta)):
-        raise ValueError(f"family param tensors holds {count} tensors, but mesh "
-                         f"{params['mesh']} has {len(mesh.theta)} vertices")
     report = curvature_report(family, mesh, tols)
     nearest, residual, errors = chern_verdict(report)
     failures = [str(e) for e in errors]
-    rows = {"plaquette_id": report.plaquette_ids, "theta_lo": report.theta_lo,
-            "phi_lo": report.phi_lo, "curvature": report.curvature}
+    columns = {"plaquette_id": report.plaquette_ids, "theta_lo": report.theta_lo,
+               "phi_lo": report.phi_lo, "curvature": report.curvature}
     summary = {
         "family": spec["family"],
         "mesh": params["mesh"],
@@ -408,7 +401,7 @@ def _exp_chern(params, rng, tols):
         "residual": residual,
         "flagged_plaquettes": list(report.flagged),
     }
-    return list(rows), rows, summary, failures
+    return columns, summary, failures
 
 
 def _unrefused(results: list) -> list:
@@ -486,7 +479,7 @@ def _exp_pump_boundary(params, rng, tols):
         "min_overlap_fidelity": min_fid,
         "max_annulus_dev": max_annulus,
     }
-    return ["kind", "index", "value"], rows, summary, failures
+    return _columns(["kind", "index", "value"], rows), summary, failures
 
 
 _ORACLE_SHAPES = ((2, 1), (3, 1), (4, 1), (4, 2))
@@ -566,7 +559,7 @@ def _exp_oracle_check(params, rng, tols):
     _check(failures, max_gauge_dev <= 1e-9,
            f"gauge-invariance deviation {max_gauge_dev:.3e} > 1e-9")
     summary = {"max_oracle_dev": max_oracle_dev, "max_gauge_dev": max_gauge_dev}
-    return ["kind", "trial", "d", "chi", "n", "dev"], rows, summary, failures
+    return _columns(["kind", "trial", "d", "chi", "n", "dev"], rows), summary, failures
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +702,11 @@ def run_experiment(name: str, params: dict, seed, out_dir: Path,
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        columns, rows, summary, failures = experiment.body(merged, rng, tols)
+        columns, summary, failures = experiment.body(merged, rng, tols)
     except TimpsError as exc:
-        columns, rows, summary = [], [], {}
+        columns, summary = {}, {}
         failures = [f"{type(exc).__name__}: {exc}"]
-    _write_csv(out_dir / f"{name}.csv", name, seed, columns, rows)
+    _write_csv(out_dir / f"{name}.csv", name, seed, columns)
     doc = {
         "meta": _meta(name, seed),
         "params": merged,

@@ -131,21 +131,11 @@ class PumpPoint:
     def phi(self) -> float:
         return float(_directions(self.w[None])[1][0])
 
-    @classmethod
-    def from_angles(cls, theta: float, phi: float, w4: float) -> "PumpPoint":
-        return cls(w=_slice_points(np.array([theta]), np.array([phi]), w4)[0], w4=w4)
-
-    @classmethod
-    def from_ball(cls, v: Sequence[float]) -> "PumpPoint":
-        """Collapse the boundary of the unit 3-ball to the south pole:
-        v -> (2 sqrt(1 - |v|^2) v, 1 - 2 |v|^2); the N=1 call of :func:`_ball_points`."""
-        w, w4 = _ball_points(np.asarray(v, dtype=float).reshape(1, 3))
-        return cls(w=w[0], w4=float(w4[0]))
-
 
 def _ball_points(v: np.ndarray):
-    """Stacked :meth:`PumpPoint.from_ball`: the parts ``(w, w4)`` of the
-    images of the ``(m, 3)`` ball points ``v``."""
+    """The parts ``(w, w4)`` of the images of the ``(m, 3)`` ball points
+    ``v`` under the map that collapses the boundary of the unit 3-ball to
+    the south pole: v -> (2 sqrt(1 - |v|^2) v, 1 - 2 |v|^2)."""
     nv2 = _sq_norms(v)
     if (nv2 > 1.0 + 1e-12).any():
         raise ValueError("ball point must have norm <= 1")

@@ -114,18 +114,6 @@ class LinkField:
     edges: np.ndarray
     values: np.ndarray
 
-    def link(self, u: int, v: int) -> complex:
-        if u == v:
-            return 1.0 + 0.0j
-        tails, heads = self.edges[:, 0], self.edges[:, 1]
-        hit = np.flatnonzero((tails == u) & (heads == v))
-        if hit.size:
-            return self.values[hit[0]]
-        hit = np.flatnonzero((tails == v) & (heads == u))
-        if hit.size:
-            return np.conj(self.values[hit[0]])
-        raise KeyError((u, v))
-
 
 @dataclass(frozen=True, eq=False)
 class CurvatureField:
@@ -141,10 +129,6 @@ class CurvatureField:
     curvature: np.ndarray
     total: float
     flagged: tuple
-
-    @property
-    def total_flux(self) -> float:
-        return float(self.curvature.sum())
 
 
 def _chunk_cores(tensors, start: int, chi: int | None, tols) -> list:
@@ -200,8 +184,8 @@ def _vertex_cores(family, mesh: Mesh2, tols):
     decompose, compare ranks with vertex 0) raises."""
     n = len(mesh.theta)
     if isinstance(family, VertexData) and len(family.tensors) != n:
-        raise ValueError(f"family custom has {len(family.tensors)} tensors, but the "
-                         f"mesh has {n} vertices")
+        raise ValueError(f"family custom has {len(family.tensors)} tensors, but mesh "
+                         f"{mesh.n_theta}x{mesh.n_phi} has {n} vertices")
     cores, dims = None, np.empty(n, dtype=np.intp)
     for start in range(0, n, CHUNK):
         tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))

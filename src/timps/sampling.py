@@ -33,7 +33,6 @@ from .tensors import (
 from .transfer import WindowObservable
 
 __all__ = [
-    "haar_unitary",
     "random_core",
     "random_tensor_in_e",
     "random_gauge_move",
@@ -44,10 +43,6 @@ __all__ = [
 
 # Scale of the Gaussian filler blocks of tensors in E and of gauge moves.
 _FILLER_SCALE = 0.5
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _haar(_ginibre(rng, (n, n)))
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:

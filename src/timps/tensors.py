@@ -234,9 +234,6 @@ class CanonicalDecomposition:
     def mats(self) -> np.ndarray:
         return self.tensor.mats
 
-    def reassemble(self) -> MpsTensor:
-        return assemble(self.X, self.K, self.M)
-
 
 def _assembled(X: np.ndarray, K: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The matrices ``X [[K, 0], [M, 0]] X*`` of stacked block forms:
@@ -276,8 +273,8 @@ def _refusal(tols: Tolerances, lead, rank, recon=0.0, norm=0.0, bad=(False, Fals
     from the tensor's leading left Gram eigenvalue ``lead``, its essential
     rank (-1 where threshold-dependent) and, at that rank, its reassembly
     error, normalization residual and refusal masks ``bad`` (reassembly,
-    normalization, injectivity).  Precedence: ambiguous rank, zero Gram
-    matrix, reassembly, normalization, injectivity."""
+    normalization, injectivity).  Precedence: ambiguous rank, non-finite
+    or zero Gram matrix, reassembly, normalization, injectivity."""
     bad_recon, bad_norm, _ = bad
     if rank < 0:
         return AmbiguousRankError(
@@ -285,7 +282,9 @@ def _refusal(tols: Tolerances, lead, rank, recon=0.0, norm=0.0, bad=(False, Fals
             "the rank decision would be threshold-dependent"
         )
     if rank == 0:
-        return NotInEError("tensor has numerically zero left Gram matrix")
+        return NotInEError("tensor has numerically zero left Gram matrix" if np.isfinite(lead)
+                           else "tensor has a non-finite left Gram matrix "
+                           "(entries too large or not finite)")
     if bad_recon:
         return NotInEError(
             f"no block canonical form: reassembly error {recon:.3e} "
@@ -345,8 +344,13 @@ def _stacked(A, stacked_pass, *aligned) -> list:
     same-shape entries (tensors or arrays) of a sequence, stacked: its
     per-tensor results in input order (C order for a stack).  Each of the
     ``aligned`` sequences, one entry per tensor, is passed on as the list
-    of the group's entries."""
+    of the group's entries.  An array of fewer than 4 dimensions is refused:
+    it is one tensor, not a stack."""
     if isinstance(A, np.ndarray):
+        if A.ndim < 4:
+            raise ValueError(f"an array of shape {A.shape} is not a stack of (d, D, D) "
+                             "tensors: pass MpsTensor(a) for one tensor, or a[None] "
+                             "for a stack of one")
         return stacked_pass(np.asarray(A, dtype=complex).reshape((-1,) + A.shape[-3:]), *aligned)
     mats = [np.asarray(getattr(a, "mats", a), dtype=complex) for a in A]
     out = [None] * len(mats)
@@ -486,8 +490,9 @@ def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
 def _normalized(mats: np.ndarray, tols: Tolerances) -> list:
     """Representative or refusal of each tensor of an ``(N, d, D, D)`` stack."""
     w, V, ranks, B = _block_forms(mats, tols)
-    out = [_refusal(tols, w[n, 0], -1) if r < 0 else None if r else
-           NotInEError("cannot normalize a numerically zero tensor") for n, r in enumerate(ranks)]
+    out = [None if r > 0 else _refusal(tols, w[n, 0], r) if r < 0 or not np.isfinite(w[n, 0])
+           else NotInEError("cannot normalize a numerically zero tensor")
+           for n, r in enumerate(ranks)]
     for chi in set(ranks.tolist()) - {-1, 0}:
         idx = np.flatnonzero(ranks == chi)
         K0, M0 = B[idx, :, :chi, :chi], B[idx, :, chi:, :chi]
@@ -522,11 +527,6 @@ class GaugeMove:
     lam: complex
     Z: np.ndarray
     filler: MpsTensor
-
-    @classmethod
-    def identity(cls, A: MpsTensor) -> "GaugeMove":
-        return cls(1.0 + 0.0j, np.eye(A.D, dtype=complex),
-                   MpsTensor(np.zeros_like(A.mats)))
 
 
 def apply_gauge(A, move: GaugeMove, tols: Tolerances = DEFAULT_TOLS):

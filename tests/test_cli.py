@@ -74,6 +74,20 @@ def test_chern_on_the_overlap_band_edges(tmp_path, w4):
     assert doc["summary"]["flagged_plaquettes"] == []
 
 
+# an overflowing left Gram matrix is refused as non-finite, an underflowing one as zero
+@pytest.mark.parametrize("scale, message", [
+    (1e160, "tensor has a non-finite left Gram matrix (entries too large or not finite)"),
+    (1e-200, "tensor has numerically zero left Gram matrix"),
+], ids=["overflow", "underflow"])
+def test_chern_refuses_scaled_custom_tensors(tmp_path, capsys, scale, message):
+    spec_path = tmp_path / "family.json"
+    spec_path.write_text(json.dumps(_psi2_spec(4, scale)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli(["chern", "--family", f"@{spec_path}", "--mesh", "4x4",
+                        "--out", tmp_path]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [f"NotInEError: {message}"]
+
+
 def test_oracle_check_seeded(tmp_path):
     assert run_cli(["oracle-check", "--seed", 7, "--trials", 12,
                     "--gauge-trials", 6, "--out", tmp_path]) == 0
@@ -367,14 +381,15 @@ def _custom_spec_with_charts():
                        "charts": ["main"] * n}}
 
 
-def _psi2_spec(n):
-    """A custom family of the psi2 tensors at the vertices of the n x n mesh."""
+def _psi2_spec(n, scale=1.0):
+    """A custom family of the psi2 tensors at the vertices of the n x n mesh,
+    times ``scale``."""
     from timps.families import make_sphere_mesh, psi2_sphere_family
     from timps.tensors import MpsTensor, tensor_to_json
 
     mesh = make_sphere_mesh(n, n)
     return {"family": "custom", "params": {"tensors": [
-        tensor_to_json(MpsTensor(m))
+        tensor_to_json(MpsTensor(m * scale))
         for m in psi2_sphere_family().stack(mesh.theta, mesh.phi)]}}
 
 
@@ -442,9 +457,9 @@ BAD_INPUTS = [
     # a custom family with more tensors than mesh vertices: exited 0 with the
     # tensors on the wrong vertices; with fewer, the message gave no counts
     (None, {"experiment": "chern", "params": {"family": _psi2_spec(8), "mesh": "4x4"}},
-     "tensors holds 58 tensors, but mesh 4x4 has 14 vertices"),
+     "family custom has 58 tensors, but mesh 4x4 has 14 vertices"),
     (None, {"experiment": "chern", "params": {"family": _psi2_spec(4), "mesh": "8x8"}},
-     "tensors holds 14 tensors, but mesh 8x8 has 58 vertices"),
+     "family custom has 14 tensors, but mesh 8x8 has 58 vertices"),
     # g_start = 0, the rank-1 endpoint: exited 1
     (["aklt-sweep", "--g-start", "0"], None, "g_start"),
     (None, {"experiment": "aklt-sweep", "params": {"g_start": 0}}, "g_start"),
@@ -565,16 +580,45 @@ def test_readme_command_line_matches_the_parameter_table():
             assert p.parse(flags[p.option].split("|")[0]) == p.default, (name, p.key)
 
 
+def fmt(x) -> str:
+    """The reference text of one CSV value, as the row-by-row formatter the
+    writer once applied to every value wrote it: ``repr`` of a float,
+    ``str`` of an int, numpy scalars included, else ``str``."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
+def formatted(rows):
+    return [[fmt(v) for v in row] for row in rows]
+
+
+def csv_lines(columns: dict) -> list:
+    """The reference CSV lines of a dict of columns, formatted row by row."""
+    return [",".join(row) for row in formatted(zip(*columns.values()))]
+
+
 def test_csv_columns_match_the_row_formatter():
     floats = np.array([-0.0, 5e-324, 1e16, 0.1, np.pi, np.float64(2.5), -1.0 / 3.0, 1e-300])
     ints = np.array([0, -7, np.int64(2) ** 62, 3, 42, np.int64(-1), 10 ** 16, 1])
     columns = {"id": ints, "value": floats, "again": floats[::-1]}
-    numpy_rows = list(zip(ints, floats, floats[::-1]))
-    python_rows = [(int(i), float(x), float(y)) for i, x, y in numpy_rows]
-    expected = cli._csv_rows(numpy_rows)
+    expected = csv_lines(columns)
     assert expected[0] == "0,-0.0,1e-300"
     assert expected[1] == "-7,5e-324,-0.3333333333333333"
-    assert cli._csv_rows(columns) == expected == cli._csv_rows(python_rows)
+    # numpy columns, Python lists, and the tuples of mixed Python and numpy
+    # scalars that the experiment bodies collect
+    python = {key: col.tolist() for key, col in columns.items()}
+    mixed = {key: tuple(x if k % 2 else y for k, (x, y) in enumerate(zip(col, python[key])))
+             for key, col in columns.items()}
+    assert cli._csv_rows(columns) == expected == cli._csv_rows(python) == cli._csv_rows(mixed)
+    # a text column, an index column mixing mesh names and ints, no columns
+    labelled = {"kind": ("chern", "dev", "dev"), "index": ("16x16", 0, np.int64(1)),
+                "value": (1.0, np.float64(-0.0), 5e-324)}
+    assert cli._csv_rows(labelled) == csv_lines(labelled) == [
+        "chern,16x16,1.0", "dev,0,-0.0", "dev,1,5e-324"]
+    assert cli._csv_rows({}) == cli._csv_rows({"a": (), "b": []}) == []
     # each distinct float is formatted once: signed zeros (distinct bits,
     # equal values), nan, infinities, repeats and subnormals; then a long
     # column of all-distinct values
@@ -582,12 +626,54 @@ def test_csv_columns_match_the_row_formatter():
                     2.2250738585072014e-308, 1e-310, 0.0, np.nan, 0.1, -np.inf])
     ids = np.arange(len(odd))
     columns = {"id": ids, "odd": odd, "back": odd[::-1], "twice": np.repeat(odd[:8], 2)}
-    rows = list(zip(*columns.values()))
     lines = cli._csv_rows(columns)
-    assert lines == cli._csv_rows(rows)
+    assert lines == csv_lines(columns)
     assert [line.split(",")[1] for line in lines[:5]] == ["0.0", "-0.0", "nan", "inf", "-inf"]
     assert lines[7] == "7,-0.0,5e-324,inf"
     long = np.random.default_rng(3).normal(size=20_000) * 10.0 ** np.arange(-150, 150, 0.015)
     assert len(np.unique(long)) == len(long)
     columns = {"id": np.arange(len(long)), "x": long, "y": long[::-1].copy()}
-    assert cli._csv_rows(columns) == cli._csv_rows(list(zip(*columns.values())))
+    assert cli._csv_rows(columns) == csv_lines(columns)
+
+
+# every experiment at a small size, the zero-row oracle-check and a refused run:
+# (arguments, exit code, column line)
+SMALL_RUNS = {
+    "gamma-check": (["gamma-check", "--block", "8", "--t-steps", "3"], 0,
+                    "phi,t,isometry_dev"),
+    "contract-sweep": (["contract-sweep", "--seed", "1", "--count", "4"], 0,
+                       "case,s,essential_rank,core_norm_residual"),
+    "retract-sweep": (["retract-sweep", "--seed", "1", "--count", "4"], 0,
+                      "case,chi,t,essential_rank,delta,dist_from_input,core_norm_residual"),
+    "aklt-sweep": (["aklt-sweep", "--g-step", "0.3"], 0,
+                   "g,f_value,xi,lambda2,spectrum_dev,fixed_point_dev"),
+    "chern": (["chern", "--mesh", "8x8"], 0, "plaquette_id,theta_lo,phi_lo,curvature"),
+    "pump-boundary": (["pump-boundary", "--seed", "1", "--mesh", "4x4,8x8", "--samples", "8",
+                       "--overlap-samples", "8", "--annulus-samples", "8"], 0, "kind,index,value"),
+    "oracle-check": (["oracle-check", "--seed", "1", "--trials", "8", "--gauge-trials", "4",
+                      "--window-max", "3"], 0, "kind,trial,d,chi,n,dev"),
+    "oracle-check-zero-rows": (["oracle-check", "--seed", "1", "--trials", "0",
+                                "--gauge-trials", "0"], 0, "kind,trial,d,chi,n,dev"),
+    "retract-sweep-refused": (["retract-sweep", "--seed", "3", "--count", "20",
+                               "--tol", "tol_distinct=0.9"], 1, ""),
+}
+
+
+@pytest.mark.parametrize("run", SMALL_RUNS)
+def test_csv_is_the_row_formatter_on_the_returned_columns(tmp_path, monkeypatch, run):
+    args, code, names = SMALL_RUNS[run]
+    experiment, returned = EXPERIMENTS[args[0]], []
+
+    def body(*body_args):
+        returned.append(experiment.body(*body_args))
+        return returned[-1]
+
+    monkeypatch.setitem(EXPERIMENTS, args[0], experiment._replace(body=body))
+    assert run_cli(args + ["--out", tmp_path]) == code
+    # a refused run returns nothing and writes an empty column line
+    columns = returned[0][0] if code == 0 else {}
+    header, column_line, *lines = (tmp_path / f"{args[0]}.csv").read_text().splitlines()
+    assert header.startswith(f"# timps {__version__} experiment={args[0]} ")
+    assert column_line == ",".join(columns) == names
+    assert lines == csv_lines(columns)
+    assert bool(lines) == (run not in ("oracle-check-zero-rows", "retract-sweep-refused"))

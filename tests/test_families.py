@@ -6,7 +6,9 @@ import pytest
 from timps.errors import NotNormalizedPointError, OutOfChartError
 from timps.families import (
     PumpPoint,
+    _ball_points,
     _rotations,
+    _slice_points,
     aklt_path,
     boundary_generator_family,
     family_from_spec,
@@ -77,8 +79,8 @@ def test_pump_point_invariants():
     assert pt.theta == 0.0 and pt.phi == 0.0
     with pytest.raises(ValueError):
         PumpPoint(w=np.array([1.0, 0.0, 0.0]), w4=0.5)
-    ball = PumpPoint.from_ball([0.0, 0.0, 0.0])
-    assert ball.w4 == 1.0 and np.abs(ball.w).max() == 0.0
+    w, w4 = _ball_points(np.zeros((1, 3)))
+    assert w4[0] == 1.0 and np.abs(w).max() == 0.0
 
 
 def test_pump_north_at_north_pole():
@@ -125,7 +127,7 @@ def test_pump_south_closed_forms(rng):
         theta = rng.uniform(0.1, math.pi - 0.1)
         phi = rng.uniform(0, 2 * math.pi)
         w4 = rng.uniform(-0.5, 0.5 - 1e-9)
-        pt = PumpPoint.from_angles(theta, phi, w4)
+        pt = PumpPoint(w=_slice_points(np.array([theta]), np.array([phi]), w4)[0], w4=w4)
         vals = pump_south(pt).mats[:, 0, 0]
         assert abs(vals[0] - (-0.5 * np.exp(-1j * phi) * math.sin(theta))) < 1e-12
         assert abs(vals[1] - (1.0 + math.cos(theta)) / 2.0) < 1e-12

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from test_cli import formatted
 
 from timps import cli
 from timps.config import DEFAULT_TOLS
@@ -657,10 +658,6 @@ def one_at_a_time_contract_sweep(count, s_steps, rng, tols):
     return rows, failures
 
 
-def formatted(rows):
-    return [[cli._fmt(v) for v in row] for row in rows]
-
-
 @pytest.mark.parametrize("seed, count, tols", [
     (1, 20, strict(tol_norm=5e-15)),
     (2, 20, strict(tol_norm=5e-15)),
@@ -671,7 +668,8 @@ def test_stacked_retract_sweep_keeps_the_one_at_a_time_order(monkeypatch, seed, 
     # small windows, so that one sweep spans several of them
     monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 1 << 16)
     rng = lambda: np.random.default_rng(np.random.PCG64(seed))  # noqa: E731
-    _, rows, _, failures = cli._exp_retract_sweep({"count": count, "chis": [2, 3]}, rng(), tols)
+    columns, _, failures = cli._exp_retract_sweep({"count": count, "chis": [2, 3]}, rng(), tols)
+    rows = list(zip(*columns.values()))
     want_rows, want_failures = one_at_a_time_retract_sweep(count, [2, 3], rng(), tols)
     assert formatted(rows) == formatted(want_rows)
     assert failures == want_failures
@@ -685,7 +683,8 @@ def test_stacked_retract_sweep_keeps_the_one_at_a_time_order(monkeypatch, seed, 
 def test_stacked_contract_sweep_keeps_the_one_at_a_time_order(monkeypatch, tols):
     monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 1 << 18)
     rng = lambda: np.random.default_rng(np.random.PCG64(1))  # noqa: E731
-    _, rows, _, failures = cli._exp_contract_sweep({"count": 12, "s_steps": 6}, rng(), tols)
+    columns, _, failures = cli._exp_contract_sweep({"count": 12, "s_steps": 6}, rng(), tols)
+    rows = list(zip(*columns.values()))
     want_rows, want_failures = one_at_a_time_contract_sweep(12, 6, rng(), tols)
     assert formatted(rows) == formatted(want_rows)
     assert failures == want_failures

@@ -310,7 +310,6 @@ def test_link_field_values_are_the_oracle_links(chunk):
     for (u, v), value in zip(field.edges, field.values):
         ref = oracle_mixed_leading(cores[u], cores[v])
         assert abs(value - ref / abs(ref)) <= 1e-12
-        assert field.link(v, u) == np.conj(field.link(u, v))
 
 
 def raised(fn, *args):

@@ -99,7 +99,8 @@ def loop_body(params, rng, tols):
         "min_overlap_fidelity": min_fid,
         "max_annulus_dev": max_annulus,
     }
-    return ["kind", "index", "value"], rows, summary, failures
+    # every run has its meshes' rows, so the columns are never empty
+    return dict(zip(["kind", "index", "value"], zip(*rows))), summary, failures
 
 
 def artifacts(out: Path, params: dict, seed: int, tols: Tolerances = DEFAULT_TOLS):

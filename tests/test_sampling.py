@@ -17,8 +17,8 @@ from timps.homotopy import has_split_core_spectrum
 from timps.sampling import (
     _FILLER_SCALE,
     _ginibre,
+    _haar,
     _move_draws,
-    haar_unitary,
     random_core,
     random_gauge_move,
     random_observable,
@@ -65,6 +65,10 @@ def ref_random_core(rng, d, chi, tols=DEFAULT_TOLS):
         except TimpsError:
             continue
     raise NotInEError(f"64 draws failed to give an injective normalized core (d={d}, chi={chi})")
+
+
+def haar_unitary(rng, n):
+    return _haar(_ginibre(rng, (n, n)))
 
 
 def ref_random_tensor_in_e(rng, d, D, chi, tols=DEFAULT_TOLS):

@@ -9,7 +9,8 @@ from timps.errors import (
 )
 from timps.families import aklt_path
 from timps.sampling import (
-    haar_unitary,
+    _ginibre,
+    _haar,
     random_core,
     random_gauge_move,
     random_tensor_in_e,
@@ -36,6 +37,10 @@ from timps.tensors import (
 )
 
 ONE = MpsTensor(np.ones((1, 1, 1), dtype=complex))
+
+
+def haar_unitary(rng, n):
+    return _haar(_ginibre(rng, (n, n)))
 
 
 def test_tensor_validation_rejects_bad_shapes():
@@ -141,7 +146,7 @@ def test_canonical_decompose_block_form_input(rng):
     assert dec.chi == 2
     # recovered core equals the input core up to the basis convention
     assert abs(abs(mixed_transfer_leading(dec.K, K)) - 1.0) < 1e-10
-    recon = dec.reassemble()
+    recon = assemble(dec.X, dec.K, dec.M)
     assert np.abs(recon.mats - A.mats).max() < 1e-10
 
 
@@ -150,8 +155,40 @@ def test_canonical_decompose_round_trip_random_basis(rng):
         A = random_tensor_in_e(rng, d, D, chi).tensor
         dec = canonical_decompose(A)
         assert dec.chi == chi
-        assert np.abs(dec.reassemble().mats - A.mats).max() < DEFAULT_TOLS.tol_recon
+        assert np.abs(assemble(dec.X, dec.K, dec.M).mats - A.mats).max() < DEFAULT_TOLS.tol_recon
         assert np.allclose(dec.X.conj().T @ dec.X, np.eye(D), atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [canonical_decompose, right_normalize])
+def test_a_bare_tensor_array_is_refused_not_read_as_a_stack(call):
+    A = aklt_path(0.5)
+    for bare in (A.mats, A.mats[0], A.mats[0, 0]):
+        with pytest.raises(ValueError, match=r"pass MpsTensor\(a\) .* or a\[None\]"):
+            call(bare)
+    one = call(A.mats[None])
+    assert len(one) == 1 and np.array_equal(one[0].mats, call(A).mats)
+
+
+NON_FINITE = "tensor has a non-finite left Gram matrix (entries too large or not finite)"
+
+
+# at 1e160 the Gram matrix overflows, at 1e154 its symmetrization does; at
+# 1e-200 it underflows to zero
+@pytest.mark.parametrize("scale, decompose, normalize", [
+    (1e160, NON_FINITE, NON_FINITE),
+    (1e154, NON_FINITE, NON_FINITE),
+    (1e-200, "tensor has numerically zero left Gram matrix",
+     "cannot normalize a numerically zero tensor"),
+], ids=["overflow", "symmetrization-overflow", "underflow"])
+def test_an_overflowing_tensor_is_not_called_zero(scale, decompose, normalize):
+    A = MpsTensor(aklt_path(0.5).mats * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call, message in ((canonical_decompose, decompose), (right_normalize, normalize)):
+            with pytest.raises(NotInEError) as alone:
+                call(A)
+            assert str(alone.value) == message
+            stacked = call([A])[0]
+            assert isinstance(stacked, NotInEError) and str(stacked) == message
 
 
 def test_decomposition_is_returned_as_given(rng):
@@ -201,9 +238,13 @@ def test_right_normalize_repairs_perturbed_core(rng):
     assert dec.chi == 2
 
 
+def identity_move(A):
+    return GaugeMove(1.0 + 0.0j, np.eye(A.D, dtype=complex), MpsTensor(np.zeros_like(A.mats)))
+
+
 def test_apply_gauge_identity_and_phase():
     A = aklt_path(0.5)
-    assert np.abs(apply_gauge(A, GaugeMove.identity(A)).mats - A.mats).max() == 0.0
+    assert np.abs(apply_gauge(A, identity_move(A)).mats - A.mats).max() == 0.0
     phased = apply_gauge(A, GaugeMove(1j, np.eye(2, dtype=complex),
                                       MpsTensor(np.zeros_like(A.mats))))
     assert np.abs(phased.mats - 1j * A.mats).max() == 0.0
@@ -273,7 +314,7 @@ def test_apply_gauge_on_a_sequence_stops_at_the_first_refusal(rng):
     mats = np.zeros((2, 2, 2), dtype=complex)
     mats[0, 0, 0], mats[1, 1, 1] = 1.0, 3e-5  # range inside the cutoff window
     ambiguous = MpsTensor(mats)
-    for move, message in bad + [(GaugeMove.identity(ambiguous), None)]:
+    for move, message in bad + [(identity_move(ambiguous), None)]:
         target = ambiguous if message is None else dec
         error = AmbiguousRankError if message is None else IncompatibleGaugeMoveError
         with pytest.raises(error) as alone:
