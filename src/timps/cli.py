@@ -21,7 +21,6 @@ from . import __version__
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import TimpsError
 from .families import (
-    PumpPoint,
     aklt_path,
     boundary_generator_family,
     family_from_spec,
@@ -412,13 +411,13 @@ def _unrefused(results: list) -> list:
     return results
 
 
-def _chart_decompositions(pts, north, tols) -> list:
-    """The decomposition or refusal of each point's north-chart (``north[k]``) or
-    south-chart tensor, from one chart and one decomposition call per chart."""
+def _chart_decompositions(pts: np.ndarray, north: np.ndarray, tols) -> list:
+    """The decomposition or refusal of each ``(w, w4)`` row's north-chart
+    (``north[k]``) or south-chart tensor, from one chart and one
+    decomposition call per chart."""
     out = [None] * len(pts)
-    for chart, side in ((pump_north, True), (pump_south, False)):
-        idx = [k for k, n in enumerate(north) if n == side]
-        for k, dec in zip(idx, canonical_decompose(chart([pts[k] for k in idx]), tols)):
+    for chart, side in ((pump_north, north), (pump_south, ~north)):
+        for k, dec in zip(np.flatnonzero(side), canonical_decompose(chart(pts[side]), tols)):
             out[k] = dec
     return out
 
@@ -440,8 +439,8 @@ def _exp_pump_boundary(params, rng, tols):
     # each loop draws its samples one by one, as a per-sample loop would,
     # then checks them in stacks and raises the first refusal in sample order
     draws = [rng.normal(size=4) for _ in range(params["samples"])]
-    pts = [PumpPoint(w=x[:3], w4=float(x[3])) for x in (x / np.linalg.norm(x) for x in draws)]
-    decs = _unrefused(_chart_decompositions(pts, [pt.w4 > -0.5 for pt in pts], tols))
+    pts = np.array([x / np.linalg.norm(x) for x in draws]).reshape(-1, 4)
+    decs = _unrefused(_chart_decompositions(pts, pts[:, 3] > -0.5, tols))
     resids = [dec.norm_residual for dec in decs]
     rows += [("core_norm_residual", k, resid) for k, resid in enumerate(resids)]
     max_norm = max([0.0] + resids)
@@ -450,9 +449,10 @@ def _exp_pump_boundary(params, rng, tols):
 
     draws = [(rng.normal(size=3), rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6))
              for _ in range(params["overlap_samples"])]
-    pts = [PumpPoint(w=x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4), w4=w4) for x, w4 in draws]
-    decs = _unrefused(_chart_decompositions([pt for pt in pts for _ in "ns"],
-                                            [True, False] * len(pts), tols))
+    pts = np.array([np.append(x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4), w4)
+                    for x, w4 in draws]).reshape(-1, 4)
+    decs = _unrefused(_chart_decompositions(np.repeat(pts, 2, axis=0),
+                                            np.tile([True, False], len(pts)), tols))
     agree = [n.chi == s.chi for n, s in zip(decs[0::2], decs[1::2])]
     failures += [f"overlap sample {k}: rank mismatch" for k, ok in enumerate(agree) if not ok]
     same = np.flatnonzero(agree).tolist()

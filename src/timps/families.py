@@ -175,24 +175,27 @@ def pump_north(pt):
 
     The (i, j) matrix is ``|i><j| X L X^T`` with X the rotation at the
     point's angles.  Right-normalized for every chart point; essential rank
-    2 above the overlap band, 1 on it.  A sequence of points gives the
-    ``(m, 4, 2, 2)`` stack; one :class:`PumpPoint` is the N=1 call.
+    2 above the overlap band, 1 on it.  An ``(m, 4)`` array of ``(w, w4)``
+    rows gives the ``(m, 4, 2, 2)`` stack; one :class:`PumpPoint` is the
+    N=1 call.
     """
     return _charts_at(pt, north=True)
 
 
 def pump_south(pt):
-    """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``; a
-    sequence of points gives the ``(m, 4, 1, 1)`` stack, as in :func:`pump_north`."""
+    """South-chart tensor of the pump: d = 4, D = 1, entries ``<i| X L X^T |j>``; an
+    ``(m, 4)`` array of points gives the ``(m, 4, 1, 1)`` stack, as in :func:`pump_north`."""
     return _charts_at(pt, north=False)
 
 
 def _charts_at(pt, north: bool):
-    """:func:`_pump_charts` at one point or a sequence of points."""
+    """:func:`_pump_charts` at one point or at the rows of an ``(m, 4)`` array,
+    checked on the sphere at once."""
     if isinstance(pt, PumpPoint):
-        return MpsTensor(_charts_at([pt], north)[0])
-    w = np.array([p.w for p in pt], dtype=float).reshape(-1, 3)
-    return _pump_charts(w, np.array([p.w4 for p in pt], dtype=float), north)
+        return MpsTensor(_charts_at(np.append(pt.w, pt.w4)[None], north)[0])
+    pts = np.asarray(pt, dtype=float).reshape(-1, 4)
+    _check_on_sphere(pts[:, :3], pts[:, 3])
+    return _pump_charts(pts[:, :3], pts[:, 3], north)
 
 
 def _directions(v: np.ndarray):

@@ -2,10 +2,10 @@
 
 Three constructions live here:
 
-* isometry paths: for a strictly increasing index map ``phi``, a continuous
-  family of real isometries interpolating between the identity pattern and
-  the relabeling ``a -> phi(b)``, used to enlarge physical or bond dimension
-  without leaving the tensor space;
+* isometry paths: for a strictly increasing affine index map ``phi``, a
+  continuous family of real isometries interpolating between the identity
+  pattern and the relabeling ``a -> phi(b)``, used to enlarge physical or
+  bond dimension without leaving the tensor space;
 * the contraction path: a concatenation of four homotopies that carries any
   tensor to one fixed endpoint tensor while staying inside the space;
 * the retraction: a deformation that continuously lowers the essential rank
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -50,63 +49,48 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class PhiRule:
-    """A strictly increasing map on the positive integers, with the chain
-    bookkeeping needed to evaluate isometry path entries.
+    """The index map ``n -> a*n + b`` on the positive integers, with integers
+    ``a >= 1`` and ``b >= 0``: strictly increasing, or the identity.
 
-    Every ``b`` outside the image chain decomposes uniquely as
-    ``b = phi^k(l)`` with ``l`` not in the image of ``phi``; the entry
-    formulas are case splits over that chain.
+    Every index ``n`` the map does not fix decomposes uniquely as
+    ``n = phi^k(l)`` with ``l`` not in the image of ``phi``; the entry
+    formulas of the isometry path are case splits over that chain.
     """
 
-    def __init__(self, func: Callable[[int], int], name: str = "custom"):
-        self.func = func
-        self.name = name
-        self._chain_cache: dict[int, tuple[int, int]] = {}
-        self._preimage_cache: dict[int, int | None] = {}
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if not (type(self.a) is int and type(self.b) is int and self.a >= 1 and self.b >= 0):
+            raise ValueError("phi must be n -> a*n + b with integers a >= 1 and b >= 0, "
+                             f"got a={self.a!r}, b={self.b!r}")
 
     def __call__(self, n: int) -> int:
-        v = self.func(n)
-        if v < n:
-            raise ValueError("phi must satisfy phi(n) >= n (strictly increasing)")
-        return v
+        return self.a * n + self.b
 
     @classmethod
     def from_name(cls, name: str) -> "PhiRule":
-        if name in ("shift", "n+1"):
-            return cls(lambda n: n + 1, "shift")
-        if name in ("triple", "3n+1"):
-            return cls(lambda n: 3 * n + 1, "3n+1")
-        if name == "identity":
-            return cls(lambda n: n, "identity")
-        raise ValueError(f"unknown phi rule {name!r}")
+        rules = {"shift": (1, 1), "3n+1": (3, 1), "identity": (1, 0)}
+        if name not in rules:
+            raise ValueError(f"unknown phi rule {name!r}")
+        return cls(*rules[name])
 
-    def preimage(self, b: int) -> int | None:
-        """The unique n with phi(n) = b, or None; phi(n) >= n bounds the scan."""
-        if b not in self._preimage_cache:
-            found = None
-            for n in range(1, b + 1):
-                v = self(n)
-                if v == b:
-                    found = n
-                    break
-                if v > b:
-                    break
-            self._preimage_cache[b] = found
-        return self._preimage_cache[b]
-
-    def chain_decompose(self, b: int) -> tuple[int, int]:
-        """Return (k, l) with b = phi^k(l) and l outside the image of phi."""
-        if b not in self._chain_cache:
-            k, x = 0, b
-            while True:
-                prev = self.preimage(x)
-                if prev is None:
-                    break
-                x = prev
-                k += 1
-            self._chain_cache[b] = (k, x)
-        return self._chain_cache[b]
+    def chain_decompose(self, n: int) -> tuple[int, int]:
+        """Return (k, l) with n = phi^k(l) and l outside the image of phi;
+        an index the map fixes has no such chain."""
+        a, b = self.a, self.b
+        if a == 1:
+            if b == 0:
+                raise ValueError(f"the identity map fixes {n}: it has no chain")
+            k = (n - 1) // b
+            return k, n - k * b
+        k = 0
+        while n > b and (n - b) % a == 0:  # n has the preimage (n - b) / a >= 1
+            n = (n - b) // a
+            k += 1
+        return k, n
 
 
 def isometry_path_block(phi: PhiRule, t: float, n_rows: int, n_cols: int) -> np.ndarray:
@@ -330,13 +314,12 @@ def _core_gram_eigh(K: np.ndarray):
     return np.linalg.eigh((gram + _dagger(gram)) / 2.0)
 
 
-def _is_split(w: np.ndarray, tols: Tolerances) -> bool:
-    """Whether an ascending core Gram spectrum is nonsingular and not a
-    multiple of the identity (a single eigenvalue never is split)."""
-    lam_max, lam_min = float(w[-1]), float(w[0])
-    if lam_min <= tols.eps_rank * lam_max:
-        return False
-    return (lam_max - lam_min) > tols.tol_distinct * lam_max
+def _split_spectra(w: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Whether each ascending core Gram spectrum of a stack is nonsingular
+    and not a multiple of the identity (a single eigenvalue never is split)."""
+    lam_max, lam_min = w[..., -1], w[..., 0]
+    nonsingular = lam_min > tols.eps_rank * lam_max
+    return nonsingular & (lam_max - lam_min > tols.tol_distinct * lam_max)
 
 
 def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS):
@@ -347,7 +330,7 @@ def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS):
     ``eigh`` per core shape.  One tensor is the N=1 call."""
     single = isinstance(A, (MpsTensor, CanonicalDecomposition))
     split = _stacked([_decomposition(a, tols).K for a in ([A] if single else A)],
-                     lambda K: [_is_split(w, tols) for w in _core_gram_eigh(K)[0]])
+                     lambda K: _split_spectra(_core_gram_eigh(K)[0], tols).tolist())
     return split[0] if single else split
 
 
@@ -411,7 +394,7 @@ def retract(A, t, tols: Tolerances = DEFAULT_TOLS):
         idx = [n for n, dec in enumerate(decs) if dec.chi == chi]
         K = np.array([decs[n].K for n in idx])
         w, V = _core_gram_eigh(K)
-        if not all(_is_split(spectrum, tols) for spectrum in w):
+        if not _split_spectra(w, tols).all():
             raise NotInOError(
                 "core Gram spectrum is a multiple of the identity at full rank; "
                 "the retraction is undefined here"

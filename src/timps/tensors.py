@@ -159,8 +159,10 @@ def _block_forms(mats: np.ndarray, tols: Tolerances):
     (descending), the bond bases ``X`` (Gram eigenvectors), the essential
     ranks and the blocks ``X* A^i X``.  A rank counts the eigenvalues above
     ``eps_rank`` times the largest; it is -1 where one sits inside the
-    cutoff window, (0.5, 2) times that cutoff."""
-    w, X = _sorted_eigh(left_gram(mats))
+    cutoff window, (0.5, 2) times that cutoff.  An overflowing Gram matrix
+    is refused later, on its non-finite spectrum, so its arithmetic is quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, X = _sorted_eigh(left_gram(mats))
     cutoff = tols.eps_rank * w[..., :1]
     ranks = (w > cutoff).sum(axis=-1) * (w[..., 0] > 0.0)
     in_window = ((w > 0.5 * cutoff) & (w < 2.0 * cutoff)).any(axis=-1)

@@ -12,6 +12,7 @@ from timps.errors import NotInEError, NotInOError, TimpsError
 from timps.families import aklt_path, psi2_tensor
 from timps.homotopy import (
     PhiRule,
+    _split_spectra,
     apply_bond_isometry,
     apply_physical_isometry,
     cantor_pair,
@@ -118,6 +119,52 @@ def test_identity_rule_is_constant():
     ident = PhiRule.from_name("identity")
     for t in (0.0, 0.3, 1.0):
         assert np.allclose(isometry_path_block(ident, t, 5, 5), np.eye(5))
+
+
+def preimage_scan(phi: PhiRule, b: int) -> int | None:
+    """The unique n with phi(n) = b, or None: the linear scan the chains were
+    found by before they had a closed form; phi(n) >= n bounds it."""
+    for n in range(1, b + 1):
+        if phi(n) >= b:
+            return n if phi(n) == b else None
+    return None
+
+
+@pytest.mark.parametrize("phi", [SHIFT, TRIPLE, PhiRule(1, 2), PhiRule(2, 0), PhiRule(2, 3)],
+                         ids=str)
+def test_closed_form_chains_match_the_preimage_scan(phi):
+    chains = {}
+    for b in range(1, 301):
+        pre = preimage_scan(phi, b)
+        chains[b] = (0, b) if pre is None else (chains[pre][0] + 1, chains[pre][1])
+        assert phi.chain_decompose(b) == chains[b]
+
+
+def test_identity_rule_has_no_chain():
+    # every index is fixed: the scan would find each index its own preimage forever
+    with pytest.raises(ValueError, match="fixes 3"):
+        PhiRule.from_name("identity").chain_decompose(3)
+
+
+def test_phi_rules_are_frozen_values():
+    rule = PhiRule.from_name("3n+1")
+    assert rule == PhiRule(3, 1) and hash(rule) == hash(PhiRule(3, 1)) and rule != SHIFT
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.a = 2
+    isometry_path_block(rule, 0.4, rule(9), 9)
+    assert vars(rule) == {"a": 3, "b": 1}
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, -1), (True, 1), (1.5, 0)])
+def test_phi_rules_refuse_pairs_that_are_not_affine_index_maps(a, b):
+    with pytest.raises(ValueError, match="integers a >= 1 and b >= 0"):
+        PhiRule(a, b)
+
+
+@pytest.mark.parametrize("name", ["n+1", "triple"])
+def test_phi_rule_names_have_no_aliases(name):
+    with pytest.raises(ValueError, match="unknown phi rule"):
+        PhiRule.from_name(name)
 
 
 @pytest.mark.parametrize("phi", [SHIFT, TRIPLE])
@@ -248,6 +295,34 @@ def test_split_spectrum_detection():
     # interpolation cores have a flat Gram matrix at every g
     assert not has_split_core_spectrum(aklt_path(0.5))
     assert not has_split_core_spectrum(psi2_tensor(0.6, 0.8))
+
+
+def is_split_scalar(w: np.ndarray, tols) -> bool:
+    """The per-spectrum split test the stacked mask replaced."""
+    lam_max, lam_min = float(w[-1]), float(w[0])
+    if lam_min <= tols.eps_rank * lam_max:
+        return False
+    return (lam_max - lam_min) > tols.tol_distinct * lam_max
+
+
+@pytest.mark.parametrize("tols", [DEFAULT_TOLS, dataclasses.replace(
+    DEFAULT_TOLS, eps_rank=0.05, tol_distinct=0.5)], ids=["default", "coarse"])
+def test_split_mask_matches_the_scalar_test(rng, tols):
+    spectra = np.sort(rng.exponential(size=(2000, 3)) ** 4, axis=1)
+    spectra[:500, 0] *= 1e-10  # near-singular spectra, on both sides of eps_rank
+    mask = _split_spectra(spectra, tols)
+    assert mask.dtype == bool and 0 < mask.sum() < len(mask)
+    assert mask.tolist() == [is_split_scalar(w, tols) for w in spectra]
+    top = 2.0
+    # lam_min at exactly eps_rank * lam_max is singular; at tol_distinct 0.5 the
+    # spectrum (1, 1, 2) sits exactly on the separation bound and is not split
+    on_bounds = [[tols.eps_rank * top, 1.0, top], [1.0, 1.0, top]]
+    assert _split_spectra(np.array(on_bounds), tols).tolist() == [False, tols.tol_distinct < 0.5]
+    edges = on_bounds + [[0.7], [0.4, 0.4, 0.4], [0.0, 0.0],
+                         [np.nextafter(tols.eps_rank * top, top), top], [np.nan, 1.0],
+                         [0.5, np.nan], [np.nan, np.nan], [-1.0, -0.5], [0.5, np.inf]]
+    for w in map(np.array, edges):
+        assert _split_spectra(w[None], tols).tolist() == [is_split_scalar(w, tols)]
 
 
 def test_split_spectrum_positive_case(make_rng):

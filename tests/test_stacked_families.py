@@ -368,16 +368,20 @@ def test_directions_match_the_scalar_angles():
 def test_sequence_forms_of_the_charts_and_the_lift_match_their_n1_calls(rng):
     x = rng.normal(size=(300, 4))
     x /= np.linalg.norm(x, axis=1)[:, None]
-    pts = [PumpPoint(w=r[:3], w4=float(r[3])) for r in x]
-    pts += [oracle_from_angles(1.1, 4.0, w4) for w4 in [1.0, 0.9, 0.5, 0.0, -0.5, -0.9, -1.0]]
-    for chart, inside in [(pump_north, lambda pt: pt.w4 > -0.5),
-                          (pump_south, lambda pt: pt.w4 < 0.5)]:
-        chosen = [pt for pt in pts if inside(pt)]
-        stack = chart(chosen)
-        assert isinstance(stack, np.ndarray) and len(stack) == len(chosen) > 100
-        assert [bits(m) for m in stack] == [bits(chart(pt).mats) for pt in chosen]
-        assert raised(chart, chosen[:3] + [pt for pt in pts if not inside(pt)][:1]) == \
-            raised(chart, [pt for pt in pts if not inside(pt)][0])
+    edges = [oracle_from_angles(1.1, 4.0, w4) for w4 in [1.0, 0.9, 0.5, 0.0, -0.5, -0.9, -1.0]]
+    pts = np.concatenate([x, [np.append(pt.w, pt.w4) for pt in edges]])
+    for chart, inside in [(pump_north, pts[:, 3] > -0.5), (pump_south, pts[:, 3] < 0.5)]:
+        stack = chart(pts[inside])
+        assert isinstance(stack, np.ndarray) and len(stack) == inside.sum() > 100
+        assert [bits(m) for m in stack] == \
+            [bits(chart(PumpPoint(w=r[:3], w4=float(r[3]))).mats) for r in pts[inside]]
+        assert bits(chart(pts[inside].tolist())) == bits(stack)
+        outside = pts[~inside]
+        assert raised(chart, np.concatenate([pts[inside][:3], outside[:1]])) == \
+            raised(chart, PumpPoint(w=outside[0, :3], w4=float(outside[0, 3])))
+        # a row off the sphere, inside both charts, is refused as one PumpPoint is
+        off = np.concatenate([pts[inside][:3], [[1.0, 0.0, 0.0, 0.25]]])
+        assert raised(chart, off) == raised(PumpPoint, off[-1, :3], 0.25)
     points = lift_points(rng)
     radii = np.linalg.norm(points, axis=1)
     for branch, ok in [("auto", radii <= 1.0), ("north", radii < math.sqrt(3.0) / 2.0),
