@@ -30,12 +30,13 @@ from .errors import (
 from .families import Mesh2, VertexData
 from .tensors import (
     MpsTensor,
+    _certified_leading,
     _decomposition_pass,
     _degenerate,
     _shape_groups,
     _sorted_spectrum,
     canonical_decompose,
-    mixed_transfer_spectra,
+    transfer_kernel,
 )
 
 __all__ = [
@@ -59,43 +60,54 @@ BRANCH_CUT_MARGIN = 0.1
 RESIDUAL_CAP = 1e-3
 # Vertices or edges per stacked pass.  Larger chunks save little call
 # overhead but raise peak memory: on the w4=0.7 pump slice at 128x128 the
-# process peaks at 47.5 MB with chunks of 2048 and at 82.1 MB with the
-# whole mesh in one pass (numpy 2.4, stacked family evaluation).
+# process peaks at 45.2 MB with chunks of 2048 and at 89.6 MB with the
+# whole mesh in one pass (numpy 2.4, certified link kernel).
 CHUNK = 2048
 
 
 def _edge_links(K_u: np.ndarray, K_v: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Link variables of stacked edges ``u -> v``: the phases of the leading
-    mixed-transfer eigenvalues.  An edge whose leading overlap vanishes, or
-    whose leading eigenvalue is not separated from the next one, is refused;
-    the error raised is that of the first refused edge."""
-    vals = _sorted_spectrum(mixed_transfer_spectra(K_u, K_v))
-    lead = vals[:, 0]
-    mod = np.abs(lead)
-    vanishing = mod < OVERLAP_FLOOR
-    refused = vanishing | _degenerate(vals, tols)
-    if refused.any():
-        e = int(np.argmax(refused))
-        if vanishing[e]:
-            raise VanishingOverlapError(
-                f"leading overlap modulus {mod[e]:.3e} below {OVERLAP_FLOOR:.1e}; "
-                "states nearly orthogonal (mesh too coarse)"
+    mixed-transfer eigenvalues, from :func:`tensors._certified_leading`.
+    The edges it leaves uncertified, or whose leading modulus is below twice
+    ``OVERLAP_FLOOR``, take a full ``eigvals`` spectrum; one of them whose
+    leading overlap vanishes, or whose leading eigenvalue is not separated
+    from the next one, is refused, and the error raised is that of the
+    first refused edge.  A certified edge is one that ``eigvals`` accepts:
+    its gap is proven and its modulus is above twice the floor."""
+    T = transfer_kernel(K_u, K_v)
+    lead, bound = _certified_leading(T, tols)
+    unsure = np.isinf(bound) | (np.abs(lead) < 2.0 * OVERLAP_FLOOR)
+    if unsure.any():
+        vals = _sorted_spectrum(np.linalg.eigvals(T[unsure]))
+        mod = np.abs(vals[:, 0])
+        vanishing = mod < OVERLAP_FLOOR
+        refused = vanishing | _degenerate(vals, tols)
+        if refused.any():
+            e = int(np.argmax(refused))
+            if vanishing[e]:
+                raise VanishingOverlapError(
+                    f"leading overlap modulus {mod[e]:.3e} below {OVERLAP_FLOOR:.1e}; "
+                    "states nearly orthogonal (mesh too coarse)"
+                )
+            raise DegenerateLeadingEigenvalueError(
+                f"mixed transfer eigenvalues {mod[e]:.6e} and {abs(vals[e, 1]):.6e} are within "
+                f"the gap tolerance {tols.tol_gap:.1e}; the link phase is ill-defined"
             )
-        raise DegenerateLeadingEigenvalueError(
-            f"mixed transfer eigenvalues {mod[e]:.6e} and {abs(vals[e, 1]):.6e} are within "
-            f"the gap tolerance {tols.tol_gap:.1e}; the link phase is ill-defined"
-        )
-    return lead / mod
+        lead[unsure] = vals[:, 0]
+    return lead / np.abs(lead)
 
 
 def link_variable(A_u: MpsTensor, A_v: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> complex:
     """Unit-modulus link variable of the directed edge u -> v.
 
-    Computed from the canonical cores of the two tensors; their essential
-    ranks must agree.
+    Computed from the canonical cores of the two tensors, decomposed in one
+    pass; their essential ranks must agree.
     """
-    dec_u = canonical_decompose(A_u, tols)
-    dec_v = canonical_decompose(A_v, tols)
+    found = canonical_decompose([A_u, A_v], tols)
+    for dec in found:
+        if isinstance(dec, Exception):
+            raise dec
+    dec_u, dec_v = found
     if dec_u.chi != dec_v.chi:
         raise RankMismatchError(
             f"essential ranks differ along the edge: {dec_u.chi} vs {dec_v.chi}"

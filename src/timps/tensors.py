@@ -391,11 +391,17 @@ def canonical_decompose(A, tols: Tolerances = DEFAULT_TOLS):
     ``A`` may also be an ``(..., d, D, D)`` stack or a sequence of tensors
     (of any shapes): the result is then the list, in C order, of each
     tensor's decomposition or of the ``TimpsError`` the N=1 call raises on
-    it, from one :func:`_decomposition_pass` per shape.  One tensor is the
-    N=1 call.
+    it, from one :func:`_decomposition_pass` per shape; a decomposition in
+    the sequence is passed through.  One tensor is the N=1 call.
     """
     if isinstance(A, CanonicalDecomposition):
         return A
+    if not isinstance(A, (MpsTensor, np.ndarray)):
+        A = list(A)
+        given = [isinstance(a, CanonicalDecomposition) for a in A]
+        if any(given):  # decompositions pass through, as in the N=1 call
+            found = iter(canonical_decompose([a for a, g in zip(A, given) if not g], tols))
+            return [a if g else next(found) for a, g in zip(A, given)]
     if not isinstance(A, MpsTensor):
         return _stacked(A, lambda mats: _decomposition_pass(mats, tols).results(mats))
     found = _decomposition_pass(A.mats[None], tols)
@@ -450,6 +456,62 @@ def _degenerate(vals: np.ndarray, tols: Tolerances) -> np.ndarray:
     if vals.shape[-1] < 2:
         return np.zeros(vals.shape[:-1], dtype=bool)
     return np.abs(vals[..., 1]) > (1.0 - tols.tol_gap) * np.abs(vals[..., 0])
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norm of each entry of a stack of complex vectors or matrices."""
+    v = np.ascontiguousarray(x).reshape(len(x), -1).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _certified_leading(T: np.ndarray, tols: Tolerances):
+    """``(lead, bound)`` of stacked ``(N, chi^2, chi^2)`` transfer matrices
+    (of :func:`transfer_kernel` on ``chi x chi`` cores): each leading
+    eigenvalue, and a bound on every other eigenvalue's modulus that
+    ``_degenerate`` finds separated from it; ``bound`` is ``inf`` (and
+    ``lead`` NaN) where no certificate holds.  Each row's arithmetic depends
+    on its own matrix alone.  At ``chi = 1`` the one entry is the eigenvalue.
+
+    The trial vectors are ``r = T vec(I)`` and ``l = vec(I)^T T``, the
+    estimate the Rayleigh quotient ``lam = l T r / (l r)``.  With ``D = T -
+    lam r l / (l r)``, ``rho = T r - lam r`` and ``sig = l T - lam l``, for
+    ``|z| > ||D||``: ``det(T - z) = det(D - z) (z - lam + g(z)) / z``, ``g(z)
+    = lam (sig (D - z)^-1 rho - l rho) / (z l r)``.  On the circle ``|z| = b``
+    halfway between ``||D||_F`` and ``|lam|``, ``|g| <= e < |lam| - b``
+    leaves (Rouche) exactly one eigenvalue outside it, within ``e`` of
+    ``lam``; ``lam`` is accepted where ``_degenerate`` finds ``b`` separated
+    from ``|lam| - e`` and the quadratic part of ``e`` is below one ulp.
+    Every norm is inflated by ``4 n eps`` times the scale of ``T``, so that
+    roundoff cannot pass a certificate."""
+    N, n = T.shape[0], T.shape[-1]
+    if n == 1 or not N:
+        return T[:, 0, 0].copy(), np.zeros(N)
+    eps = np.finfo(float).eps
+    chi = int(round(n ** 0.5))
+    unit = np.arange(chi) * (chi + 1)  # the entries of vec(I_chi)
+    with np.errstate(all="ignore"):  # a row that overflows or vanishes stays uncertified
+        r, l = T[:, :, unit].sum(-1), T[:, unit].sum(-2)
+        Tr = (T @ r[..., None])[..., 0]
+        lT = (l[:, None, :] @ T)[:, 0]
+        lr = np.einsum("ij,ij->i", l, r)
+        lam = np.einsum("ij,ij->i", l, Tr) / lr
+        L, alpha = np.abs(lam), lam / lr
+        nr, nl, nT = _norms(r), _norms(l), _norms(T)
+        outer = np.abs(alpha) * nr * nl
+        tiny = 4 * n * eps * (nT + outer)
+        # ||D||_F^2 = ||T||^2 - 2 Re(conj(alpha) r* T l*) + |alpha|^2 ||r||^2 ||l||^2
+        cross = np.einsum("ij,ij->i", r.conj(), (T @ l.conj()[..., None])[..., 0])
+        d2 = nT ** 2 - 2 * (alpha.conj() * cross).real + outer ** 2
+        d = np.sqrt(np.maximum(d2, 0.0) + n * tiny * (nT + outer))
+        rho = _norms(Tr - lam[:, None] * r) + tiny * nr
+        sig = _norms(lT - lam[:, None] * l) + tiny * nl
+        alr = np.abs(lr) - tiny * nl * nr
+        b = (d + L) / 2
+        quad = L * sig * rho / (alr * (b - d) * b)
+        e = quad + L * tiny * nl * nr / (alr * b)
+        ok = (alr > 0) & (d < L) & (e < L - b) & (quad <= eps * L)
+        ok &= ~_degenerate(np.stack([L - e, b], axis=-1), tols)
+    return np.where(ok, lam, np.nan), np.where(ok, b, np.inf)
 
 
 def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):

@@ -507,11 +507,15 @@ def mixed_d_tensors(mesh, case):
     if case == "orthogonal-6-d3-at-9":
         # an edge at vertex 6 comes before every edge at vertex 9
         return padded_at(orthogonal_at(n, 6), 9, d=3)
+    if case == "aklt-d5-at-edge-0":
+        # chi = 2: the first edge of the first chunk already mixes dimensions
+        return padded_at([aklt_path(0.5)] * n, int(mesh.edges[0, 0]), d=5)
     return padded_at(orthogonal_at(n, 12), 2, d=3)
 
 
 @pytest.mark.parametrize("case, kind", [
     ("psi2-d3-at-5", ValueError),
+    ("aklt-d5-at-edge-0", ValueError),
     ("orthogonal-6-d3-at-9", VanishingOverlapError),
     ("d3-at-2-orthogonal-12", ValueError),
 ])

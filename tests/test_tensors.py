@@ -193,6 +193,13 @@ def test_an_overflowing_tensor_is_not_called_zero(scale, decompose, normalize):
 def test_decomposition_is_returned_as_given(rng):
     dec = random_tensor_in_e(rng, 4, 3, 2)
     assert canonical_decompose(dec) is dec
+    other = random_tensor_in_e(rng, 4, 3, 2).tensor
+    found = canonical_decompose([dec, other, dec.tensor])
+    assert found[0] is dec
+    # the tensors are decomposed as by the N=1 call
+    for got, tensor in ((found[1], other), (found[2], dec.tensor)):
+        alone = canonical_decompose(tensor)
+        assert all(np.array_equal(getattr(got, f), getattr(alone, f)) for f in "XKM")
     assert essential_rank(dec) == 2
     assert np.array_equal(range_projection(dec), range_projection(dec.tensor))
 
