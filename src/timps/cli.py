@@ -48,13 +48,11 @@ from .sampling import (
 )
 from .tensors import (
     CanonicalDecomposition,
-    MpsTensor,
     _decomposition_pass,
     apply_gauge,
     canonical_decompose,
     fidelity_per_site,
     gauge_equivalent,
-    pad_tensor,
 )
 from .transfer import (
     WINDOW_CAP,
@@ -164,44 +162,67 @@ def _exp_gamma_check(params, rng, tols):
     return _columns(["phi", "t", "isometry_dev"], rows), summary, failures
 
 
-# Output bytes per window of a sweep: a window's cases are held at once and
-# its stacked passes hold a few arrays of its output size.  On a 2-CPU VM,
-# retract-sweep --count 400 and contract-sweep --count 200 peak at 40.9 and
-# 40.3 MB with 512 KB and at 44.5 and 43.3 MB with 2 MB, and take as long.
-SWEEP_CHUNK_BYTES = 1 << 19
+# Bytes a sweep holds at once, a bound on two things: a draw window ends once
+# its drawn cases hold this many bytes, and the drawn cases of one shape run
+# in one stacked call once their output tensors reach it.  On a 2-CPU VM,
+# retract-sweep --count 400 peaks at 41.3, 41.3, 42.7 and 45.8 MB with 128
+# KB, 256 KB, 512 KB and 1 MB, contract-sweep --count 200 at 40.5, 40.5,
+# 41.6 and 44.0 MB, and they take 0.54/0.25, 0.47/0.21, 0.45/0.19 and
+# 0.43/0.18 s: past 256 KB the time saved is small and the peak grows.
+SWEEP_CHUNK_BYTES = 1 << 18
 
 
-def _sweep(count: int, draw, key, nbytes, run):
+def _decomposition_bytes(d: int, D: int, chi: int) -> int:
+    """Array bytes of a decomposition of a ``(d, D, D)`` tensor at rank ``chi``:
+    the tensor, ``X`` and the ``K, M`` blocks."""
+    return 16 * (d * D * D + D * D + d * D * chi)
+
+
+def _sweep(count: int, draw, key, nbytes, run, held=None):
     """Rows and failures of a randomized sweep, in case order.
 
     Cases are drawn in RNG order in windows that end with the case whose
-    ``nbytes(case)`` brings the total to ``SWEEP_CHUNK_BYTES``: ``draw(cases)``
-    gives a window's drawn cases in order, and ends with the ``TimpsError``
-    of a failed draw, raised after the cases drawn before it have run, as in
-    a one-case-at-a-time loop.  The window's cases of equal ``key(drawn)``
+    ``held(case)``, the bytes a drawn case holds until it runs (by default
+    ``nbytes(case)``), brings the window's total to ``SWEEP_CHUNK_BYTES``:
+    ``draw(cases)`` gives a window's drawn cases in order, and ends with the
+    ``TimpsError`` of a failed draw.  Drawn cases of equal ``key(drawn)`` wait
+    until their output bytes ``nbytes(case)`` reach ``SWEEP_CHUNK_BYTES``, then
     go through one ``run(items)`` call on ``(case, drawn)`` pairs, which
-    returns each case's rows and failures; ``run`` may raise only errors
-    whose type and message do not depend on the case.
+    returns each case's rows and failures.  The cases still waiting run after
+    the last window, or before a failed draw is raised, as in a
+    one-case-at-a-time loop; ``run`` may raise only errors whose type and
+    message do not depend on the case.
     """
-    rows, failures, case = [], [], 0
-    while case < count:
+    held = held or nbytes
+    done, waiting, case, error = {}, {}, 0, None
+
+    def run_key(k):
+        items = waiting.pop(k)[0]
+        done.update(zip((c for c, _ in items), run(items)))
+
+    while case < count and error is None:
         cases, budget = [], SWEEP_CHUNK_BYTES
         while case < count and budget > 0:
             cases.append(case)
-            budget -= nbytes(case)
+            budget -= held(case)
             case += 1
         drawn = draw(cases)
         error = drawn.pop() if drawn and isinstance(drawn[-1], TimpsError) else None
-        groups, done = {}, {}
         for item in zip(cases, drawn):
-            groups.setdefault(key(item[1]), []).append(item)
-        for items in groups.values():
-            done.update(zip((c for c, _ in items), run(items)))
-        if error is not None:
-            raise error
-        for c in cases:
-            rows += done[c][0]
-            failures += done[c][1]
+            k = key(item[1])
+            group = waiting.setdefault(k, [[], 0])
+            group[0].append(item)
+            group[1] += nbytes(item[0])
+            if group[1] >= SWEEP_CHUNK_BYTES:
+                run_key(k)
+    for k in list(waiting):  # in the order of their first waiting case
+        run_key(k)
+    if error is not None:
+        raise error
+    rows, failures = [], []
+    for c in range(count):
+        rows += done[c][0]
+        failures += done[c][1]
     return rows, failures
 
 
@@ -228,14 +249,20 @@ def _exp_contract_sweep(params, rng, tols):
     s_grid = [k / (s_steps - 1) for k in range(s_steps)]
     shapes = [_CONTRACT_SHAPES[case % len(_CONTRACT_SHAPES)] for case in range(count)]
     d_max, D_max = np.max([contraction_output_dims(d, D) for d, D, _ in shapes], axis=0)
-    first_end, cross = None, 0.0  # case 0's padded endpoint; the largest distance from it
+    first_end, cross = None, 0.0  # the first run's first padded endpoint; the largest distance
 
     def run(items):
         nonlocal first_end, cross
         P = contraction_path([A for _, A in items], s_grid, tols=tols)
         found = _decomposition_pass(P.reshape((-1,) + P.shape[2:]), tols)
+        # the last grid point is s = 1: P[:, -1] are the endpoints
         target = contraction_endpoint(items[0][1].d, items[0][1].D).mats
-        results = []
+        devs = np.abs(P[:, -1] - target).max(axis=(1, 2, 3))
+        ends = np.zeros((len(P), d_max, D_max, D_max), dtype=complex)
+        ends[:, :P.shape[2], :P.shape[3], :P.shape[4]] = P[:, -1]
+        first_end = ends[0] if first_end is None else first_end
+        cross = max(cross, float(np.abs(ends - first_end).max()))
+        ranks, norms, results = found.ranks.tolist(), found.norm.tolist(), []
         for j, (case, _) in enumerate(items):
             rows, failures = [], []
             for k, s in enumerate(s_grid, j * s_steps):
@@ -244,13 +271,8 @@ def _exp_contract_sweep(params, rng, tols):
                                     f"({found.errors[k]})")
                     rows.append((case, s, -1, math.nan))
                 else:
-                    rows.append((case, s, found.ranks[k], found.norm[k]))
-            # the last grid point is s = 1: P[j, -1] is the endpoint
-            dev = float(np.abs(P[j, -1] - target).max())
-            _check(failures, dev <= 1e-12, f"case {case}: endpoint deviation {dev:.3e}")
-            end = pad_tensor(MpsTensor(P[j, -1]), d_max, D_max).mats
-            first_end = end if first_end is None else first_end
-            cross = max(cross, float(np.abs(end - first_end).max()))
+                    rows.append((case, s, ranks[k], norms[k]))
+            _check(failures, devs[j] <= 1e-12, f"case {case}: endpoint deviation {devs[j]:.3e}")
             results.append((rows, failures))
         return results
 
@@ -260,7 +282,7 @@ def _exp_contract_sweep(params, rng, tols):
 
     rows, failures = _sweep(
         count, lambda cases: random_tensor_in_e(rng, *zip(*(shapes[c] for c in cases)), tols=tols),
-        lambda A: (A.d, A.D), nbytes, run)
+        lambda A: (A.d, A.D), nbytes, run, held=lambda case: _decomposition_bytes(*shapes[case]))
     _check(failures, cross <= 1e-12, f"endpoints differ across inputs by {cross:.3e}")
     summary = {"count": count, "max_endpoint_cross_dev": cross}
     return _columns(["case", "s", "essential_rank", "core_norm_residual"], rows), summary, failures
@@ -285,16 +307,16 @@ def _exp_retract_sweep(params, rng, tols):
         delta, H = retract([dec_a for _, (dec_a, _) in items], _T_GRID, tols=tols)
         dist = np.abs(H - H[:, :1]).max(axis=(2, 3, 4))
         # at t = 0 the output is the input, whose decomposition is dec_a
-        outs = canonical_decompose(H[:, 1:], tols)
-        moved = [None] * len(outs)  # the key keeps undecomposable gauge-moved inputs apart
+        outs = _decomposition_pass(H[:, 1:].reshape((-1,) + H.shape[2:]), tols)
+        moved, equivalent = None, {}  # the key keeps undecomposable gauge-moved inputs apart
         if isinstance(items[0][1][1], CanonicalDecomposition):
             HB = retract([dec_b for _, (_, dec_b) in items], _T_GRID[1:], tols=tols)[1]
-            moved = canonical_decompose(HB, tols)
-        both = [k for k, pair in enumerate(zip(outs, moved))
-                if all(isinstance(x, CanonicalDecomposition) for x in pair)]
-        equivalent = dict(zip(both, gauge_equivalent([outs[k] for k in both],
-                                                     [moved[k] for k in both], tols)))
-        results = []
+            moved = _decomposition_pass(HB.reshape(outs.B.shape), tols)
+            both = [k for k in range(len(outs.B))
+                    if k not in outs.errors and k not in moved.errors]
+            equivalent = dict(zip(both, gauge_equivalent(outs.cores(both), moved.cores(both),
+                                                         tols)))
+        ranks, norms, results = outs.ranks.tolist(), outs.norm.tolist(), []
         for j, (case, (dec_a, dec_b)) in enumerate(items):
             chi = chis[case % len(chis)]
             rows, failures = [], []
@@ -302,12 +324,14 @@ def _exp_retract_sweep(params, rng, tols):
                 failures.append(f"case {case}: gauge-moved input not decomposable ({dec_b})")
             for i, t in enumerate(_T_GRID):
                 k = j * (len(_T_GRID) - 1) + i - 1
-                dec = outs[k] if i else dec_a
-                if isinstance(dec, TimpsError):
-                    failures.append(f"case {case} t={t}: output not decomposable ({dec})")
+                if i == 0:
+                    rank, resid = dec_a.chi, dec_a.norm_residual
+                elif k in outs.errors:
+                    failures.append(f"case {case} t={t}: output not decomposable "
+                                    f"({outs.errors[k]})")
                     rank, resid = -1, math.nan
                 else:
-                    rank, resid = dec.chi, dec.norm_residual
+                    rank, resid = ranks[k], norms[k]
                 rows.append((case, chi, t, rank, delta[j], dist[j, i], resid))
                 if t == 0.0:
                     _check(failures, dist[j, i] <= 1e-12,
@@ -315,18 +339,26 @@ def _exp_retract_sweep(params, rng, tols):
                 if t == 1.0:
                     _check(failures, 0 < rank < chi,
                            f"case {case}: rank {rank} not below {chi} at t=1")
-                if t > 0.0 and isinstance(moved[k], TimpsError):
+                if t > 0.0 and moved is not None and k in moved.errors:
                     failures.append(f"case {case} t={t}: gauge-moved output not "
-                                    f"decomposable ({moved[k]})")
+                                    f"decomposable ({moved.errors[k]})")
                 elif t > 0.0 and k in equivalent:
                     _check(failures, equivalent[k],
                            f"case {case} t={t}: gauge equivariance failed")
             results.append((rows, failures))
         return results
 
+    def nbytes(case):
+        chi, D = shape(case)
+        return 16 * (2 * len(_T_GRID) - 1) * (chi * D) ** 2
+
+    def held(case):  # the drawn tensor and its gauge-moved partner, each decomposed
+        chi, D = shape(case)
+        return 2 * _decomposition_bytes(chi * chi, D, chi)
+
     rows, failures = _sweep(
         count, draw, lambda ab: (ab[0].d, ab[0].D, ab[0].chi, getattr(ab[1], "chi", None)),
-        lambda case: 16 * (2 * len(_T_GRID) - 1) * (shape(case)[0] * shape(case)[1]) ** 2, run)
+        nbytes, run, held)
     summary = {"count": count, "chis": list(chis)}
     return (_columns(["case", "chi", "t", "essential_rank", "delta",
                       "dist_from_input", "core_norm_residual"], rows), summary, failures)
@@ -599,9 +631,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integer(key: str, default: int, low: int) -> Param:
-    return Param(key, default, int, lambda v, _: _is_int(v) and v >= low,
-                 f"an integer >= {low}")
+def _integer(key: str, default: int, low: int, high: float = math.inf) -> Param:
+    return Param(key, default, int, lambda v, _: _is_int(v) and low <= v <= high,
+                 f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]")
 
 
 def _is_mesh(value) -> bool:
@@ -628,22 +660,26 @@ _MESH = "NxM with integers N, M >= 4"
 
 # Bounds: grids need two points, the rank-lowering retraction an essential
 # rank of 2, make_sphere_mesh 4x4, and a sweep or block at least one item.
+# Upper bounds keep one case's arrays within 64 MiB (2**26 bytes): a
+# gamma-check block of (3 block + 1) x block floats, a contract-sweep case's
+# 16 s_steps d_out (D + 1)^2 output bytes, 13,824 s_steps at its largest
+# shape, and a retract-sweep case's 144 (chi D)^2 with D <= chi + 1.
 EXPERIMENTS = {
     "gamma-check": Experiment(_exp_gamma_check, "isometry path deviation sweep", False, (
         Param("phi", "both", str, lambda v, _: isinstance(v, str) and v in _PHI_RULES,
               f"one of {', '.join(_PHI_RULES)}"),
-        _integer("block", 64, 1),
+        _integer("block", 64, 1, 1672),
         _integer("t_steps", 21, 2),
     )),
     "contract-sweep": Experiment(_exp_contract_sweep, "contraction path membership sweep", True, (
         _integer("count", 20, 1),
-        _integer("s_steps", 11, 2),
+        _integer("s_steps", 11, 2, 4854),
     )),
     "retract-sweep": Experiment(_exp_retract_sweep, "rank-lowering retraction sweep", True, (
         _integer("count", 100, 1),
         Param("chis", [2, 3], lambda text: [int(c) for c in text.split(",")],
-              lambda v, _: _is_list_of(v, lambda c: _is_int(c) and c >= 2),
-              "a non-empty list of integers >= 2 (essential ranks to sample)", flag="chi"),
+              lambda v, _: _is_list_of(v, lambda c: _is_int(c) and 2 <= c <= 25),
+              "a non-empty list of integers in [2, 25] (essential ranks to sample)", flag="chi"),
     )),
     "aklt-sweep": Experiment(_exp_aklt_sweep, "interpolation family invariants", False, (
         Param("g_start", 0.05, float, lambda v, _: _is_number(v) and 0.0 < v <= 1.0,

@@ -311,10 +311,19 @@ class _Pass:
     norm: np.ndarray
     errors: dict
 
-    def results(self, mats: np.ndarray) -> list:
-        """Each tensor's decomposition, or the error the pass found for it."""
-        return [self.errors.get(n) or self.decomposition(n, MpsTensor(m))
-                for n, m in enumerate(mats)]
+    def results(self, mats: np.ndarray, given=None) -> list:
+        """Each tensor's decomposition, or the error the pass found for it; a
+        decomposition carries its ``given`` entry when that is an ``MpsTensor``,
+        as the N=1 call does."""
+        given = [None] * len(mats) if given is None else given
+        return [self.errors.get(n) or self.decomposition(
+                    n, g if isinstance(g, MpsTensor) else MpsTensor(m))
+                for n, (m, g) in enumerate(zip(mats, given))]
+
+    def cores(self, idx: list) -> list:
+        """The core ``B[n, :, :chi, :chi]`` of each tensor ``n`` of ``idx``,
+        which the pass did not refuse, as views of ``B``."""
+        return [self.B[n, :, :chi, :chi] for n, chi in zip(idx, self.ranks[idx].tolist())]
 
     def decomposition(self, n: int, tensor: MpsTensor) -> CanonicalDecomposition:
         """The decomposition of tensor ``n``, which the pass did not refuse."""
@@ -392,7 +401,8 @@ def canonical_decompose(A, tols: Tolerances = DEFAULT_TOLS):
     (of any shapes): the result is then the list, in C order, of each
     tensor's decomposition or of the ``TimpsError`` the N=1 call raises on
     it, from one :func:`_decomposition_pass` per shape; a decomposition in
-    the sequence is passed through.  One tensor is the N=1 call.
+    the sequence is passed through, and an ``MpsTensor`` is carried by its
+    decomposition, as in the N=1 call.  One tensor is the N=1 call.
     """
     if isinstance(A, CanonicalDecomposition):
         return A
@@ -403,7 +413,9 @@ def canonical_decompose(A, tols: Tolerances = DEFAULT_TOLS):
             found = iter(canonical_decompose([a for a, g in zip(A, given) if not g], tols))
             return [a if g else next(found) for a, g in zip(A, given)]
     if not isinstance(A, MpsTensor):
-        return _stacked(A, lambda mats: _decomposition_pass(mats, tols).results(mats))
+        def passed(mats, *given):
+            return _decomposition_pass(mats, tols).results(mats, *given)
+        return _stacked(A, passed, *([] if isinstance(A, np.ndarray) else [A]))
     found = _decomposition_pass(A.mats[None], tols)
     if found.errors:
         raise found.errors[0]
@@ -685,22 +697,26 @@ def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
 
     True iff the essential ranks agree and the fidelity per site of the
     cores is at least ``1 - tols.tol_fid``.  ``A`` and ``B`` may also be
-    equal-length sequences: the verdict of each pair then comes back as a
-    bool array, from one stacked mixed-transfer spectrum per group of pairs
-    sharing the rank and the larger physical dimension; a single pair is
-    the N=1 call.
+    equal-length sequences of tensors, decompositions or cores (``(d, chi,
+    chi)`` arrays, right-normalized and injective, as a decomposition's
+    ``K``; an ``(N, d, chi, chi)`` array is a stack of them): the verdict of
+    each pair then comes back as a bool array, from one stacked
+    mixed-transfer spectrum per group of pairs sharing the rank and the
+    larger physical dimension; a single pair, two cores among them, is the
+    N=1 call.  Every pair is judged on its two cores.
     """
-    single = isinstance(A, (MpsTensor, CanonicalDecomposition))
-    decs_a = [_decomposition(a, tols) for a in ([A] if single else A)]
-    decs_b = [_decomposition(b, tols) for b in ([B] if single else B)]
-    both = [n for n, (a, b) in enumerate(zip(decs_a, decs_b, strict=True)) if a.chi == b.chi]
+    single = isinstance(A, (MpsTensor, CanonicalDecomposition)) or getattr(A, "ndim", 0) == 3
+    cores_a, cores_b = ([x if isinstance(x, np.ndarray) else _decomposition(x, tols).K
+                         for x in ([X] if single else X)] for X in (A, B))
+    both = [n for n, (a, b) in enumerate(zip(cores_a, cores_b, strict=True))
+            if a.shape[-1] == b.shape[-1]]
     # each pair's cores, zero-padded to the larger physical dimension
-    pairs = [np.zeros((2, max(decs_a[n].d, decs_b[n].d)) + decs_a[n].K.shape[1:], dtype=complex)
-             for n in both]
+    pairs = [np.zeros((2, max(len(cores_a[n]), len(cores_b[n]))) + cores_a[n].shape[1:],
+                      dtype=complex) for n in both]
     for n, pair in zip(both, pairs):
-        pair[0, :decs_a[n].d], pair[1, :decs_b[n].d] = decs_a[n].K, decs_b[n].K
+        pair[0, :len(cores_a[n])], pair[1, :len(cores_b[n])] = cores_a[n], cores_b[n]
 
-    out = np.zeros(len(decs_a), dtype=bool)
+    out = np.zeros(len(cores_a), dtype=bool)
     out[both] = _stacked(pairs, lambda P: fidelity_per_site(P[:, 0], P[:, 1])
                          >= 1.0 - tols.tol_fid)
     return bool(out[0]) if single else out

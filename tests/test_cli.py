@@ -462,6 +462,13 @@ BAD_INPUTS = [
     # g_start = 0, the rank-1 endpoint: exited 1
     (["aklt-sweep", "--g-start", "0"], None, "g_start"),
     (None, {"experiment": "aklt-sweep", "params": {"g_start": 0}}, "g_start"),
+    # one case too large for memory: exited 1 with a numpy traceback, or grew
+    # past 3 GB; refused before any draw
+    (["gamma-check", "--block", "100000"], None, "block"),
+    (["retract-sweep", "--seed", "1", "--chi", "1000", "--count", "1"], None, "chis"),
+    (["contract-sweep", "--seed", "1", "--count", "1", "--s-steps", "100000000"], None,
+     "s_steps"),
+    (None, {"experiment": "retract-sweep", "seed": 1, "params": {"chis": [2, 26]}}, "chis"),
 ]
 
 
@@ -484,6 +491,25 @@ def test_bad_inputs_are_config_errors(tmp_path, capsys, args, config, name):
     assert name in err
     assert "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
+
+
+# The largest value of each bounded parameter and the one past it, with the
+# bytes of one case of that size (the largest contract-sweep shape, and a
+# retract-sweep case at D = chi + 1): the bounds keep a case within 2**26.
+@pytest.mark.parametrize("experiment, key, largest, past, case_bytes", [
+    ("gamma-check", "block", 1672, 1673, lambda b: 8 * (3 * b + 1) * b),
+    ("contract-sweep", "s_steps", 4854, 4855, lambda s: max(
+        16 * s * cli.contraction_output_dims(d, D)[0] * (D + 1) ** 2
+        for d, D, _ in cli._CONTRACT_SHAPES)),
+    ("retract-sweep", "chis", [2, 25], [2, 26],
+     lambda chis: 144 * (chis[-1] * (chis[-1] + 1)) ** 2),
+])
+def test_upper_bounds_keep_one_case_within_64_mib(experiment, key, largest, past, case_bytes):
+    params = EXPERIMENTS[experiment].params
+    param = next(p for p in params if p.key == key)
+    defaults = {p.key: p.default for p in params}
+    assert param.check(largest, defaults) and case_bytes(largest) <= 1 << 26
+    assert not param.check(past, defaults) and case_bytes(past) > 1 << 26
 
 
 # Property test of the exit-code contract, driven by the parameter table:

@@ -31,7 +31,9 @@ from timps.sampling import (
     random_tensor_in_e,
 )
 from timps.tensors import (
+    CanonicalDecomposition,
     MpsTensor,
+    _decomposition_pass,
     apply_gauge,
     canonical_decompose,
     essential_rank,
@@ -542,6 +544,26 @@ def test_stacked_decompositions_and_gauge_test_match_n1_calls(make_rng, chi, D):
     assert verdicts[: len(outs[0])].all()
 
 
+@pytest.mark.parametrize("chi, D", RETRACT_SHAPES)
+def test_gauge_test_on_a_passs_cores_is_the_test_on_its_decompositions(make_rng, chi, D):
+    decs, moved = split_draws(make_rng(20 + 10 * chi + D), chi, D)
+    mats = [retract(group, TIMES)[1].reshape((-1, chi * chi, D, D)) for group in (decs, moved)]
+    passes = [_decomposition_pass(m, DEFAULT_TOLS) for m in mats]
+    outs = [canonical_decompose(m) for m in mats]
+    kept = [k for k in range(len(mats[0])) if all(k not in p.errors for p in passes)]
+    # t = 1 lowers the rank: pairs across times mix equal and unequal ranks
+    a, b = kept + kept, kept + kept[::-1]
+    want = [gauge_equivalent(outs[0][j], outs[1][k]) for j, k in zip(a, b)]
+    assert gauge_equivalent(passes[0].cores(a), passes[1].cores(b)).tolist() == want
+    # cores mixed with decompositions, and an (N, d, chi, chi) stack of cores
+    assert gauge_equivalent(passes[0].cores(a), [outs[1][k] for k in b]).tolist() == want
+    stack = np.array([dec.K for dec in decs])
+    assert gauge_equivalent(stack, moved).tolist() == gauge_equivalent(decs, moved).tolist()
+    assert gauge_equivalent(stack, moved).all()
+    assert gauge_equivalent(stack[0], moved[0].K) is gauge_equivalent(decs[0], moved[0]) is True
+    assert gauge_equivalent(outs[0][-1].K, outs[1][0].K) is False  # rank chi - 1 against chi
+
+
 @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
 def test_stacked_decompositions_of_contraction_paths_match_n1_calls(make_rng, shape):
     decs = [random_tensor_in_e(make_rng(30 + sum(shape)), *shape) for _ in range(3)]
@@ -733,15 +755,23 @@ def one_at_a_time_contract_sweep(count, s_steps, rng, tols):
     return rows, failures
 
 
+# Sweep budgets: smaller than one case (a window and a run per case), the
+# shipped one, and larger than any whole sweep here (one window, one run per
+# shape).
+BUDGETS = pytest.mark.parametrize("budget", [1, cli.SWEEP_CHUNK_BYTES, 1 << 40],
+                                  ids=["one-case", "shipped", "whole-sweep"])
+
+
+@BUDGETS
 @pytest.mark.parametrize("seed, count, tols", [
     (1, 20, strict(tol_norm=5e-15)),
     (2, 20, strict(tol_norm=5e-15)),
     (2, 40, strict(tol_fid=1e-15)),
     (3, 12, DEFAULT_TOLS),
 ], ids=["tol_norm-1", "tol_norm-2", "tol_fid", "default"])
-def test_stacked_retract_sweep_keeps_the_one_at_a_time_order(monkeypatch, seed, count, tols):
-    # small windows, so that one sweep spans several of them
-    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 1 << 16)
+def test_stacked_retract_sweep_keeps_the_one_at_a_time_order(monkeypatch, seed, count, tols,
+                                                             budget):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", budget)
     rng = lambda: np.random.default_rng(np.random.PCG64(seed))  # noqa: E731
     columns, _, failures = cli._exp_retract_sweep({"count": count, "chis": [2, 3]}, rng(), tols)
     rows = list(zip(*columns.values()))
@@ -753,10 +783,11 @@ def test_stacked_retract_sweep_keeps_the_one_at_a_time_order(monkeypatch, seed, 
 
 # at tol_norm 4e-15 roundoff alone refuses a few path points, and the draws
 # of seed 1 still pass
+@BUDGETS
 @pytest.mark.parametrize("tols", [DEFAULT_TOLS, strict(tol_norm=4e-15)],
                          ids=["default", "tol_norm"])
-def test_stacked_contract_sweep_keeps_the_one_at_a_time_order(monkeypatch, tols):
-    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 1 << 18)
+def test_stacked_contract_sweep_keeps_the_one_at_a_time_order(monkeypatch, tols, budget):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", budget)
     rng = lambda: np.random.default_rng(np.random.PCG64(1))  # noqa: E731
     columns, _, failures = cli._exp_contract_sweep({"count": 12, "s_steps": 6}, rng(), tols)
     rows = list(zip(*columns.values()))
@@ -798,4 +829,76 @@ def test_sweep_returns_results_in_case_order(monkeypatch):
     rows, failures = cli._sweep(12, list, lambda case: case % 3, lambda _: 1, run)
     assert rows == [v for case in range(12) for v in (case, -case)]
     assert failures == [f"case {case}" for case in range(12)]
-    assert calls == [[0, 3], [1, 4], [2], [5, 8], [6, 9], [7], [10], [11]]
+    assert calls == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
+
+
+def test_sweep_runs_a_key_once_its_output_reaches_the_budget(monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 4)
+    calls, windows = [], []
+
+    def draw(cases):
+        windows.append(cases)
+        return list(cases)
+
+    def run(items):
+        calls.append([case for case, _ in items])
+        return [([case], []) for case, _ in items]
+
+    # each case holds 1 byte and outputs 2: windows of four cases, runs of two
+    rows, _ = cli._sweep(11, draw, lambda case: case % 2, lambda _: 2, run, held=lambda _: 1)
+    assert rows == list(range(11))
+    assert windows == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10]]
+    assert calls == [[0, 2], [1, 3], [4, 6], [5, 7], [8, 10], [9]]
+
+
+def array_bytes(obj) -> int:
+    """Bytes of the distinct arrays a drawn case holds: those of a
+    decomposition (its tensor, X, K, M), of each of a tuple's entries, or none."""
+    if isinstance(obj, tuple):
+        return sum(map(array_bytes, obj))
+    if isinstance(obj, CanonicalDecomposition):
+        return sum(a.nbytes for a in (obj.tensor.mats, obj.X, obj.K, obj.M))
+    return 0
+
+
+@pytest.mark.parametrize("budget", [1 << 14, cli.SWEEP_CHUNK_BYTES], ids=["small", "shipped"])
+@pytest.mark.parametrize("args", [
+    ["retract-sweep", "--seed", "1", "--count", "400"],
+    ["contract-sweep", "--seed", "1", "--count", "200"],
+], ids=["retract", "contract"])
+def test_sweeps_hold_at_most_the_budget_and_one_case(monkeypatch, tmp_path, args, budget):
+    # what a window's drawn cases hold and what a run's retract or
+    # contraction_path calls return, measured on the arrays themselves
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", budget)
+    real_sweep, windows, runs, made = cli._sweep, [], [], []
+
+    def spied(count, draw, key, nbytes, run, held=None):
+        def spy_draw(cases):
+            drawn = draw(cases)
+            sizes = [array_bytes(x) for x in drawn if not isinstance(x, TimpsError)]
+            assert all(size <= held(c) for c, size in zip(cases, sizes))
+            windows.append((sum(sizes), max(map(held, cases))))
+            return drawn
+
+        def spy_run(items):
+            made.clear()
+            out = run(items)
+            runs.append((sum(made), max(nbytes(c) for c, _ in items)))
+            return out
+
+        return real_sweep(count, spy_draw, key, nbytes, spy_run, held)
+
+    for name in ("retract", "contraction_path"):
+        real = getattr(cli, name)
+
+        def measured(*a, _real=real, **k):
+            out = _real(*a, **k)
+            made.append((out[1] if isinstance(out, tuple) else out).nbytes)  # the tensors
+            return out
+
+        monkeypatch.setattr(cli, name, measured)
+    monkeypatch.setattr(cli, "_sweep", spied)
+    assert cli.main(args + ["--out", str(tmp_path)]) == 0
+    assert len(runs) > 1
+    assert all(size <= budget + case for size, case in windows)
+    assert all(size <= budget + case for size, case in runs)

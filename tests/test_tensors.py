@@ -200,6 +200,8 @@ def test_decomposition_is_returned_as_given(rng):
     for got, tensor in ((found[1], other), (found[2], dec.tensor)):
         alone = canonical_decompose(tensor)
         assert all(np.array_equal(getattr(got, f), getattr(alone, f)) for f in "XKM")
+        # and carry the tensor given, as the N=1 call does
+        assert got.tensor is tensor is alone.tensor
     assert essential_rank(dec) == 2
     assert np.array_equal(range_projection(dec), range_projection(dec.tensor))
 
