@@ -60,8 +60,8 @@ BRANCH_CUT_MARGIN = 0.1
 RESIDUAL_CAP = 1e-3
 # Vertices or edges per stacked pass.  Larger chunks save little call
 # overhead but raise peak memory: on the w4=0.7 pump slice at 128x128 the
-# process peaks at 45.2 MB with chunks of 2048 and at 89.6 MB with the
-# whole mesh in one pass (numpy 2.4, certified link kernel).
+# process peaks at 45.5 MB with chunks of 2048 and at 90.0 MB with the
+# whole mesh in one pass (numpy 2.4, certified link and injectivity kernels).
 CHUNK = 2048
 
 

@@ -26,6 +26,7 @@ Everything here is a pure function over immutable values; no shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,21 +184,83 @@ def range_projection(A: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> np.ndarra
 
 
 def _injective(K: np.ndarray, tols: Tolerances) -> np.ndarray:
-    """Injectivity of ``(..., d, chi, chi)`` cores, on the singular values of
-    their ``d x chi^2`` vectorizations."""
+    """Injectivity of ``(..., d, chi, chi)`` cores: whether the ``d x chi^2``
+    vectorization ``M`` has full numerical rank, every singular value above
+    ``eps_rank`` times the largest.  :func:`_certified_injective` proves it
+    for a whole stack at once; the rows it cannot prove get the verdict of
+    their singular values, so every verdict (and the ``LinAlgError`` of a
+    non-finite core) is the one ``svd`` gives."""
     d, chi = K.shape[-3], K.shape[-1]
-    if d < chi * chi:
+    n = chi * chi
+    if d < n:
         return np.zeros(K.shape[:-3], dtype=bool)
-    s = np.linalg.svd(K.reshape(K.shape[:-3] + (d, chi * chi)), compute_uv=False)
-    return (s[..., 0] != 0.0) & ((s > tols.eps_rank * s[..., :1]).sum(axis=-1) == chi * chi)
+    M = K.reshape((-1, d, n))
+    ok = _certified_injective(M, tols)
+    if not ok.all():
+        s = np.linalg.svd(M[~ok], compute_uv=False)
+        ok[~ok] = (s[:, 0] != 0.0) & ((s > tols.eps_rank * s[:, :1]).sum(axis=-1) == n)
+    return ok.reshape(K.shape[:-3])
+
+
+def _certified_injective(M: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """Rows of an ``(N, d, n)`` stack, ``d >= n``, whose computed singular
+    values ``s`` are proven to pass ``s > eps_rank * s[0]``, without an ``svd``.
+
+    Let ``X`` be ``M`` if ``d = n``, else the ``R`` of its Householder QR,
+    and ``f = ||M||_F``.  ``prod s_i <= s_n s_1^(n-1)`` and ``s_1 <= f`` give
+    ``s_n / s_1 >= q = |det X| / f^n``, read off one batched ``slogdet`` as
+    ``log|det X| - n log f``; at ``n = 1``, ``q`` is 1.  Rounding
+    (Higham, chapters 3, 9, 14 and 19; ``eps`` the machine epsilon):
+
+    - ``|det X|`` is exactly ``prod s_i(M + E)``, ``||E||_F <= delta f``.
+      QR: ``delta = 64 d n eps`` (the ``gamma~_(dn)`` of Householder QR), and
+      the LU of the triangular ``R`` rounds nothing.  LU of ``M``:
+      ``|E| <= sqrt(2) gamma_(n+2) |L||U|`` in complex arithmetic, LAPACK's
+      ``|Re| + |Im|`` pivoting keeps ``|l_ij| <= sqrt 2`` and the growth below
+      ``(1 + sqrt 2)^(n-1)``, so ``delta = n (n + 1) (n + 2) (1 + sqrt
+      2)^(n-1) eps``;
+    - ``svd`` returns the singular values of ``M + E'``, ``||E'||_2 <= 64 d n
+      eps f`` (LAPACK's ``p(d, n) eps ||M||_2``, ``p`` taken as ``64 d n``);
+    - the ``n`` logs of the pivots and that of ``f`` (to ``(d n + 1) eps``)
+      are each off by ``745 eps`` plus their argument's error, and summing
+      adds ``745 n^2 eps``; with ``||M + E||_F <= (1 + delta) f`` the computed
+      ``log q`` exceeds ``log |det(M + E)| / ||M + E||_F^n`` by at most ``tau
+      = n (delta + (d + 5000) n eps)``.
+
+    Weyl moves each singular value from ``M + E`` to ``M + E'`` by at most
+    ``(delta + 64 d n eps) f``, which is at most ``kappa = 2 sqrt(n) (delta +
+    64 d n eps)`` times ``s_1(M + E) >= (1 - delta) f / sqrt n`` (rows are
+    tried only where ``kappa < 1``, so ``delta < 1/2``).  So ``svd``'s ratio
+    is at least ``(q' - kappa) / (1 + kappa)``, ``q' = |det(M + E)| / ||M +
+    E||_F^n >= exp(log q - tau)``, and it passes the rounded ``eps_rank *
+    s[0]`` once ``q' > T = (1 + eps)(1 + kappa) eps_rank + kappa``: a row is
+    certified where ``log q - tau > log T``.
+    Rows with ``f`` outside ``[2^-250, 2^250]``, where an underflow or
+    overflow would escape these bounds, are not.  By AM-GM ``q <=
+    n^(-n/2)``; where that cannot pass (``chi >= 4`` at the default
+    ``eps_rank``, or ``kappa >= 1``) no row is tried."""
+    N, d, n = M.shape
+    eps = np.finfo(float).eps
+    delta = (n * (n + 1) * (n + 2) * (1 + math.sqrt(2)) ** (n - 1) if d == n else 64 * d * n) * eps
+    kappa = 2 * math.sqrt(n) * (delta + 64 * d * n * eps)
+    floor = (math.log((1 + eps) * (1 + kappa) * tols.eps_rank + kappa)
+             + n * (delta + (d + 5000) * n * eps))
+    if not N or -n / 2 * math.log(n) <= floor:
+        return np.zeros(N, dtype=bool)
+    with np.errstate(all="ignore"):  # a zero, huge or non-finite row stays uncertified
+        f = _norms(M)
+        logdet = np.linalg.slogdet(M if d == n else np.linalg.qr(M, mode="r"))[1]
+        return (f >= 2.0 ** -250) & (f <= 2.0 ** 250) & (logdet - n * np.log(f) > floor)
 
 
 def is_injective(mats, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff the matrices span the full matrix algebra of their size.
 
-    Decided on the singular values of the ``d x chi^2`` vectorization: the
-    span is full iff the numerical rank equals ``chi^2``.  This is the N=1
-    call of the injectivity test every decomposition makes.
+    The span is full iff the ``d x chi^2`` vectorization has numerical rank
+    ``chi^2``: every singular value above ``eps_rank`` times the largest.  A
+    determinant bound proves that without an ``svd`` for well-conditioned
+    matrices; the rest are decided on their singular values.  This is the
+    N=1 call of the injectivity test every decomposition makes.
     """
     arr = np.asarray(mats, dtype=complex)
     d, chi, chi2 = arr.shape
@@ -261,7 +324,9 @@ def _memberships(B: np.ndarray, chi: int, tols: Tolerances):
     normalization, injectivity.  The reassembly error is the largest
     Frobenius norm, over the physical index, of the columns past ``chi``
     (what the block form drops); the normalization residual is the Frobenius
-    distance of ``sum_i K^i K^{i*}`` from the identity."""
+    distance of ``sum_i K^i K^{i*}`` from the identity.  Injectivity is
+    :func:`_injective` on the whole stack of cores: one determinant
+    certificate, and an ``svd`` only for the cores it cannot prove."""
     K = np.ascontiguousarray(B[..., :chi, :chi])
     dropped = B[..., chi:]
     recon = (np.sqrt((dropped.real ** 2 + dropped.imag ** 2).sum(axis=(-2, -1))).max(axis=-1)
