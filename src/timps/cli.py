@@ -49,6 +49,7 @@ from .sampling import (
 from .tensors import (
     CanonicalDecomposition,
     _decomposition_pass,
+    _unrefused,
     apply_gauge,
     canonical_decompose,
     fidelity_per_site,
@@ -441,14 +442,6 @@ def _exp_chern(params, rng, tols):
     return columns, summary, failures
 
 
-def _unrefused(results: list) -> list:
-    """``results``, unless one is a refusal: then the first is raised."""
-    error = next((x for x in results if isinstance(x, TimpsError)), None)
-    if error is not None:
-        raise error
-    return results
-
-
 def _chart_decompositions(pts: np.ndarray, north: np.ndarray, tols) -> list:
     """The decomposition or refusal of each ``(w, w4)`` row's north-chart
     (``north[k]``) or south-chart tensor, from one chart and one
@@ -496,7 +489,7 @@ def _exp_pump_boundary(params, rng, tols):
     same = np.flatnonzero(agree).tolist()
     # the south chart has D = 1, so every core kept has shape (4, 1, 1)
     cores = np.array([[decs[2 * k].K, decs[2 * k + 1].K] for k in same]).reshape(-1, 2, 4, 1, 1)
-    fids = fidelity_per_site(cores[:, 0], cores[:, 1]).tolist()
+    fids = fidelity_per_site(cores[:, 0], cores[:, 1], tols).tolist()
     rows += [("overlap_fidelity", k, fid) for k, fid in zip(same, fids)]
     min_fid = min([1.0] + fids)
     _check(failures, min_fid >= 1.0 - 1e-9,
@@ -839,8 +832,8 @@ def main(argv=None) -> int:
         if isinstance(family, str) and family.startswith("@"):
             params["family"] = json.loads(Path(family[1:]).read_text(encoding="utf-8"))
         return run_experiment(args.command, params, args.seed, Path(args.out), tols)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"config error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

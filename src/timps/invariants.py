@@ -2,7 +2,8 @@
 
 The connection is discretized on mesh edges: the link variable of a directed
 edge u -> v is the unit-modulus phase of the leading eigenvalue of the mixed
-core transfer map (core at u on the left).  Plaquette curvature is the
+core transfer map (core at u on the left), from :func:`tensors.mixed_transfer_leading`,
+the one kernel that also gives the fidelities per site.  Plaquette curvature is the
 argument of the oriented product of link variables; because every geometric
 edge of a closed mesh is shared by two plaquettes with opposite orientation,
 the total curvature is an exact integer multiple of 2*pi up to roundoff.
@@ -29,14 +30,14 @@ from .errors import (
 )
 from .families import Mesh2, VertexData
 from .tensors import (
+    OVERLAP_FLOOR,
     MpsTensor,
-    _certified_leading,
     _decomposition_pass,
     _degenerate,
     _shape_groups,
-    _sorted_spectrum,
+    _unrefused,
     canonical_decompose,
-    transfer_kernel,
+    mixed_transfer_leading,
 )
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "flagged_message",
 ]
 
-OVERLAP_FLOOR = 1e-8
 BRANCH_CUT_MARGIN = 0.1
 # Largest distance of a Chern total from the nearest integer that still
 # counts as that integer.
@@ -67,53 +67,42 @@ CHUNK = 2048
 
 def _edge_links(K_u: np.ndarray, K_v: np.ndarray, tols: Tolerances) -> np.ndarray:
     """Link variables of stacked edges ``u -> v``: the phases of the leading
-    mixed-transfer eigenvalues, from :func:`tensors._certified_leading`.
-    The edges it leaves uncertified, or whose leading modulus is below twice
-    ``OVERLAP_FLOOR``, take a full ``eigvals`` spectrum; one of them whose
+    eigenvalues of :func:`tensors.mixed_transfer_leading`.  An edge whose
     leading overlap vanishes, or whose leading eigenvalue is not separated
-    from the next one, is refused, and the error raised is that of the
-    first refused edge.  A certified edge is one that ``eigvals`` accepts:
-    its gap is proven and its modulus is above twice the floor."""
-    T = transfer_kernel(K_u, K_v)
-    lead, bound = _certified_leading(T, tols)
-    unsure = np.isinf(bound) | (np.abs(lead) < 2.0 * OVERLAP_FLOOR)
-    if unsure.any():
-        vals = _sorted_spectrum(np.linalg.eigvals(T[unsure]))
-        mod = np.abs(vals[:, 0])
-        vanishing = mod < OVERLAP_FLOOR
-        refused = vanishing | _degenerate(vals, tols)
-        if refused.any():
-            e = int(np.argmax(refused))
-            if vanishing[e]:
-                raise VanishingOverlapError(
-                    f"leading overlap modulus {mod[e]:.3e} below {OVERLAP_FLOOR:.1e}; "
-                    "states nearly orthogonal (mesh too coarse)"
-                )
-            raise DegenerateLeadingEigenvalueError(
-                f"mixed transfer eigenvalues {mod[e]:.6e} and {abs(vals[e, 1]):.6e} are within "
-                f"the gap tolerance {tols.tol_gap:.1e}; the link phase is ill-defined"
+    from the next one, is refused, and the error raised is that of the first
+    refused edge.  The kernel's bound is the exact second modulus wherever
+    the refusals could apply: a proven lead is gapped and above twice the
+    floor."""
+    lead, second = mixed_transfer_leading(K_u, K_v, tols)
+    mod = np.abs(lead)
+    vanishing = mod < OVERLAP_FLOOR
+    refused = vanishing | _degenerate(np.stack([lead, second], axis=-1), tols)
+    if refused.any():
+        e = int(np.argmax(refused))
+        if vanishing[e]:
+            raise VanishingOverlapError(
+                f"leading overlap modulus {mod[e]:.3e} below {OVERLAP_FLOOR:.1e}; "
+                "states nearly orthogonal (mesh too coarse)"
             )
-        lead[unsure] = vals[:, 0]
-    return lead / np.abs(lead)
+        raise DegenerateLeadingEigenvalueError(
+            f"mixed transfer eigenvalues {mod[e]:.6e} and {second[e]:.6e} are within "
+            f"the gap tolerance {tols.tol_gap:.1e}; the link phase is ill-defined"
+        )
+    return lead / mod
 
 
 def link_variable(A_u: MpsTensor, A_v: MpsTensor, tols: Tolerances = DEFAULT_TOLS) -> complex:
-    """Unit-modulus link variable of the directed edge u -> v.
+    """Unit-modulus link variable of the directed edge u -> v: the N=1 call
+    of the mesh links.
 
     Computed from the canonical cores of the two tensors, decomposed in one
     pass; their essential ranks must agree.
     """
-    found = canonical_decompose([A_u, A_v], tols)
-    for dec in found:
-        if isinstance(dec, Exception):
-            raise dec
-    dec_u, dec_v = found
+    dec_u, dec_v = _unrefused(canonical_decompose([A_u, A_v], tols))
     if dec_u.chi != dec_v.chi:
         raise RankMismatchError(
             f"essential ranks differ along the edge: {dec_u.chi} vs {dec_v.chi}"
         )
-    if dec_u.d != dec_v.d:
-        raise ValueError("cores must share the physical dimension")
     return _edge_links(dec_u.K[None], dec_v.K[None], tols)[0]
 
 

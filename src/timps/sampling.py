@@ -24,8 +24,8 @@ from .tensors import (
     MpsTensor,
     _assembled,
     _decomposition,
-    _only,
     _stacked,
+    _unrefused,
     assemble,
     canonical_decompose,
     right_normalize,
@@ -157,7 +157,7 @@ def _sample(rng, dims: tuple, case, then, tols: Tolerances, depth: int):
             out.append(NotInOError(
                 f"64 draws failed to give a split core spectrum (chi={chi}, D={D})"))
             break
-    return _only(out) if single else out
+    return _unrefused(out)[0] if single else out
 
 
 def _pass(rng, todo: list, then, tols: Tolerances, depth: int) -> tuple:

@@ -53,8 +53,8 @@ __all__ = [
     "right_normalize",
     "apply_gauge",
     "transfer_kernel",
+    "OVERLAP_FLOOR",
     "mixed_transfer_leading",
-    "mixed_transfer_spectra",
     "fidelity_per_site",
     "gauge_equivalent",
     "pad_tensor",
@@ -64,6 +64,9 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
+
+# Leading mixed-transfer moduli below this are vanishing overlaps.
+OVERLAP_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +96,6 @@ class MpsTensor:
     @property
     def D(self) -> int:
         return self.mats.shape[1]
-
-    def scaled(self, factor: complex) -> "MpsTensor":
-        return MpsTensor(self.mats * factor)
 
     def __repr__(self) -> str:
         return f"MpsTensor(d={self.d}, D={self.D})"
@@ -447,11 +447,12 @@ def _shape_groups(mats) -> list:
     return [(np.array(idx), np.array([mats[n] for n in idx])) for idx in groups.values()]
 
 
-def _only(results: list):
-    """The one result of an N=1 call, raised if it is a refusal."""
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+def _unrefused(results: list) -> list:
+    """``results``, unless one is a refusal: then the first is raised."""
+    error = next((x for x in results if isinstance(x, TimpsError)), None)
+    if error is not None:
+        raise error
+    return results
 
 
 def canonical_decompose(A, tols: Tolerances = DEFAULT_TOLS):
@@ -625,7 +626,7 @@ def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     """
     if not isinstance(A, MpsTensor):
         return _stacked(A, lambda mats: _normalized(mats, tols))
-    return _only(_normalized(A.mats[None], tols))
+    return _unrefused(_normalized(A.mats[None], tols))[0]
 
 
 def _normalized(mats: np.ndarray, tols: Tolerances) -> list:
@@ -682,7 +683,7 @@ def apply_gauge(A, move: GaugeMove, tols: Tolerances = DEFAULT_TOLS):
     pair is the N=1 call.
     """
     if isinstance(A, (MpsTensor, CanonicalDecomposition)):
-        return _only(_moved(A.mats[None], [A], [move], tols))
+        return _unrefused(_moved(A.mats[None], [A], [move], tols))[0]
     if len(A) != len(move):
         raise ValueError("apply_gauge needs one move per tensor")
     out = _stacked(A, lambda mats, As, moves: _moved(mats, As, moves, tols), A, move)
@@ -722,35 +723,43 @@ def _moved(mats: np.ndarray, A: list, moves: list, tols: Tolerances) -> list:
             else IncompatibleGaugeMoveError(message) for n, message in enumerate(found)]
 
 
-def mixed_transfer_spectra(K_a: np.ndarray, K_b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the mixed core maps ``B -> sum_i K_a^i B K_b^{i*}`` of
-    stacked core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``, as
-    ``(N, ab)`` arrays in LAPACK order."""
-    return np.linalg.eigvals(transfer_kernel(K_a, K_b))
-
-
-def mixed_transfer_leading(K_a: np.ndarray, K_b: np.ndarray) -> complex:
+def mixed_transfer_leading(K_a, K_b, tols: Tolerances = DEFAULT_TOLS):
     """Leading eigenvalue of the mixed core map ``B -> sum_i K_a^i B K_b^{i*}``.
 
     Its modulus is the fidelity per site; its phase is the overlap link
-    variable between the two states.
+    variable between the two states.  Stacked core pairs, shapes ``(N, d, a,
+    a)`` and ``(N, d, b, b)``, give ``(lead, second)``: each leading
+    eigenvalue and a bound on every other eigenvalue's modulus, from one
+    :func:`_certified_leading` call.  The rows it does not prove, every row
+    when ``a != b`` (its trial vectors need square pairs), and the rows whose
+    lead is below twice ``OVERLAP_FLOOR`` take one ``eigvals`` call instead;
+    their bound is the exact second modulus, 0 when ``ab = 1``.  One pair
+    is the N=1 call and returns the complex eigenvalue.
     """
-    K_a = np.asarray(K_a, dtype=complex)
-    K_b = np.asarray(K_b, dtype=complex)
-    if K_a.shape[0] != K_b.shape[0]:
-        raise ValueError("cores must share the physical dimension")
-    return _sorted_spectrum(mixed_transfer_spectra(K_a[None], K_b[None]))[0, 0]
-
-
-def fidelity_per_site(K_a: np.ndarray, K_b: np.ndarray):
-    """Modulus of the mixed-transfer leading eigenvalue; 1 iff same state.  Stacked
-    core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``, give the ``(N,)``
-    moduli from one spectrum call; one pair is the N=1 call."""
     if np.ndim(K_a) == 3:
-        return float(fidelity_per_site([K_a], [K_b])[0])
+        return mixed_transfer_leading([K_a], [K_b], tols)[0][0]
     if np.shape(K_a)[1] != np.shape(K_b)[1]:
         raise ValueError("cores must share the physical dimension")
-    lead = _sorted_spectrum(mixed_transfer_spectra(K_a, K_b))[:, 0]
+    T = transfer_kernel(K_a, K_b)
+    if np.shape(K_a)[-1] == np.shape(K_b)[-1]:
+        lead, second = _certified_leading(T, tols)
+    else:
+        lead, second = np.full(len(T), np.nan, dtype=complex), np.full(len(T), np.inf)
+    unsure = np.isinf(second) | (np.abs(lead) < 2.0 * OVERLAP_FLOOR)
+    if unsure.any():
+        vals = _sorted_spectrum(np.linalg.eigvals(T[unsure]))
+        lead[unsure] = vals[:, 0]
+        second[unsure] = np.abs(vals[:, 1]) if vals.shape[-1] > 1 else 0.0
+    return lead, second
+
+
+def fidelity_per_site(K_a, K_b, tols: Tolerances = DEFAULT_TOLS):
+    """Modulus of the mixed-transfer leading eigenvalue; 1 iff same state.  Stacked
+    core pairs, shapes ``(N, d, a, a)`` and ``(N, d, b, b)``, give the ``(N,)``
+    moduli from one :func:`mixed_transfer_leading` call; one pair is the N=1 call."""
+    if np.ndim(K_a) == 3:
+        return float(fidelity_per_site([K_a], [K_b], tols)[0])
+    lead = mixed_transfer_leading(K_a, K_b, tols)[0]
     # np.abs of a complex array may round differently from abs() of one
     # eigenvalue; hypot rounds like the latter, at every stack size
     return np.hypot(lead.real, lead.imag)
@@ -766,7 +775,7 @@ def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
     chi)`` arrays, right-normalized and injective, as a decomposition's
     ``K``; an ``(N, d, chi, chi)`` array is a stack of them): the verdict of
     each pair then comes back as a bool array, from one stacked
-    mixed-transfer spectrum per group of pairs sharing the rank and the
+    :func:`mixed_transfer_leading` call per group of pairs sharing the rank and the
     larger physical dimension; a single pair, two cores among them, is the
     N=1 call.  Every pair is judged on its two cores.
     """
@@ -782,7 +791,7 @@ def gauge_equivalent(A, B, tols: Tolerances = DEFAULT_TOLS):
         pair[0, :len(cores_a[n])], pair[1, :len(cores_b[n])] = cores_a[n], cores_b[n]
 
     out = np.zeros(len(cores_a), dtype=bool)
-    out[both] = _stacked(pairs, lambda P: fidelity_per_site(P[:, 0], P[:, 1])
+    out[both] = _stacked(pairs, lambda P: fidelity_per_site(P[:, 0], P[:, 1], tols)
                          >= 1.0 - tols.tol_fid)
     return bool(out[0]) if single else out
 

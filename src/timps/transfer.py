@@ -26,10 +26,10 @@ from .tensors import (
     _dagger,
     _degenerate,
     _leading_fixed_point,
-    _only,
     _sandwich,
     _sorted_spectrum,
     _stacked,
+    _unrefused,
     transfer_kernel,
 )
 
@@ -134,7 +134,7 @@ def fixed_point(K, tols: Tolerances = DEFAULT_TOLS):
     """
     if not _one_core(K):
         return _stacked(K, lambda mats: _fixed_points(mats, tols))
-    return _only(_fixed_points(_core_mats(K)[None], tols))
+    return _unrefused(_fixed_points(_core_mats(K)[None], tols))[0]
 
 
 def _fixed_points(mats: np.ndarray, tols: Tolerances) -> list:

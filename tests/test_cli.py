@@ -310,6 +310,25 @@ def test_unrunnable_parameters_exit_two(tmp_path, capsys, args):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array"),
+     "config error: Unable to allocate 8.00 GiB for an array\n"),
+    (MemoryError(), "config error: MemoryError\n"),
+])
+def test_an_allocation_failure_exits_two_without_artifacts(tmp_path, capsys, monkeypatch,
+                                                           error, line):
+    def exhausted(params, rng, tols):
+        raise error
+
+    monkeypatch.setitem(EXPERIMENTS, "gamma-check",
+                        EXPERIMENTS["gamma-check"]._replace(body=exhausted))
+    assert run_cli(["gamma-check", "--out", tmp_path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+    assert not (tmp_path / "gamma-check.csv").exists()
+    assert not (tmp_path / "gamma-check.json").exists()
+
+
 def test_run_config_missing_file(tmp_path):
     assert run_cli(["run", tmp_path / "nope.json"]) == 2
 

@@ -54,7 +54,7 @@ def test_link_variable_phase_covariance():
     u = psi2_tensor(0.6, 0.8)
     v = psi2_tensor(0.8, 0.6)
     base = link_variable(u, v)
-    spun = link_variable(u.scaled(np.exp(0.7j)), v)
+    spun = link_variable(MpsTensor(u.mats * np.exp(0.7j)), v)
     assert spun == pytest.approx(base * np.exp(0.7j))
 
 
@@ -104,7 +104,7 @@ def test_vertex_phase_leaves_curvature_invariant():
     mesh = make_sphere_mesh(8, 8)
     base = psi2_sphere_family()
     tensors = [MpsTensor(m) for m in base.stack(mesh.theta, mesh.phi)]
-    tensors[7] = tensors[7].scaled(np.exp(1.23j))
+    tensors[7] = MpsTensor(tensors[7].mats * np.exp(1.23j))
     fam = custom_vertex_family(tensors)
     r0 = curvature_report(base, mesh)
     r1 = curvature_report(fam, mesh)

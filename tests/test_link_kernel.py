@@ -8,6 +8,9 @@ equal-modulus and defective leading eigenvalues, nilpotent subleading blocks,
 leading moduli at and within ulps of the overlap floor, start vectors
 orthogonal to a leading vector) every edge must get the reference's verdict,
 the same error text when refused, and a phase within 1e-14 when accepted.
+``mixed_transfer_leading``, the one kernel behind the links and the
+fidelities, is held to the same reference on these transfers, on random
+cores and on pairs of unequal ranks.
 """
 
 import math
@@ -39,7 +42,6 @@ from timps.tensors import (
     _certified_leading,
     _degenerate,
     _sorted_spectrum,
-    mixed_transfer_spectra,
     right_normalize,
     transfer_kernel,
 )
@@ -47,7 +49,7 @@ from timps.tensors import (
 
 def eigvals_edge_links(K_u, K_v, tols):
     """``_edge_links`` with one full ``eigvals`` spectrum per edge."""
-    vals = _sorted_spectrum(mixed_transfer_spectra(K_u, K_v))
+    vals = _sorted_spectrum(np.linalg.eigvals(transfer_kernel(K_u, K_v)))
     lead = vals[:, 0]
     mod = np.abs(lead)
     vanishing = mod < OVERLAP_FLOOR
@@ -179,10 +181,32 @@ def assert_same_verdict(got, expected):
         assert got == expected
 
 
+def assert_kernel_keeps_the_eigvals_lead(K_a, K_b):
+    """``mixed_transfer_leading`` against one full ``eigvals`` spectrum per
+    pair, at the default and at a coarse gap tolerance: every row's
+    ``second`` bounds the true second modulus, less roundoff; every fidelity
+    is the ``eigvals`` modulus to 1e-14 (relative, above 1); every N=1 call is
+    its stacked row bit for bit; and the gauge verdicts are those of the
+    ``eigvals`` moduli."""
+    vals = _sorted_spectrum(np.linalg.eigvals(transfer_kernel(K_a, K_b)))
+    mod = np.abs(vals[:, 0])
+    second_ref = np.abs(vals[:, 1]) if vals.shape[-1] > 1 else np.zeros(len(vals))
+    for tols in (DEFAULT_TOLS, DEFAULT_TOLS.override(tol_gap=0.9)):
+        lead, second = tensors.mixed_transfer_leading(K_a, K_b, tols)
+        assert (second >= (1 - 1e-14) * second_ref).all()
+        fid = tensors.fidelity_per_site(K_a, K_b, tols)
+        assert (np.abs(fid - mod) <= 1e-14 * np.maximum(mod, 1.0)).all()
+        assert [bits(tensors.mixed_transfer_leading(a, b, tols))
+                for a, b in zip(K_a, K_b)] == [bits(x) for x in lead]
+        expected = (K_a.shape[-1] == K_b.shape[-1]) & (mod >= 1.0 - tols.tol_fid)
+        assert tensors.gauge_equivalent(K_a, K_b, tols).tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("chi", [1, 2, 3])
 def test_each_adversarial_edge_gets_the_eigvals_verdict(chi, make_rng):
     transfers = adversarial_transfers(make_rng(100 + chi), chi)
     refused = accepted = 0
+    pairs = []
     for name, T in transfers.items():
         K_u, K_v = cores_of(T) if chi > 1 else (np.array([[[1.0]], [[0.0]]]),
                                               np.array([[[T[0, 0].conjugate()]], [[0.5]]]))
@@ -191,7 +215,9 @@ def test_each_adversarial_edge_gets_the_eigvals_verdict(chi, make_rng):
         assert_same_verdict(got, expected)
         refused += expected[0] == "raised"
         accepted += expected[0] == "ok"
+        pairs.append((K_u, K_v))
     assert refused and accepted
+    assert_kernel_keeps_the_eigvals_lead(*(np.array(side) for side in zip(*pairs)))
 
 
 @pytest.mark.parametrize("chi", [2, 3])
@@ -229,6 +255,7 @@ def assert_certified_rows_hold_their_bound(K_a, K_b):
         assert (np.isfinite(_certified_leading(scale * T, DEFAULT_TOLS)[1]) == certified).all()
     links = _edge_links(K_a, K_b, DEFAULT_TOLS)
     assert np.abs(links - eigvals_edge_links(K_a, K_b, DEFAULT_TOLS)).max() <= 1e-14
+    assert_kernel_keeps_the_eigvals_lead(K_a, K_b)
     return certified.mean()
 
 
@@ -242,6 +269,12 @@ def test_random_cores_keep_the_eigvals_links(d, chi, spread, make_rng):
     share = assert_certified_rows_hold_their_bound(K_a, K_b)
     if chi == 1:
         assert share == 1.0
+    # pairs of unequal ranks take eigvals: its lead and second modulus, bit for bit
+    K_c = ginibre(rng, 300, d, chi + 1, chi + 1) / math.sqrt(d * (chi + 1))
+    vals = _sorted_spectrum(np.linalg.eigvals(transfer_kernel(K_a, K_c)))
+    lead, second = tensors.mixed_transfer_leading(K_a, K_c)
+    assert bits(lead) == bits(vals[:, 0]) and bits(second) == bits(np.abs(vals[:, 1]))
+    assert_kernel_keeps_the_eigvals_lead(K_a, K_c)
 
 
 @pytest.mark.parametrize("chi", [1, 2, 3])
@@ -358,7 +391,7 @@ def test_link_variable_decomposes_both_tensors_in_one_pass(make_rng, count_passe
         "chi2-d5": random_core(rng, 5, 2).tensor,
         "chi1-d4": aklt_path(0.0),
         "chi1-d2": psi2_tensor(0.6, 0.8),
-        "not-normalized": aklt_path(0.5).scaled(2.0),
+        "not-normalized": MpsTensor(aklt_path(0.5).mats * 2.0),
         "zero": MpsTensor(np.zeros((4, 2, 2))),
     }
     kinds = set()

@@ -121,7 +121,7 @@ def psi2_at_vertices(mesh):
 
 def spun_family(mesh):
     """psi2 with a vertex-dependent phase: the same curvature, other links."""
-    return custom_vertex_family([A.scaled(np.exp(0.37j * k))
+    return custom_vertex_family([MpsTensor(A.mats * np.exp(0.37j * k))
                                  for k, A in enumerate(psi2_at_vertices(mesh))])
 
 
@@ -205,7 +205,7 @@ def every_refusal_stack(rng):
     ambiguous[0, 2, 2] = np.sqrt(1e-9)  # Gram eigenvalue at the cutoff
     rank_1 = pad_tensor(psi2_tensor(0.6, 0.8), 4, 3).mats
     # the last two fail two tests each: the first refusal in precedence order names them
-    return np.array([good.mats, good.scaled(1.5).mats, leaky, diagonal, ambiguous,
+    return np.array([good.mats, good.mats * 1.5, leaky, diagonal, ambiguous,
                      rank_1, np.zeros((4, 3, 3)), 1.5 * leaky, 1.5 * diagonal])
 
 
@@ -325,7 +325,7 @@ def parity_cases():
     rank_jump = [base] * n
     rank_jump[3] = aklt_path(0.0)
     not_in_e = [base] * n
-    not_in_e[5] = base.scaled(2.0)
+    not_in_e[5] = MpsTensor(base.mats * 2.0)
     not_in_e[9] = aklt_path(0.0)
     orthogonal = [psi2_tensor(1.0, 0.0)] * n
     orthogonal[6] = psi2_tensor(0.0, 1.0)
@@ -410,7 +410,7 @@ def stack_by_vertex(name, mesh, at):
 
 def test_decomposition_error_precedes_later_evaluation_error(chunk):
     mesh = make_sphere_mesh(4, 4)
-    bad = aklt_path(0.5).scaled(2.0)
+    bad = MpsTensor(aklt_path(0.5).mats * 2.0)
 
     def at(k):
         if k == 8:

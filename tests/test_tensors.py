@@ -18,6 +18,7 @@ from timps.sampling import (
 from timps.tensors import (
     GaugeMove,
     MpsTensor,
+    _sorted_spectrum,
     apply_gauge,
     assemble,
     canonical_decompose,
@@ -34,6 +35,7 @@ from timps.tensors import (
     right_normalize,
     tensor_from_json,
     tensor_to_json,
+    transfer_kernel,
 )
 
 ONE = MpsTensor(np.ones((1, 1, 1), dtype=complex))
@@ -230,7 +232,7 @@ def test_right_normalize_fixes_nothing_when_normalized():
 
 def test_right_normalize_removes_scaling():
     A = aklt_path(0.5)
-    out = right_normalize(A.scaled(2.0))
+    out = right_normalize(MpsTensor(A.mats * 2.0))
     # scale removed; result equals the original up to a core unitary
     dec_out = canonical_decompose(out)
     dec_in = canonical_decompose(A)
@@ -358,7 +360,7 @@ def test_gauge_preserves_essential_rank_many_cases(rng):
 
 def test_gauge_equivalent_phase_and_conjugation(rng):
     A = aklt_path(0.5)
-    assert gauge_equivalent(A, A.scaled(1j))
+    assert gauge_equivalent(A, MpsTensor(A.mats * 1j))
     W = haar_unitary(rng, 2)
     conj = MpsTensor(np.einsum("ab,ibc,dc->iad", W, A.mats, W.conj()))
     assert gauge_equivalent(A, conj)
@@ -423,16 +425,37 @@ def test_matrix_json_rejects_ragged():
 
 
 def test_stacked_fidelities_are_the_n1_moduli_of_the_leading_eigenvalue(rng):
-    pairs = [(random_core(rng, 4, chi).K, random_core(rng, 4, chi).K)
-             for chi in (1, 2) for _ in range(20)]
-    pairs += [(K, K) for K, _ in pairs[:3]]
-    for group in (pairs[:20], pairs[20:40], pairs[40:]):
-        K_a, K_b = (np.array(side) for side in zip(*group))
-        stacked = fidelity_per_site(K_a, K_b)
-        assert stacked.shape == (len(group),)
-        # the N=1 call is entry 0 of a one-pair stack, and abs() of the eigenvalue
-        assert stacked.tolist() == [fidelity_per_site(a, b) for a, b in group] == \
-            [float(abs(mixed_transfer_leading(a, b))) for a, b in group]
+    """Random chi = 1-3 pairs, equal and near-equal pairs and pairs of unequal
+    ranks: each stacked fidelity is its N=1 call and abs() of the N=1
+    eigenvalue, bit for bit, and the full ``eigvals`` modulus to 1e-14; the
+    gauge verdicts are those of the ``eigvals`` moduli, also where a coarse
+    gap tolerance sends every row to ``eigvals``."""
+    dims = {1: 4, 2: 4, 3: 9}
+    pairs = [(random_core(rng, dims[chi], chi).K, random_core(rng, dims[chi], chi).K)
+             for chi in (1, 2, 3) for _ in range(20)]
+    pairs += [(K, K + scale * _ginibre(rng, K.shape)) for K, _ in pairs[::6]
+              for scale in (0.0, 1e-5, 1e-4, 1e-3)]
+    pairs += [(random_core(rng, d, a).K, random_core(rng, d, b).K)
+              for d, a, b in ((4, 1, 2), (4, 2, 1), (9, 2, 3), (9, 3, 1)) for _ in range(5)]
+    groups = {}
+    for a, b in pairs:
+        groups.setdefault((a.shape, b.shape), []).append((a, b))
+    verdicts = set()
+    for tols in (DEFAULT_TOLS, DEFAULT_TOLS.override(tol_gap=0.9)):
+        for group in groups.values():
+            K_a, K_b = (np.array(side) for side in zip(*group))
+            stacked = fidelity_per_site(K_a, K_b, tols)
+            assert stacked.shape == (len(group),)
+            # the N=1 call is entry 0 of a one-pair stack, and abs() of the eigenvalue
+            assert stacked.tolist() == [fidelity_per_site(a, b, tols) for a, b in group] == \
+                [float(abs(mixed_transfer_leading(a, b, tols))) for a, b in group]
+            exact = np.abs(_sorted_spectrum(np.linalg.eigvals(transfer_kernel(K_a, K_b)))[:, 0])
+            assert (np.abs(stacked - exact) <= 1e-14).all()
+            same_rank = K_a.shape[-1] == K_b.shape[-1]
+            expected = same_rank & (exact >= 1.0 - tols.tol_fid)
+            assert gauge_equivalent(K_a, K_b, tols).tolist() == expected.tolist()
+            verdicts.update(expected.tolist())
+    assert verdicts == {False, True}
     assert abs(fidelity_per_site(*pairs[0]) - 1.0) > 1e-3
     with pytest.raises(ValueError, match="cores must share the physical dimension"):
         fidelity_per_site(pairs[0][0], pairs[0][1][:3])
