@@ -37,7 +37,7 @@ from .homotopy import (
     isometry_path_block,
     retract,
 )
-from .invariants import chern_verdict, curvature_report
+from .invariants import CHUNK, chern_verdict, curvature_report
 from .sampling import (
     _move_draws,
     random_core,
@@ -76,9 +76,9 @@ def _header(experiment: str, seed) -> str:
             f"rng={RNG_NAME} convention={CONVENTION}")
 
 
-def _csv_rows(columns: dict) -> list[str]:
-    """CSV lines of a dict of equal-length columns, each written by :func:`_column_text`."""
-    return list(map(",".join, zip(*map(_column_text, columns.values()))))
+def _csv_rows(columns: dict, rows: slice = slice(None)) -> list[str]:
+    """CSV lines of ``rows`` of a dict of equal-length columns, by :func:`_column_text`."""
+    return list(map(",".join, zip(*(_column_text(col[rows]) for col in columns.values()))))
 
 
 def _column_text(col) -> list:
@@ -99,8 +99,10 @@ def _columns(names: list, rows: list) -> dict:
 
 
 def _write_csv(path: Path, experiment: str, seed, columns: dict) -> None:
-    lines = [_header(experiment, seed), ",".join(columns), *_csv_rows(columns)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write(f"{_header(experiment, seed)}\n{','.join(columns)}\n")
+        for start in range(0, len(next(iter(columns.values()), ())), CHUNK):
+            f.write("\n".join(_csv_rows(columns, slice(start, start + CHUNK))) + "\n")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -453,6 +455,11 @@ def _chart_decompositions(pts: np.ndarray, north: np.ndarray, tols) -> list:
     return out
 
 
+def _chunks(count: int) -> list:
+    """The indices of ``count`` items, in ranges of at most ``CHUNK``."""
+    return [range(start, min(start + CHUNK, count)) for start in range(0, count, CHUNK)]
+
+
 def _exp_pump_boundary(params, rng, tols):
     rows, failures = [], []
     cherns = {}
@@ -467,40 +474,46 @@ def _exp_pump_boundary(params, rng, tols):
         _check(failures, nearest == 1,
                f"{mesh_txt}: boundary generator value {nearest}, expected +1")
 
-    # each loop draws its samples one by one, as a per-sample loop would,
-    # then checks them in stacks and raises the first refusal in sample order
-    draws = [rng.normal(size=4) for _ in range(params["samples"])]
-    pts = np.array([x / np.linalg.norm(x) for x in draws]).reshape(-1, 4)
-    decs = _unrefused(_chart_decompositions(pts, pts[:, 3] > -0.5, tols))
-    resids = [dec.norm_residual for dec in decs]
-    rows += [("core_norm_residual", k, resid) for k, resid in enumerate(resids)]
-    max_norm = max([0.0] + resids)
+    # each loop draws its samples one by one, as a per-sample loop would, then
+    # checks them in stacks of CHUNK and raises the first refusal in sample order
+    max_norm = 0.0
+    for part in _chunks(params["samples"]):
+        draws = [rng.normal(size=4) for _ in part]
+        pts = np.array([x / np.linalg.norm(x) for x in draws])
+        decs = _unrefused(_chart_decompositions(pts, pts[:, 3] > -0.5, tols))
+        resids = [dec.norm_residual for dec in decs]
+        rows += [("core_norm_residual", k, resid) for k, resid in zip(part, resids)]
+        max_norm = max([max_norm] + resids)
     _check(failures, max_norm <= 1e-10,
            f"chart core normalization residual {max_norm:.3e} > 1e-10")
 
-    draws = [(rng.normal(size=3), rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6))
-             for _ in range(params["overlap_samples"])]
-    pts = np.array([np.append(x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4), w4)
-                    for x, w4 in draws]).reshape(-1, 4)
-    decs = _unrefused(_chart_decompositions(np.repeat(pts, 2, axis=0),
-                                            np.tile([True, False], len(pts)), tols))
-    agree = [n.chi == s.chi for n, s in zip(decs[0::2], decs[1::2])]
-    failures += [f"overlap sample {k}: rank mismatch" for k, ok in enumerate(agree) if not ok]
-    same = np.flatnonzero(agree).tolist()
-    # the south chart has D = 1, so every core kept has shape (4, 1, 1)
-    cores = np.array([[decs[2 * k].K, decs[2 * k + 1].K] for k in same]).reshape(-1, 2, 4, 1, 1)
-    fids = fidelity_per_site(cores[:, 0], cores[:, 1], tols).tolist()
-    rows += [("overlap_fidelity", k, fid) for k, fid in zip(same, fids)]
-    min_fid = min([1.0] + fids)
+    min_fid = 1.0
+    for part in _chunks(params["overlap_samples"]):
+        draws = [(rng.normal(size=3), rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6)) for _ in part]
+        pts = np.array([np.append(x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4), w4)
+                        for x, w4 in draws])
+        decs = _unrefused(_chart_decompositions(np.repeat(pts, 2, axis=0),
+                                                np.tile([True, False], len(pts)), tols))
+        agree = [n.chi == s.chi for n, s in zip(decs[0::2], decs[1::2])]
+        failures += [f"overlap sample {k}: rank mismatch" for k, ok in zip(part, agree) if not ok]
+        same = np.flatnonzero(agree).tolist()
+        # the south chart has D = 1, so every core kept has shape (4, 1, 1)
+        cores = np.array([[decs[2 * k].K, decs[2 * k + 1].K]
+                          for k in same]).reshape(-1, 2, 4, 1, 1)
+        fids = fidelity_per_site(cores[:, 0], cores[:, 1], tols).tolist()
+        rows += [("overlap_fidelity", part[k], fid) for k, fid in zip(same, fids)]
+        min_fid = min([min_fid] + fids)
     _check(failures, min_fid >= 1.0 - 1e-9,
            f"chart overlap fidelity dropped to {min_fid!r}")
 
-    draws = [(rng.normal(size=3), rng.uniform(0.5 + 1e-6, math.sqrt(3.0) / 2.0 - 1e-6))
-             for _ in range(params["annulus_samples"])]
-    v = np.array([x / np.linalg.norm(x) * r for x, r in draws]).reshape(-1, 3)
-    devs = np.abs(pump_lift(v, "north") - pump_lift(v, "south")).max(axis=(1, 2, 3)).tolist()
-    rows += [("annulus_dev", k, dev) for k, dev in enumerate(devs)]
-    max_annulus = max([0.0] + devs)
+    max_annulus = 0.0
+    for part in _chunks(params["annulus_samples"]):
+        draws = [(rng.normal(size=3), rng.uniform(0.5 + 1e-6, math.sqrt(3.0) / 2.0 - 1e-6))
+                 for _ in part]
+        v = np.array([x / np.linalg.norm(x) * r for x, r in draws])
+        devs = np.abs(pump_lift(v, "north") - pump_lift(v, "south")).max(axis=(1, 2, 3)).tolist()
+        rows += [("annulus_dev", k, dev) for k, dev in zip(part, devs)]
+        max_annulus = max([max_annulus] + devs)
     _check(failures, max_annulus <= 1e-10,
            f"lift branch disagreement {max_annulus:.3e} > 1e-10")
 
@@ -637,9 +650,10 @@ def _integer(key: str, default: int, low: int, high: float = math.inf) -> Param:
 
 def _is_mesh(value) -> bool:
     try:
-        return isinstance(value, str) and min(_parse_mesh(value)) >= 4
+        sizes = _parse_mesh(value) if isinstance(value, str) else (0, 0)
     except ValueError:
         return False
+    return min(sizes) >= 4 and sizes[0] * sizes[1] <= MESH_PLAQUETTES
 
 
 def _is_list_of(value, item_ok) -> bool:
@@ -655,14 +669,17 @@ def _is_g_step(value, params) -> bool:
             and round(params["g_start"] + round(span) * value, 12) <= 1.0)
 
 
-_MESH = "NxM with integers N, M >= 4"
-
 # Bounds: grids need two points, the rank-lowering retraction an essential
 # rank of 2, make_sphere_mesh 4x4, and a sweep or block at least one item.
 # Upper bounds keep one case's arrays within 64 MiB (2**26 bytes): a
 # gamma-check block of (3 block + 1) x block floats, a contract-sweep case's
 # 16 s_steps d_out (D + 1)^2 output bytes, 13,824 s_steps at its largest
-# shape, and a retract-sweep case's 144 (chi D)^2 with D <= chi + 1.
+# shape, a retract-sweep case's 144 (chi D)^2 with D <= chi + 1, and the 196
+# bytes per plaquette that chern holds from its built mesh to its CSV: mesh
+# tables 132, links and their order 48, curvature and plaquette ids 16 (V <= P,
+# E <= 2P); the mesh build's transient, about 3x the tables, is not counted.
+MESH_PLAQUETTES = (1 << 26) // 196
+_MESH = f"NxM with integers N, M >= 4 and N*M <= {MESH_PLAQUETTES}"
 EXPERIMENTS = {
     "gamma-check": Experiment(_exp_gamma_check, "isometry path deviation sweep", False, (
         Param("phi", "both", str, lambda v, _: isinstance(v, str) and v in _PHI_RULES,

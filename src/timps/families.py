@@ -326,15 +326,18 @@ class Mesh2:
         tails = self.plaquettes.reshape(-1)
         heads = np.roll(self.plaquettes, -1, axis=1).reshape(-1)
         live = np.flatnonzero(tails != heads)
-        keys = (np.minimum(tails, heads) * (int(tails.max(initial=0)) + 1)
-                + np.maximum(tails, heads))[live]
+        keys = np.minimum(tails, heads)[live]  # built in place: few slot arrays at once
+        keys *= int(tails.max(initial=0)) + 1
+        keys += np.maximum(tails, heads)[live]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        del keys
         order = np.argsort(first)
         edge_of_key = np.empty_like(order)
         edge_of_key[order] = np.arange(len(order))
         first_slots = live[first[order]]
         ids = np.zeros(tails.shape, dtype=np.intp)
-        ids[live] = edge_of_key[inverse]
+        ids[live] = np.take(edge_of_key, inverse, out=inverse)
+        del inverse
         signs = np.zeros(tails.shape, dtype=np.int8)
         signs[live] = np.where(tails[live] == tails[first_slots][ids[live]], 1, -1)
         table = {

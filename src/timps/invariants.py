@@ -58,11 +58,11 @@ BRANCH_CUT_MARGIN = 0.1
 # Largest distance of a Chern total from the nearest integer that still
 # counts as that integer.
 RESIDUAL_CAP = 1e-3
-# Vertices or edges per stacked pass.  Larger chunks save little call
-# overhead but raise peak memory: on the w4=0.7 pump slice at 128x128 the
-# process peaks at 45.5 MB with chunks of 2048 and at 90.0 MB with the
-# whole mesh in one pass (numpy 2.4, certified link and injectivity kernels).
-CHUNK = 2048
+# Vertices, edges or plaquettes per stacked pass.  Larger chunks save little
+# call overhead but raise peak memory: `chern` on the w4=0.7 pump slice at
+# 128x128 peaks at 39.4 MB with chunks of 1024, 41.1 MB with 2048 and 90.2 MB
+# with the whole mesh in one pass (2-CPU VM, numpy 2.4, windowed links).
+CHUNK = 1024
 
 
 def _edge_links(K_u: np.ndarray, K_v: np.ndarray, tols: Tolerances) -> np.ndarray:
@@ -70,24 +70,24 @@ def _edge_links(K_u: np.ndarray, K_v: np.ndarray, tols: Tolerances) -> np.ndarra
     eigenvalues of :func:`tensors.mixed_transfer_leading`.  An edge whose
     leading overlap vanishes, or whose leading eigenvalue is not separated
     from the next one, is refused, and the error raised is that of the first
-    refused edge.  The kernel's bound is the exact second modulus wherever
-    the refusals could apply: a proven lead is gapped and above twice the
-    floor."""
+    refused edge, with its position in the stack as ``edge``.  The kernel's
+    bound is the exact second modulus wherever the refusals could apply: a
+    proven lead is gapped and above twice the floor."""
     lead, second = mixed_transfer_leading(K_u, K_v, tols)
     mod = np.abs(lead)
     vanishing = mod < OVERLAP_FLOOR
     refused = vanishing | _degenerate(np.stack([lead, second], axis=-1), tols)
     if refused.any():
         e = int(np.argmax(refused))
-        if vanishing[e]:
-            raise VanishingOverlapError(
-                f"leading overlap modulus {mod[e]:.3e} below {OVERLAP_FLOOR:.1e}; "
-                "states nearly orthogonal (mesh too coarse)"
-            )
-        raise DegenerateLeadingEigenvalueError(
+        error = VanishingOverlapError(
+            f"leading overlap modulus {mod[e]:.3e} below {OVERLAP_FLOOR:.1e}; "
+            "states nearly orthogonal (mesh too coarse)"
+        ) if vanishing[e] else DegenerateLeadingEigenvalueError(
             f"mixed transfer eigenvalues {mod[e]:.6e} and {second[e]:.6e} are within "
             f"the gap tolerance {tols.tol_gap:.1e}; the link phase is ill-defined"
         )
+        error.edge = e
+        raise error
     return lead / mod
 
 
@@ -177,49 +177,67 @@ def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
     return tensors, None
 
 
-def _vertex_cores(family, mesh: Mesh2, tols):
-    """Cores at every mesh vertex, ``(n, d, chi, chi)`` zero-padded to the
-    largest ``d``, and each vertex's ``d``, in chunks of at most ``CHUNK``
-    vertices; vertex data is refused unless it has one tensor per vertex.
-    The error raised is the first one a per-vertex loop (evaluate,
-    decompose, compare ranks with vertex 0) raises."""
-    n = len(mesh.theta)
+def _vertex_cores(family, mesh: Mesh2, size: int, tols):
+    """Decompose the mesh vertices in chunks of at most ``CHUNK``, in order,
+    into a window of ``size`` slots, and yield ``(window, dims)`` after each
+    chunk: slot ``x % size`` holds vertex ``x``'s ``(d, chi, chi)`` core,
+    zero-padded to the largest ``d`` yet, and ``dims`` its ``d``.  Vertex
+    data must hold one tensor per vertex.  The error raised is the first one
+    a per-vertex loop (evaluate, decompose, compare ranks with vertex 0) raises."""
+    n, window, dims = len(mesh.theta), None, np.empty(size, dtype=np.intp)
     if isinstance(family, VertexData) and len(family.tensors) != n:
         raise ValueError(f"family custom has {len(family.tensors)} tensors, but mesh "
                          f"{mesh.n_theta}x{mesh.n_phi} has {n} vertices")
-    cores, dims = None, np.empty(n, dtype=np.intp)
     for start in range(0, n, CHUNK):
         tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))
-        chi = None if cores is None else cores.shape[-1]
+        chi = None if window is None else window.shape[-1]
         for idx, K in _chunk_cores(tensors, start, chi, tols) if len(tensors) else ():
-            if cores is None:
-                cores = np.zeros((n,) + K.shape[1:], dtype=complex)
-            elif K.shape[1] > cores.shape[1]:
-                cores = np.pad(cores, ((0, 0), (0, K.shape[1] - cores.shape[1]), (0, 0), (0, 0)))
-            cores[idx, :K.shape[1]] = K
-            dims[idx] = K.shape[1]
+            if window is None:
+                window = np.zeros((size,) + K.shape[1:], dtype=complex)
+            elif K.shape[1] > window.shape[1]:
+                window = np.pad(window, ((0, 0), (0, K.shape[1] - window.shape[1]), (0, 0), (0, 0)))
+            window[idx % size, :K.shape[1]] = K
+            window[idx % size, K.shape[1]:] = 0.0
+            dims[idx % size] = K.shape[1]
         if error is not None:
             raise error  # after the vertices before it, as in a per-vertex loop
-    return cores, dims
+        del tensors, K  # the chunk's arrays, before the next chunk's
+        yield window, dims
 
 
 def link_field(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> LinkField:
     """Decompose the family (or vertex data) once per vertex and compute the
-    link variable once per undirected edge of the mesh's edge table, in
-    chunks of at most ``CHUNK`` edges.
+    link variable once per undirected edge of the mesh's edge table.
 
-    A failure raises the error of the first failing vertex or, when every
-    vertex passed, of the first failing edge in edge-table order.
+    Vertices go in chunks of at most ``CHUNK``, in order.  After each chunk
+    come the links of the edges whose later endpoint lies in it, at most
+    ``CHUNK`` at a time, in table order, from a window of the cores of the
+    last ``bandwidth + CHUNK`` vertices (the bandwidth is the table's largest
+    ``|u - v|``).  A sphere mesh has bandwidth ``n_phi`` and its table is
+    sorted by later endpoint; a mesh whose bandwidth spans its vertices holds
+    every core.  A failure raises the error of the first failing vertex or,
+    when every vertex passed, of the first failing edge in edge-table order.
     """
-    cores, dims = _vertex_cores(family, mesh, tols)
-    values = np.empty(mesh.n_edges, dtype=complex)
-    for start in range(0, mesh.n_edges, CHUNK):
-        u, v = mesh.edges[start:start + CHUNK].T
-        same = dims[u] == dims[v]
-        m = len(u) if same.all() else int(np.argmin(same))
-        values[start:start + m] = _edge_links(cores[u[:m]], cores[v[:m]], tols)
-        if m < len(u):
-            raise ValueError("cores must share the physical dimension")
+    n, (u, v) = len(mesh.theta), mesh.edges.T
+    size = min(n, int(np.abs(u - v).max(initial=0)) + CHUNK)
+    block = np.maximum(u, v) // CHUNK  # the vertex chunk of the later endpoint
+    order = np.argsort(block, kind="stable")  # table order within a chunk
+    chunks = np.split(order, np.searchsorted(block, range(1, -(-n // CHUNK)), sorter=order))
+    del block
+    values, refusals = np.empty(mesh.n_edges, dtype=complex), []
+    for chunk, (window, dims) in zip(chunks, _vertex_cores(family, mesh, size, tols)):
+        for e in np.split(chunk, range(CHUNK, len(chunk), CHUNK)):
+            su, sv = mesh.edges[e].T % size
+            same = dims[su] == dims[sv]
+            m = len(e) if same.all() else int(np.argmin(same))
+            try:
+                values[e[:m]] = _edge_links(window[su[:m]], window[sv[:m]], tols)
+            except (VanishingOverlapError, DegenerateLeadingEigenvalueError) as exc:
+                refusals.append((e[exc.edge], exc))
+            if m < len(e):
+                refusals.append((e[m], ValueError("cores must share the physical dimension")))
+    if refusals:
+        raise min(refusals, key=lambda r: r[0])[1]
     return LinkField(edges=mesh.edges, values=values)
 
 
@@ -228,13 +246,15 @@ def curvature_report(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> Cu
 
     The holonomy of a plaquette is the product of its slot links in corner
     order: the stored link along an edge's direction, its conjugate against
-    it, and 1 on a degenerate pole slot.
+    it, and 1 on a degenerate pole slot; ``CHUNK`` plaquettes at a time.
     """
     field = link_field(family, mesh, tols)
-    signs = mesh.plaquette_signs
-    factors = field.values[mesh.plaquette_edges]
-    factors = np.where(signs > 0, factors, np.where(signs < 0, factors.conj(), 1.0))
-    curvature = np.angle(np.prod(factors, axis=1))
+    curvature = np.empty(mesh.n_plaquettes)
+    for start in range(0, mesh.n_plaquettes, CHUNK):
+        rows = slice(start, start + CHUNK)
+        signs, factors = mesh.plaquette_signs[rows], field.values[mesh.plaquette_edges[rows]]
+        factors = np.where(signs > 0, factors, np.where(signs < 0, factors.conj(), 1.0))
+        curvature[rows] = np.angle(np.prod(factors, axis=1))
     flagged = np.flatnonzero(np.abs(curvature) > np.pi - BRANCH_CUT_MARGIN)
     total = float(curvature.sum() / (2.0 * np.pi))
     return CurvatureField(

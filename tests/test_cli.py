@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 from timps import __version__, cli, transfer
 from timps.cli import EXPERIMENTS, main
 from timps.errors import NotInEError, NotPositiveError
+from timps.families import make_sphere_mesh, psi2_sphere_family
+from timps.invariants import curvature_report, link_field
 from timps.transfer import fixed_point
 
 
@@ -488,6 +491,12 @@ BAD_INPUTS = [
     (["contract-sweep", "--seed", "1", "--count", "1", "--s-steps", "100000000"], None,
      "s_steps"),
     (None, {"experiment": "retract-sweep", "seed": 1, "params": {"chis": [2, 26]}}, "chis"),
+    # a mesh past the bound: 1024x1024 peaked at 510 MB; 4096x4096 would need
+    # about 8 GB
+    (["chern", "--mesh", "586x586"], None, "mesh"),
+    (["chern", "--mesh", "4096x4096"], None, "mesh"),
+    (["pump-boundary", "--seed", "1", "--mesh", "16x16,4x85599"], None, "meshes"),
+    (None, {"experiment": "chern", "params": {"mesh": "85599x4"}}, "mesh"),
 ]
 
 
@@ -522,6 +531,10 @@ def test_bad_inputs_are_config_errors(tmp_path, capsys, args, config, name):
         for d, D, _ in cli._CONTRACT_SHAPES)),
     ("retract-sweep", "chis", [2, 25], [2, 26],
      lambda chis: 144 * (chis[-1] * (chis[-1] + 1)) ** 2),
+    ("chern", "mesh", "585x585", "586x586",
+     lambda mesh: 196 * math.prod(cli._parse_mesh(mesh))),
+    ("pump-boundary", "meshes", ["4x85598"], ["4x85599"],
+     lambda meshes: 196 * math.prod(cli._parse_mesh(meshes[-1]))),
 ])
 def test_upper_bounds_keep_one_case_within_64_mib(experiment, key, largest, past, case_bytes):
     params = EXPERIMENTS[experiment].params
@@ -529,6 +542,20 @@ def test_upper_bounds_keep_one_case_within_64_mib(experiment, key, largest, past
     defaults = {p.key: p.default for p in params}
     assert param.check(largest, defaults) and case_bytes(largest) <= 1 << 26
     assert not param.check(past, defaults) and case_bytes(past) > 1 << 26
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (16, 12), (128, 128)])
+def test_chern_holds_at_most_196_bytes_per_plaquette(shape):
+    # what the mesh bound counts: the mesh tables, the links with their table
+    # order (one intp per edge), and the curvature and plaquette-id columns
+    mesh = make_sphere_mesh(*shape)
+    report = curvature_report(psi2_sphere_family(), mesh)
+    held = (sum(getattr(mesh, name).nbytes for name in (
+        "plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi", "edges",
+        "plaquette_edges", "plaquette_signs"))
+        + link_field(psi2_sphere_family(), mesh).values.nbytes + 8 * mesh.n_edges
+        + report.curvature.nbytes + report.plaquette_ids.nbytes)
+    assert held <= 196 * mesh.n_plaquettes
 
 
 # Property test of the exit-code contract, driven by the parameter table:

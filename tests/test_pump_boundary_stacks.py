@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +118,17 @@ def both_bodies(tmp_path, params, seed, tols=DEFAULT_TOLS):
         return stacked, artifacts(tmp_path / "loop", params, seed, tols)
 
 
+# CHUNK 7 splits every sample set into several chunks, a last short one included
+CHUNKS = pytest.mark.parametrize("chunk", [cli.CHUNK, 7], ids=["chunk-default", "chunk-7"])
+
+
+@CHUNKS
 @pytest.mark.parametrize("sizes", [{}, QUICK, {"samples": 1, "overlap_samples": 1,
                                                "annulus_samples": 1}],
                          ids=["default", "quick", "one"])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_stacked_sample_checks_match_the_loops(seed, sizes, tmp_path):
+def test_stacked_sample_checks_match_the_loops(seed, sizes, chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK", chunk)
     stacked, loop = both_bodies(tmp_path, {"meshes": ["4x4"], **sizes}, seed)
     assert stacked == loop
     code, csv, _ = stacked
@@ -136,6 +143,25 @@ def test_no_samples_match_the_loops(tmp_path):
     none = {"samples": 0, "overlap_samples": 0, "annulus_samples": 0}
     stacked, loop = both_bodies(tmp_path, {"meshes": ["4x4"], **none}, 2)
     assert stacked == loop and stacked[0] == 0
+
+
+def test_samples_add_only_their_rows_to_the_peak():
+    # every set at 2 and then 4 CHUNK samples: the larger run holds 6 CHUNK
+    # more rows (about 60 traced bytes each), but no larger stack
+    def traced_peak(samples):
+        params = {"meshes": ["4x4"], "samples": samples, "overlap_samples": samples,
+                  "annulus_samples": samples}
+        tracemalloc.start()
+        try:
+            cli._exp_pump_boundary(params, np.random.default_rng(1), DEFAULT_TOLS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(4)  # lazy imports and caches
+    small, large = traced_peak(2 * cli.CHUNK), traced_peak(4 * cli.CHUNK)
+    # one stack of every sample would add about 1.4 KB a sample
+    assert large - small < 150 * 6 * cli.CHUNK
 
 
 def poison(monkeypatch, pick):
@@ -154,11 +180,14 @@ def poison(monkeypatch, pick):
     monkeypatch.setattr(tensors, "_decomposition_pass", poisoned)
 
 
+@CHUNKS
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("bond, samples, every", [(2, 200, 5), (1, 200, 5), (None, 0, 5),
                                                   (None, 0, 1)],
                          ids=["north-chart", "south-chart", "overlap-pairs", "overlap-all"])
-def test_refusals_are_those_of_the_loops(bond, samples, every, seed, tmp_path, monkeypatch):
+def test_refusals_are_those_of_the_loops(bond, samples, every, seed, chunk, tmp_path,
+                                         monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK", chunk)
     # about one tensor in ``every`` of the chosen bond dimension (both, on the
     # overlap pairs alone) is refused, so several are, and the first in
     # sample order (north before south within a pair) must be the one raised
