@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Param, Tolerances, _is_number, checked
 from .errors import TimpsError
 from .families import (
     aklt_path,
@@ -171,10 +171,12 @@ def _exp_gamma_check(params, rng, tols):
     return _columns(["phi", "t", "isometry_dev"], rows), summary, failures
 
 
-# Bytes a sweep holds at once, a bound on two things: a draw window ends once
-# its drawn cases hold this many bytes, and the drawn cases of one shape run
-# in one stacked call once their output tensors reach it.  On a 2-CPU VM,
-# retract-sweep --count 400 peaks at 41.3, 41.3, 42.7 and 45.8 MB with 128
+# Bytes a stacked pass holds at once, a bound on three things: a sweep's draw
+# window ends once its drawn cases hold this many bytes, a sweep's drawn cases
+# of one shape run in one stacked call once their output tensors reach it,
+# and an oracle-check pass (expectation, amplitude factor and trace of a (d,
+# chi, n) group) holds a few arrays of at most this many bytes.  On a 2-CPU
+# VM, retract-sweep --count 400 peaks at 41.3, 41.3, 42.7 and 45.8 MB with 128
 # KB, 256 KB, 512 KB and 1 MB, contract-sweep --count 200 at 40.5, 40.5,
 # 41.6 and 44.0 MB, and they take 0.54/0.25, 0.47/0.21, 0.45/0.19 and
 # 0.43/0.18 s: past 256 KB the time saved is small and the peak grows.
@@ -527,11 +529,6 @@ def _exp_pump_boundary(params, rng, tols):
 
 
 _ORACLE_SHAPES = ((2, 1), (3, 1), (4, 1), (4, 2))
-# Amplitude-factor bytes of one stacked oracle pass (expectation, factor and
-# trace of a (d, chi, n) group), which holds a few arrays of that size. On a
-# 2-CPU VM, oracle-check --trials 2000 peaks at 46.4 MB with 128 KB and at
-# 62.8 MB with no bound, and takes as long.
-ORACLE_CHUNK_BYTES = 1 << 17
 
 
 def _window_sites(d: int, window_max: int) -> int:
@@ -554,52 +551,55 @@ def _window_trace(P, factors) -> np.ndarray:
 
 
 def _exp_oracle_check(params, rng, tols):
-    rows, failures = [], []
+    # each trial set is drawn and checked CHUNK trials at a time, in the RNG
+    # order of a trial-by-trial loop, raising the first refusal in trial order
+    rows, failures, max_oracle_dev = [], [], 0.0
     n_max = {d: _window_sites(d, params["window_max"]) for d, _ in _ORACLE_SHAPES}
-    shapes = [_ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)] for trial in range(params["trials"])]
-    drawn = random_core(rng, [d for d, _ in shapes], [chi for _, chi in shapes], tols,
-                        then=lambda g, d, D, chi: random_observable(
-                            g, d, int(g.integers(1, n_max[d] + 1))))
-    trials = [(item[0].tensor, item[1]) for item in drawn if not isinstance(item, TimpsError)]
-    fps = fixed_point([K for K, _ in trials], tols)
-    _unrefused(fps + drawn)
-    groups, devs = {}, [0.0] * len(trials)
-    for trial, (K, obs) in enumerate(trials):
-        groups.setdefault((K.mats.shape, obs.n), []).append(trial)
-    for ((d, chi, _), n), group in groups.items():
-        size = max(1, ORACLE_CHUNK_BYTES // (16 * d**n * chi * chi))
-        for idx in (group[i:i + size] for i in range(0, len(group), size)):
-            (K, obs), T = zip(*(trials[t] for t in idx)), [fps[t] for t in idx]
-            rhs = _window_trace(_window_amplitudes(K, T, n), [o.factors for o in obs])
-            for t, diff in zip(idx, expectation(K, T, obs) - rhs):
-                devs[t] = abs(complex(diff))
-    rows += [("oracle", trial, d, chi, obs.n, dev)
-             for trial, ((d, chi), (_, obs), dev) in enumerate(zip(shapes, trials, devs))]
-    max_oracle_dev = max([0.0] + devs)
+    for part in _chunks(params["trials"]):
+        shapes = [_ORACLE_SHAPES[trial % len(_ORACLE_SHAPES)] for trial in part]
+        drawn = random_core(rng, [d for d, _ in shapes], [chi for _, chi in shapes], tols,
+                            then=lambda g, d, D, chi: random_observable(
+                                g, d, int(g.integers(1, n_max[d] + 1))))
+        trials = [(item[0].tensor, item[1]) for item in drawn if not isinstance(item, TimpsError)]
+        fps = fixed_point([K for K, _ in trials], tols)
+        _unrefused(fps + drawn)
+        groups, devs = {}, [0.0] * len(trials)
+        for trial, (K, obs) in enumerate(trials):
+            groups.setdefault((K.mats.shape, obs.n), []).append(trial)
+        for ((d, chi, _), n), group in groups.items():
+            size = max(1, SWEEP_CHUNK_BYTES // (16 * d**n * chi * chi))
+            for idx in (group[i:i + size] for i in range(0, len(group), size)):
+                (K, obs), T = zip(*(trials[t] for t in idx)), [fps[t] for t in idx]
+                rhs = _window_trace(_window_amplitudes(K, T, n), [o.factors for o in obs])
+                for t, diff in zip(idx, expectation(K, T, obs) - rhs):
+                    devs[t] = abs(complex(diff))
+        rows += [("oracle", trial, d, chi, obs.n, dev)
+                 for trial, (d, chi), (_, obs), dev in zip(part, shapes, trials, devs)]
+        max_oracle_dev = max([max_oracle_dev] + devs)
     _check(failures, max_oracle_dev <= 1e-9,
            f"expectation vs window oracle deviation {max_oracle_dev:.3e} > 1e-9")
 
     max_gauge_dev = 0.0
-    shapes = [(4, 2) if trial % 2 == 0 else (3, 1) for trial in range(params["gauge_trials"])]
-    pairs = _gauge_moved(random_tensor_in_e(
-        rng, [d for d, _ in shapes], [chi + 1 for _, chi in shapes], [chi for _, chi in shapes],
-        tols=tols, then=_move_draws), tols)
-    # trials end at a failed draw or move, or at a refused moved copy
-    ends = [p if isinstance(p, TimpsError) else p[1] for p in pairs]
-    ok = pairs[:next((t for t, x in enumerate(ends) if isinstance(x, TimpsError)), len(pairs))]
-    fps = fixed_point([dec.K for pair in ok for dec in pair], tols)
-    _unrefused(fps + ends[len(ok):])
-    for trial, ((d, chi), (dec_a, dec_b)) in enumerate(zip(shapes, ok)):
-        _check(failures, dec_a.chi == dec_b.chi,
-               f"gauge trial {trial}: essential rank changed")
-        T_a, T_b = fps[2 * trial], fps[2 * trial + 1]
-        dev = 0.0
-        for n in (1, 2):
-            rho_a = window_density_matrix(dec_a.K, T_a, n)
-            rho_b = window_density_matrix(dec_b.K, T_b, n)
-            dev = max(dev, float(np.abs(rho_a - rho_b).max()))
-        rows.append(("gauge", trial, d, chi, 2, dev))
-        max_gauge_dev = max(max_gauge_dev, dev)
+    for part in _chunks(params["gauge_trials"]):
+        shapes = [(4, 2) if trial % 2 == 0 else (3, 1) for trial in part]
+        pairs = _gauge_moved(random_tensor_in_e(
+            rng, [d for d, _ in shapes], [chi + 1 for _, chi in shapes],
+            [chi for _, chi in shapes], tols=tols, then=_move_draws), tols)
+        # trials end at a failed draw or move, or at a refused moved copy
+        ends = [p if isinstance(p, TimpsError) else p[1] for p in pairs]
+        ok = pairs[:next((t for t, x in enumerate(ends) if isinstance(x, TimpsError)), len(pairs))]
+        fps = fixed_point([dec.K for pair in ok for dec in pair], tols)
+        _unrefused(fps + ends[len(ok):])
+        for j, (trial, (d, chi), (dec_a, dec_b)) in enumerate(zip(part, shapes, ok)):
+            _check(failures, dec_a.chi == dec_b.chi,
+                   f"gauge trial {trial}: essential rank changed")
+            dev = 0.0
+            for n in (1, 2):
+                rho_a = window_density_matrix(dec_a.K, fps[2 * j], n)
+                rho_b = window_density_matrix(dec_b.K, fps[2 * j + 1], n)
+                dev = max(dev, float(np.abs(rho_a - rho_b).max()))
+            rows.append(("gauge", trial, d, chi, 2, dev))
+            max_gauge_dev = max(max_gauge_dev, dev)
     _check(failures, max_gauge_dev <= 1e-9,
            f"gauge-invariance deviation {max_gauge_dev:.3e} > 1e-9")
     summary = {"max_oracle_dev": max_oracle_dev, "max_gauge_dev": max_gauge_dev}
@@ -608,24 +608,6 @@ def _exp_oracle_check(params, rng, tols):
 
 # ---------------------------------------------------------------------------
 # parameter schema: one entry per experiment, one declaration per parameter
-
-
-class Param(NamedTuple):
-    """One experiment parameter: config key, default, parser of its
-    command-line text, and the check every value must pass. ``check(value,
-    params)`` may read the parameters declared before it, which have passed
-    theirs. The flag is ``--`` plus ``flag``, by default the key with dashes."""
-
-    key: str
-    default: object
-    parse: Callable[[str], object]
-    check: Callable[[object, dict], bool]
-    requirement: str
-    flag: str = ""
-
-    @property
-    def option(self) -> str:
-        return "--" + (self.flag or self.key.replace("_", "-"))
 
 
 class Experiment(NamedTuple):
@@ -637,10 +619,6 @@ class Experiment(NamedTuple):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _integer(key: str, default: int, low: int, high: float = math.inf) -> Param:
@@ -736,20 +714,9 @@ def run_experiment(name: str, params: dict, seed, out_dir: Path,
 
     A parameter or seed that fails its check raises ``ValueError`` naming
     it, before the output directory is made."""
+    checked(_CONFIG, {"experiment": name, "seed": seed}, "config")
     experiment = EXPERIMENTS[name]
-    merged = {p.key: p.default for p in experiment.params}
-    unknown = set(params) - set(merged)
-    if unknown:
-        raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
-    merged.update(params)
-    for p in experiment.params:
-        if not p.check(merged[p.key], merged):
-            raise ValueError(f"{name}: {p.key} must be {p.requirement}, "
-                             f"got {merged[p.key]!r}")
-    if seed is None and experiment.seeded:
-        raise ValueError(f"experiment {name} is randomized and requires a seed")
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    merged = checked(experiment.params, params, f"{name} param")
     rng = np.random.default_rng(np.random.PCG64(seed)) if seed is not None else None
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -775,7 +742,7 @@ def run_experiment(name: str, params: dict, seed, out_dir: Path,
     return 0
 
 
-def _parse_tol_overrides(pairs) -> Tolerances:
+def _tol_overrides(pairs) -> dict:
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -786,30 +753,20 @@ def _parse_tol_overrides(pairs) -> Tolerances:
             overrides[key] = float(value)
         except ValueError:
             raise ValueError(f"tolerance {key} must be a number, got {value!r}") from None
-    return DEFAULT_TOLS.override(**overrides)
+    return overrides
 
 
-def _run_from_config(path: str) -> int:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(doc) - {"experiment", "seed", "out", "params", "tolerances"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    name = doc.get("experiment")
-    if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise ValueError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {name!r}")
-    out = doc.get("out", ".")
-    if not isinstance(out, str):
-        raise ValueError(f"out must be a string, got {out!r}")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"params must be an object, got {params!r}")
-    overrides = doc.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise ValueError("tolerances must be an object")
-    return run_experiment(name, params, doc.get("seed"), Path(out),
-                          DEFAULT_TOLS.override(**overrides))
+# the keys of a config file; the command line fills the same five
+_CONFIG = (
+    Param("experiment", None, str, lambda v, _: isinstance(v, str) and v in EXPERIMENTS,
+          f"one of {', '.join(EXPERIMENTS)}"),
+    Param("seed", None, int, lambda v, p: _is_int(v) and v >= 0
+          or v is None and not EXPERIMENTS[p["experiment"]].seeded,
+          "an integer >= 0 (randomized experiments require one)"),
+    Param("out", ".", str, lambda v, _: isinstance(v, str), "a string"),
+    Param("params", {}, json.loads, lambda v, _: isinstance(v, dict), "an object"),
+    Param("tolerances", {}, json.loads, lambda v, _: isinstance(v, dict), "an object"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -842,13 +799,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _run_from_config(args.config)
-        tols = _parse_tol_overrides(args.tol)
-        params = {p.key: getattr(args, p.key) for p in EXPERIMENTS[args.command].params}
-        family = params.get("family")
-        if isinstance(family, str) and family.startswith("@"):
-            params["family"] = json.loads(Path(family[1:]).read_text(encoding="utf-8"))
-        return run_experiment(args.command, params, args.seed, Path(args.out), tols)
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        else:
+            params = {p.key: getattr(args, p.key) for p in EXPERIMENTS[args.command].params}
+            family = params.get("family")
+            if isinstance(family, str) and family.startswith("@"):
+                params["family"] = json.loads(Path(family[1:]).read_text(encoding="utf-8"))
+            doc = {"experiment": args.command, "seed": args.seed, "out": args.out,
+                   "params": params, "tolerances": _tol_overrides(args.tol)}
+        doc = checked(_CONFIG, doc, "config")
+        return run_experiment(doc["experiment"], doc["params"], doc["seed"], Path(doc["out"]),
+                              DEFAULT_TOLS.override(**doc["tolerances"]))
     except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

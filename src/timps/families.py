@@ -22,15 +22,16 @@ are :class:`VertexData`: they have no values between vertices.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, Param, Tolerances, _is_number, checked
 from .errors import NotNormalizedPointError, OutOfChartError, RankMismatchError
-from .tensors import MpsTensor, _decomposition_pass
+from .tensors import MpsTensor, _decomposition_pass, tensor_from_json
 
 __all__ = [
     "psi2_tensor",
@@ -48,6 +49,7 @@ __all__ = [
     "constant_sphere_family",
     "pump_slice_family",
     "custom_vertex_family",
+    "FAMILY_SPECS",
     "family_from_spec",
 ]
 
@@ -470,45 +472,29 @@ def custom_vertex_family(tensors: Sequence[MpsTensor]) -> VertexData:
     return VertexData(tuple(tensors))
 
 
-def _spec_number(params: dict, key: str, default: float) -> float:
-    value = params.get(key, default)
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value)):
-        raise ValueError(f"family param {key} must be a finite number, got {value!r}")
-    return float(value)
+def _is_finite(value, _) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+# family name -> (builder, the Param table of its params); a spec's params
+# are checked against the table and passed to the builder by key
+FAMILY_SPECS = {
+    "psi2": (psi2_sphere_family, ()),
+    "pump": (lambda w4: pump_slice_family(float(w4)),
+             (Param("w4", 0.0, float, _is_finite, "a finite number"),)),
+    "aklt": (lambda g: constant_sphere_family(aklt_path(float(g)), "aklt"),
+             (Param("g", 0.5, float, _is_finite, "a finite number"),)),
+    "custom": (lambda tensors: custom_vertex_family(list(map(tensor_from_json, tensors))),
+               (Param("tensors", [], json.loads, lambda v, _: isinstance(v, list), "a list"),)),
+}
+_SPEC = (Param("family", None, str, lambda v, _: isinstance(v, str) and v in FAMILY_SPECS,
+               f"one of {', '.join(FAMILY_SPECS)}"),
+         Param("params", {}, json.loads, lambda v, _: isinstance(v, dict), "an object"))
 
 
 def family_from_spec(spec: dict) -> SphereFamily | VertexData:
     """Build a sphere family, or vertex data for ``custom``, from its JSON
-    description: ``{"family": "psi2"|"pump"|"aklt"|"custom", "params": {...}}``."""
-    from .tensors import tensor_from_json
-
-    if not isinstance(spec, dict) or set(spec) - {"family", "params"}:
-        raise ValueError("family spec must have keys 'family' and optional 'params'")
-    name = spec.get("family")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"params must be an object, got {params!r}")
-    if name == "psi2":
-        if params:
-            raise ValueError("psi2 takes no params")
-        return psi2_sphere_family()
-    if name == "pump":
-        extra = set(params) - {"w4"}
-        if extra:
-            raise ValueError(f"unknown pump params: {sorted(extra)}")
-        return pump_slice_family(_spec_number(params, "w4", 0.0))
-    if name == "aklt":
-        extra = set(params) - {"g"}
-        if extra:
-            raise ValueError(f"unknown aklt params: {sorted(extra)}")
-        return constant_sphere_family(aklt_path(_spec_number(params, "g", 0.5)), "aklt")
-    if name == "custom":
-        extra = set(params) - {"tensors"}
-        if extra:
-            raise ValueError(f"unknown custom params: {sorted(extra)}")
-        tensors = params.get("tensors", [])
-        if not isinstance(tensors, list):
-            raise ValueError(f"family param tensors must be a list, got {tensors!r}")
-        return custom_vertex_family([tensor_from_json(t) for t in tensors])
-    raise ValueError(f"unknown family {name!r}")
+    description ``{"family": <a FAMILY_SPECS name>, "params": {...}}``."""
+    spec = checked(_SPEC, spec, "family spec")
+    build, schema = FAMILY_SPECS[spec["family"]]
+    return build(**checked(schema, spec["params"], "family param"))

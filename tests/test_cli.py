@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from timps import __version__, cli, transfer
 from timps.cli import EXPERIMENTS, main
+from timps.config import DEFAULT_TOLS, TOLERANCES
 from timps.errors import NotInEError, NotPositiveError
-from timps.families import make_sphere_mesh, psi2_sphere_family
+from timps.families import FAMILY_SPECS, make_sphere_mesh, psi2_sphere_family
 from timps.invariants import curvature_report, link_field
 from timps.transfer import fixed_point
 
@@ -253,6 +255,62 @@ def test_oracle_check_raises_the_first_failure_in_trial_order(tmp_path, monkeypa
     _refuse(monkeypatch, {gauge[3][0]: NotPositiveError("a of trial 3"),
                           gauge[2][1]: NotPositiveError("b of trial 2")})
     assert _failures(tmp_path, args) == ["NotPositiveError: b of trial 2"]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_oracle_check_windows_give_the_one_window_artifacts(tmp_path, monkeypatch, seed):
+    # windows of 7 trials: both trial sets span several, the last one partial
+    args = ["oracle-check", "--seed", seed, "--trials", 40, "--gauge-trials", 20]
+    assert run_cli(args + ["--out", tmp_path / "one"]) == 0
+    monkeypatch.setattr(cli, "CHUNK", 7)
+    assert run_cli(args + ["--out", tmp_path / "windows"]) == 0
+    for name in ("oracle-check.csv", "oracle-check.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "windows" / name).read_bytes()
+
+
+def test_oracle_check_windows_raise_the_first_failure_in_trial_order(tmp_path, monkeypatch):
+    args = ["--trials", 12, "--gauge-trials", 6, "--window-max", 3]
+    drawn = _oracle_cores(monkeypatch)
+    assert run_cli(["oracle-check", "--seed", 3, *args, "--out", tmp_path]) == 0
+    oracle, gauge = drawn["oracle"][:12], drawn["gauge"][:6]
+    monkeypatch.setattr(cli, "CHUNK", 4)  # trials 6 and 9, and 2 and 5, in different windows
+    _refuse(monkeypatch, {oracle[9]: NotPositiveError("at trial 9"),
+                          oracle[6]: NotPositiveError("at trial 6")})
+    assert _failures(tmp_path, args) == ["NotPositiveError: at trial 6"]
+    _refuse(monkeypatch, {gauge[5][0]: NotPositiveError("a of trial 5"),
+                          gauge[2][1]: NotPositiveError("b of trial 2")})
+    assert _failures(tmp_path, args) == ["NotPositiveError: b of trial 2"]
+
+
+def test_oracle_check_reports_a_failed_gauge_move(tmp_path, monkeypatch):
+    # apply_gauge ends its list with the error of the first move it cannot apply
+    real = cli.apply_gauge
+    monkeypatch.setattr(cli, "apply_gauge", lambda decs, moves, tols: real(
+        decs[:2], moves[:2], tols) + [NotInEError("move of trial 2 failed")])
+    assert _failures(tmp_path, ["--trials", 0, "--gauge-trials", 6]) == [
+        "NotInEError: move of trial 2 failed"]
+
+
+@pytest.mark.parametrize("kind", ["oracle", "gauge"])
+def test_oracle_trials_add_only_their_rows_to_the_peak(monkeypatch, kind):
+    # 2 and then 4 windows of 64 trials: the larger run holds 128 more rows,
+    # but no larger window; holding every trial added about 2.4 KB (oracle)
+    # and 6.5 KB (gauge) of traced memory a trial
+    monkeypatch.setattr(cli, "CHUNK", 64)
+
+    def traced_peak(trials):
+        params = {"trials": trials if kind == "oracle" else 0,
+                  "gauge_trials": trials if kind == "gauge" else 0, "window_max": 5}
+        tracemalloc.start()
+        try:
+            cli._exp_oracle_check(params, np.random.default_rng(1), DEFAULT_TOLS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(4)  # lazy imports and caches
+    small, large = traced_peak(2 * cli.CHUNK), traced_peak(4 * cli.CHUNK)
+    assert large - small < 500 * 2 * cli.CHUNK
 
 
 def test_aklt_sweep_refuses_the_rank_one_endpoint(tmp_path, capsys):
@@ -579,11 +637,14 @@ def files_under(path):
     return sorted(f for f in path.rglob("*") if f.is_file())
 
 
-def assert_rejected(args, capsys, workdir):
+def assert_rejected(args, capsys, workdir, name=""):
+    """Exit 2 with a usage error or a `config error:` line that names ``name``,
+    no traceback and no new file under ``workdir``."""
     before = files_under(workdir)
     code, err = exit_code(args, capsys)
     assert code == 2, (args, err)
     assert err.startswith("config error:") or "error: argument" in err, (args, err)
+    assert name in err, (args, err)
     assert "Traceback" not in err
     assert files_under(workdir) == before, args
 
@@ -621,6 +682,57 @@ def test_every_config_key_rejects_bad_values(tmp_path, capsys, monkeypatch, expe
             continue
         doc = {"experiment": experiment, "seed": 1, "out": str(tmp_path / "out"), key: value}
         assert_rejected(run_config(doc, tmp_path), capsys, tmp_path)
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, p.key) for family, (_, schema) in FAMILY_SPECS.items() for p in schema])
+def test_every_family_param_rejects_bad_values(tmp_path, capsys, monkeypatch, family, key):
+    # finite numbers out of a builder's domain (w4 = -1, g = 1.5) and an empty
+    # custom list (a tensor count that is not the mesh's) are refused too
+    monkeypatch.chdir(tmp_path)
+    for value in CONFIG_VALUES:
+        spec = {"family": family, "params": {key: value}}
+        doc = {"experiment": "chern", "out": str(tmp_path / "out"),
+               "params": {"family": spec, "mesh": "4x4"}}
+        assert_rejected(run_config(doc, tmp_path), capsys, tmp_path, key)
+
+
+@pytest.mark.parametrize("key", [p.key for p in TOLERANCES])
+def test_every_tolerance_rejects_bad_values(tmp_path, capsys, monkeypatch, key):
+    # 1.5 is a finite positive number, which every tolerance accepts
+    monkeypatch.chdir(tmp_path)
+    for token in CLI_TOKENS + ("0",):
+        args = ["aklt-sweep", "--tol", f"{key}={token}", "--out", tmp_path / "out"]
+        assert_rejected(args, capsys, tmp_path, key)
+    for value in [v for v in CONFIG_VALUES if v != 1.5] + [0, math.nan, math.inf]:
+        doc = {"experiment": "aklt-sweep", "out": str(tmp_path / "out"),
+               "tolerances": {key: value}}
+        assert_rejected(run_config(doc, tmp_path), capsys, tmp_path, key)
+    assert DEFAULT_TOLS.override(**{key: 1.5}) != DEFAULT_TOLS
+
+
+def integer_bounds(requirement):
+    """``(low, high)`` of an integer (or integer list) requirement, ``high``
+    None when unbounded; None for any other requirement."""
+    found = re.search(r"integers? in \[(\d+), (\d+)\]|^an integer >= (\d+)$", requirement)
+    return found and (int(found[1] or found[3]), found[2] and int(found[2]))
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (name, p.key) for name, exp in EXPERIMENTS.items() for p in exp.params
+    if integer_bounds(p.requirement)])
+def test_integer_parameters_are_checked_at_their_bounds(experiment, key):
+    # by the check alone: a run at an upper bound would allocate up to 64 MiB
+    params = EXPERIMENTS[experiment].params
+    param = next(p for p in params if p.key == key)
+    defaults = {p.key: p.default for p in params}
+    low, high = integer_bounds(param.requirement)
+    value = (lambda v: [v]) if isinstance(param.default, list) else (lambda v: v)
+    assert not param.check(value(low - 1), defaults)
+    assert param.check(value(low), defaults)
+    if high is not None:
+        assert param.check(value(high), defaults)
+        assert not param.check(value(high + 1), defaults)
 
 
 def readme_commands():
