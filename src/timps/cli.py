@@ -9,6 +9,7 @@ Identical configuration and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -713,18 +714,20 @@ def run_experiment(name: str, params: dict, seed, out_dir: Path,
     """Execute one experiment, write its artifacts, and return the exit code.
 
     A parameter or seed that fails its check raises ``ValueError`` naming
-    it, before the output directory is made."""
+    it, and so does a body's refusal of its input (a family spec, a custom
+    family's tensor count); the output directory is made only once the body
+    has returned, so none of these leaves a path behind."""
     checked(_CONFIG, {"experiment": name, "seed": seed}, "config")
     experiment = EXPERIMENTS[name]
     merged = checked(experiment.params, params, f"{name} param")
     rng = np.random.default_rng(np.random.PCG64(seed)) if seed is not None else None
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         columns, summary, failures = experiment.body(merged, rng, tols)
     except TimpsError as exc:
         columns, summary = {}, {}
         failures = [f"{type(exc).__name__}: {exc}"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / f"{name}.csv", name, seed, columns)
     doc = {
         "meta": _meta(name, seed),
@@ -796,6 +799,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the experiment that ``argv`` (by default the process's own
+    arguments) names and return its exit code.
+
+    Run on the process's own arguments, it first freezes the objects that
+    the imports made (``gc.freeze``): they live until exit, so no collection,
+    the ones at interpreter shutdown included, need traverse them again.
+    A caller that passes ``argv`` keeps its collector as it was."""
+    if argv is None:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -472,18 +472,17 @@ def custom_vertex_family(tensors: Sequence[MpsTensor]) -> VertexData:
     return VertexData(tuple(tensors))
 
 
-def _is_finite(value, _) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
 # family name -> (builder, the Param table of its params); a spec's params
-# are checked against the table and passed to the builder by key
+# are checked against the table, each within its builder's domain, and
+# passed to the builder by key
 FAMILY_SPECS = {
     "psi2": (psi2_sphere_family, ()),
     "pump": (lambda w4: pump_slice_family(float(w4)),
-             (Param("w4", 0.0, float, _is_finite, "a finite number"),)),
+             (Param("w4", 0.0, float, lambda v, _: _is_number(v) and -1.0 < v < 1.0,
+                    "a number with |w4| < 1"),)),
     "aklt": (lambda g: constant_sphere_family(aklt_path(float(g)), "aklt"),
-             (Param("g", 0.5, float, _is_finite, "a finite number"),)),
+             (Param("g", 0.5, float, lambda v, _: _is_number(v) and 0.0 <= v <= 1.0,
+                    "a number in [0, 1]"),)),
     "custom": (lambda tensors: custom_vertex_family(list(map(tensor_from_json, tensors))),
                (Param("tensors", [], json.loads, lambda v, _: isinstance(v, list), "a list"),)),
 }

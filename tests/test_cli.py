@@ -1,6 +1,10 @@
+import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -633,20 +637,21 @@ def exit_code(args, capsys):
     return code, capsys.readouterr().err
 
 
-def files_under(path):
-    return sorted(f for f in path.rglob("*") if f.is_file())
+def paths_under(path):
+    """Every file and directory under ``path``."""
+    return sorted(path.rglob("*"))
 
 
 def assert_rejected(args, capsys, workdir, name=""):
     """Exit 2 with a usage error or a `config error:` line that names ``name``,
-    no traceback and no new file under ``workdir``."""
-    before = files_under(workdir)
+    no traceback and no new path (file or directory) under ``workdir``."""
+    before = paths_under(workdir)
     code, err = exit_code(args, capsys)
     assert code == 2, (args, err)
     assert err.startswith("config error:") or "error: argument" in err, (args, err)
     assert name in err, (args, err)
     assert "Traceback" not in err
-    assert files_under(workdir) == before, args
+    assert paths_under(workdir) == before, args
 
 
 def run_config(doc, tmp_path):
@@ -684,17 +689,33 @@ def test_every_config_key_rejects_bad_values(tmp_path, capsys, monkeypatch, expe
         assert_rejected(run_config(doc, tmp_path), capsys, tmp_path)
 
 
+# numbers just outside each family param's domain, which its row refuses
+FAMILY_DOMAIN_EDGES = {"w4": (1, -1, 1.0, -1.0), "g": (-0.1, 1.5)}
+
+
 @pytest.mark.parametrize("family, key", [
     (family, p.key) for family, (_, schema) in FAMILY_SPECS.items() for p in schema])
 def test_every_family_param_rejects_bad_values(tmp_path, capsys, monkeypatch, family, key):
-    # finite numbers out of a builder's domain (w4 = -1, g = 1.5) and an empty
-    # custom list (a tensor count that is not the mesh's) are refused too
+    # an empty custom list (a tensor count that is not the mesh's) is refused too
     monkeypatch.chdir(tmp_path)
-    for value in CONFIG_VALUES:
+
+    def rejected(value, name):
         spec = {"family": family, "params": {key: value}}
         doc = {"experiment": "chern", "out": str(tmp_path / "out"),
                "params": {"family": spec, "mesh": "4x4"}}
-        assert_rejected(run_config(doc, tmp_path), capsys, tmp_path, key)
+        assert_rejected(run_config(doc, tmp_path), capsys, tmp_path, name)
+
+    for value in CONFIG_VALUES:
+        rejected(value, key)
+    for value in FAMILY_DOMAIN_EDGES.get(key, ()):
+        rejected(value, f"family param {key} must be")
+
+
+def test_refused_family_spec_file_leaves_no_output_directory(tmp_path, capsys):
+    # the family is built in the body, after every parameter check
+    (tmp_path / "spec.json").write_text(json.dumps({"family": "nope"}))
+    args = ["chern", "--family", f"@{tmp_path / 'spec.json'}", "--out", tmp_path / "x"]
+    assert_rejected(args, capsys, tmp_path, "family spec family")
 
 
 @pytest.mark.parametrize("key", [p.key for p in TOLERANCES])
@@ -860,3 +881,60 @@ def test_csv_is_the_row_formatter_on_the_returned_columns(tmp_path, monkeypatch,
     assert column_line == ",".join(columns) == names
     assert lines == csv_lines(columns)
     assert bool(lines) == (run not in ("oracle-check-zero-rows", "retract-sweep-refused"))
+
+
+# The process path: `python -m timps.cli` against in-process `main([...])`,
+# with the source tree that this test imported first on the child's path.
+SOURCE_ROOT = Path(cli.__file__).resolve().parents[1]
+
+
+def run_python(args):
+    path = os.pathsep.join(filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def tree(path):
+    """Each path under ``path``, relative, with its bytes (None for a directory)."""
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["gamma-check", "--block", "8", "--t-steps", "3"], 0),
+    (["chern", "--family", "aklt", "--mesh", "4x4", "--tol", "tol_gap=0.9"], 1),
+    (["gamma-check", "--block", "0"], 2),
+])
+def test_process_entry_matches_in_process_main(tmp_path, capsys, args, code):
+    process, in_process = tmp_path / "process", tmp_path / "in-process"
+    process.mkdir()
+    in_process.mkdir()
+    child = run_python(["-m", "timps.cli", *args, "--out", process / "out"])
+    assert run_cli(args + ["--out", in_process / "out"]) == code
+    captured = capsys.readouterr()
+    assert child.returncode == code, child.stderr
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    written = tree(process)
+    assert written == tree(in_process)
+    assert ("out" in written) == (code != 2)
+
+
+def test_main_given_argv_leaves_the_collector_alone(tmp_path):
+    before = gc.get_freeze_count()
+    assert run_cli(["gamma-check", "--block", "8", "--t-steps", "3", "--out", tmp_path]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_main_on_the_process_arguments_freezes_the_import_heap(tmp_path):
+    script = ("import gc, sys\n"
+              "from timps.cli import main\n"
+              "before = gc.get_freeze_count()\n"
+              "sys.argv[1:] = ['gamma-check', '--block', '8', '--t-steps', '3',\n"
+              "                '--out', sys.argv[1]]\n"
+              "code = main()\n"
+              "print(before, gc.get_freeze_count(), code)\n")
+    child = run_python(["-c", script, tmp_path])
+    assert child.returncode == 0, child.stderr
+    before, after, code = map(int, child.stdout.splitlines()[-1].split())
+    assert (before, code) == (0, 0)
+    assert after > 0
