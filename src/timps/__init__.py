@@ -47,7 +47,6 @@ from .homotopy import (
 )
 from .families import (
     Mesh2,
-    PumpPoint,
     aklt_path,
     make_sphere_mesh,
     psi2_sphere_family,

@@ -190,22 +190,20 @@ def _decomposition_bytes(d: int, D: int, chi: int) -> int:
     return 16 * (d * D * D + D * D + d * D * chi)
 
 
-def _sweep(count: int, draw, key, nbytes, run, held=None):
+def _sweep(count: int, draw, key, nbytes, run, held):
     """Rows and failures of a randomized sweep, in case order.
 
     Cases are drawn in RNG order in windows that end with the case whose
-    ``held(case)``, the bytes a drawn case holds until it runs (by default
-    ``nbytes(case)``), brings the window's total to ``SWEEP_CHUNK_BYTES``:
-    ``draw(cases)`` gives a window's drawn cases in order, and ends with the
-    ``TimpsError`` of a failed draw.  Drawn cases of equal ``key(drawn)`` wait
-    until their output bytes ``nbytes(case)`` reach ``SWEEP_CHUNK_BYTES``, then
-    go through one ``run(items)`` call on ``(case, drawn)`` pairs, which
-    returns each case's rows and failures.  The cases still waiting run after
-    the last window, or before a failed draw is raised, as in a
-    one-case-at-a-time loop; ``run`` may raise only errors whose type and
-    message do not depend on the case.
+    ``held(case)``, the bytes a drawn case holds until it runs, brings the
+    window's total to ``SWEEP_CHUNK_BYTES``: ``draw(cases)`` gives a window's
+    drawn cases in order, and ends with the ``TimpsError`` of a failed draw.
+    Drawn cases of equal ``key(drawn)`` wait until their output bytes
+    ``nbytes(case)`` reach ``SWEEP_CHUNK_BYTES``, then go through one
+    ``run(items)`` call on ``(case, drawn)`` pairs, which returns each case's
+    rows and failures.  The cases still waiting run after the last window, or
+    before a failed draw is raised, as in a one-case-at-a-time loop; ``run``
+    may raise only errors whose type and message do not depend on the case.
     """
-    held = held or nbytes
     done, waiting, case, error = {}, {}, 0, None
 
     def run_key(k):

@@ -7,7 +7,8 @@ Families:
   ``(theta, phi) -> [cos(theta/2) : e^{-i phi} sin(theta/2)]``;
 * ``pump`` -- the two-chart Chern pump over the 3-sphere (bond dimension 2 on
   the north chart, 1 on the south chart), plus its lift over the closed
-  3-ball;
+  3-ball; the charts take one ``(w, w4)`` 4-vector or the rows of an
+  ``(m, 4)`` array, and the lift takes ball points the same way;
 * ``aklt`` -- the interpolation between a product state and the AKLT point,
   with the rank-1 endpoint tensor at g = 0.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .tensors import MpsTensor, _decomposition_pass, tensor_from_json
 
 __all__ = [
     "psi2_tensor",
-    "PumpPoint",
     "pump_north",
     "pump_south",
     "pump_lift",
@@ -48,7 +48,6 @@ __all__ = [
     "boundary_generator_family",
     "constant_sphere_family",
     "pump_slice_family",
-    "custom_vertex_family",
     "FAMILY_SPECS",
     "family_from_spec",
 ]
@@ -106,34 +105,6 @@ def _slice_points(theta: np.ndarray, phi: np.ndarray, w4: float) -> np.ndarray:
     return r * np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)], axis=1)
 
 
-@dataclass(frozen=True)
-class PumpPoint:
-    """A point of the 3-sphere written as (w, w4) with |w|^2 + w4^2 = 1.
-
-    The polar angles refer to the direction of w; on the polar axis (and at
-    w = 0) the azimuth convention is phi = 0.
-    """
-
-    w: np.ndarray
-    w4: float
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        if w.shape != (3,):
-            raise ValueError("w must be a 3-vector")
-        _check_on_sphere(w[None], np.array([self.w4], dtype=float))
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-
-    @property
-    def theta(self) -> float:
-        return float(_directions(self.w[None])[0][0])
-
-    @property
-    def phi(self) -> float:
-        return float(_directions(self.w[None])[1][0])
-
-
 def _ball_points(v: np.ndarray):
     """The parts ``(w, w4)`` of the images of the ``(m, 3)`` ball points
     ``v`` under the map that collapses the boundary of the unit 3-ball to
@@ -178,8 +149,8 @@ def pump_north(pt):
     The (i, j) matrix is ``|i><j| X L X^T`` with X the rotation at the
     point's angles.  Right-normalized for every chart point; essential rank
     2 above the overlap band, 1 on it.  An ``(m, 4)`` array of ``(w, w4)``
-    rows gives the ``(m, 4, 2, 2)`` stack; one :class:`PumpPoint` is the
-    N=1 call.
+    rows gives the ``(m, 4, 2, 2)`` stack; one 4-vector ``(w, w4)`` is the
+    N=1 call and gives an :class:`MpsTensor`.
     """
     return _charts_at(pt, north=True)
 
@@ -190,14 +161,22 @@ def pump_south(pt):
     return _charts_at(pt, north=False)
 
 
+def _point_rows(x, k: int):
+    """The rows of a ``k``-vector or of an ``(m, k)`` array of points, and
+    whether ``x`` was one point; any other shape is refused."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (k,) and (x.ndim != 2 or x.shape[1] != k):
+        raise ValueError(f"points must be a {k}-vector or an (m, {k}) array, not shape {x.shape}")
+    return x.reshape(-1, k), x.ndim == 1
+
+
 def _charts_at(pt, north: bool):
-    """:func:`_pump_charts` at one point or at the rows of an ``(m, 4)`` array,
-    checked on the sphere at once."""
-    if isinstance(pt, PumpPoint):
-        return MpsTensor(_charts_at(np.append(pt.w, pt.w4)[None], north)[0])
-    pts = np.asarray(pt, dtype=float).reshape(-1, 4)
+    """:func:`_pump_charts` at the points of :func:`_point_rows`, checked on
+    the sphere at once; one point gives an :class:`MpsTensor`."""
+    pts, one = _point_rows(pt, 4)
     _check_on_sphere(pts[:, :3], pts[:, 3])
-    return _pump_charts(pts[:, :3], pts[:, 3], north)
+    mats = _pump_charts(pts[:, :3], pts[:, 3], north)
+    return MpsTensor(mats[0]) if one else mats
 
 
 def _directions(v: np.ndarray):
@@ -223,9 +202,9 @@ def pump_lift(v, branch: str = "auto"):
     of points gives the ``(m, 4, 2, 2)`` stack of :func:`_pump_lifts`; one
     3-vector is the N=1 call.
     """
-    v = np.asarray(v, dtype=float)
-    mats = _pump_lifts(v.reshape(len(v) if v.ndim > 1 else 1, 3), branch)
-    return mats if v.ndim > 1 else MpsTensor(mats[0])
+    v, one = _point_rows(v, 3)
+    mats = _pump_lifts(v, branch)
+    return MpsTensor(mats[0]) if one else mats
 
 
 def _pump_lifts(v: np.ndarray, branch: str) -> np.ndarray:
@@ -460,16 +439,10 @@ def pump_slice_family(w4: float) -> SphereFamily:
         raise ValueError("slice must satisfy |w4| < 1")
 
     def stack(theta, phi):
-        w, w4s = _slice_points(theta, phi, w4), np.full(len(theta), w4)
-        _check_on_sphere(w, w4s)
-        return _pump_charts(w, w4s, north=not w4 < 0.5)
+        pts = np.column_stack([_slice_points(theta, phi, w4), np.full(len(theta), w4)])
+        return _charts_at(pts, north=not w4 < 0.5)
 
     return SphereFamily(f"pump-slice(w4={w4})", stack=stack)
-
-
-def custom_vertex_family(tensors: Sequence[MpsTensor]) -> VertexData:
-    """Per-vertex tensors supplied externally, indexed by mesh vertex."""
-    return VertexData(tuple(tensors))
 
 
 # family name -> (builder, the Param table of its params); a spec's params
@@ -483,7 +456,7 @@ FAMILY_SPECS = {
     "aklt": (lambda g: constant_sphere_family(aklt_path(float(g)), "aklt"),
              (Param("g", 0.5, float, lambda v, _: _is_number(v) and 0.0 <= v <= 1.0,
                     "a number in [0, 1]"),)),
-    "custom": (lambda tensors: custom_vertex_family(list(map(tensor_from_json, tensors))),
+    "custom": (lambda tensors: VertexData(tuple(map(tensor_from_json, tensors))),
                (Param("tensors", [], json.loads, lambda v, _: isinstance(v, list), "a list"),)),
 }
 _SPEC = (Param("family", None, str, lambda v, _: isinstance(v, str) and v in FAMILY_SPECS,

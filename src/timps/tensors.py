@@ -624,7 +624,7 @@ def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     tensor's representative or of the ``TimpsError`` the N=1 call raises on
     it, from one stacked :func:`_leading_fixed_point` per essential rank.
     """
-    if not isinstance(A, MpsTensor):
+    if not isinstance(A, (MpsTensor, CanonicalDecomposition)):
         return _stacked(A, lambda mats: _normalized(mats, tols))
     return _unrefused(_normalized(A.mats[None], tols))[0]
 

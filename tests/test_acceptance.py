@@ -9,7 +9,6 @@ import numpy as np
 
 from timps.cli import main as cli_main
 from timps.families import (
-    PumpPoint,
     aklt_path,
     boundary_generator_family,
     make_sphere_mesh,
@@ -197,8 +196,7 @@ def test_criterion_09_pump(make_rng):
     for _ in range(200):
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
-        pt = PumpPoint(w=x[:3], w4=float(x[3]))
-        A = pump_north(pt) if pt.w4 > -0.5 else pump_south(pt)
+        A = pump_north(x) if x[3] > -0.5 else pump_south(x)
         dec = canonical_decompose(A)
         gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
         worst_norm = max(worst_norm, float(np.abs(gram - np.eye(dec.chi)).max()))
@@ -211,9 +209,8 @@ def test_criterion_09_pump(make_rng):
         x /= np.linalg.norm(x)
         if not -0.5 < x[3] < 0.5:
             continue
-        pt = PumpPoint(w=x[:3], w4=float(x[3]))
-        dn = canonical_decompose(pump_north(pt))
-        ds = canonical_decompose(pump_south(pt))
+        dn = canonical_decompose(pump_north(x))
+        ds = canonical_decompose(pump_south(x))
         assert dn.chi == ds.chi
         min_fid = min(min_fid, fidelity_per_site(dn.K, ds.K))
         count += 1

@@ -5,8 +5,8 @@ import pytest
 
 from timps.errors import NotNormalizedPointError, OutOfChartError
 from timps.families import (
-    PumpPoint,
     _ball_points,
+    _directions,
     _rotations,
     _slice_points,
     aklt_path,
@@ -22,6 +22,7 @@ from timps.families import (
     VertexData,
 )
 from timps.tensors import (
+    MpsTensor,
     canonical_decompose,
     essential_rank,
     fidelity_per_site,
@@ -33,8 +34,7 @@ from timps.transfer import WindowObservable, expectation, fixed_point, trace_inv
 
 def sample_sphere_point(rng):
     x = rng.normal(size=4)
-    x /= np.linalg.norm(x)
-    return PumpPoint(w=x[:3], w4=float(x[3]))
+    return x / np.linalg.norm(x)
 
 
 def test_psi2_tensor_basis_points():
@@ -75,17 +75,16 @@ def test_berry_rotation_unitarity(rng):
 
 
 def test_pump_point_invariants():
-    pt = PumpPoint(w=np.array([0.0, 0.0, 0.8]), w4=0.6)
-    assert pt.theta == 0.0 and pt.phi == 0.0
+    theta, phi = _directions(np.array([[0.0, 0.0, 0.8]]))
+    assert theta[0] == 0.0 and phi[0] == 0.0
     with pytest.raises(ValueError):
-        PumpPoint(w=np.array([1.0, 0.0, 0.0]), w4=0.5)
+        pump_north([1.0, 0.0, 0.0, 0.5])
     w, w4 = _ball_points(np.zeros((1, 3)))
     assert w4[0] == 1.0 and np.abs(w).max() == 0.0
 
 
 def test_pump_north_at_north_pole():
-    pt = PumpPoint(w=np.zeros(3), w4=1.0)
-    A = pump_north(pt)
+    A = pump_north([0.0, 0.0, 0.0, 1.0])
     # the block is antisymmetric with entries sqrt(1/2)
     r = math.sqrt(0.5)
     expected_block = np.array([[0.0, -r], [r, 0.0]])
@@ -101,7 +100,7 @@ def test_pump_north_rank_drops_on_overlap_band(rng):
     for _ in range(5):
         x = rng.normal(size=3)
         w = x / np.linalg.norm(x)
-        pt = PumpPoint(w=w, w4=0.0)
+        pt = np.append(w, 0.0)
         A = pump_north(pt)
         assert essential_rank(A) == 1
         # the canonical core carries the south-chart scalars
@@ -113,11 +112,11 @@ def test_pump_north_rank_drops_on_overlap_band(rng):
 def test_pump_chart_normalization(rng):
     for _ in range(50):
         pt = sample_sphere_point(rng)
-        if pt.w4 > -0.5:
+        if pt[3] > -0.5:
             dec = canonical_decompose(pump_north(pt))
             gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
             assert np.abs(gram - np.eye(dec.chi)).max() < 1e-10
-        if pt.w4 < 0.5:
+        if pt[3] < 0.5:
             s = pump_south(pt)
             assert abs(np.sum(np.abs(s.mats) ** 2) - 1.0) < 1e-12
 
@@ -127,7 +126,7 @@ def test_pump_south_closed_forms(rng):
         theta = rng.uniform(0.1, math.pi - 0.1)
         phi = rng.uniform(0, 2 * math.pi)
         w4 = rng.uniform(-0.5, 0.5 - 1e-9)
-        pt = PumpPoint(w=_slice_points(np.array([theta]), np.array([phi]), w4)[0], w4=w4)
+        pt = np.append(_slice_points(np.array([theta]), np.array([phi]), w4)[0], w4)
         vals = pump_south(pt).mats[:, 0, 0]
         assert abs(vals[0] - (-0.5 * np.exp(-1j * phi) * math.sin(theta))) < 1e-12
         assert abs(vals[1] - (1.0 + math.cos(theta)) / 2.0) < 1e-12
@@ -136,8 +135,7 @@ def test_pump_south_closed_forms(rng):
 
 
 def test_pump_south_pole_value():
-    pt = PumpPoint(w=np.zeros(3), w4=-1.0)
-    vals = pump_south(pt).mats[:, 0, 0]
+    vals = pump_south([0.0, 0.0, 0.0, -1.0]).mats[:, 0, 0]
     r = math.sqrt(0.5)
     assert np.abs(vals - np.array([0.0, r, -r, 0.0])).max() < 1e-15
 
@@ -147,45 +145,56 @@ def test_pump_south_continuity_across_band_edge():
     direction = np.array([0.3, -0.5, 0.8])
     direction /= np.linalg.norm(direction)
     eps = 1e-9
-    lo = PumpPoint(w=direction * math.sqrt(1 - (0.5 + eps) ** 2), w4=-0.5 - eps)
-    hi = PumpPoint(w=direction * math.sqrt(1 - (0.5 - eps) ** 2), w4=-0.5 + eps)
+    lo = np.append(direction * math.sqrt(1 - (0.5 + eps) ** 2), -0.5 - eps)
+    hi = np.append(direction * math.sqrt(1 - (0.5 - eps) ** 2), -0.5 + eps)
     dev = np.abs(pump_south(lo).mats - pump_south(hi).mats).max()
     assert dev < 1e-4
 
 
 def test_pump_chart_gate():
     with pytest.raises(OutOfChartError):
-        pump_north(PumpPoint(w=np.zeros(3), w4=-1.0))
+        pump_north([0.0, 0.0, 0.0, -1.0])
     with pytest.raises(OutOfChartError):
-        pump_south(PumpPoint(w=np.zeros(3), w4=1.0))
+        pump_south([0.0, 0.0, 0.0, 1.0])
 
 
 def test_pump_overlap_gauge_equivalence(rng):
     count = 0
     while count < 50:
         pt = sample_sphere_point(rng)
-        if not -0.5 < pt.w4 < 0.5:
+        if not -0.5 < pt[3] < 0.5:
             continue
         assert gauge_equivalent(pump_north(pt), pump_south(pt))
         count += 1
 
 
 def test_pump_family_charts():
-    north_pole = PumpPoint(w=np.zeros(3), w4=1.0)
+    north_pole = [0.0, 0.0, 0.0, 1.0]
     assert pump_north(north_pole).D == 2
     with pytest.raises(OutOfChartError):
         pump_south(north_pole)
-    south_pole = PumpPoint(w=np.zeros(3), w4=-1.0)
+    south_pole = [0.0, 0.0, 0.0, -1.0]
     assert pump_south(south_pole).D == 1
     with pytest.raises(OutOfChartError):
         pump_north(south_pole)
 
 
+@pytest.mark.parametrize("chart", [pump_north, pump_south], ids=["north", "south"])
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+def test_one_pump_point_is_the_n1_call(chart, form):
+    point = [0.0, 0.6, 0.8, 0.0]  # in both charts
+    one = chart(form(point))
+    assert isinstance(one, MpsTensor)
+    row = chart(np.array([point]))[0]
+    assert (one.mats.dtype, one.mats.shape, one.mats.tobytes()) == \
+        (row.dtype, row.shape, row.tobytes())
+
+
 def test_pump_lift_center_and_boundary(rng):
     center = pump_lift([0.0, 0.0, 0.0])
-    pole = pump_north(PumpPoint(w=np.zeros(3), w4=1.0))
+    pole = pump_north([0.0, 0.0, 0.0, 1.0])
     assert np.abs(center.mats - pole.mats).max() == 0.0
-    base = pump_south(PumpPoint(w=np.zeros(3), w4=-1.0))
+    base = pump_south([0.0, 0.0, 0.0, -1.0])
     for _ in range(5):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)

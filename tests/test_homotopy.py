@@ -815,7 +815,7 @@ def test_sweep_raises_a_failed_draw_after_the_cases_before_it(monkeypatch, bad, 
         return [([case], []) for case, _ in items]
 
     with pytest.raises(NotInEError, match=f"^{raised}$"):
-        cli._sweep(12, draw, lambda case: case % 2, lambda _: 1, run)
+        cli._sweep(12, draw, lambda case: case % 2, lambda _: 1, run, lambda _: 1)
 
 
 def test_sweep_returns_results_in_case_order(monkeypatch):
@@ -826,7 +826,7 @@ def test_sweep_returns_results_in_case_order(monkeypatch):
         calls.append([case for case, _ in items])
         return [([case, -case], [f"case {case}"]) for case, _ in items]
 
-    rows, failures = cli._sweep(12, list, lambda case: case % 3, lambda _: 1, run)
+    rows, failures = cli._sweep(12, list, lambda case: case % 3, lambda _: 1, run, lambda _: 1)
     assert rows == [v for case in range(12) for v in (case, -case)]
     assert failures == [f"case {case}" for case in range(12)]
     assert calls == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]

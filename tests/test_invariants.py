@@ -10,10 +10,10 @@ from timps.errors import (
     VanishingOverlapError,
 )
 from timps.families import (
+    VertexData,
     aklt_path,
     boundary_generator_family,
     constant_sphere_family,
-    custom_vertex_family,
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,
@@ -105,7 +105,7 @@ def test_vertex_phase_leaves_curvature_invariant():
     base = psi2_sphere_family()
     tensors = [MpsTensor(m) for m in base.stack(mesh.theta, mesh.phi)]
     tensors[7] = MpsTensor(tensors[7].mats * np.exp(1.23j))
-    fam = custom_vertex_family(tensors)
+    fam = VertexData(tuple(tensors))
     r0 = curvature_report(base, mesh)
     r1 = curvature_report(fam, mesh)
     assert np.abs(r0.curvature - r1.curvature).max() < 1e-12
@@ -117,8 +117,8 @@ def test_custom_family_for_a_larger_mesh_is_refused(invariant):
     big = make_sphere_mesh(32, 32)
     tensors = [MpsTensor(m) for m in psi2_sphere_family().stack(big.theta, big.phi)]
     with pytest.raises(ValueError, match="994 tensors, but mesh 16x16 has 242 vertices"):
-        invariant(custom_vertex_family(tensors), make_sphere_mesh(16, 16))
-    assert chern_number(custom_vertex_family(tensors), big) == 1
+        invariant(VertexData(tuple(tensors)), make_sphere_mesh(16, 16))
+    assert chern_number(VertexData(tuple(tensors)), big) == 1
 
 
 @pytest.mark.parametrize("count", [15, 13, 1, 0], ids=["too-many", "too-few", "one", "zero"])
@@ -128,10 +128,10 @@ def test_vertex_data_of_another_count_is_refused_up_front(invariant, count, coun
     psi2 = [MpsTensor(m) for m in psi2_sphere_family().stack(mesh.theta, mesh.phi)]
     passes = count_passes()
     with pytest.raises(ValueError) as info:
-        invariant(custom_vertex_family((psi2 + psi2)[:count]), mesh)
+        invariant(VertexData(tuple((psi2 + psi2)[:count])), mesh)
     assert str(info.value) == f"family custom has {count} tensors, but mesh 4x4 has 14 vertices"
     assert passes == []
-    assert chern_number(custom_vertex_family(psi2), mesh) == 1
+    assert chern_number(VertexData(tuple(psi2)), mesh) == 1
 
 
 @pytest.mark.parametrize("n", [8, 32])
@@ -147,7 +147,7 @@ def test_gauge_moved_vertex_data_keeps_the_curvature(make, n, rng):
         A = pad_tensor(MpsTensor(mats), mats.shape[0], mats.shape[1] + extra)
         moved.append(apply_gauge(A, random_gauge_move(rng, A)))
     assert len({A.D for A in moved}) == 3
-    data = custom_vertex_family(moved)
+    data = VertexData(tuple(moved))
     expected = curvature_report(family, mesh).curvature
     assert np.abs(curvature_report(data, mesh).curvature - expected).max() <= 1e-13
     assert chern_number(data, mesh) == chern_number(family, mesh)
@@ -158,7 +158,7 @@ def test_chern_rejects_rank_jumps():
     tensors = [aklt_path(0.5)] * len(mesh.theta)
     tensors[3] = aklt_path(0.0)
     with pytest.raises(RankMismatchError):
-        chern_number(custom_vertex_family(tensors), mesh)
+        chern_number(VertexData(tuple(tensors)), mesh)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -173,7 +173,7 @@ def test_frozen_polar_angle_gives_zero():
         return psi2_tensor(math.cos(theta0 / 2), np.exp(-1j * phi) * math.sin(theta0 / 2))
 
     mesh = make_sphere_mesh(12, 12)
-    assert chern_number(custom_vertex_family([frozen(phi) for phi in mesh.phi]), mesh) == 0
+    assert chern_number(VertexData(tuple(frozen(phi) for phi in mesh.phi)), mesh) == 0
 
 
 def test_curvature_report_rows_align_with_mesh():

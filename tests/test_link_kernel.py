@@ -27,9 +27,9 @@ from timps.errors import (
     VanishingOverlapError,
 )
 from timps.families import (
+    VertexData,
     aklt_path,
     boundary_generator_family,
-    custom_vertex_family,
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,
@@ -324,7 +324,7 @@ def random_vertex_data(mesh, d, chi, seed, spread=0.2):
     K = random_core(rng, d, chi).mats
     found = right_normalize([MpsTensor(K + spread * ginibre(rng, d, chi, chi))
                              for _ in range(len(mesh.theta))])
-    return custom_vertex_family(found)
+    return VertexData(tuple(found))
 
 
 LINK_FAMILIES = {

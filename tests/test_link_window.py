@@ -22,8 +22,8 @@ from timps.config import DEFAULT_TOLS
 from timps.errors import RankMismatchError
 from timps.families import (
     Mesh2,
+    VertexData,
     aklt_path,
-    custom_vertex_family,
     family_from_spec,
     make_sphere_mesh,
     psi2_sphere_family,
@@ -172,7 +172,7 @@ def orthogonal_across(mesh, edges):
             a = math.pi / 4 - 1e-9 * k
             angle[mesh.edges[e]] = (a, -a) if k % 2 == 0 else (sign * a, -sign * a)
         tensors = [psi2_tensor(math.cos(a), math.sin(a)) for a in angle.tolist()]
-        cores = whole_mesh_cores(custom_vertex_family(tensors), mesh)
+        cores = whole_mesh_cores(VertexData(tuple(tensors)), mesh)
         refused = [k for k, (u, v) in enumerate(mesh.edges.tolist())
                    if outcome(_edge_links, cores[u][None], cores[v][None], DEFAULT_TOLS)[0]
                    == "raised"]
@@ -193,12 +193,12 @@ def test_first_refused_edge_in_table_order_is_raised(chunk_mesh, within):
     chunk, mesh = chunk_mesh
     mesh = mesh.reversed()
     tensors, i, j = two_refusals(mesh, chunk, within)
-    cores = whole_mesh_cores(custom_vertex_family(tensors), mesh)
+    cores = whole_mesh_cores(VertexData(tuple(tensors)), mesh)
     (u_i, v_i), (u_j, v_j) = mesh.edges[i], mesh.edges[j]
     first = outcome(_edge_links, cores[u_i][None], cores[v_i][None], DEFAULT_TOLS)
     assert first != outcome(_edge_links, cores[u_j][None], cores[v_j][None], DEFAULT_TOLS)
     assert first == per_edge_failure(tensors, mesh)
-    assert outcome(link_field, custom_vertex_family(tensors), mesh) == first
+    assert outcome(link_field, VertexData(tuple(tensors)), mesh) == first
 
 
 def test_refused_edge_before_a_dimension_mismatch_is_raised(chunk_mesh):
@@ -222,7 +222,7 @@ def test_refused_edge_before_a_dimension_mismatch_is_raised(chunk_mesh):
     tensors[w] = MpsTensor(np.array([0.6, 0.0, 0.8], dtype=complex).reshape(3, 1, 1))
     expected = per_edge_failure(tensors, mesh)
     assert expected[1] is not ValueError  # edge i's refusal
-    assert outcome(link_field, custom_vertex_family(tensors), mesh) == expected
+    assert outcome(link_field, VertexData(tuple(tensors)), mesh) == expected
 
 
 def test_failing_vertex_after_a_refused_edge_raises_its_error(chunk_mesh):
@@ -232,7 +232,7 @@ def test_failing_vertex_after_a_refused_edge_raises_its_error(chunk_mesh):
     last = len(tensors) - 1
     assert last >= 2 * chunk  # in a later chunk than an edge refused before it
     tensors[last] = MpsTensor(aklt_path(0.5).mats)
-    got = outcome(link_field, custom_vertex_family(tensors), mesh)
+    got = outcome(link_field, VertexData(tuple(tensors)), mesh)
     assert got == ("raised", RankMismatchError,
                    "family does not have constant essential rank on the mesh: "
                    f"1 vs 2 at vertex {last}")
@@ -246,7 +246,7 @@ def test_window_slots_are_zero_padded_to_the_widest_core(monkeypatch):
     n = len(mesh.theta)
     tensors = [psi2_tensor(math.cos(a), math.sin(a)) for a in mesh.theta.tolist()]
     tensors[2] = MpsTensor(np.array([0.6, 0.0, 0.8], dtype=complex).reshape(3, 1, 1))
-    windows = invariants._vertex_cores(custom_vertex_family(tensors), mesh, 7, DEFAULT_TOLS)
+    windows = invariants._vertex_cores(VertexData(tuple(tensors)), mesh, 7, DEFAULT_TOLS)
     for start, (window, dims) in zip(range(0, n, 7), windows):
         assert window.shape[1] == 3
         for x in range(start, min(start + 7, n)):

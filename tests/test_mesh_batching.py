@@ -29,7 +29,6 @@ from timps.families import (
     VertexData,
     aklt_path,
     boundary_generator_family,
-    custom_vertex_family,
     make_sphere_mesh,
     psi2_sphere_family,
     psi2_tensor,
@@ -121,8 +120,8 @@ def psi2_at_vertices(mesh):
 
 def spun_family(mesh):
     """psi2 with a vertex-dependent phase: the same curvature, other links."""
-    return custom_vertex_family([MpsTensor(A.mats * np.exp(0.37j * k))
-                                 for k, A in enumerate(psi2_at_vertices(mesh))])
+    return VertexData(tuple(MpsTensor(A.mats * np.exp(0.37j * k))
+                            for k, A in enumerate(psi2_at_vertices(mesh))))
 
 
 def bloch(theta, phi):
@@ -330,10 +329,10 @@ def parity_cases():
     orthogonal = [psi2_tensor(1.0, 0.0)] * n
     orthogonal[6] = psi2_tensor(0.0, 1.0)
     return {
-        "rank-jump-at-3": (custom_vertex_family(rank_jump), RankMismatchError,
+        "rank-jump-at-3": (VertexData(tuple(rank_jump)), RankMismatchError,
                            "2 vs 1 at vertex 3"),
-        "non-E-vertex": (custom_vertex_family(not_in_e), NotInEError, "right-normalized"),
-        "vanishing-overlap": (custom_vertex_family(orthogonal), VanishingOverlapError,
+        "non-E-vertex": (VertexData(tuple(not_in_e)), NotInEError, "right-normalized"),
+        "vanishing-overlap": (VertexData(tuple(orthogonal)), VanishingOverlapError,
                               "0.000e+00"),
     }
 
@@ -366,7 +365,7 @@ def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, mon
     mesh = make_sphere_mesh(4, 4)
     if mixed_shapes:
         # vertex 12, after every failing vertex, has a larger bond dimension
-        family = custom_vertex_family(padded_at(family.tensors, 12, D=3))
+        family = VertexData(tuple(padded_at(family.tensors, 12, D=3)))
     expected = raised(oracle_curvature, family, mesh)
 
     def refuse(*args, **kwargs):
@@ -387,7 +386,7 @@ def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, mon
 def test_vertex_data_takes_one_pass_per_shape(mixed_shapes, chunk, count_passes):
     mesh = make_sphere_mesh(8, 8)
     psi2 = psi2_at_vertices(mesh)
-    family = custom_vertex_family(padded_at(psi2, 5, D=3) if mixed_shapes else psi2)
+    family = VertexData(tuple(padded_at(psi2, 5, D=3) if mixed_shapes else psi2))
     passes = count_passes()
     report = curvature_report(family, mesh)
     assert passes == passes_per_chunk(family.tensors, chunk, len(mesh.theta) - 1)
@@ -446,7 +445,7 @@ def test_near_tie_links_are_refused(chunk):
     tensors = [A] * len(mesh.theta)
     tensors[6] = B
     with pytest.raises(DegenerateLeadingEigenvalueError):
-        link_field(custom_vertex_family(tensors), mesh)
+        link_field(VertexData(tuple(tensors)), mesh)
 
 
 def flagged_family(mesh):
@@ -461,7 +460,7 @@ def flagged_family(mesh):
 def test_flagged_plaquettes_are_refused(tmp_path):
     mesh = make_sphere_mesh(4, 4)
     tensors = flagged_family(mesh)
-    family = custom_vertex_family(tensors)
+    family = VertexData(tuple(tensors))
     assert curvature_report(family, mesh).flagged == (4,)
     assert oracle_curvature(family, mesh)[1] == (4,)
     with pytest.raises(FlaggedPlaquetteError, match=r"\[4\]"):
@@ -488,7 +487,7 @@ def padded_at(tensors, index, d=None, D=None):
 
 def test_mixed_bond_dimension_keeps_the_curvature(chunk):
     mesh = make_sphere_mesh(4, 4)
-    report = curvature_report(custom_vertex_family(padded_at(psi2_at_vertices(mesh), 5, D=3)),
+    report = curvature_report(VertexData(tuple(padded_at(psi2_at_vertices(mesh), 5, D=3))),
                               mesh)
     expected = curvature_report(psi2_sphere_family(), mesh).curvature
     assert np.abs(report.curvature - expected).max() <= 1e-12
@@ -521,7 +520,7 @@ def mixed_d_tensors(mesh, case):
 ])
 def test_mixed_physical_dimension_is_refused(case, kind, chunk):
     mesh = make_sphere_mesh(4, 4)
-    family = custom_vertex_family(mixed_d_tensors(mesh, case))
+    family = VertexData(tuple(mixed_d_tensors(mesh, case)))
     error = raised(curvature_report, family, mesh)
     if kind is ValueError:
         assert error == (ValueError, "cores must share the physical dimension")

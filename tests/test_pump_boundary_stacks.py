@@ -27,7 +27,6 @@ from timps.cli import EXPERIMENTS, run_experiment
 from timps.config import DEFAULT_TOLS, Tolerances
 from timps.errors import NotInEError
 from timps.families import (
-    PumpPoint,
     boundary_generator_family,
     make_sphere_mesh,
     pump_lift,
@@ -59,8 +58,7 @@ def loop_body(params, rng, tols):
     for k in range(params["samples"]):
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
-        pt = PumpPoint(w=x[:3], w4=float(x[3]))
-        A = pump_north(pt) if pt.w4 > -0.5 else pump_south(pt)
+        A = pump_north(x) if x[3] > -0.5 else pump_south(x)
         resid = canonical_decompose(A, tols).norm_residual
         rows.append(("core_norm_residual", k, resid))
         max_norm = max(max_norm, resid)
@@ -72,7 +70,7 @@ def loop_body(params, rng, tols):
         x = rng.normal(size=3)
         w4 = rng.uniform(-0.5 + 1e-6, 0.5 - 1e-6)
         w = x / np.linalg.norm(x) * math.sqrt(1.0 - w4 * w4)
-        pt = PumpPoint(w=w, w4=w4)
+        pt = np.append(w, w4)
         dec_n = canonical_decompose(pump_north(pt), tols)
         dec_s = canonical_decompose(pump_south(pt), tols)
         if dec_n.chi != dec_s.chi:

@@ -2,6 +2,7 @@
 test reaches."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from timps import families, invariants
 from timps.cli import main
 from timps.errors import DegenerateLeadingEigenvalueError, RankMismatchError
 from timps.families import (
-    PumpPoint,
     SphereFamily,
     boundary_generator_family,
     make_sphere_mesh,
     psi2_sphere_family,
+    pump_lift,
     pump_north,
     pump_slice_family,
+    pump_south,
 )
 from timps.tensors import MpsTensor, is_injective, pad_tensor, right_normalize
 from timps.transfer import WindowObservable, expectation, fixed_point
@@ -69,9 +71,18 @@ def test_is_injective_refuses_non_square_matrices():
         is_injective(np.zeros((4, 2, 3)))
 
 
-def test_pump_point_refuses_a_w_that_is_not_a_3_vector():
-    with pytest.raises(ValueError, match="3-vector"):
-        PumpPoint(w=np.array([1.0, 0.0]), w4=0.0)
+@pytest.mark.parametrize("fn, point, shape", [
+    pytest.param(fn, point, shape, id=f"{fn.__name__}-{shape}")
+    for fn, point, shapes in [
+        (pump_north, [0.0, 0.6, 0.8, 0.0], [(8,), (2, 6), (1, 4, 1), (3,), ()]),
+        (pump_south, [0.0, 0.6, 0.8, 0.0], [(8,), (2, 6), (1, 4, 1), (3,), ()]),
+        (pump_lift, [0.0, 0.6, 0.0], [(6,), (2, 6), (2, 3, 1)])]
+    for shape in shapes
+])
+def test_pump_points_of_another_shape_are_refused(fn, point, shape):
+    # copies of a valid point, so that only the shape is wrong
+    with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+        fn(np.resize(point, shape))
 
 
 def test_pump_slice_family_refuses_a_pole():

@@ -10,6 +10,7 @@ stacked evaluator refuses must raise what the per-vertex loop raises.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -19,15 +20,14 @@ from timps.config import DEFAULT_TOLS
 from timps.errors import NotInEError, NotNormalizedPointError, OutOfChartError, RankMismatchError
 from timps.families import (
     Mesh2,
-    PumpPoint,
     SphereFamily,
+    VertexData,
     _directions,
     _product_states,
     _pump_charts,
     _pump_lifts,
     _slice_points,
     boundary_generator_family,
-    custom_vertex_family,
     make_sphere_mesh,
     psi2_sphere_family,
     pump_lift,
@@ -37,6 +37,15 @@ from timps.families import (
 )
 from timps.invariants import chern_number, curvature_report
 from timps.tensors import MpsTensor, _decomposition_pass, canonical_decompose
+
+
+# a point (w, w4) of the 3-sphere, as the scalar oracles read it
+Point = namedtuple("Point", "w w4")
+
+
+def vector(pt):
+    """The 4-vector ``(w, w4)`` the pump's charts take for a :data:`Point`."""
+    return np.append(pt.w, pt.w4)
 
 
 def oracle_angles(v):
@@ -106,7 +115,7 @@ def oracle_from_angles(theta, phi, w4):
     w = r * np.array([math.sin(theta) * math.cos(phi),
                       math.sin(theta) * math.sin(phi),
                       math.cos(theta)])
-    return PumpPoint(w=w, w4=w4)
+    return Point(w, w4)
 
 
 def oracle_psi2_at(theta, phi):
@@ -120,7 +129,7 @@ def oracle_from_ball(v):
     if nv2 > 1.0 + 1e-12:
         raise ValueError("ball point must have norm <= 1")
     nv2 = min(nv2, 1.0)
-    return PumpPoint(w=2.0 * math.sqrt(1.0 - nv2) * v, w4=1.0 - 2.0 * nv2)
+    return Point(2.0 * math.sqrt(1.0 - nv2) * v, 1.0 - 2.0 * nv2)
 
 
 def oracle_lift_filler(theta, phi, pt):
@@ -305,7 +314,7 @@ def test_stacked_evaluators_match_the_per_vertex_oracle(name, shape, chunk, monk
     monkeypatch.setattr(invariants, "CHUNK", chunk)
     report = outcome(lambda: curvature_report(family, mesh).curvature)
     # the oracle's tensors as vertex data, or, where it raises, as a stack
-    oracle = (custom_vertex_family([at(*v) for v in vertices]) if expected[0] == "ok"
+    oracle = (VertexData(tuple(at(*v) for v in vertices)) if expected[0] == "ok"
               else point_by_point(name, at))
     assert report == outcome(lambda: curvature_report(oracle, mesh).curvature)
     if expected[0] == "raised":
@@ -317,25 +326,25 @@ def test_pump_charts_match_the_oracle(rng):
     for _ in range(200):
         x = rng.normal(size=4)
         x /= np.linalg.norm(x)
-        pt = PumpPoint(w=x[:3], w4=float(x[3]))
+        pt = Point(x[:3], float(x[3]))
         for chart, new, old in [("north", pump_north, oracle_pump_north),
                                 ("south", pump_south, oracle_pump_south)]:
             try:
                 expected = old(pt)
             except OutOfChartError as exc:
                 with pytest.raises(OutOfChartError, match=str(exc)):
-                    new(pt)
+                    new(x)
                 continue
-            assert bits(new(pt).mats) == bits(expected.mats)
+            assert bits(new(x).mats) == bits(expected.mats)
             checked[chart] += 1
     assert min(checked.values()) > 50
     # both branches of each chart's core, and the poles
     for w4 in [1.0, 0.9, 0.5, 0.0, -0.5, -0.9, -1.0]:
         pt = oracle_from_angles(1.1, 4.0, w4)
         if w4 > -0.5:
-            assert bits(pump_north(pt).mats) == bits(oracle_pump_north(pt).mats)
+            assert bits(pump_north(vector(pt)).mats) == bits(oracle_pump_north(pt).mats)
         if w4 < 0.5:
-            assert bits(pump_south(pt).mats) == bits(oracle_pump_south(pt).mats)
+            assert bits(pump_south(vector(pt)).mats) == bits(oracle_pump_south(pt).mats)
 
 
 def test_directions_match_the_scalar_angles():
@@ -352,36 +361,25 @@ def test_directions_match_the_scalar_angles():
     theta, phi = _directions(v)
     expected = np.array([oracle_angles(row) for row in v.tolist()])
     assert bits(theta) == bits(expected[:, 0]) and bits(phi) == bits(expected[:, 1])
-    # PumpPoint.theta and .phi are its N=1 calls
-    x = v[:200] / np.linalg.norm(v[:200], axis=1)[:, None] * 0.8
-    pts = [PumpPoint(w=w, w4=0.6) for w in x] + [
-        PumpPoint(w=w, w4=w4) for w, w4 in [(np.zeros(3), 1.0), (np.zeros(3), -1.0),
-                                            (np.array([0.0, -0.0, 0.6]), 0.8),
-                                            (np.array([-0.0, 0.0, -0.6]), -0.8),
-                                            (np.array([-0.6, -0.0, 0.0]), 0.8)]]
-    got = [(pt.theta, pt.phi) for pt in pts]
-    assert all(type(a) is float for pair in got for a in pair)
-    assert [tuple(map(float.hex, pair)) for pair in got] == \
-        [tuple(map(float.hex, oracle_angles(pt.w))) for pt in pts]
 
 
 def test_sequence_forms_of_the_charts_and_the_lift_match_their_n1_calls(rng):
     x = rng.normal(size=(300, 4))
     x /= np.linalg.norm(x, axis=1)[:, None]
     edges = [oracle_from_angles(1.1, 4.0, w4) for w4 in [1.0, 0.9, 0.5, 0.0, -0.5, -0.9, -1.0]]
-    pts = np.concatenate([x, [np.append(pt.w, pt.w4) for pt in edges]])
+    pts = np.concatenate([x, [vector(pt) for pt in edges]])
     for chart, inside in [(pump_north, pts[:, 3] > -0.5), (pump_south, pts[:, 3] < 0.5)]:
         stack = chart(pts[inside])
         assert isinstance(stack, np.ndarray) and len(stack) == inside.sum() > 100
         assert [bits(m) for m in stack] == \
-            [bits(chart(PumpPoint(w=r[:3], w4=float(r[3]))).mats) for r in pts[inside]]
+            [bits(chart(r).mats) for r in pts[inside]]
         assert bits(chart(pts[inside].tolist())) == bits(stack)
         outside = pts[~inside]
         assert raised(chart, np.concatenate([pts[inside][:3], outside[:1]])) == \
-            raised(chart, PumpPoint(w=outside[0, :3], w4=float(outside[0, 3])))
-        # a row off the sphere, inside both charts, is refused as one PumpPoint is
+            raised(chart, outside[0])
+        # a row off the sphere, inside both charts, is refused as its N=1 call is
         off = np.concatenate([pts[inside][:3], [[1.0, 0.0, 0.0, 0.25]]])
-        assert raised(chart, off) == raised(PumpPoint, off[-1, :3], 0.25)
+        assert raised(chart, off) == raised(chart, off[-1])
     points = lift_points(rng)
     radii = np.linalg.norm(points, axis=1)
     for branch, ok in [("auto", radii <= 1.0), ("north", radii < math.sqrt(3.0) / 2.0),
@@ -534,7 +532,7 @@ def test_boundary_generator_is_the_closed_form_line(shape):
     overlaps = np.einsum("ni,ni->n", np.array([t.mats[:, 0, 0] for t in closed]).conj(), derived)
     assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-15
     report = curvature_report(family, mesh)
-    closed_report = curvature_report(custom_vertex_family(closed), mesh)
+    closed_report = curvature_report(VertexData(tuple(closed)), mesh)
     assert np.abs(report.curvature - closed_report.curvature).max() <= 1e-15
     assert report.flagged == ()
     assert chern_number(family, mesh) == 1

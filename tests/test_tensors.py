@@ -248,6 +248,14 @@ def test_right_normalize_repairs_perturbed_core(rng):
     assert dec.chi == 2
 
 
+def test_right_normalize_takes_one_decomposition(rng):
+    dec = random_tensor_in_e(rng, 4, 3, 2)
+    got, want = right_normalize(dec), right_normalize(dec.tensor)
+    assert isinstance(got, MpsTensor)
+    assert (got.mats.dtype, got.mats.shape, got.mats.tobytes()) == \
+        (want.mats.dtype, want.mats.shape, want.mats.tobytes())
+
+
 def identity_move(A):
     return GaugeMove(1.0 + 0.0j, np.eye(A.D, dtype=complex), MpsTensor(np.zeros_like(A.mats)))
 
