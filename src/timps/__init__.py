@@ -23,7 +23,6 @@ from .tensors import (
     tensor_to_json,
 )
 from .transfer import (
-    TransferFixedPoint,
     WindowObservable,
     correlation_length,
     expectation,
@@ -35,7 +34,6 @@ from .transfer import (
 )
 from .homotopy import (
     PhiRule,
-    RetractionState,
     apply_bond_isometry,
     apply_physical_isometry,
     contraction_endpoint,

@@ -390,7 +390,7 @@ def _exp_aklt_sweep(params, rng, tols):
         spec_dev = float(np.abs(np.sort(spec.real)[::-1] - expected).max()
                          + np.abs(spec.imag).max())
         fp = fixed_point(A, tols)
-        fp_dev = float(np.abs(fp.T - 0.5 * np.eye(2)).max())
+        fp_dev = float(np.abs(fp - 0.5 * np.eye(2)).max())
         xi = correlation_length(A, tols)
         rows.append((g, f_val, xi, abs(spec[1]), spec_dev, fp_dev))
         max_f_dev = max(max_f_dev, f_dev)
@@ -433,8 +433,8 @@ def _exp_chern(params, rng, tols):
     report = curvature_report(family, mesh, tols)
     nearest, residual, errors = chern_verdict(report)
     failures = [str(e) for e in errors]
-    columns = {"plaquette_id": report.plaquette_ids, "theta_lo": report.theta_lo,
-               "phi_lo": report.phi_lo, "curvature": report.curvature}
+    columns = {"plaquette_id": np.arange(mesh.n_plaquettes), "theta_lo": mesh.cell_theta_lo,
+               "phi_lo": mesh.cell_phi_lo, "curvature": report.curvature}
     summary = {
         "family": spec["family"],
         "mesh": params["mesh"],

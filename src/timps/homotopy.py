@@ -44,7 +44,6 @@ __all__ = [
     "contraction_path",
     "spectral_filter",
     "has_split_core_spectrum",
-    "RetractionState",
     "retract",
 ]
 
@@ -334,16 +333,6 @@ def has_split_core_spectrum(A, tols: Tolerances = DEFAULT_TOLS):
     return split[0] if single else split
 
 
-@dataclass(frozen=True, eq=False)
-class RetractionState:
-    """Snapshot of the retraction: time, the spectral floor ``delta`` used by
-    the filter, and the deformed tensor."""
-
-    t: float
-    delta: float
-    tensor: MpsTensor
-
-
 def _retract_core(decs: list, K: np.ndarray, t: list, w: np.ndarray,
                   V: np.ndarray, tols: Tolerances) -> np.ndarray:
     """The retracted tensors of same-shape decompositions at times ``t > 0``,
@@ -364,8 +353,8 @@ def _retract_core(decs: list, K: np.ndarray, t: list, w: np.ndarray,
 
 
 def retract(A, t, tols: Tolerances = DEFAULT_TOLS):
-    """Deform a tensor (or the tensor of a decomposition) toward lower
-    essential rank.
+    """Deform a tensor (or the tensor of a decomposition) toward lower essential
+    rank: ``(delta, tensor)``, the filter's spectral floor and the deformed tensor.
 
     The deformed tensor is ``S(A,t)^{-1/2} A f(L(core))`` in block form: the
     core is multiplied by the spectral filter anchored at its smallest Gram
@@ -403,5 +392,5 @@ def retract(A, t, tols: Tolerances = DEFAULT_TOLS):
         out[np.ix_(idx, moving)] = _retract_core([decs[n] for n in idx], K,
                                                  [times[k] for k in moving], w, V, tols)
     if single:
-        return RetractionState(t=t, delta=float(delta[0]), tensor=MpsTensor(out[0, 0]))
+        return float(delta[0]), MpsTensor(out[0, 0])
     return delta, out

@@ -44,7 +44,6 @@ __all__ = [
     "OVERLAP_FLOOR",
     "BRANCH_CUT_MARGIN",
     "RESIDUAL_CAP",
-    "LinkField",
     "CurvatureField",
     "link_variable",
     "link_field",
@@ -107,16 +106,6 @@ def link_variable(A_u: MpsTensor, A_v: MpsTensor, tols: Tolerances = DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
-class LinkField:
-    """Link variables on the undirected edges of a mesh: ``values[k]`` is
-    the link of the directed edge ``edges[k] = (u, v)``, and the reverse
-    direction is its complex conjugate, exactly."""
-
-    edges: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CurvatureField:
     """Per-plaquette curvature in (-pi, pi] plus the 2*pi-normalized total.
 
@@ -124,9 +113,6 @@ class CurvatureField:
     margin of +-pi; an integer total is only trustworthy without flags.
     """
 
-    plaquette_ids: np.ndarray
-    theta_lo: np.ndarray
-    phi_lo: np.ndarray
     curvature: np.ndarray
     total: float
     flagged: tuple
@@ -205,9 +191,10 @@ def _vertex_cores(family, mesh: Mesh2, size: int, tols):
         yield window, dims
 
 
-def link_field(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> LinkField:
-    """Decompose the family (or vertex data) once per vertex and compute the
-    link variable once per undirected edge of the mesh's edge table.
+def link_field(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Decompose the family (or vertex data) once per vertex and return the
+    ``(n_edges,)`` links of the mesh's edge table: entry ``k`` is the link of
+    the directed edge ``mesh.edges[k]``, whose reverse is its exact conjugate.
 
     Vertices go in chunks of at most ``CHUNK``, in order.  After each chunk
     come the links of the edges whose later endpoint lies in it, at most
@@ -238,29 +225,27 @@ def link_field(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> LinkFiel
                 refusals.append((e[m], ValueError("cores must share the physical dimension")))
     if refusals:
         raise min(refusals, key=lambda r: r[0])[1]
-    return LinkField(edges=mesh.edges, values=values)
+    return values
 
 
 def curvature_report(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> CurvatureField:
-    """Plaquette-resolved curvature of the family's connection on the mesh.
+    """Curvature of the family's connection on each plaquette of the mesh, in
+    the mesh's plaquette order.
 
     The holonomy of a plaquette is the product of its slot links in corner
     order: the stored link along an edge's direction, its conjugate against
     it, and 1 on a degenerate pole slot; ``CHUNK`` plaquettes at a time.
     """
-    field = link_field(family, mesh, tols)
+    links = link_field(family, mesh, tols)
     curvature = np.empty(mesh.n_plaquettes)
     for start in range(0, mesh.n_plaquettes, CHUNK):
         rows = slice(start, start + CHUNK)
-        signs, factors = mesh.plaquette_signs[rows], field.values[mesh.plaquette_edges[rows]]
+        signs, factors = mesh.plaquette_signs[rows], links[mesh.plaquette_edges[rows]]
         factors = np.where(signs > 0, factors, np.where(signs < 0, factors.conj(), 1.0))
         curvature[rows] = np.angle(np.prod(factors, axis=1))
     flagged = np.flatnonzero(np.abs(curvature) > np.pi - BRANCH_CUT_MARGIN)
     total = float(curvature.sum() / (2.0 * np.pi))
     return CurvatureField(
-        plaquette_ids=np.arange(mesh.n_plaquettes),
-        theta_lo=mesh.cell_theta_lo,
-        phi_lo=mesh.cell_phi_lo,
         curvature=curvature,
         total=total,
         flagged=tuple(flagged.tolist()),

@@ -614,10 +614,10 @@ def _leading_fixed_point(mat: np.ndarray, chi: int, tols: Tolerances):
 def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     """Produce a representative with a right-normalized core.
 
-    The core support is read off the left Gram range; the core block is then
-    rescaled by the leading eigenvalue of its map ``B -> sum_i K^i B K^{i*}``
-    and conjugated by the Hermitian square root of the fixed point.  The
-    physical state is preserved up to overall normalization.
+    The block form is read off the left Gram range, or is a decomposition's
+    own; the core block is then rescaled by the leading eigenvalue of its map
+    ``B -> sum_i K^i B K^{i*}`` and conjugated by the Hermitian square root of
+    the fixed point.  The physical state is preserved up to normalization.
 
     ``A`` may also be a stack or a sequence, as for
     :func:`canonical_decompose`: the result is then the list of each
@@ -625,13 +625,17 @@ def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     it, from one stacked :func:`_leading_fixed_point` per essential rank.
     """
     if not isinstance(A, (MpsTensor, CanonicalDecomposition)):
-        return _stacked(A, lambda mats: _normalized(mats, tols))
-    return _unrefused(_normalized(A.mats[None], tols))[0]
+        return _stacked(A, lambda mats: _normalized(*_block_forms(mats, tols), tols=tols))
+    if isinstance(A, MpsTensor):
+        return _unrefused(_normalized(*_block_forms(A.mats[None], tols), tols=tols))[0]
+    # a decomposition's own block form, of positive rank: no refusal reads a spectrum
+    blocks = np.concatenate([A.K, A.M], axis=1)[None]
+    return _unrefused(_normalized(None, A.X[None], np.array([A.chi]), blocks, tols))[0]
 
 
-def _normalized(mats: np.ndarray, tols: Tolerances) -> list:
-    """Representative or refusal of each tensor of an ``(N, d, D, D)`` stack."""
-    w, V, ranks, B = _block_forms(mats, tols)
+def _normalized(w, V, ranks, B, tols: Tolerances) -> list:
+    """Representative or refusal of each tensor of a stack, from its block
+    forms as :func:`_block_forms` gives them (``B`` may stop at the core columns)."""
     out = [None if r > 0 else _refusal(tols, w[n, 0], r) if r < 0 or not np.isfinite(w[n, 0])
            else NotInEError("cannot normalize a numerically zero tensor")
            for n, r in enumerate(ranks)]

@@ -34,7 +34,6 @@ from .tensors import (
 )
 
 __all__ = [
-    "TransferFixedPoint",
     "WindowObservable",
     "transfer_matrix",
     "transfer_spectrum",
@@ -47,19 +46,6 @@ __all__ = [
 ]
 
 WINDOW_CAP = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class TransferFixedPoint:
-    """Positive trace-one fixed point of the identity transfer map, together
-    with the full transfer spectrum (descending modulus)."""
-
-    T: np.ndarray
-    spectrum: np.ndarray
-
-    @property
-    def chi(self) -> int:
-        return self.T.shape[0]
 
 
 @dataclass(frozen=True)
@@ -94,11 +80,13 @@ def _one_core(K) -> bool:
 
 def _stacks(K, T):
     """Whether ``K`` is one core, and the same-shape cores and their fixed
-    points (each one or its matrix) as ``(m, d, chi, chi)`` and ``(m, chi, chi)`` arrays."""
+    points, one per core, as ``(m, d, chi, chi)`` and ``(m, chi, chi)`` arrays."""
     one = _one_core(K)
     Ks, Ts = ([K], [T]) if one else (K, T)
+    if len(Ts) != len(Ks):
+        raise ValueError(f"need one fixed point per core: got {len(Ts)} for {len(Ks)} cores")
     return (one, np.array([getattr(k, "mats", k) for k in Ks], dtype=complex),
-            np.array([t.T if isinstance(t, TransferFixedPoint) else t for t in Ts], dtype=complex))
+            np.array(Ts, dtype=complex))
 
 
 def transfer_matrix(K, C) -> np.ndarray:
@@ -122,14 +110,14 @@ def transfer_spectrum(K) -> np.ndarray:
 
 
 def fixed_point(K, tols: Tolerances = DEFAULT_TOLS):
-    """Positive trace-one fixed point of the identity transfer map.
+    """Positive trace-one fixed-point matrix of the identity transfer map.
 
     Computed by dense eigendecomposition (exactness over scalability at desk
     scale).  The leading eigenvector is trace-normalized, Hermitized, and its
     spectrum repaired by clipping eigenvalues in ``[-tol_norm, 0)`` to zero.
 
     ``K`` may also be an ``(m, d, chi, chi)`` stack or a sequence of cores:
-    the result is then the list of each core's fixed point or of the
+    the result is then the list of each core's fixed-point matrix or of the
     ``TimpsError`` the N=1 call raises on it, from one pass per core shape.
     """
     if not _one_core(K):
@@ -139,7 +127,7 @@ def fixed_point(K, tols: Tolerances = DEFAULT_TOLS):
 
 def _fixed_points(mats: np.ndarray, tols: Tolerances) -> list:
     """Fixed point or refusal of each core of an ``(m, d, chi, chi)`` stack."""
-    vals, w, V, errors = _leading_fixed_point(
+    _, w, V, errors = _leading_fixed_point(
         transfer_matrix(mats, np.eye(mats.shape[1])), mats.shape[2], tols)
     for n in np.flatnonzero(w[:, 0] < -tols.tol_norm).tolist():
         errors.setdefault(n, NotPositiveError(
@@ -147,8 +135,7 @@ def _fixed_points(mats: np.ndarray, tols: Tolerances) -> list:
     ok = [n for n in range(len(mats)) if n not in errors]
     T = (V[ok] * np.clip(w[ok], 0.0, None)[:, None, :]) @ np.swapaxes(V[ok].conj(), -1, -2)
     T = dict(zip(ok, T / np.trace(T, axis1=1, axis2=2).real[:, None, None]))
-    return [errors.get(n) or TransferFixedPoint(T=T[n], spectrum=vals[n])
-            for n in range(len(mats))]
+    return [errors.get(n) or T[n] for n in range(len(mats))]
 
 
 def expectation(K, T, obs: WindowObservable):
@@ -162,6 +149,8 @@ def expectation(K, T, obs: WindowObservable):
     one, mats, B = _stacks(K, T)
     obs = [obs] if one else list(obs)
     m, d, chi = mats.shape[:3]
+    if len(obs) != m:
+        raise ValueError(f"need one observable per core: got {len(obs)} for {m} cores")
     if len({o.n for o in obs}) > 1:
         raise ValueError("stacked windows must share their length")
     for C in zip(*(o.factors for o in obs)):
@@ -179,9 +168,10 @@ def window_density_matrix(K, T, n: int) -> np.ndarray:
     point; trace one.  The mixture is one rank-chi^2 product ``P P^dagger``
     of :func:`_window_amplitudes`, O(d^{2n} chi^2).  This is the dense API;
     the window oracle for :func:`expectation` reads the factor ``P`` alone.
+    For cores and ``T`` as in :func:`expectation`, the stack of the matrices.
     """
     P = _window_amplitudes(K, T, n)
-    return P @ P.conj().T
+    return P @ _dagger(P)
 
 
 def _window_amplitudes(K, T, n: int) -> np.ndarray:

@@ -609,14 +609,15 @@ def test_upper_bounds_keep_one_case_within_64_mib(experiment, key, largest, past
 @pytest.mark.parametrize("shape", [(4, 4), (16, 12), (128, 128)])
 def test_chern_holds_at_most_196_bytes_per_plaquette(shape):
     # what the mesh bound counts: the mesh tables, the links with their table
-    # order (one intp per edge), and the curvature and plaquette-id columns
+    # order (one intp per edge), and the curvature and plaquette-id columns,
+    # the ids held by the CSV columns of the chern experiment
     mesh = make_sphere_mesh(*shape)
     report = curvature_report(psi2_sphere_family(), mesh)
     held = (sum(getattr(mesh, name).nbytes for name in (
         "plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi", "edges",
         "plaquette_edges", "plaquette_signs"))
-        + link_field(psi2_sphere_family(), mesh).values.nbytes + 8 * mesh.n_edges
-        + report.curvature.nbytes + report.plaquette_ids.nbytes)
+        + link_field(psi2_sphere_family(), mesh).nbytes + 8 * mesh.n_edges
+        + report.curvature.nbytes + np.arange(mesh.n_plaquettes).nbytes)
     assert held <= 196 * mesh.n_plaquettes
 
 

@@ -335,12 +335,12 @@ def test_split_spectrum_positive_case(make_rng):
 def test_retract_fixes_low_rank_tensors():
     A = psi2_tensor(0.6, 0.8)
     for t in (0.0, 0.4, 1.0):
-        st = retract(A, t)
-        assert st.delta == 0.0
-        assert np.abs(st.tensor.mats - A.mats).max() == 0.0
+        delta, H = retract(A, t)
+        assert delta == 0.0
+        assert np.abs(H.mats - A.mats).max() == 0.0
     B = aklt_path(0.0)
-    st = retract(B, 0.7)
-    assert np.abs(st.tensor.mats - B.mats).max() == 0.0
+    _, H = retract(B, 0.7)
+    assert np.abs(H.mats - B.mats).max() == 0.0
 
 
 def test_retract_refuses_flat_full_rank_spectrum():
@@ -352,19 +352,19 @@ def test_retract_lowers_rank(make_rng):
     rng = make_rng(31)
     for chi, D in ((2, 2), (2, 3), (3, 3)):
         A = random_split_spectrum_tensor(rng, chi, D)
-        st0 = retract(A, 0.0)
-        assert np.abs(st0.tensor.mats - A.mats).max() <= 1e-12
-        assert st0.delta > 0.0
-        st1 = retract(A, 1.0)
-        dec = canonical_decompose(st1.tensor)
+        delta0, H0 = retract(A, 0.0)
+        assert np.abs(H0.mats - A.mats).max() <= 1e-12
+        assert delta0 > 0.0
+        _, H1 = retract(A, 1.0)
+        dec = canonical_decompose(H1)
         assert dec.chi < chi
 
 
 def test_retract_keeps_membership_at_intermediate_times(make_rng):
     A = random_split_spectrum_tensor(make_rng(8), 2, 3)
     for t in (0.2, 0.5, 0.8, 0.95):
-        st = retract(A, t)
-        dec = canonical_decompose(st.tensor)
+        _, H = retract(A, t)
+        dec = canonical_decompose(H)
         assert dec.chi == 2
         gram = np.einsum("iab,icb->ac", dec.K, dec.K.conj())
         assert np.abs(gram - np.eye(2)).max() < 1e-10
@@ -376,7 +376,7 @@ def test_retract_gauge_equivariance(make_rng):
         A = random_split_spectrum_tensor(rng, chi, D)
         B = apply_gauge(A, random_gauge_move(rng, A))
         for t in (0.25, 0.5, 0.75, 1.0):
-            assert gauge_equivalent(retract(A, t).tensor, retract(B, t).tensor)
+            assert gauge_equivalent(retract(A, t)[1], retract(B, t)[1])
 
 
 def test_retract_monotone_core_spectrum(make_rng):
@@ -389,10 +389,10 @@ def test_retract_monotone_core_spectrum(make_rng):
     v_bot, v_top = V[:, 0], V[:, -1]
     lam_min, lam_max = w[0], w[-1]
     for t in (0.3, 0.6, 0.9):
-        st = retract(A, t)
-        dec_t = canonical_decompose(st.tensor)
+        _, H = retract(A, t)
+        dec_t = canonical_decompose(H)
         # same block basis: compare through the original bond frame
-        moved = np.einsum("ba,ibc,cd->iad", dec.X.conj(), st.tensor.mats, dec.X)
+        moved = np.einsum("ba,ibc,cd->iad", dec.X.conj(), H.mats, dec.X)
         Kt = moved[:, :3, :3]
         gram_t = np.einsum("iba,ibc->ac", Kt.conj(), Kt)
         top = float((v_top.conj() @ gram_t @ v_top).real)
@@ -428,8 +428,8 @@ def test_retract_reports_delta(make_rng):
     dec = canonical_decompose(A)
     gram = np.einsum("iba,ibc->ac", dec.K.conj(), dec.K)
     lam_min = float(np.linalg.eigvalsh(gram)[0])
-    st = retract(A, 0.5)
-    assert st.delta == pytest.approx(lam_min, abs=1e-12)
+    delta, _ = retract(A, 0.5)
+    assert delta == pytest.approx(lam_min, abs=1e-12)
 
 
 def test_decomposition_input_matches_tensor_input(make_rng):
@@ -439,9 +439,9 @@ def test_decomposition_input_matches_tensor_input(make_rng):
     dec_a, dec_b = canonical_decompose(A), canonical_decompose(B)
     assert dec_a.tensor is A
     for t in (0.0, 0.4, 1.0):
-        from_tensor, from_dec = retract(A, t), retract(dec_a, t)
-        assert from_tensor.delta == from_dec.delta
-        assert np.array_equal(from_tensor.tensor.mats, from_dec.tensor.mats)
+        (delta_t, from_tensor), (delta_d, from_dec) = retract(A, t), retract(dec_a, t)
+        assert delta_t == delta_d
+        assert np.array_equal(from_tensor.mats, from_dec.mats)
     for s in (0.1, 0.4, 0.6, 0.9):
         assert np.array_equal(contraction_path(A, s).mats, contraction_path(dec_a, s).mats)
     for apply in (apply_physical_isometry, apply_bond_isometry):
@@ -506,9 +506,9 @@ def test_stacked_retract_is_bit_equal_to_n1_calls(make_rng, chi, D):
         assert mats.shape == (len(decs), len(TIMES), chi * chi, D, D)
         for n, dec in enumerate(decs):
             for k, t in enumerate(TIMES):
-                st = retract(dec, t)
-                assert st.delta == delta[n]
-                assert np.array_equal(st.tensor.mats, mats[n, k])
+                one_delta, H = retract(dec, t)
+                assert one_delta == delta[n]
+                assert np.array_equal(H.mats, mats[n, k])
 
 
 @pytest.mark.parametrize("shape", CONTRACT_SHAPES)
@@ -644,9 +644,9 @@ def test_stacked_retract_moves_each_entry_at_its_own_rank(make_rng):
         delta, mats = retract(decs, TIMES)
         for n, dec in enumerate(decs):
             for k, t in enumerate(TIMES):
-                st = retract(dec, t)
-                assert st.delta == delta[n]
-                assert np.array_equal(st.tensor.mats, mats[n, k])
+                one_delta, H = retract(dec, t)
+                assert one_delta == delta[n]
+                assert np.array_equal(H.mats, mats[n, k])
     # rank-1 entries stay fixed; rank-2 entries move and drop to rank 1 at t = 1
     delta, mats = retract([low[0], high[0]], [1.0])
     assert delta[0] == 0.0 and np.array_equal(mats[0, 0], low[0].mats)
@@ -715,22 +715,22 @@ def one_at_a_time_retract_sweep(count, chis, rng, tols):
             dec_b = None
             failures.append(f"case {case}: gauge-moved input not decomposable ({exc})")
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            st = retract(dec_a, t, tols=tols)
-            dist = float(np.abs(st.tensor.mats - dec_a.mats).max())
+            delta, H = retract(dec_a, t, tols=tols)
+            dist = float(np.abs(H.mats - dec_a.mats).max())
             try:
-                dec = canonical_decompose(st.tensor, tols)
+                dec = canonical_decompose(H, tols)
                 rank, resid = dec.chi, dec.norm_residual
             except TimpsError as exc:
                 failures.append(f"case {case} t={t}: output not decomposable ({exc})")
                 dec, rank, resid = None, -1, math.nan
-            rows.append((case, chi, t, rank, st.delta, dist, resid))
+            rows.append((case, chi, t, rank, delta, dist, resid))
             if t == 0.0 and dist > 1e-12:
                 failures.append(f"case {case}: retraction moved the t=0 tensor by {dist:.3e}")
             if t == 1.0 and not 0 < rank < chi:
                 failures.append(f"case {case}: rank {rank} not below {chi} at t=1")
             if t > 0.0 and dec_b is not None:
                 try:
-                    hb = canonical_decompose(retract(dec_b, t, tols=tols).tensor, tols)
+                    hb = canonical_decompose(retract(dec_b, t, tols=tols)[1], tols)
                 except TimpsError as exc:
                     failures.append(f"case {case} t={t}: gauge-moved output not "
                                     f"decomposable ({exc})")

@@ -67,8 +67,7 @@ def test_link_variable_error_cases():
 
 def test_link_field_reverse_is_conjugate():
     mesh = make_sphere_mesh(4, 4)
-    field = link_field(psi2_sphere_family(), mesh)
-    (u, v), value = field.edges[0], field.values[0]
+    (u, v), value = mesh.edges[0], link_field(psi2_sphere_family(), mesh)[0]
     A_u, A_v = map(MpsTensor, psi2_sphere_family().stack(mesh.theta[[u, v]], mesh.phi[[u, v]]))
     assert link_variable(A_u, A_v) == pytest.approx(value, abs=1e-12)
     assert link_variable(A_v, A_u) == pytest.approx(np.conj(value), abs=1e-12)
@@ -179,9 +178,7 @@ def test_frozen_polar_angle_gives_zero():
 def test_curvature_report_rows_align_with_mesh():
     mesh = make_sphere_mesh(6, 6)
     report = curvature_report(psi2_sphere_family(), mesh)
-    assert len(report.plaquette_ids) == mesh.n_plaquettes
-    assert np.array_equal(report.theta_lo, mesh.cell_theta_lo)
-    assert np.array_equal(report.phi_lo, mesh.cell_phi_lo)
+    assert report.curvature.shape == (mesh.n_plaquettes,)
 
 
 def test_chern_number_rank2_slice_family():
@@ -199,9 +196,7 @@ def test_chern_number_rank2_slice_family():
 ])
 def test_chern_verdict_lists_the_residual_refusal_first(total, flagged, kinds):
     n = 4
-    report = CurvatureField(plaquette_ids=np.arange(n), theta_lo=np.zeros(n),
-                            phi_lo=np.zeros(n), curvature=np.zeros(n),
-                            total=total, flagged=flagged)
+    report = CurvatureField(curvature=np.zeros(n), total=total, flagged=flagged)
     nearest, residual, errors = chern_verdict(report)
     assert nearest == round(total) and residual == abs(total - round(total))
     assert [type(e) for e in errors] == kinds

@@ -102,7 +102,7 @@ def test_window_links_are_the_whole_mesh_links(name, reverse, chunk_mesh):
     assert bool(np.all(np.diff(later) >= 0)) is not reverse  # reversed tables are unsorted
     assert len(mesh.theta) > bandwidth(mesh) + chunk  # so old cores are dropped
     family = FAMILIES[name]()
-    assert bits(link_field(family, mesh).values) == bits(whole_mesh_links(family, mesh))
+    assert bits(link_field(family, mesh)) == bits(whole_mesh_links(family, mesh))
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -124,11 +124,11 @@ def test_bandwidth_spanning_mesh_keeps_every_core(name, chunk_mesh, monkeypatch)
 
     monkeypatch.setattr(invariants, "_vertex_cores", spy)
     family = FAMILIES[name]()
-    values = link_field(family, spanning).values
+    values = link_field(family, spanning)
     assert sizes == [n]
     assert bits(values) == bits(whole_mesh_links(family, spanning))
     # the same edges in the same table order, renamed: the same links
-    assert bits(values) == bits(link_field(family, mesh).values)
+    assert bits(values) == bits(link_field(family, mesh))
     assert bits(curvature_report(family, spanning).curvature) == bits(
         curvature_report(family, mesh).curvature)
 

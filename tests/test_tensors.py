@@ -18,6 +18,7 @@ from timps.sampling import (
 from timps.tensors import (
     GaugeMove,
     MpsTensor,
+    _block_forms,
     _sorted_spectrum,
     apply_gauge,
     assemble,
@@ -248,12 +249,28 @@ def test_right_normalize_repairs_perturbed_core(rng):
     assert dec.chi == 2
 
 
-def test_right_normalize_takes_one_decomposition(rng):
-    dec = random_tensor_in_e(rng, 4, 3, 2)
-    got, want = right_normalize(dec), right_normalize(dec.tensor)
-    assert isinstance(got, MpsTensor)
-    assert (got.mats.dtype, got.mats.shape, got.mats.tobytes()) == \
-        (want.mats.dtype, want.mats.shape, want.mats.tobytes())
+def test_right_normalize_takes_one_decomposition(rng, monkeypatch):
+    # the decomposition's own X, K and M are normalized: no block form is
+    # computed again, and the result is that of its tensor, bit for bit
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _block_forms(*args)
+
+    for d, D, chi in [(4, 3, 2), (4, 2, 2), (3, 3, 1), (9, 4, 3)]:
+        dec = random_tensor_in_e(rng, d, D, chi)
+        want = right_normalize(dec.tensor)
+        with monkeypatch.context() as patch:
+            patch.setattr("timps.tensors._block_forms", counted)
+            got = right_normalize(dec)
+            assert calls == []
+            right_normalize(dec.tensor)
+            assert len(calls) == 1  # the counter sees a tensor's block forms
+            calls.clear()
+        assert isinstance(got, MpsTensor)
+        assert (got.mats.dtype, got.mats.shape, got.mats.tobytes()) == \
+            (want.mats.dtype, want.mats.shape, want.mats.tobytes())
 
 
 def identity_move(A):

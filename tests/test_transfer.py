@@ -21,7 +21,6 @@ from timps.tensors import (
     transfer_kernel,
 )
 from timps.transfer import (
-    TransferFixedPoint,
     WindowObservable,
     _window_amplitudes,
     correlation_length,
@@ -113,7 +112,7 @@ def test_expectation_matches_loop_oracle(make_rng, d, chi):
     K = random_core(rng, d, chi)
     fp = fixed_point(K)
     obs = random_observable(rng, d, 3)
-    B = fp.T
+    B = fp
     for C in obs.factors:
         B = loop_apply_transfer(K.mats, C, B)
     assert abs(expectation(K, fp, obs) - np.trace(B)) <= 1e-13
@@ -183,9 +182,8 @@ def test_interpolation_transfer_spectrum(g):
 @pytest.mark.parametrize("g", [0.2, 0.5, 0.8, 1.0])
 def test_interpolation_fixed_point_is_half_identity(g):
     fp = fixed_point(aklt_path(g))
-    assert np.abs(fp.T - 0.5 * np.eye(2)).max() < 1e-10
-    assert abs(np.trace(fp.T) - 1.0) < 1e-12
-    assert abs(fp.spectrum[0] - 1.0) < 1e-10
+    assert np.abs(fp - 0.5 * np.eye(2)).max() < 1e-10
+    assert abs(np.trace(fp) - 1.0) < 1e-12
 
 
 def test_fixed_point_refusals_are_those_of_the_stacked_pass():
@@ -206,7 +204,6 @@ def test_fixed_point_refusals_are_those_of_the_stacked_pass():
     assert one[3] == {}
     for stacked, alone in zip((vals, w, V), one[:3]):
         assert np.array_equal(stacked[0], alone[0])
-    assert np.array_equal(fixed_point(aklt_path(0.5)).spectrum, vals[0])
 
 
 def test_fixed_point_of_a_stack_is_the_n1_calls_bit_for_bit(make_rng):
@@ -217,8 +214,7 @@ def test_fixed_point_of_a_stack_is_the_n1_calls_bit_for_bit(make_rng):
     for K, fp in [*zip(cores, fixed_point(cores)),
                   *zip([K for K in cores if K.d == 4], fixed_point(stack))]:
         alone = fixed_point(K)
-        assert np.array_equal(fp.T, alone.T)
-        assert np.array_equal(fp.spectrum, alone.spectrum)
+        assert np.array_equal(fp, alone)
     assert fixed_point([]) == []
 
 
@@ -241,8 +237,7 @@ def test_fixed_point_of_a_stack_gives_each_n1_refusal_by_index(monkeypatch):
     cores = [np.full((4, 2, 2), float(k), dtype=complex) for k in (3, 0, 1, 2, 0)]
     stacked = fixed_point(np.array(cores))
     assert [type(x) for x in fixed_point(cores)] == [type(x) for x in stacked]
-    assert isinstance(stacked[1], TransferFixedPoint)
-    assert np.array_equal(stacked[1].T, fixed_point(cores[1]).T)
+    assert np.array_equal(stacked[1], fixed_point(cores[1]))
     messages = {0: "Hermitized fixed point has eigenvalue -1.000e+00 < -tol_norm",
                 2: "transfer gap too small: |lambda_2| = 0.999999986667",
                 3: "leading eigenvector is traceless"}
@@ -262,7 +257,7 @@ def test_expectation_of_a_stack_matches_the_n1_calls(make_rng):
             cores = [random_core(rng, d, chi).tensor for _ in range(5)]
             fps = fixed_point(cores)
             obs = [random_observable(rng, d, n) for _ in cores]
-            for T in (fps, np.array([fp.T for fp in fps])):
+            for T in (fps, np.array(fps)):
                 stacked = expectation(np.array([K.mats for K in cores]), T, obs)
                 assert stacked.shape == (5,)
                 for K, fp, o, value in zip(cores, fps, obs, stacked):
@@ -279,7 +274,7 @@ def test_expectation_of_a_stack_matches_the_n1_calls(make_rng):
 
 def test_fixed_point_scalar_core():
     fp = fixed_point(psi2_tensor(0.6, 0.8))
-    assert np.allclose(fp.T, [[1.0]])
+    assert np.allclose(fp, [[1.0]])
 
 
 def test_fixed_point_residual_random_core(rng):
@@ -287,9 +282,9 @@ def test_fixed_point_residual_random_core(rng):
         K = random_core(rng, 4, 2)
         fp = fixed_point(K)
         mat = transfer_matrix(K, np.eye(4))
-        resid = np.linalg.norm(mat @ fp.T.reshape(-1) - fp.T.reshape(-1))
+        resid = np.linalg.norm(mat @ fp.reshape(-1) - fp.reshape(-1))
         assert resid < 1e-10
-        w = np.linalg.eigvalsh(fp.T)
+        w = np.linalg.eigvalsh(fp)
         assert w.min() > -1e-12
 
 
@@ -439,6 +434,39 @@ def test_window_density_matrix_is_the_product_of_its_amplitude_factor(make_rng, 
     for n in (1, 2, 3):
         P = _window_amplitudes(K, T, n)
         assert np.array_equal(window_density_matrix(K, T, n), P @ P.conj().T)
+
+
+@pytest.mark.parametrize("d, chi, n", [(4, 2, 1), (4, 2, 2), (3, 1, 3), (2, 1, 5), (4, 2, 3)])
+def test_window_density_matrix_of_a_stack_is_the_n1_calls_bit_for_bit(make_rng, d, chi, n):
+    rng = make_rng(100 * d + 10 * chi + n)
+    for m in (3, 4):
+        cores = [random_core(rng, d, chi).tensor for _ in range(m)]
+        fps = fixed_point(cores)
+        for K in (cores, np.array([K.mats for K in cores])):
+            stacked = window_density_matrix(K, fps, n)
+            assert stacked.shape == (m, d**n, d**n)
+            for j, (core, T) in enumerate(zip(cores, fps)):
+                assert np.array_equal(stacked[j], window_density_matrix(core, T, n))
+
+
+def test_transfer_stacks_need_one_fixed_point_and_one_observable_per_core(make_rng):
+    rng = make_rng(18)
+    cores = [random_core(rng, 2, 1).tensor for _ in range(3)]
+    fps = fixed_point(cores)
+    obs = [random_observable(rng, 2, 2) for _ in cores]
+    for K in (cores, np.array([K.mats for K in cores])):
+        for call in (lambda T: _window_amplitudes(K, T, 2),
+                     lambda T: window_density_matrix(K, T, 2),
+                     lambda T: expectation(K, T, obs)):
+            for T in (fps[:1], fps + fps[:1]):
+                with pytest.raises(ValueError) as info:
+                    call(T)
+                assert str(info.value) == f"need one fixed point per core: got {len(T)} for 3 cores"
+        for few in (obs[:1], obs[:2]):
+            with pytest.raises(ValueError) as info:
+                expectation(K, fps, few)
+            assert str(info.value) == f"need one observable per core: got {len(few)} for 3 cores"
+        assert expectation(K, fps, obs).shape == (3,)
 
 
 def test_window_density_matrix_cap():
