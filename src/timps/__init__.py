@@ -54,7 +54,6 @@ from .families import (
     pump_south,
 )
 from .invariants import (
-    CurvatureField,
     chern_number,
     curvature_report,
     link_variable,

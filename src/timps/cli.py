@@ -430,17 +430,17 @@ def _exp_chern(params, rng, tols):
     family = family_from_spec(spec)
     n_theta, n_phi = _parse_mesh(params["mesh"])
     mesh = make_sphere_mesh(n_theta, n_phi)
-    report = curvature_report(family, mesh, tols)
-    nearest, residual, errors = chern_verdict(report)
+    curvature = curvature_report(family, mesh, tols)
+    nearest, residual, flagged, errors = chern_verdict(curvature)
     failures = [str(e) for e in errors]
     columns = {"plaquette_id": np.arange(mesh.n_plaquettes), "theta_lo": mesh.cell_theta_lo,
-               "phi_lo": mesh.cell_phi_lo, "curvature": report.curvature}
+               "phi_lo": mesh.cell_phi_lo, "curvature": curvature}
     summary = {
         "family": spec["family"],
         "mesh": params["mesh"],
         "chern": nearest,
         "residual": residual,
-        "flagged_plaquettes": list(report.flagged),
+        "flagged_plaquettes": flagged,
     }
     return columns, summary, failures
 
@@ -467,8 +467,8 @@ def _exp_pump_boundary(params, rng, tols):
     for mesh_txt in params["meshes"]:
         n_theta, n_phi = _parse_mesh(mesh_txt)
         mesh = make_sphere_mesh(n_theta, n_phi)
-        report = curvature_report(boundary_generator_family(tols), mesh, tols)
-        nearest, _, errors = chern_verdict(report)
+        nearest, _, _, errors = chern_verdict(
+            curvature_report(boundary_generator_family(tols), mesh, tols))
         cherns[mesh_txt] = nearest
         rows.append(("boundary_chern", mesh_txt, float(nearest)))
         failures.extend(f"{mesh_txt}: {e}" for e in errors)

@@ -16,8 +16,6 @@ individual links but never a plaquette product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
@@ -44,13 +42,11 @@ __all__ = [
     "OVERLAP_FLOOR",
     "BRANCH_CUT_MARGIN",
     "RESIDUAL_CAP",
-    "CurvatureField",
     "link_variable",
     "link_field",
     "curvature_report",
     "chern_number",
     "chern_verdict",
-    "flagged_message",
 ]
 
 BRANCH_CUT_MARGIN = 0.1
@@ -105,42 +101,6 @@ def link_variable(A_u: MpsTensor, A_v: MpsTensor, tols: Tolerances = DEFAULT_TOL
     return _edge_links(dec_u.K[None], dec_v.K[None], tols)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureField:
-    """Per-plaquette curvature in (-pi, pi] plus the 2*pi-normalized total.
-
-    ``flagged`` lists plaquettes whose curvature sits within the branch-cut
-    margin of +-pi; an integer total is only trustworthy without flags.
-    """
-
-    curvature: np.ndarray
-    total: float
-    flagged: tuple
-
-
-def _chunk_cores(tensors, start: int, chi: int | None, tols) -> list:
-    """``(vertex indices, (k, d, chi, chi) cores)`` pairs of the tensors of
-    vertex ``start`` on (an ``(m, d, D, D)`` array or a list of ``(d, D, D)``
-    arrays), from one decomposition pass per shape.  Ranks must be ``chi`` or,
-    when None, the first tensor's; the first failing vertex's error is raised."""
-    groups = ([(np.arange(len(tensors)), tensors)] if isinstance(tensors, np.ndarray)
-              else _shape_groups(tensors))
-    ranks, errors, blocks = np.empty(len(tensors), dtype=np.intp), {}, []
-    for idx, mats in groups:
-        found = _decomposition_pass(mats, tols)
-        ranks[idx] = found.ranks
-        errors.update((int(idx[j]), e) for j, e in found.errors.items())
-        blocks.append((start + idx, found.B))
-    chi = int(ranks[0]) if chi is None else chi
-    failed = list(errors) + np.flatnonzero(ranks != chi).tolist()
-    if failed:
-        j = min(failed)
-        raise errors.get(j) or RankMismatchError(
-            f"family does not have constant essential rank on the mesh: "
-            f"{chi} vs {ranks[j]} at vertex {start + j}")
-    return [(idx, B[:, :, :chi, :chi]) for idx, B in blocks]
-
-
 def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
     """The tensors on a chunk of vertices, and None: vertex data's as given, a
     family's from one stack call.  If the stack refuses the chunk (raises, or
@@ -164,30 +124,46 @@ def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
 
 
 def _vertex_cores(family, mesh: Mesh2, size: int, tols):
-    """Decompose the mesh vertices in chunks of at most ``CHUNK``, in order,
-    into a window of ``size`` slots, and yield ``(window, dims)`` after each
-    chunk: slot ``x % size`` holds vertex ``x``'s ``(d, chi, chi)`` core,
-    zero-padded to the largest ``d`` yet, and ``dims`` its ``d``.  Vertex
-    data must hold one tensor per vertex.  The error raised is the first one
-    a per-vertex loop (evaluate, decompose, compare ranks with vertex 0) raises."""
+    """Decompose the mesh vertices in chunks of at most ``CHUNK``, in order, one
+    pass per tensor shape, into a window of ``size`` slots, and yield ``(window,
+    dims)`` after each chunk: slot ``x % size`` holds vertex ``x``'s ``(d, chi,
+    chi)`` core, zero-padded to the largest ``d`` yet, and ``dims`` its ``d``.
+    Vertex data must hold one tensor per vertex.  The error raised is the first
+    one a per-vertex loop (evaluate, decompose, compare ranks with vertex 0) raises."""
     n, window, dims = len(mesh.theta), None, np.empty(size, dtype=np.intp)
     if isinstance(family, VertexData) and len(family.tensors) != n:
         raise ValueError(f"family custom has {len(family.tensors)} tensors, but mesh "
                          f"{mesh.n_theta}x{mesh.n_phi} has {n} vertices")
     for start in range(0, n, CHUNK):
         tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))
-        chi = None if window is None else window.shape[-1]
-        for idx, K in _chunk_cores(tensors, start, chi, tols) if len(tensors) else ():
+        if not len(tensors):
+            raise error  # the chunk's first vertex failed to evaluate
+        passes = [(idx, _decomposition_pass(mats, tols)) for idx, mats in (
+            [(np.arange(len(tensors)), tensors)] if isinstance(tensors, np.ndarray)
+            else _shape_groups(tensors))]
+        ranks, errors = np.empty(len(tensors), dtype=np.intp), {}
+        for idx, found in passes:
+            ranks[idx] = found.ranks
+            errors.update((int(idx[j]), e) for j, e in found.errors.items())
+        chi = int(ranks[0]) if window is None else window.shape[-1]
+        failed = list(errors) + np.flatnonzero(ranks != chi).tolist()
+        if failed:
+            j = min(failed)
+            raise errors.get(j) or RankMismatchError(
+                f"family does not have constant essential rank on the mesh: "
+                f"{chi} vs {ranks[j]} at vertex {start + j}")
+        for idx, found in passes:
+            K, slots = found.B[:, :, :chi, :chi], (start + idx) % size
             if window is None:
                 window = np.zeros((size,) + K.shape[1:], dtype=complex)
             elif K.shape[1] > window.shape[1]:
                 window = np.pad(window, ((0, 0), (0, K.shape[1] - window.shape[1]), (0, 0), (0, 0)))
-            window[idx % size, :K.shape[1]] = K
-            window[idx % size, K.shape[1]:] = 0.0
-            dims[idx % size] = K.shape[1]
+            window[slots, :K.shape[1]] = K
+            window[slots, K.shape[1]:] = 0.0
+            dims[slots] = K.shape[1]
         if error is not None:
             raise error  # after the vertices before it, as in a per-vertex loop
-        del tensors, K  # the chunk's arrays, before the next chunk's
+        del tensors, passes, found, K  # the chunk's arrays, before the next chunk's
         yield window, dims
 
 
@@ -228,9 +204,9 @@ def link_field(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> np.ndarr
     return values
 
 
-def curvature_report(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> CurvatureField:
-    """Curvature of the family's connection on each plaquette of the mesh, in
-    the mesh's plaquette order.
+def curvature_report(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """The ``(n_plaquettes,)`` curvature in (-pi, pi] of the family's connection on
+    each plaquette of the mesh, in plaquette order; :func:`chern_verdict` judges it.
 
     The holonomy of a plaquette is the product of its slot links in corner
     order: the stored link along an edge's direction, its conjugate against
@@ -243,40 +219,34 @@ def curvature_report(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> Cu
         signs, factors = mesh.plaquette_signs[rows], links[mesh.plaquette_edges[rows]]
         factors = np.where(signs > 0, factors, np.where(signs < 0, factors.conj(), 1.0))
         curvature[rows] = np.angle(np.prod(factors, axis=1))
-    flagged = np.flatnonzero(np.abs(curvature) > np.pi - BRANCH_CUT_MARGIN)
+    return curvature
+
+
+def chern_verdict(curvature: np.ndarray):
+    """``(nearest, residual, flagged, errors)`` of plaquette curvatures: the
+    integer nearest their total over 2*pi, its distance from it, the list of
+    plaquettes within ``BRANCH_CUT_MARGIN`` of +-pi (an integer total is only
+    trustworthy without them), and the refusals that apply, residual first."""
     total = float(curvature.sum() / (2.0 * np.pi))
-    return CurvatureField(
-        curvature=curvature,
-        total=total,
-        flagged=tuple(flagged.tolist()),
-    )
-
-
-def flagged_message(flagged) -> str:
-    """Failure text naming the plaquettes flagged near the branch cut."""
-    return (f"{len(flagged)} plaquette(s) within {BRANCH_CUT_MARGIN} of +-pi "
-            f"(mesh too coarse): {list(flagged)}")
-
-
-def chern_verdict(report: CurvatureField):
-    """``(nearest, residual, errors)``: the integer nearest the report's total,
-    its distance from it, and the refusals that apply, residual first."""
-    nearest = int(round(report.total))
-    residual = abs(report.total - nearest)
+    nearest = int(round(total))
+    residual = abs(total - nearest)
+    flagged = np.flatnonzero(np.abs(curvature) > np.pi - BRANCH_CUT_MARGIN).tolist()
     errors = []
     if residual >= RESIDUAL_CAP:
         errors.append(NonIntegerTotalError(
-            f"total curvature {report.total!r} has residual {residual:.3e}"))
-    if report.flagged:
-        errors.append(FlaggedPlaquetteError(flagged_message(report.flagged)))
-    return nearest, residual, errors
+            f"total curvature {total!r} has residual {residual:.3e}"))
+    if flagged:
+        errors.append(FlaggedPlaquetteError(
+            f"{len(flagged)} plaquette(s) within {BRANCH_CUT_MARGIN} of +-pi "
+            f"(mesh too coarse): {flagged}"))
+    return nearest, residual, flagged, errors
 
 
 def chern_number(family, mesh: Mesh2, tols: Tolerances = DEFAULT_TOLS) -> int:
     """Total plaquette curvature divided by 2*pi, rounded to the nearest
     integer; the rounding residual must stay below ``RESIDUAL_CAP`` and no
     plaquette may sit within ``BRANCH_CUT_MARGIN`` of +-pi."""
-    nearest, _, errors = chern_verdict(curvature_report(family, mesh, tols))
+    nearest, _, _, errors = chern_verdict(curvature_report(family, mesh, tols))
     if errors:
         raise errors[0]
     return nearest

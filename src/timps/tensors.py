@@ -622,15 +622,23 @@ def right_normalize(A, tols: Tolerances = DEFAULT_TOLS):
     ``A`` may also be a stack or a sequence, as for
     :func:`canonical_decompose`: the result is then the list of each
     tensor's representative or of the ``TimpsError`` the N=1 call raises on
-    it, from one stacked :func:`_leading_fixed_point` per essential rank.
+    it, from one stacked :func:`_leading_fixed_point` per essential rank; a
+    decomposition's own block form is normalized, not decomposed again.
     """
-    if not isinstance(A, (MpsTensor, CanonicalDecomposition)):
-        return _stacked(A, lambda mats: _normalized(*_block_forms(mats, tols), tols=tols))
-    if isinstance(A, MpsTensor):
-        return _unrefused(_normalized(*_block_forms(A.mats[None], tols), tols=tols))[0]
+    def normalized(mats):
+        return _normalized(*_block_forms(mats, tols), tols=tols)
+
+    if isinstance(A, np.ndarray):
+        return _stacked(A, normalized)
+    one = isinstance(A, (MpsTensor, CanonicalDecomposition))
+    A = [A] if one else list(A)
+    decs = [a for a in A if isinstance(a, CanonicalDecomposition)]
+    found = iter(_stacked([a for a in A if not isinstance(a, CanonicalDecomposition)], normalized))
     # a decomposition's own block form, of positive rank: no refusal reads a spectrum
-    blocks = np.concatenate([A.K, A.M], axis=1)[None]
-    return _unrefused(_normalized(None, A.X[None], np.array([A.chi]), blocks, tols))[0]
+    own = iter(_stacked([np.concatenate([a.K, a.M], axis=1) for a in decs], lambda B, group: _normalized(
+        None, np.array([a.X for a in group]), np.full(len(B), B.shape[-1]), B, tols), decs))
+    out = [next(own if isinstance(a, CanonicalDecomposition) else found) for a in A]
+    return _unrefused(out)[0] if one else out
 
 
 def _normalized(w, V, ranks, B, tols: Tolerances) -> list:

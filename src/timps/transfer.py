@@ -103,9 +103,9 @@ def transfer_matrix(K, C) -> np.ndarray:
 
 def transfer_spectrum(K) -> np.ndarray:
     """Eigenvalues of the identity transfer map, sorted by descending modulus
-    (ties broken by descending real part for determinism)."""
+    (ties by descending real part); of each core of an ``(m, d, chi, chi)`` stack."""
     mats = _core_mats(K)
-    mat = transfer_matrix(mats, np.eye(mats.shape[0]))
+    mat = transfer_matrix(mats, np.eye(mats.shape[-3]))
     return _sorted_spectrum(np.linalg.eigvals(mat))
 
 
@@ -205,8 +205,11 @@ def correlation_length(K, tols: Tolerances = DEFAULT_TOLS) -> float:
     eigenvalue) or a vanishing second eigenvalue.  Raises
     ``DegenerateLeadingEigenvalueError`` when the second modulus is within
     the gap tolerance of the leading one: the length is then not resolved.
+    Anything but one ``(d, chi, chi)`` core is refused with a ``ValueError``.
     """
     mats = _core_mats(K)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"correlation_length takes one (d, chi, chi) core, got shape {mats.shape}")
     if mats.shape[1] == 1:
         return 0.0
     spec = transfer_spectrum(mats)

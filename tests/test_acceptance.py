@@ -24,7 +24,7 @@ from timps.homotopy import (
     isometry_path_block,
     retract,
 )
-from timps.invariants import chern_number, curvature_report
+from timps.invariants import chern_number, chern_verdict, curvature_report
 from timps.sampling import (
     random_core,
     random_gauge_move,
@@ -184,9 +184,10 @@ def test_criterion_07_contraction_path(make_rng):
 
 def test_criterion_08_psi2_chern_number():
     for n in (16, 32, 64):
-        rep = curvature_report(psi2_sphere_family(), make_sphere_mesh(n, n))
-        assert abs(rep.total - round(rep.total)) < 1e-3
-        assert round(rep.total) == 1
+        nearest, residual, _, _ = chern_verdict(
+            curvature_report(psi2_sphere_family(), make_sphere_mesh(n, n)))
+        assert residual < 1e-3
+        assert nearest == 1
     report(8, "projective-line family has unit Chern number")
 
 

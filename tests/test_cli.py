@@ -612,12 +612,12 @@ def test_chern_holds_at_most_196_bytes_per_plaquette(shape):
     # order (one intp per edge), and the curvature and plaquette-id columns,
     # the ids held by the CSV columns of the chern experiment
     mesh = make_sphere_mesh(*shape)
-    report = curvature_report(psi2_sphere_family(), mesh)
+    curvature = curvature_report(psi2_sphere_family(), mesh)
     held = (sum(getattr(mesh, name).nbytes for name in (
         "plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi", "edges",
         "plaquette_edges", "plaquette_signs"))
         + link_field(psi2_sphere_family(), mesh).nbytes + 8 * mesh.n_edges
-        + report.curvature.nbytes + np.arange(mesh.n_plaquettes).nbytes)
+        + curvature.nbytes + np.arange(mesh.n_plaquettes).nbytes)
     assert held <= 196 * mesh.n_plaquettes
 
 

@@ -22,7 +22,6 @@ from timps.families import (
 from timps.sampling import random_gauge_move
 from timps.tensors import MpsTensor, apply_gauge, pad_tensor
 from timps.invariants import (
-    CurvatureField,
     chern_number,
     chern_verdict,
     curvature_report,
@@ -75,8 +74,8 @@ def test_link_field_reverse_is_conjugate():
 
 def test_constant_family_has_zero_curvature():
     mesh = make_sphere_mesh(6, 6)
-    report = curvature_report(constant_sphere_family(aklt_path(0.5)), mesh)
-    assert np.abs(report.curvature).max() == 0.0
+    curvature = curvature_report(constant_sphere_family(aklt_path(0.5)), mesh)
+    assert np.abs(curvature).max() == 0.0
     assert chern_number(constant_sphere_family(aklt_path(0.5)), mesh) == 0
 
 
@@ -87,11 +86,12 @@ def test_psi2_chern_number_mesh_stability(n):
 
 
 def test_psi2_total_flux_is_one_flux_quantum():
-    report = curvature_report(psi2_sphere_family(), make_sphere_mesh(16, 16))
-    assert report.curvature.sum() == pytest.approx(2.0 * math.pi, abs=1e-10)
-    assert report.flagged == ()
-    # per-plaquette values sum to the reported total exactly
-    assert report.total == report.curvature.sum() / (2.0 * math.pi)
+    curvature = curvature_report(psi2_sphere_family(), make_sphere_mesh(16, 16))
+    assert curvature.sum() == pytest.approx(2.0 * math.pi, abs=1e-10)
+    nearest, residual, flagged, _ = chern_verdict(curvature)
+    assert flagged == []
+    # the verdict's residual is that of the per-plaquette sum over 2*pi, exactly
+    assert residual == abs(curvature.sum() / (2.0 * math.pi) - nearest)
 
 
 def test_orientation_reversal_negates_chern():
@@ -107,7 +107,7 @@ def test_vertex_phase_leaves_curvature_invariant():
     fam = VertexData(tuple(tensors))
     r0 = curvature_report(base, mesh)
     r1 = curvature_report(fam, mesh)
-    assert np.abs(r0.curvature - r1.curvature).max() < 1e-12
+    assert np.abs(r0 - r1).max() < 1e-12
 
 
 @pytest.mark.parametrize("invariant", [chern_number, curvature_report, link_field])
@@ -147,8 +147,8 @@ def test_gauge_moved_vertex_data_keeps_the_curvature(make, n, rng):
         moved.append(apply_gauge(A, random_gauge_move(rng, A)))
     assert len({A.D for A in moved}) == 3
     data = VertexData(tuple(moved))
-    expected = curvature_report(family, mesh).curvature
-    assert np.abs(curvature_report(data, mesh).curvature - expected).max() <= 1e-13
+    expected = curvature_report(family, mesh)
+    assert np.abs(curvature_report(data, mesh) - expected).max() <= 1e-13
     assert chern_number(data, mesh) == chern_number(family, mesh)
 
 
@@ -177,8 +177,7 @@ def test_frozen_polar_angle_gives_zero():
 
 def test_curvature_report_rows_align_with_mesh():
     mesh = make_sphere_mesh(6, 6)
-    report = curvature_report(psi2_sphere_family(), mesh)
-    assert report.curvature.shape == (mesh.n_plaquettes,)
+    assert curvature_report(psi2_sphere_family(), mesh).shape == (mesh.n_plaquettes,)
 
 
 def test_chern_number_rank2_slice_family():
@@ -195,8 +194,15 @@ def test_chern_number_rank2_slice_family():
     (0.4, (3,), [NonIntegerTotalError, FlaggedPlaquetteError]),
 ])
 def test_chern_verdict_lists_the_residual_refusal_first(total, flagged, kinds):
-    n = 4
-    report = CurvatureField(curvature=np.zeros(n), total=total, flagged=flagged)
-    nearest, residual, errors = chern_verdict(report)
-    assert nearest == round(total) and residual == abs(total - round(total))
+    # four plaquettes: the flagged ones at -3.1, within 0.1 of -pi, and the
+    # rest equal, summing to 2*pi times the total
+    curvature = np.zeros(4)
+    curvature[list(flagged)] = -3.1
+    rest = [k for k in range(4) if k not in flagged]
+    curvature[rest] = (2.0 * math.pi * total - curvature.sum()) / len(rest)
+    nearest, residual, found, errors = chern_verdict(curvature)
+    built = curvature.sum() / (2.0 * math.pi)
+    assert abs(built - total) < 1e-12
+    assert nearest == round(total) and residual == abs(built - round(total))
+    assert found == list(flagged)
     assert [type(e) for e in errors] == kinds

@@ -129,8 +129,7 @@ def test_bandwidth_spanning_mesh_keeps_every_core(name, chunk_mesh, monkeypatch)
     assert bits(values) == bits(whole_mesh_links(family, spanning))
     # the same edges in the same table order, renamed: the same links
     assert bits(values) == bits(link_field(family, mesh))
-    assert bits(curvature_report(family, spanning).curvature) == bits(
-        curvature_report(family, mesh).curvature)
+    assert bits(curvature_report(family, spanning)) == bits(curvature_report(family, mesh))
 
 
 def out_of_order_edges(mesh, chunk, within):

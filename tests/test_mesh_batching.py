@@ -38,6 +38,7 @@ from timps.invariants import (
     BRANCH_CUT_MARGIN,
     OVERLAP_FLOOR,
     chern_number,
+    chern_verdict,
     curvature_report,
     link_field,
     link_variable,
@@ -154,10 +155,11 @@ def test_stacked_curvature_matches_oracle(name, reverse, chunk):
         mesh = mesh.reversed()
     family = FAMILIES[name](mesh)
     curvature, flagged, total = oracle_curvature(family, mesh)
-    report = curvature_report(family, mesh)
-    assert np.abs(report.curvature - curvature).max() <= 1e-12
-    assert report.flagged == flagged
-    assert round(report.total) == round(total)
+    found = curvature_report(family, mesh)
+    nearest, _, found_flagged, _ = chern_verdict(found)
+    assert np.abs(found - curvature).max() <= 1e-12
+    assert found_flagged == list(flagged)
+    assert nearest == round(total)
 
 
 def test_mixed_transfer_kernel_matches_oracle(rng):
@@ -388,12 +390,11 @@ def test_vertex_data_takes_one_pass_per_shape(mixed_shapes, chunk, count_passes)
     psi2 = psi2_at_vertices(mesh)
     family = VertexData(tuple(padded_at(psi2, 5, D=3) if mixed_shapes else psi2))
     passes = count_passes()
-    report = curvature_report(family, mesh)
+    curvature = curvature_report(family, mesh)
     assert passes == passes_per_chunk(family.tensors, chunk, len(mesh.theta) - 1)
     if chunk > len(mesh.theta):
         assert passes == ([(57, 2, 1, 1), (1, 2, 3, 3)] if mixed_shapes else [(58, 2, 1, 1)])
-    assert np.abs(report.curvature
-                  - curvature_report(psi2_sphere_family(), mesh).curvature).max() <= 1e-12
+    assert np.abs(curvature - curvature_report(psi2_sphere_family(), mesh)).max() <= 1e-12
 
 
 def stack_by_vertex(name, mesh, at):
@@ -461,7 +462,7 @@ def test_flagged_plaquettes_are_refused(tmp_path):
     mesh = make_sphere_mesh(4, 4)
     tensors = flagged_family(mesh)
     family = VertexData(tuple(tensors))
-    assert curvature_report(family, mesh).flagged == (4,)
+    assert chern_verdict(curvature_report(family, mesh))[2] == [4]
     assert oracle_curvature(family, mesh)[1] == (4,)
     with pytest.raises(FlaggedPlaquetteError, match=r"\[4\]"):
         chern_number(family, mesh)
@@ -475,7 +476,7 @@ def test_flagged_plaquettes_are_refused(tmp_path):
     doc = json.loads((tmp_path / "chern.json").read_text())
     assert doc["summary"]["chern"] == 0
     assert doc["summary"]["flagged_plaquettes"] == [4]
-    assert doc["failures"] == [invariants.flagged_message((4,))]
+    assert doc["failures"] == ["1 plaquette(s) within 0.1 of +-pi (mesh too coarse): [4]"]
 
 
 def padded_at(tensors, index, d=None, D=None):
@@ -487,10 +488,9 @@ def padded_at(tensors, index, d=None, D=None):
 
 def test_mixed_bond_dimension_keeps_the_curvature(chunk):
     mesh = make_sphere_mesh(4, 4)
-    report = curvature_report(VertexData(tuple(padded_at(psi2_at_vertices(mesh), 5, D=3))),
-                              mesh)
-    expected = curvature_report(psi2_sphere_family(), mesh).curvature
-    assert np.abs(report.curvature - expected).max() <= 1e-12
+    curvature = curvature_report(VertexData(tuple(padded_at(psi2_at_vertices(mesh), 5, D=3))),
+                                 mesh)
+    assert np.abs(curvature - curvature_report(psi2_sphere_family(), mesh)).max() <= 1e-12
 
 
 def orthogonal_at(n, index):

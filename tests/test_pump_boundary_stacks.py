@@ -46,8 +46,8 @@ def loop_body(params, rng, tols):
     for mesh_txt in params["meshes"]:
         n_theta, n_phi = cli._parse_mesh(mesh_txt)
         mesh = make_sphere_mesh(n_theta, n_phi)
-        report = curvature_report(boundary_generator_family(tols), mesh, tols)
-        nearest, _, errors = chern_verdict(report)
+        nearest, _, _, errors = chern_verdict(
+            curvature_report(boundary_generator_family(tols), mesh, tols))
         cherns[mesh_txt] = nearest
         rows.append(("boundary_chern", mesh_txt, float(nearest)))
         failures.extend(f"{mesh_txt}: {e}" for e in errors)

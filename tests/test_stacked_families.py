@@ -35,7 +35,7 @@ from timps.families import (
     pump_slice_family,
     pump_south,
 )
-from timps.invariants import chern_number, curvature_report
+from timps.invariants import chern_number, chern_verdict, curvature_report
 from timps.tensors import MpsTensor, _decomposition_pass, canonical_decompose
 
 
@@ -312,11 +312,11 @@ def test_stacked_evaluators_match_the_per_vertex_oracle(name, shape, chunk, monk
     assert outcome(stacked) == expected
     assert outcome(lambda: np.array([family.eval_vertex(*v).mats for v in vertices])) == expected
     monkeypatch.setattr(invariants, "CHUNK", chunk)
-    report = outcome(lambda: curvature_report(family, mesh).curvature)
+    report = outcome(lambda: curvature_report(family, mesh))
     # the oracle's tensors as vertex data, or, where it raises, as a stack
     oracle = (VertexData(tuple(at(*v) for v in vertices)) if expected[0] == "ok"
               else point_by_point(name, at))
-    assert report == outcome(lambda: curvature_report(oracle, mesh).curvature)
+    assert report == outcome(lambda: curvature_report(oracle, mesh))
     if expected[0] == "raised":
         assert report == expected
 
@@ -395,8 +395,7 @@ def test_pump_slices_on_the_overlap_band_edges_have_chern_zero(w4, shape):
     mesh = make_sphere_mesh(*shape)
     # the slices just inside the band, and the edges themselves
     for w in (0.98 * w4, w4):
-        report = curvature_report(pump_slice_family(w), mesh)
-        assert report.flagged == ()
+        assert chern_verdict(curvature_report(pump_slice_family(w), mesh))[2] == []
         assert chern_number(pump_slice_family(w), mesh) == 0
 
 
@@ -408,7 +407,7 @@ def test_pump_points_from_angles_match_the_oracle(rng):
 
 def test_built_in_families_skip_the_per_vertex_path(monkeypatch):
     mesh = make_sphere_mesh(8, 8)
-    expected = {name: curvature_report(make(), mesh).curvature
+    expected = {name: curvature_report(make(), mesh)
                 for name, (make, _) in ORACLES.items()}
 
     def refuse(self, theta, phi):
@@ -416,7 +415,7 @@ def test_built_in_families_skip_the_per_vertex_path(monkeypatch):
 
     monkeypatch.setattr(SphereFamily, "eval_vertex", refuse)
     for name, (make, _) in ORACLES.items():
-        assert bits(curvature_report(make(), mesh).curvature) == bits(expected[name])
+        assert bits(curvature_report(make(), mesh)) == bits(expected[name])
 
 
 def raised(fn, *args):
@@ -531,10 +530,10 @@ def test_boundary_generator_is_the_closed_form_line(shape):
     closed = [oracle_boundary_at(*v) for v in mesh_vertices(mesh)]
     overlaps = np.einsum("ni,ni->n", np.array([t.mats[:, 0, 0] for t in closed]).conj(), derived)
     assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-15
-    report = curvature_report(family, mesh)
-    closed_report = curvature_report(VertexData(tuple(closed)), mesh)
-    assert np.abs(report.curvature - closed_report.curvature).max() <= 1e-15
-    assert report.flagged == ()
+    curvature = curvature_report(family, mesh)
+    closed_curvature = curvature_report(VertexData(tuple(closed)), mesh)
+    assert np.abs(curvature - closed_curvature).max() <= 1e-15
+    assert chern_verdict(curvature)[2] == []
     assert chern_number(family, mesh) == 1
 
 

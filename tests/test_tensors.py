@@ -273,6 +273,31 @@ def test_right_normalize_takes_one_decomposition(rng, monkeypatch):
             (want.mats.dtype, want.mats.shape, want.mats.tobytes())
 
 
+def test_right_normalize_takes_decompositions_in_a_sequence(rng, monkeypatch):
+    # a decomposition in a sequence is normalized from its own X, K and M:
+    # one block-form call for the tensors only, the N=1 results in order, and
+    # each refusal in its place
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _block_forms(*args)
+
+    decs = [random_tensor_in_e(rng, d, D, chi) for d, D, chi in [(4, 3, 2), (4, 3, 1), (9, 4, 3)]]
+    tensor, zero = random_tensor_in_e(rng, 4, 3, 2).tensor, MpsTensor(np.zeros((4, 3, 3)))
+    want = [right_normalize(a) for a in decs + [tensor]]
+    with monkeypatch.context() as patch:
+        patch.setattr("timps.tensors._block_forms", counted)
+        both = right_normalize([decs[0], decs[0]])
+        assert calls == []
+        got = right_normalize([decs[0], tensor, decs[1], zero, decs[2]])
+        assert len(calls) == 1
+    assert [out.mats.tobytes() for out in both] == [want[0].mats.tobytes()] * 2
+    assert isinstance(got[3], NotInEError)
+    assert str(got[3]) == "cannot normalize a numerically zero tensor"
+    assert [got[n].mats.tobytes() for n in (0, 2, 4, 1)] == [w.mats.tobytes() for w in want]
+
+
 def identity_move(A):
     return GaugeMove(1.0 + 0.0j, np.eye(A.D, dtype=complex), MpsTensor(np.zeros_like(A.mats)))
 

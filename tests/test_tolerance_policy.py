@@ -126,9 +126,10 @@ def literal(value):
     (named("tol_gap"), sorted(TREES), {"tensors.py:_degenerate"}),
     (named("tol_recon"), sorted(TREES), {"tensors.py:_memberships"}),
     (named("RESIDUAL_CAP"), sorted(TREES), {"invariants.py:chern_verdict"}),
+    (named("BRANCH_CUT_MARGIN"), sorted(TREES), {"invariants.py:chern_verdict"}),
     # the traceless guard; cli's 1e-14 bounds are acceptance bounds
     (literal(1e-14), ["tensors.py", "transfer.py"], {"tensors.py:_leading_fixed_point"}),
-], ids=["tol_gap", "tol_recon", "RESIDUAL_CAP", "traceless-1e-14"])
+], ids=["tol_gap", "tol_recon", "RESIDUAL_CAP", "BRANCH_CUT_MARGIN", "traceless-1e-14"])
 def test_each_threshold_is_compared_in_one_function(matches, modules, owners):
     assert {f"{module}:{fn}" for module in modules
             for fn in comparing_functions(TREES[module], matches)} == owners

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -520,6 +521,22 @@ def test_correlation_length_refuses_a_gapless_spectrum():
     assert abs(correlation_length(aklt_path(1e-3)) - 749999.5) < 1.0
     with pytest.raises(DegenerateLeadingEigenvalueError, match="no spectral gap"):
         correlation_length(aklt_path(1e-4))
+
+
+@pytest.mark.parametrize("count", [3, 4, 1])
+def test_transfer_spectrum_of_a_stack_is_each_cores(rng, count):
+    # d = 4 cores: a stack of three once read its count as d and was refused
+    cores = [random_core(rng, 4, 2).K for _ in range(count)]
+    spectra = transfer_spectrum(np.array(cores))
+    assert spectra.shape == (count, 4)
+    for spectrum, K in zip(spectra, cores):
+        assert np.array_equal(spectrum, transfer_spectrum(K))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2, 2), (1, 4, 2, 2), (4, 2, 3), (2, 2)])
+def test_correlation_length_takes_one_square_core(rng, shape):
+    with pytest.raises(ValueError, match=re.escape(f"one (d, chi, chi) core, got shape {shape}")):
+        correlation_length(rng.normal(size=shape) + 0j)
 
 
 def test_trace_invariant_closed_form():
