@@ -433,8 +433,9 @@ def _exp_chern(params, rng, tols):
     curvature = curvature_report(family, mesh, tols)
     nearest, residual, flagged, errors = chern_verdict(curvature)
     failures = [str(e) for e in errors]
-    columns = {"plaquette_id": np.arange(mesh.n_plaquettes), "theta_lo": mesh.cell_theta_lo,
-               "phi_lo": mesh.cell_phi_lo, "curvature": curvature}
+    ids = np.arange(mesh.n_plaquettes)  # plaquette id covers grid cell divmod(id, n_phi)
+    columns = {"plaquette_id": ids, "theta_lo": math.pi * (ids // n_phi) / n_theta,
+               "phi_lo": 2.0 * math.pi * (ids % n_phi) / n_phi, "curvature": curvature}
     summary = {
         "family": spec["family"],
         "mesh": params["mesh"],
@@ -653,8 +654,9 @@ def _is_g_step(value, params) -> bool:
 # 16 s_steps d_out (D + 1)^2 output bytes, 13,824 s_steps at its largest
 # shape, a retract-sweep case's 144 (chi D)^2 with D <= chi + 1, and the 196
 # bytes per plaquette that chern holds from its built mesh to its CSV: mesh
-# tables 132, links and their order 48, curvature and plaquette ids 16 (V <= P,
-# E <= 2P); the mesh build's transient, about 3x the tables, is not counted.
+# tables 116, links and their order 48, the CSV's curvature, plaquette ids and
+# cell angles 32 (V <= P, E <= 2P); the mesh build's transient, about 3x the
+# tables, is not counted.
 MESH_PLAQUETTES = (1 << 26) // 196
 _MESH = f"NxM with integers N, M >= 4 and N*M <= {MESH_PLAQUETTES}"
 EXPERIMENTS = {

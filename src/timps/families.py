@@ -16,9 +16,10 @@ Meshes are quadrilateralized theta-phi grids on the sphere with single pole
 vertices; the polar rows close the surface as degenerate quad fans so that
 plaquette curvature sums to an exact multiple of 2*pi.
 
-A family over the sphere is a name and a ``stack`` over arrays of angles
+A family over the sphere is a ``stack`` over arrays of angles
 (:class:`SphereFamily`).  Tensors given per vertex of one mesh (``custom``)
-are :class:`VertexData`: they have no values between vertices.
+are vertex data, a tuple of :class:`MpsTensor`: they have no values between
+vertices.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "Mesh2",
     "make_sphere_mesh",
     "SphereFamily",
-    "VertexData",
     "psi2_sphere_family",
     "boundary_generator_family",
     "constant_sphere_family",
@@ -295,8 +295,6 @@ class Mesh2:
     n_theta: int
     n_phi: int
     plaquettes: np.ndarray
-    cell_theta_lo: np.ndarray
-    cell_phi_lo: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
     edges: np.ndarray = field(init=False, repr=False)
@@ -359,13 +357,10 @@ def make_sphere_mesh(n_theta: int, n_phi: int) -> Mesh2:
     ids[1:-1] = rings[:, np.arange(n_phi + 1) % n_phi]
     corners = [ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]]
     plaquettes = np.stack(corners, axis=2).reshape(-1, 4)
-    i, j = np.divmod(np.arange(n_theta * n_phi), n_phi)
     return Mesh2(
         n_theta=n_theta,
         n_phi=n_phi,
         plaquettes=plaquettes,
-        cell_theta_lo=math.pi * i / n_theta,
-        cell_phi_lo=2.0 * math.pi * j / n_phi,
         theta=theta,
         phi=phi,
     )
@@ -380,20 +375,11 @@ class SphereFamily:
     """A family over the sphere, given by ``stack``, which evaluates it at
     arrays of angles ``(theta[n], phi[n])`` as one ``(m, d, D, D)`` array."""
 
-    name: str
     stack: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def eval_vertex(self, theta: float, phi: float) -> MpsTensor:
         """The tensor at one point: the N=1 call of ``stack``."""
         return MpsTensor(self.stack(np.array([theta]), np.array([phi]))[0])
-
-
-@dataclass(frozen=True, eq=False)
-class VertexData:
-    """Tensors of any shapes given at the vertices of one mesh, in vertex
-    order; the invariants decompose them as given."""
-
-    tensors: tuple
 
 
 def psi2_sphere_family() -> SphereFamily:
@@ -403,7 +389,7 @@ def psi2_sphere_family() -> SphereFamily:
     def stack(theta, phi):
         return _product_states(np.cos(theta / 2.0), np.exp(-1j * phi) * np.sin(theta / 2.0))
 
-    return SphereFamily("psi2", stack=stack)
+    return SphereFamily(stack)
 
 
 def boundary_generator_family(tols: Tolerances = DEFAULT_TOLS) -> SphereFamily:
@@ -421,12 +407,12 @@ def boundary_generator_family(tols: Tolerances = DEFAULT_TOLS) -> SphereFamily:
                 f"pump lift has essential rank {found.ranks[k]} on the boundary sphere, not 1")
         return _product_states(found.X[:, 0, 0], found.X[:, 1, 0])
 
-    return SphereFamily("pump-boundary", stack=stack)
+    return SphereFamily(stack)
 
 
-def constant_sphere_family(A: MpsTensor, name: str = "constant") -> SphereFamily:
+def constant_sphere_family(A: MpsTensor) -> SphereFamily:
     """``A`` at every point."""
-    return SphereFamily(name, lambda theta, phi: np.repeat(A.mats[None], len(theta), axis=0))
+    return SphereFamily(lambda theta, phi: np.repeat(A.mats[None], len(theta), axis=0))
 
 
 def pump_slice_family(w4: float) -> SphereFamily:
@@ -442,7 +428,7 @@ def pump_slice_family(w4: float) -> SphereFamily:
         pts = np.column_stack([_slice_points(theta, phi, w4), np.full(len(theta), w4)])
         return _charts_at(pts, north=not w4 < 0.5)
 
-    return SphereFamily(f"pump-slice(w4={w4})", stack=stack)
+    return SphereFamily(stack)
 
 
 # family name -> (builder, the Param table of its params); a spec's params
@@ -453,10 +439,10 @@ FAMILY_SPECS = {
     "pump": (lambda w4: pump_slice_family(float(w4)),
              (Param("w4", 0.0, float, lambda v, _: _is_number(v) and -1.0 < v < 1.0,
                     "a number with |w4| < 1"),)),
-    "aklt": (lambda g: constant_sphere_family(aklt_path(float(g)), "aklt"),
+    "aklt": (lambda g: constant_sphere_family(aklt_path(float(g))),
              (Param("g", 0.5, float, lambda v, _: _is_number(v) and 0.0 <= v <= 1.0,
                     "a number in [0, 1]"),)),
-    "custom": (lambda tensors: VertexData(tuple(map(tensor_from_json, tensors))),
+    "custom": (lambda tensors: tuple(map(tensor_from_json, tensors)),
                (Param("tensors", [], json.loads, lambda v, _: isinstance(v, list), "a list"),)),
 }
 _SPEC = (Param("family", None, str, lambda v, _: isinstance(v, str) and v in FAMILY_SPECS,
@@ -464,7 +450,7 @@ _SPEC = (Param("family", None, str, lambda v, _: isinstance(v, str) and v in FAM
          Param("params", {}, json.loads, lambda v, _: isinstance(v, dict), "an object"))
 
 
-def family_from_spec(spec: dict) -> SphereFamily | VertexData:
+def family_from_spec(spec: dict) -> SphereFamily | tuple:
     """Build a sphere family, or vertex data for ``custom``, from its JSON
     description ``{"family": <a FAMILY_SPECS name>, "params": {...}}``."""
     spec = checked(_SPEC, spec, "family spec")

@@ -27,6 +27,7 @@ from .tensors import (
     _assembled,
     _dagger,
     _decomposition,
+    _one_shape,
     _sandwich,
     _stacked,
     left_gram,
@@ -250,16 +251,6 @@ def _stage_clock(tau: float) -> float:
 
 
 _STAGES = (_stage_widen, _stage_row_growth, _stage_swap, _stage_fade)
-
-
-def _one_shape(mats: list) -> np.ndarray:
-    """The ``(N, d, D, D)`` stack of matrices that must share ``(d, D)``; N >= 1."""
-    if not mats:
-        raise ValueError("a tensor sequence must not be empty")
-    shapes = list(dict.fromkeys(m.shape[:2] for m in mats))
-    if len(shapes) > 1:
-        raise ValueError(f"a tensor sequence must share (d, D); got {shapes[0]} and {shapes[1]}")
-    return np.array(mats)
 
 
 def contraction_path(A, s, tols: Tolerances = DEFAULT_TOLS):

@@ -8,7 +8,7 @@ argument of the oriented product of link variables; because every geometric
 edge of a closed mesh is shared by two plaquettes with opposite orientation,
 the total curvature is an exact integer multiple of 2*pi up to roundoff.
 
-The mesh functions take a :class:`SphereFamily` or :class:`VertexData`.
+The mesh functions take a :class:`SphereFamily` or vertex data (a tuple of tensors).
 
 Conventions: plaquettes are outward-oriented; vertex phase changes move
 individual links but never a plaquette product.
@@ -26,7 +26,7 @@ from .errors import (
     RankMismatchError,
     VanishingOverlapError,
 )
-from .families import Mesh2, VertexData
+from .families import Mesh2, SphereFamily
 from .tensors import (
     OVERLAP_FLOOR,
     MpsTensor,
@@ -106,8 +106,8 @@ def _chunk_tensors(family, mesh: Mesh2, chunk: slice):
     family's from one stack call.  If the stack refuses the chunk (raises, or
     gives a non-finite entry): the tensors :meth:`SphereFamily.eval_vertex`
     gives up to the first failing vertex, and that vertex's error."""
-    if isinstance(family, VertexData):
-        return [t.mats for t in family.tensors[chunk]], None
+    if not isinstance(family, SphereFamily):
+        return [t.mats for t in family[chunk]], None
     try:
         mats = family.stack(mesh.theta[chunk], mesh.phi[chunk])
         if np.isfinite(mats).all():
@@ -131,8 +131,8 @@ def _vertex_cores(family, mesh: Mesh2, size: int, tols):
     Vertex data must hold one tensor per vertex.  The error raised is the first
     one a per-vertex loop (evaluate, decompose, compare ranks with vertex 0) raises."""
     n, window, dims = len(mesh.theta), None, np.empty(size, dtype=np.intp)
-    if isinstance(family, VertexData) and len(family.tensors) != n:
-        raise ValueError(f"family custom has {len(family.tensors)} tensors, but mesh "
+    if not isinstance(family, SphereFamily) and len(family) != n:
+        raise ValueError(f"family custom has {len(family)} tensors, but mesh "
                          f"{mesh.n_theta}x{mesh.n_phi} has {n} vertices")
     for start in range(0, n, CHUNK):
         tensors, error = _chunk_tensors(family, mesh, slice(start, start + CHUNK))

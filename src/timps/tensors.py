@@ -61,8 +61,6 @@ __all__ = [
     "assemble",
     "tensor_to_json",
     "tensor_from_json",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 # Leading mixed-transfer moduli below this are vanishing overlaps.
@@ -413,6 +411,16 @@ def _decomposition_pass(mats: np.ndarray, tols: Tolerances) -> _Pass:
             k = int(idx[j])
             errors[k] = _refusal(tols, w[k, 0], chi, recon[j], norm[k], [m[j] for m in bad])
     return _Pass(X, ranks, B, norm, errors)
+
+
+def _one_shape(mats: list) -> np.ndarray:
+    """The ``(N, d, D, D)`` stack of matrices that must share ``(d, D)``; N >= 1."""
+    if not mats:
+        raise ValueError("a tensor sequence must not be empty")
+    shapes = list(dict.fromkeys(m.shape[:2] for m in mats))
+    if len(shapes) > 1:
+        raise ValueError(f"a tensor sequence must share (d, D); got {shapes[0]} and {shapes[1]}")
+    return np.array(mats)
 
 
 def _stacked(A, stacked_pass, *aligned) -> list:
@@ -818,23 +826,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
-
-
-def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def _json_matrix(obj, D: int) -> np.ndarray:
+    """The ``D x D`` matrix of a list of rows of ``[re, im]`` cells."""
     _require(isinstance(obj, list) and len(obj) >= 1, "matrix must be a non-empty list of rows")
-    r = len(obj)
     _require(isinstance(obj[0], list) and len(obj[0]) >= 1, "matrix rows must be non-empty lists")
-    c = len(obj[0])
-    if rows is not None:
-        _require(r == rows, f"expected {rows} rows, got {r}")
-    if cols is not None:
-        _require(c == cols, f"expected {cols} columns, got {c}")
-    out = np.zeros((r, c), dtype=complex)
+    _require(len(obj) == D, f"expected {D} rows, got {len(obj)}")
+    _require(len(obj[0]) == D, f"expected {D} columns, got {len(obj[0])}")
+    out = np.zeros((D, D), dtype=complex)
     for a, row in enumerate(obj):
-        _require(isinstance(row, list) and len(row) == c, "ragged matrix rows")
+        _require(isinstance(row, list) and len(row) == D, "ragged matrix rows")
         for b, cell in enumerate(row):
             _require(
                 isinstance(cell, list) and len(cell) == 2
@@ -847,7 +847,7 @@ def matrix_from_json(obj, rows: int | None = None, cols: int | None = None) -> n
 
 
 def tensor_to_json(A: MpsTensor) -> dict:
-    return {"d": A.d, "D": A.D, "mats": [matrix_to_json(m) for m in A.mats]}
+    return {"d": A.d, "D": A.D, "mats": np.stack([A.mats.real, A.mats.imag], axis=-1).tolist()}
 
 
 def tensor_from_json(obj) -> MpsTensor:
@@ -858,5 +858,5 @@ def tensor_from_json(obj) -> MpsTensor:
     _require(isinstance(D, int) and not isinstance(D, bool) and D >= 1, "D must be a positive integer")
     mats = obj["mats"]
     _require(isinstance(mats, list) and len(mats) == d, "mats must list exactly d matrices")
-    stack = np.array([matrix_from_json(m, D, D) for m in mats])
+    stack = np.array([_json_matrix(m, D) for m in mats])
     return MpsTensor(stack)

@@ -26,6 +26,7 @@ from .tensors import (
     _dagger,
     _degenerate,
     _leading_fixed_point,
+    _one_shape,
     _sandwich,
     _sorted_spectrum,
     _stacked,
@@ -69,7 +70,10 @@ class WindowObservable:
 
 
 def _core_mats(K) -> np.ndarray:
-    return np.asarray(getattr(K, "mats", K), dtype=complex)
+    """One core or a stack of cores; a sequence goes through :func:`tensors._one_shape`."""
+    if isinstance(K, np.ndarray) or _one_core(K):
+        return np.asarray(getattr(K, "mats", K), dtype=complex)
+    return _one_shape([np.asarray(getattr(k, "mats", k), dtype=complex) for k in K])
 
 
 def _one_core(K) -> bool:
@@ -82,11 +86,10 @@ def _stacks(K, T):
     """Whether ``K`` is one core, and the same-shape cores and their fixed
     points, one per core, as ``(m, d, chi, chi)`` and ``(m, chi, chi)`` arrays."""
     one = _one_core(K)
-    Ks, Ts = ([K], [T]) if one else (K, T)
-    if len(Ts) != len(Ks):
-        raise ValueError(f"need one fixed point per core: got {len(Ts)} for {len(Ks)} cores")
-    return (one, np.array([getattr(k, "mats", k) for k in Ks], dtype=complex),
-            np.array(Ts, dtype=complex))
+    mats, Ts = (_core_mats(K)[None], [T]) if one else (_core_mats(K), T)
+    if len(Ts) != len(mats):
+        raise ValueError(f"need one fixed point per core: got {len(Ts)} for {len(mats)} cores")
+    return one, mats, np.array(Ts, dtype=complex)
 
 
 def transfer_matrix(K, C) -> np.ndarray:
@@ -178,6 +181,8 @@ def _window_amplitudes(K, T, n: int) -> np.ndarray:
     """The d^n x chi^2 factor ``P`` with ``P P^dagger`` the window density
     matrix (zero columns for non-positive fixed-point eigenvalues); for
     cores and ``T`` as in :func:`expectation`, the stack of their factors."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"window length n must be an integer >= 1, got {n!r}")
     one, mats, Tm = _stacks(K, T)
     m, d, chi = mats.shape[:3]
     dim = d**n

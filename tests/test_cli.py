@@ -17,7 +17,7 @@ from timps.cli import EXPERIMENTS, main
 from timps.config import DEFAULT_TOLS, TOLERANCES
 from timps.errors import NotInEError, NotPositiveError
 from timps.families import FAMILY_SPECS, make_sphere_mesh, psi2_sphere_family
-from timps.invariants import curvature_report, link_field
+from timps.invariants import link_field
 from timps.transfer import fixed_point
 
 
@@ -94,6 +94,18 @@ def test_chern_refuses_scaled_custom_tensors(tmp_path, capsys, scale, message):
     assert run_cli(["chern", "--family", f"@{spec_path}", "--mesh", "4x4",
                     "--out", tmp_path]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == [f"NotInEError: {message}"]
+
+
+def test_custom_spec_of_the_psi2_tensors_writes_the_psi2_csv(tmp_path):
+    # 64x64: 4,034 vertices, four vertex chunks of tensors as given
+    spec_path = tmp_path / "family.json"
+    spec_path.write_text(json.dumps(_psi2_spec(64)))
+    for family, out in ((f"@{spec_path}", "custom"), ("psi2", "psi2")):
+        assert run_cli(["chern", "--family", family, "--mesh", "64x64",
+                        "--out", tmp_path / out]) == 0
+        assert read_json(tmp_path / out / "chern.json")["summary"]["chern"] == 1
+    assert ((tmp_path / "custom" / "chern.csv").read_bytes()
+            == (tmp_path / "psi2" / "chern.csv").read_bytes())
 
 
 def test_oracle_check_seeded(tmp_path):
@@ -609,15 +621,15 @@ def test_upper_bounds_keep_one_case_within_64_mib(experiment, key, largest, past
 @pytest.mark.parametrize("shape", [(4, 4), (16, 12), (128, 128)])
 def test_chern_holds_at_most_196_bytes_per_plaquette(shape):
     # what the mesh bound counts: the mesh tables, the links with their table
-    # order (one intp per edge), and the curvature and plaquette-id columns,
-    # the ids held by the CSV columns of the chern experiment
+    # order (one intp per edge), and the CSV columns of the chern experiment:
+    # plaquette ids, cell angles and curvature
     mesh = make_sphere_mesh(*shape)
-    curvature = curvature_report(psi2_sphere_family(), mesh)
+    columns, _, _ = cli._exp_chern({"family": "psi2", "mesh": "{}x{}".format(*shape)}, None,
+                                   DEFAULT_TOLS)
     held = (sum(getattr(mesh, name).nbytes for name in (
-        "plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi", "edges",
-        "plaquette_edges", "plaquette_signs"))
+        "plaquettes", "theta", "phi", "edges", "plaquette_edges", "plaquette_signs"))
         + link_field(psi2_sphere_family(), mesh).nbytes + 8 * mesh.n_edges
-        + curvature.nbytes + np.arange(mesh.n_plaquettes).nbytes)
+        + sum(column.nbytes for column in columns.values()))
     assert held <= 196 * mesh.n_plaquettes
 
 

@@ -22,7 +22,6 @@ from timps.config import DEFAULT_TOLS
 from timps.errors import RankMismatchError
 from timps.families import (
     Mesh2,
-    VertexData,
     aklt_path,
     family_from_spec,
     make_sphere_mesh,
@@ -70,7 +69,7 @@ def outcome(fn, *args):
 def whole_mesh_cores(family, mesh):
     """Every vertex's core in one array, from one decomposition call."""
     tensors = (family.stack(mesh.theta, mesh.phi) if hasattr(family, "stack")
-               else [t.mats for t in family.tensors])
+               else [t.mats for t in family])
     return np.array([dec.K for dec in canonical_decompose(np.array(tensors))])
 
 
@@ -85,7 +84,6 @@ def permuted(mesh, perm):
     """``mesh`` with vertex ``x`` renamed ``perm[x]``."""
     inverse = np.argsort(perm)
     return Mesh2(n_theta=mesh.n_theta, n_phi=mesh.n_phi, plaquettes=perm[mesh.plaquettes],
-                 cell_theta_lo=mesh.cell_theta_lo, cell_phi_lo=mesh.cell_phi_lo,
                  theta=mesh.theta[inverse].copy(), phi=mesh.phi[inverse].copy())
 
 
@@ -171,7 +169,7 @@ def orthogonal_across(mesh, edges):
             a = math.pi / 4 - 1e-9 * k
             angle[mesh.edges[e]] = (a, -a) if k % 2 == 0 else (sign * a, -sign * a)
         tensors = [psi2_tensor(math.cos(a), math.sin(a)) for a in angle.tolist()]
-        cores = whole_mesh_cores(VertexData(tuple(tensors)), mesh)
+        cores = whole_mesh_cores(tuple(tensors), mesh)
         refused = [k for k, (u, v) in enumerate(mesh.edges.tolist())
                    if outcome(_edge_links, cores[u][None], cores[v][None], DEFAULT_TOLS)[0]
                    == "raised"]
@@ -192,12 +190,12 @@ def test_first_refused_edge_in_table_order_is_raised(chunk_mesh, within):
     chunk, mesh = chunk_mesh
     mesh = mesh.reversed()
     tensors, i, j = two_refusals(mesh, chunk, within)
-    cores = whole_mesh_cores(VertexData(tuple(tensors)), mesh)
+    cores = whole_mesh_cores(tuple(tensors), mesh)
     (u_i, v_i), (u_j, v_j) = mesh.edges[i], mesh.edges[j]
     first = outcome(_edge_links, cores[u_i][None], cores[v_i][None], DEFAULT_TOLS)
     assert first != outcome(_edge_links, cores[u_j][None], cores[v_j][None], DEFAULT_TOLS)
     assert first == per_edge_failure(tensors, mesh)
-    assert outcome(link_field, VertexData(tuple(tensors)), mesh) == first
+    assert outcome(link_field, tuple(tensors), mesh) == first
 
 
 def test_refused_edge_before_a_dimension_mismatch_is_raised(chunk_mesh):
@@ -221,7 +219,7 @@ def test_refused_edge_before_a_dimension_mismatch_is_raised(chunk_mesh):
     tensors[w] = MpsTensor(np.array([0.6, 0.0, 0.8], dtype=complex).reshape(3, 1, 1))
     expected = per_edge_failure(tensors, mesh)
     assert expected[1] is not ValueError  # edge i's refusal
-    assert outcome(link_field, VertexData(tuple(tensors)), mesh) == expected
+    assert outcome(link_field, tuple(tensors), mesh) == expected
 
 
 def test_failing_vertex_after_a_refused_edge_raises_its_error(chunk_mesh):
@@ -231,7 +229,7 @@ def test_failing_vertex_after_a_refused_edge_raises_its_error(chunk_mesh):
     last = len(tensors) - 1
     assert last >= 2 * chunk  # in a later chunk than an edge refused before it
     tensors[last] = MpsTensor(aklt_path(0.5).mats)
-    got = outcome(link_field, VertexData(tuple(tensors)), mesh)
+    got = outcome(link_field, tuple(tensors), mesh)
     assert got == ("raised", RankMismatchError,
                    "family does not have constant essential rank on the mesh: "
                    f"1 vs 2 at vertex {last}")
@@ -245,7 +243,7 @@ def test_window_slots_are_zero_padded_to_the_widest_core(monkeypatch):
     n = len(mesh.theta)
     tensors = [psi2_tensor(math.cos(a), math.sin(a)) for a in mesh.theta.tolist()]
     tensors[2] = MpsTensor(np.array([0.6, 0.0, 0.8], dtype=complex).reshape(3, 1, 1))
-    windows = invariants._vertex_cores(VertexData(tuple(tensors)), mesh, 7, DEFAULT_TOLS)
+    windows = invariants._vertex_cores(tuple(tensors), mesh, 7, DEFAULT_TOLS)
     for start, (window, dims) in zip(range(0, n, 7), windows):
         assert window.shape[1] == 3
         for x in range(start, min(start + 7, n)):
@@ -258,8 +256,7 @@ def test_curvature_report_holds_the_mesh_tables_and_a_chunk_allowance():
     family = pump_slice_family(0.7)
     curvature_report(family, make_sphere_mesh(8, 8))  # lazy imports and caches
     tables = sum(getattr(mesh, name).nbytes for name in (
-        "plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi", "edges",
-        "plaquette_edges", "plaquette_signs"))
+        "plaquettes", "theta", "phi", "edges", "plaquette_edges", "plaquette_signs"))
     tracemalloc.start()
     try:
         curvature_report(family, mesh)

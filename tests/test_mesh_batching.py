@@ -26,7 +26,6 @@ from timps.errors import (
 )
 from timps.families import (
     SphereFamily,
-    VertexData,
     aklt_path,
     boundary_generator_family,
     make_sphere_mesh,
@@ -66,8 +65,8 @@ def oracle_mixed_leading(K_a, K_b):
 def vertex_tensors(family, mesh):
     """The tensors at the mesh vertices, in order, one at a time: vertex
     data as given, a family by its N=1 call."""
-    if isinstance(family, VertexData):
-        yield from family.tensors
+    if isinstance(family, tuple):
+        yield from family
     else:
         for theta, phi in zip(mesh.theta.tolist(), mesh.phi.tolist()):
             yield family.eval_vertex(theta, phi)
@@ -121,8 +120,8 @@ def psi2_at_vertices(mesh):
 
 def spun_family(mesh):
     """psi2 with a vertex-dependent phase: the same curvature, other links."""
-    return VertexData(tuple(MpsTensor(A.mats * np.exp(0.37j * k))
-                            for k, A in enumerate(psi2_at_vertices(mesh))))
+    return tuple(MpsTensor(A.mats * np.exp(0.37j * k))
+                 for k, A in enumerate(psi2_at_vertices(mesh)))
 
 
 def bloch(theta, phi):
@@ -307,7 +306,7 @@ def test_link_field_values_are_the_oracle_links(chunk):
     family = spun_family(mesh)
     values = link_field(family, mesh)
     assert values.shape == (mesh.n_edges,)
-    cores = [canonical_decompose(A).K for A in family.tensors]
+    cores = [canonical_decompose(A).K for A in family]
     for (u, v), value in zip(mesh.edges, values):
         ref = oracle_mixed_leading(cores[u], cores[v])
         assert abs(value - ref / abs(ref)) <= 1e-12
@@ -331,10 +330,10 @@ def parity_cases():
     orthogonal = [psi2_tensor(1.0, 0.0)] * n
     orthogonal[6] = psi2_tensor(0.0, 1.0)
     return {
-        "rank-jump-at-3": (VertexData(tuple(rank_jump)), RankMismatchError,
+        "rank-jump-at-3": (tuple(rank_jump), RankMismatchError,
                            "2 vs 1 at vertex 3"),
-        "non-E-vertex": (VertexData(tuple(not_in_e)), NotInEError, "right-normalized"),
-        "vanishing-overlap": (VertexData(tuple(orthogonal)), VanishingOverlapError,
+        "non-E-vertex": (tuple(not_in_e), NotInEError, "right-normalized"),
+        "vanishing-overlap": (tuple(orthogonal), VanishingOverlapError,
                               "0.000e+00"),
     }
 
@@ -367,7 +366,7 @@ def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, mon
     mesh = make_sphere_mesh(4, 4)
     if mixed_shapes:
         # vertex 12, after every failing vertex, has a larger bond dimension
-        family = VertexData(tuple(padded_at(family.tensors, 12, D=3)))
+        family = tuple(padded_at(family, 12, D=3))
     expected = raised(oracle_curvature, family, mesh)
 
     def refuse(*args, **kwargs):
@@ -379,7 +378,7 @@ def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, mon
     assert raised(curvature_report, family, mesh) == expected
     # one pass per tensor shape per chunk, up to the chunk of the failing vertex
     last = {"rank-jump-at-3": 3, "non-E-vertex": 5}[case]
-    assert passes == passes_per_chunk(family.tensors, chunk, last)
+    assert passes == passes_per_chunk(family, chunk, last)
     if chunk > len(mesh.theta):
         assert passes == ([(13, 4, 2, 2), (1, 4, 3, 3)] if mixed_shapes else [(14, 4, 2, 2)])
 
@@ -388,16 +387,16 @@ def test_mesh_refusals_come_from_the_stacked_pass(case, mixed_shapes, chunk, mon
 def test_vertex_data_takes_one_pass_per_shape(mixed_shapes, chunk, count_passes):
     mesh = make_sphere_mesh(8, 8)
     psi2 = psi2_at_vertices(mesh)
-    family = VertexData(tuple(padded_at(psi2, 5, D=3) if mixed_shapes else psi2))
+    family = tuple(padded_at(psi2, 5, D=3) if mixed_shapes else psi2)
     passes = count_passes()
     curvature = curvature_report(family, mesh)
-    assert passes == passes_per_chunk(family.tensors, chunk, len(mesh.theta) - 1)
+    assert passes == passes_per_chunk(family, chunk, len(mesh.theta) - 1)
     if chunk > len(mesh.theta):
         assert passes == ([(57, 2, 1, 1), (1, 2, 3, 3)] if mixed_shapes else [(58, 2, 1, 1)])
     assert np.abs(curvature - curvature_report(psi2_sphere_family(), mesh)).max() <= 1e-12
 
 
-def stack_by_vertex(name, mesh, at):
+def stack_by_vertex(mesh, at):
     """A family whose stack evaluates ``at(k)`` point by point, with ``k``
     the mesh vertex at the point's angles; it raises what ``at`` raises."""
     index = {v: k for k, v in enumerate(zip(mesh.theta.tolist(), mesh.phi.tolist()))}
@@ -405,7 +404,7 @@ def stack_by_vertex(name, mesh, at):
     def stack(theta, phi):
         return np.array([at(index[v]).mats for v in zip(theta.tolist(), phi.tolist())])
 
-    return SphereFamily(name, stack)
+    return SphereFamily(stack)
 
 
 def test_decomposition_error_precedes_later_evaluation_error(chunk):
@@ -417,7 +416,7 @@ def test_decomposition_error_precedes_later_evaluation_error(chunk):
             raise OutOfChartError("vertex 8 is outside every chart")
         return bad if k == 2 else aklt_path(0.5)
 
-    family = stack_by_vertex("broken", mesh, at)
+    family = stack_by_vertex(mesh, at)
     assert raised(curvature_report, family, mesh) == raised(oracle_curvature, family, mesh)
     assert raised(curvature_report, family, mesh)[0] is NotInEError
 
@@ -426,7 +425,7 @@ def test_decomposition_error_precedes_later_evaluation_error(chunk):
             raise OutOfChartError("vertex 8 is outside every chart")
         return aklt_path(0.5)
 
-    assert raised(curvature_report, stack_by_vertex("chart", mesh, out_of_chart), mesh) == (
+    assert raised(curvature_report, stack_by_vertex(mesh, out_of_chart), mesh) == (
         OutOfChartError, "vertex 8 is outside every chart")
 
 
@@ -446,7 +445,7 @@ def test_near_tie_links_are_refused(chunk):
     tensors = [A] * len(mesh.theta)
     tensors[6] = B
     with pytest.raises(DegenerateLeadingEigenvalueError):
-        link_field(VertexData(tuple(tensors)), mesh)
+        link_field(tuple(tensors), mesh)
 
 
 def flagged_family(mesh):
@@ -461,7 +460,7 @@ def flagged_family(mesh):
 def test_flagged_plaquettes_are_refused(tmp_path):
     mesh = make_sphere_mesh(4, 4)
     tensors = flagged_family(mesh)
-    family = VertexData(tuple(tensors))
+    family = tuple(tensors)
     assert chern_verdict(curvature_report(family, mesh))[2] == [4]
     assert oracle_curvature(family, mesh)[1] == (4,)
     with pytest.raises(FlaggedPlaquetteError, match=r"\[4\]"):
@@ -488,7 +487,7 @@ def padded_at(tensors, index, d=None, D=None):
 
 def test_mixed_bond_dimension_keeps_the_curvature(chunk):
     mesh = make_sphere_mesh(4, 4)
-    curvature = curvature_report(VertexData(tuple(padded_at(psi2_at_vertices(mesh), 5, D=3))),
+    curvature = curvature_report(tuple(padded_at(psi2_at_vertices(mesh), 5, D=3)),
                                  mesh)
     assert np.abs(curvature - curvature_report(psi2_sphere_family(), mesh)).max() <= 1e-12
 
@@ -520,7 +519,7 @@ def mixed_d_tensors(mesh, case):
 ])
 def test_mixed_physical_dimension_is_refused(case, kind, chunk):
     mesh = make_sphere_mesh(4, 4)
-    family = VertexData(tuple(mixed_d_tensors(mesh, case)))
+    family = tuple(mixed_d_tensors(mesh, case))
     error = raised(curvature_report, family, mesh)
     if kind is ValueError:
         assert error == (ValueError, "cores must share the physical dimension")

@@ -113,7 +113,7 @@ def test_a_chunk_the_stack_refuses_is_evaluated_vertex_by_vertex():
         return psi2.stack(theta, phi)
 
     mesh = make_sphere_mesh(4, 4)
-    tensors, error = invariants._chunk_tensors(SphereFamily("single", one_at_a_time), mesh,
+    tensors, error = invariants._chunk_tensors(SphereFamily(one_at_a_time), mesh,
                                                slice(0, len(mesh.theta)))
     assert error is None
     assert np.array_equal(np.array(tensors), psi2.stack(mesh.theta, mesh.phi))

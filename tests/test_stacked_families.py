@@ -15,13 +15,12 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from timps import families, invariants
+from timps import cli, families, invariants
 from timps.config import DEFAULT_TOLS
 from timps.errors import NotInEError, NotNormalizedPointError, OutOfChartError, RankMismatchError
 from timps.families import (
     Mesh2,
     SphereFamily,
-    VertexData,
     _directions,
     _product_states,
     _pump_charts,
@@ -196,7 +195,8 @@ def oracle_pump_slice_at(w4):
 
 def oracle_sphere_mesh(n_theta, n_phi):
     """The vertex and plaquette double loop of the earlier mesh builder:
-    the mesh and its ``(index, theta, phi)`` vertex tuple."""
+    the mesh, its ``(index, theta, phi)`` vertex tuple and the lower cell
+    angles ``(theta_lo, phi_lo)`` of its plaquettes."""
     vertices = []
 
     def add_vertex(theta, phi):
@@ -232,12 +232,10 @@ def oracle_sphere_mesh(n_theta, n_phi):
         n_theta=n_theta,
         n_phi=n_phi,
         plaquettes=plaquettes,
-        cell_theta_lo=theta_lo,
-        cell_phi_lo=phi_lo,
         theta=np.array([theta for _, theta, _ in vertices]),
         phi=np.array([phi for _, _, phi in vertices]),
     )
-    return mesh, tuple(vertices)
+    return mesh, tuple(vertices), (theta_lo, phi_lo)
 
 
 def bits(a):
@@ -246,9 +244,9 @@ def bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
-def point_by_point(name, at):
+def point_by_point(at):
     """A family whose stack calls the oracle ``at(theta, phi)`` point by point."""
-    return SphereFamily(name, lambda theta, phi: np.array(
+    return SphereFamily(lambda theta, phi: np.array(
         [at(t, p).mats for t, p in zip(theta.tolist(), phi.tolist())]))
 
 
@@ -272,12 +270,15 @@ def mesh_vertices(mesh):
 @pytest.mark.parametrize("shape", [(4, 4), (4, 9), (9, 4), (16, 16), (33, 17)])
 def test_mesh_matches_the_loop_oracle(shape):
     mesh = make_sphere_mesh(*shape)
-    ref, vertices = oracle_sphere_mesh(*shape)
+    ref, vertices, cells = oracle_sphere_mesh(*shape)
     assert [vertex_bits(k, *v) for k, v in enumerate(mesh_vertices(mesh))] == [
         vertex_bits(*v) for v in vertices]
-    for name in ["plaquettes", "cell_theta_lo", "cell_phi_lo", "theta", "phi",
-                 "edges", "plaquette_edges", "plaquette_signs"]:
+    for name in ["plaquettes", "theta", "phi", "edges", "plaquette_edges", "plaquette_signs"]:
         assert bits(getattr(mesh, name)) == bits(getattr(ref, name)), name
+    # the chern CSV's cell-angle columns
+    columns, _, _ = cli._exp_chern({"family": "psi2", "mesh": "{}x{}".format(*shape)}, None,
+                                   DEFAULT_TOLS)
+    assert [bits(columns["theta_lo"]), bits(columns["phi_lo"])] == [bits(c) for c in cells]
     assert not mesh.theta.flags.writeable and not mesh.phi.flags.writeable
     rev = mesh.reversed()
     assert rev.theta is mesh.theta and rev.phi is mesh.phi
@@ -314,8 +315,8 @@ def test_stacked_evaluators_match_the_per_vertex_oracle(name, shape, chunk, monk
     monkeypatch.setattr(invariants, "CHUNK", chunk)
     report = outcome(lambda: curvature_report(family, mesh))
     # the oracle's tensors as vertex data, or, where it raises, as a stack
-    oracle = (VertexData(tuple(at(*v) for v in vertices)) if expected[0] == "ok"
-              else point_by_point(name, at))
+    oracle = (tuple(at(*v) for v in vertices) if expected[0] == "ok"
+              else point_by_point(at))
     assert report == outcome(lambda: curvature_report(oracle, mesh))
     if expected[0] == "raised":
         assert report == expected
@@ -531,7 +532,7 @@ def test_boundary_generator_is_the_closed_form_line(shape):
     overlaps = np.einsum("ni,ni->n", np.array([t.mats[:, 0, 0] for t in closed]).conj(), derived)
     assert np.abs(np.abs(overlaps) - 1.0).max() <= 1e-15
     curvature = curvature_report(family, mesh)
-    closed_curvature = curvature_report(VertexData(tuple(closed)), mesh)
+    closed_curvature = curvature_report(tuple(closed), mesh)
     assert np.abs(curvature - closed_curvature).max() <= 1e-15
     assert chern_verdict(curvature)[2] == []
     assert chern_number(family, mesh) == 1
@@ -555,7 +556,7 @@ def north_core_lines(w4):
         assert not found.errors and (found.ranks == 1).all()
         return _product_states(found.X[:, 0, 0], found.X[:, 1, 0])
 
-    return SphereFamily(f"north-line(w4={w4})", stack=stack)
+    return SphereFamily(stack)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -470,6 +470,24 @@ def test_transfer_stacks_need_one_fixed_point_and_one_observable_per_core(make_r
         assert expectation(K, fps, obs).shape == (3,)
 
 
+@pytest.mark.parametrize("n", [0, -1, np.int64(0), 1.0, 2.5, True], ids=repr)
+def test_window_length_below_one_or_not_an_integer_is_refused(n):
+    K = aklt_path(0.5)
+    T = fixed_point(K)
+    for call in (_window_amplitudes, window_density_matrix):
+        with pytest.raises(ValueError, match=re.escape(f"window length n must be an integer "
+                                                       f">= 1, got {n!r}")):
+            call(K, T, n)
+
+
+def test_window_length_may_be_a_numpy_integer():
+    K = aklt_path(0.5)
+    T = fixed_point(K)
+    for n in (1, 3):
+        assert np.array_equal(window_density_matrix(K, T, np.int64(n)),
+                              window_density_matrix(K, T, n))
+
+
 def test_window_density_matrix_cap():
     K = aklt_path(0.5)
     with pytest.raises(WindowTooLargeError):
@@ -531,6 +549,25 @@ def test_transfer_spectrum_of_a_stack_is_each_cores(rng, count):
     assert spectra.shape == (count, 4)
     for spectrum, K in zip(spectra, cores):
         assert np.array_equal(spectrum, transfer_spectrum(K))
+
+
+def test_transfer_maps_of_a_sequence_are_those_of_its_stack(rng):
+    A = aklt_path(0.5)
+    cores = [random_core(rng, 4, 2) for _ in range(3)]  # decompositions
+    for seq in ([A, A], [A.mats, A.mats], cores, [dec.K for dec in cores]):
+        stack = np.array([getattr(k, "mats", k) for k in seq])
+        assert np.array_equal(transfer_spectrum(seq), transfer_spectrum(stack))
+        C = rng.normal(size=(len(seq), 4, 4)) + 0j
+        assert np.array_equal(transfer_matrix(seq, C), transfer_matrix(stack, C))
+        assert np.array_equal(transfer_matrix(seq, np.eye(4)), transfer_matrix(stack, np.eye(4)))
+    mixed = [A, random_core(rng, 4, 1).tensor]
+    message = re.escape("a tensor sequence must share (d, D); got (4, 2) and (4, 1)")
+    with pytest.raises(ValueError, match=message):
+        transfer_spectrum(mixed)
+    with pytest.raises(ValueError, match=message):
+        transfer_matrix(mixed, np.eye(4))
+    with pytest.raises(ValueError, match=re.escape("one (d, chi, chi) core, got shape (2, 4, 2, 2)")):
+        correlation_length([A, A])
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 2, 2), (1, 4, 2, 2), (4, 2, 3), (2, 2)])
